@@ -29,7 +29,13 @@ from .errors import FactorizationError, InvariantError
 from .graphs import Graph, WalkProfile, walk_matrix
 from .intmat import IntMatrix, dot
 from .ortho import RatRegOrtho
-from .snf import extend_basis, kernel_shape, snf_int, snf_mod_pk, solvable_mod_pk
+from .snf import (
+    extend_basis,
+    invariant_factors,
+    kernel_shape,
+    snf_mod_pk,
+    solvable_mod_pk,
+)
 
 RULE_ODD_SQUAREFREE = "odd-squarefree"
 RULE_HALF_VALUATION = "half-valuation"
@@ -421,8 +427,8 @@ def verify_proof_lemmas(g: Graph, witness: FourCongWitness) -> LemmaCheckReport:
     notes: list[str] = []
 
     # Smith form of the shifted adjacency over Z
-    fs = snf_int(b)
-    f = [fs.factor_at(i) for i in range(1, n + 1)]
+    fs = invariant_factors(b)
+    f = list(fs) + [0] * (n - len(fs))
     over_z_ok = (f[n - 3] != 0 and f[n - 3] % p != 0) and (
         f[n - 1] == 0 or f[n - 1] % q == 0
     )

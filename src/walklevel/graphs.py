@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 from .arith import factorize, v_p
 from .errors import InvariantError, ParseError
 from .intmat import IntMatrix, char_poly, det
-from .snf import rank_mod_p, snf_int
+from .snf import invariant_factors, rank_mod_p
 
 ISOMORPHISM_SIZE_LIMIT = 12
 
@@ -219,7 +219,7 @@ def walk_profile(
     """
     w = walk_matrix(g)
     d = det(w)
-    factors = snf_int(w).invariant_factors
+    factors = invariant_factors(w, d)
     if d == 0:
         return WalkProfile(g.n, w, 0, False, factors, None, {})
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import SearchCapExceeded
-from .graphs import Graph, isomorphic, walk_matrix
+from .graphs import Graph, walk_matrix
 from .intmat import IntMatrix, dot
 from .ortho import RatRegOrtho, conjugate
 from .snf import snf_int
@@ -268,7 +268,9 @@ def search_mates(
                 continue
             seen.add(key)
             mate = conjugate(q, g)
-            classes.append(MateClass(q, mate, level, isomorphic(g, mate)))
+            # Q is unique for a controllable g, so the mate is isomorphic
+            # to g exactly when Q is a permutation matrix, i.e. level 1
+            classes.append(MateClass(q, mate, level, level == 1))
     return classes
 
 
@@ -286,11 +288,12 @@ def dedupe(classes: list[MateClass]) -> list[MateClass]:
 
 
 def distinct_mate_graphs(classes: list[MateClass]) -> list[Graph]:
-    """The non-isomorphic mate graphs among classes not isomorphic to the input."""
-    reps: list[Graph] = []
-    for cls in classes:
-        if cls.isomorphic_to_input:
-            continue
-        if not any(isomorphic(cls.mate, r) for r in reps):
-            reps.append(cls.mate)
-    return reps
+    """The non-isomorphic mate graphs among classes not isomorphic to the input.
+
+    For a controllable graph the Q with Q^T A Q = A(H) is unique, so H is
+    isomorphic to G exactly when Q is a permutation (level 1), and two
+    classes give isomorphic mates exactly when they are the same
+    right-permutation class. One mate per canonical key above level 1 is
+    therefore one per isomorphism class, with no isomorphism test.
+    """
+    return [cls.mate for cls in dedupe(classes) if cls.level > 1]

@@ -1,9 +1,11 @@
-"""Smith normal forms with transforms, over Z and over Z/p^kZ.
+"""Smith normal forms over Z and over Z/p^kZ, with or without transforms.
 
-Both routines return the full (U, S, V) triple with U*M*V = S in the stated
-ring. Over Z the transforms are unimodular; over Z/p^kZ their determinants
-are units, and every nonzero invariant factor is normalized to a pure prime
-power p^c with 0 <= c < k.
+``snf_int`` and ``snf_mod_pk`` return the full (U, S, V) triple with
+U*M*V = S in the stated ring. Over Z the transforms are unimodular; over
+Z/p^kZ their determinants are units, and every nonzero invariant factor is
+normalized to a pure prime power p^c with 0 <= c < k. ``invariant_factors``
+and ``rank_mod_p`` build no transforms; for a nonsingular matrix the former
+keeps every entry reduced mod |det|.
 
 On top of the forms sit the module-theoretic helpers: solvability of
 M x = b over Z/p^kZ, kernel structure, the "does M z = 0 have a unit-entry
@@ -185,20 +187,14 @@ def _gcdex_cols(s, a_mats, t, j):
             row[j] = -bf * p + af * q
 
 
-def snf_int(m: IntMatrix) -> SnfResult:
-    """Smith normal form over Z with unimodular transforms.
+def _smith_int(s, us, vs) -> int:
+    """Reduce s in place to Smith normal form over Z; return its rank.
 
-    Pivoting picks the smallest nonzero absolute value in the remaining
-    block; rows and columns are cleared with one-shot extended-gcd
-    transforms, which keeps intermediate entries from the exponential
-    blowup of repeated Euclidean sweeps. Invariant factors come out
-    positive.
+    Every row operation is also applied to each matrix in ``us`` and every
+    column operation to each matrix in ``vs``, so passing () for both
+    computes S alone.
     """
-    nr, nc = m.rows, m.cols
-    s = [list(row) for row in m.data]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
+    nr, nc = len(s), len(s[0]) if s else 0
     t = 0
     limit = min(nr, nc)
     while t < limit:
@@ -215,21 +211,21 @@ def snf_int(m: IntMatrix) -> SnfResult:
         if piv is None:
             break
         if piv[0] != t:
-            _swap_rows(s, t, piv[0])
-            _swap_rows(u, t, piv[0])
+            for m in (s, *us):
+                _swap_rows(m, t, piv[0])
         if piv[1] != t:
-            _swap_cols(s, t, piv[1])
-            _swap_cols(v, t, piv[1])
+            for m in (s, *vs):
+                _swap_cols(m, t, piv[1])
 
         # alternate gcd-clearing passes; each dirty pass strictly divides
         # the pivot down, so this stabilizes after O(log) rounds
         while True:
             for i in range(t + 1, nr):
-                _gcdex_rows(s, (u,), t, i)
+                _gcdex_rows(s, us, t, i)
             if all(s[t][j] == 0 for j in range(t + 1, nc)):
                 break
             for j in range(t + 1, nc):
-                _gcdex_cols(s, (v,), t, j)
+                _gcdex_cols(s, vs, t, j)
             if all(s[i][t] == 0 for i in range(t + 1, nr)):
                 break
 
@@ -245,17 +241,147 @@ def snf_int(m: IntMatrix) -> SnfResult:
             if offender is not None:
                 break
         if offender is not None:
-            _row_add(s, t, offender)
-            _row_add(u, t, offender)
+            for m in (s, *us):
+                _row_add(m, t, offender)
             continue  # re-reduce with the same slot t
 
         if pivot < 0:
-            _neg_row(s, t)
-            _neg_row(u, t)
+            for m in (s, *us):
+                _neg_row(m, t)
         t += 1
+    return t
 
-    factors = tuple(s[i][i] for i in range(t))
+
+def snf_int(m: IntMatrix) -> SnfResult:
+    """Smith normal form over Z with unimodular transforms.
+
+    Pivoting picks the smallest nonzero absolute value in the remaining
+    block; rows and columns are cleared with one-shot extended-gcd
+    transforms. This does not stop the entries of U and V from blowing up:
+    on walk matrices they reach tens of thousands of bits by n = 32 and
+    hundreds of thousands by n = 40, so callers that need only the
+    invariant factors use ``invariant_factors``. Invariant factors come out
+    positive.
+    """
+    nr, nc = m.rows, m.cols
+    s = [list(row) for row in m.data]
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    r = _smith_int(s, (u,), (v,))
+    factors = tuple(s[i][i] for i in range(r))
     return SnfResult(None, IntMatrix(u), IntMatrix(s), IntMatrix(v), factors)
+
+
+def _unit_to_gcd(x: int, g: int, d: int) -> int:
+    """A unit u of Z/dZ with u * x = g (mod d), where g = gcd(x, d) < d."""
+    n = d // g
+    u = pow(x // g, -1, n)
+    # lift u from Z/nZ to a unit of Z/dZ: make it 1 modulo the part of d
+    # coprime to n (for m = 1 the correction term is 0)
+    m = d
+    while (h := gcd(m, n)) > 1:
+        m //= h
+    return u + n * ((1 - u) * pow(n, -1, m) % m)
+
+
+def _diagonal_mod(rows: list[list[int]], d: int) -> list[int]:
+    """Diagonalize a square matrix over Z/dZ; return the diagonal.
+
+    Each entry of the result divides d. The pivot is the trailing entry with
+    the smallest gcd(x, d), first scaled by a unit to that gcd. A row or
+    column entry it divides is cleared by exact division; any other one by
+    an extended-gcd transform, which replaces the pivot by a proper divisor.
+    Pivots thus walk down the divisor lattice of d and the loop ends.
+    """
+    diag = []
+    while rows:
+        best = None
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if x:
+                    g = gcd(x, d)
+                    if best is None or g < best[0]:
+                        best = (g, i, j)
+                        if g == 1:
+                            break
+            if best is not None and best[0] == 1:
+                break
+        if best is None:  # the trailing block is zero: each factor is gcd(0, d)
+            diag.extend([d] * len(rows))
+            break
+        g, i, j = best
+        rows[0], rows[i] = rows[i], rows[0]
+        if j:
+            for row in rows:
+                row[0], row[j] = row[j], row[0]
+        if rows[0][0] != g:
+            u = _unit_to_gcd(rows[0][0], g, d)
+            rows[0] = [u * x % d for x in rows[0]]
+
+        while True:
+            top = rows[0]
+            for i in range(1, len(rows)):
+                b = rows[i][0]
+                if not b:
+                    continue
+                if b % g == 0:
+                    c = b // g
+                    rows[i] = [(x - c * y) % d for x, y in zip(rows[i], top)]
+                else:
+                    g2, x0, y0 = _xgcd(g, b)
+                    af, bf = g // g2, b // g2
+                    old, ri = top, rows[i]
+                    top = [(x0 * p + y0 * q) % d for p, q in zip(old, ri)]
+                    rows[i] = [(af * q - bf * p) % d for p, q in zip(old, ri)]
+                    rows[0] = top
+                    g = g2
+            # entries of the top row that g divides need no work: the column
+            # below the pivot is zero, so clearing them touches the top row only
+            dirty = False
+            for j in range(1, len(top)):
+                b = top[j]
+                if b % g:
+                    g2, x0, y0 = _xgcd(g, b)
+                    af, bf = g // g2, b // g2
+                    for row in rows:
+                        p, q = row[0], row[j]
+                        row[0] = (x0 * p + y0 * q) % d
+                        row[j] = (af * q - bf * p) % d
+                    g = g2
+                    dirty = True
+            if not dirty or not any(row[0] for row in rows[1:]):
+                break
+        diag.append(g)
+        rows = [row[1:] for row in rows[1:]]
+    return diag
+
+
+def invariant_factors(m: IntMatrix, det: int | None = None) -> tuple[int, ...]:
+    """The nonzero invariant factors of m over Z, without transforms.
+
+    With ``det`` = det(m) nonzero, the elimination runs over Z/DZ with
+    D = |det|, so no entry ever exceeds D (Domich-Kannan-Trotter 1987,
+    Hafner-McCurley 1991). That is exact: every d_i divides D, so
+    d_i = gcd(s_i, D) for any Smith form diag(s_i) of m over Z/DZ. The
+    diagonal the elimination leaves is put in divisor-chain order by
+    gcd/lcm swaps, which keep the Smith form. Otherwise (det None or 0) it
+    runs the integer elimination of ``snf_int`` on S alone, which also
+    covers non-square m. ``det`` must be det(m); it is not recomputed.
+    """
+    if det:
+        if m.rows != m.cols:
+            raise ValueError("det given for a non-square matrix")
+        d = abs(det)
+        diag = _diagonal_mod([[x % d for x in row] for row in m.data], d)
+        for i in range(len(diag)):
+            for j in range(i + 1, len(diag)):
+                a, b = diag[i], diag[j]
+                g = gcd(a, b)
+                diag[i], diag[j] = g, a // g * b
+        return tuple(diag)
+    s = [list(row) for row in m.data]
+    r = _smith_int(s, (), ())
+    return tuple(s[i][i] for i in range(r))
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +480,23 @@ def snf_mod_pk(m: IntMatrix, p: int, k: int) -> SnfResult:
 
 
 def rank_mod_p(m: IntMatrix, p: int) -> int:
-    """Rank of the projection of m over the field Z/pZ."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return snf_mod_pk(m, p, 1).rank
+    """Rank of the projection of m over the field Z/pZ, by Gaussian elimination."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    rows = [[x % p for x in row] for row in m.data]
+    rank = 0
+    for col in range(m.cols):
+        i = next((i for i, row in enumerate(rows) if row[col]), None)
+        if i is None:
+            continue
+        top = rows.pop(i)
+        rank += 1
+        inv = pow(top[col], -1, p)
+        for k, row in enumerate(rows):
+            if row[col]:
+                f = row[col] * inv % p
+                rows[k] = [(x - f * y) % p for x, y in zip(row, top)]
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ from .bounds import (
     verify_proof_lemmas,
 )
 from .errors import SearchCapExceeded
-from .graphs import Graph, emit_graph6, walk_profile
+from .graphs import Graph, emit_graph6, walk_matrix, walk_profile
+from .intmat import det
 from .matesearch import distinct_mate_graphs, search_mates
 
 _MASK = (1 << 64) - 1
@@ -148,13 +149,13 @@ def sweep_one(config: SweepConfig, index: int) -> dict:
         attempts += 1
         rng = derive_stream(config.seed, index, attempt)
         cand = random_graph(rng, n, config.edge_prob_num, config.edge_prob_den)
-        prof = walk_profile(cand)
-        if prof.controllable:
+        if det(walk_matrix(cand)):
             graph = cand
             break
     if graph is None:
         return {"index": index, "n": n, "attempts": attempts, "exhausted": True}
 
+    prof = walk_profile(graph)
     bounds_rep = level_bounds(prof)
     record: dict = {
         "index": index,

@@ -1,12 +1,14 @@
 """Command-line surface: formats, exit codes, JSON schema, determinism."""
 
+import io
 import json
 
+import networkx as nx
 import pytest
 
 from walklevel.cli import main, read_graphs
 from walklevel.fixtures import load_worked_example
-from walklevel.graphs import emit_graph6
+from walklevel.graphs import emit_graph6, parse_graph6
 
 ADJ_TEXT = """\
 10
@@ -132,6 +134,25 @@ class TestMates:
         payload = json.loads(capsys.readouterr().out)
         assert payload["levels_searched"] == []
         assert payload["classes"] == []
+
+    def test_fourteen_vertices_from_stdin(self, monkeypatch, capsys):
+        # n = 14 is past the isomorphism test's size limit, which the search
+        # no longer calls; the level cap keeps the auto search short
+        g6 = "M{~`UOFxUIeuiq`G_"
+        monkeypatch.setattr("sys.stdin", io.StringIO(g6 + "\n"))
+        assert main(["mates", "-", "--level-cap", "3", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert 3 in [c["level"] for c in payload["classes"]]
+
+        def nx_graph(g):
+            h = nx.empty_graph(g.n)
+            h.add_edges_from((i, j) for i in range(g.n) for j in range(i) if g.adj[i][j])
+            return h
+
+        g = nx_graph(parse_graph6(g6))
+        for cls in payload["classes"]:
+            mate = nx_graph(parse_graph6(cls["mate_graph6"]))
+            assert cls["isomorphic_to_input"] == nx.is_isomorphic(g, mate)
 
     def test_explicit_level_one_reports_permutation_class(self, adj_file, capsys):
         assert main(["mates", adj_file, "--levels", "1", "--json"]) == 0

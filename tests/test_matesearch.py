@@ -2,13 +2,14 @@
 
 import random
 
+import networkx as nx
 import pytest
 
 from oracles import bruteforce_mate_classes
 from walklevel.arith import divisors
 from walklevel.errors import SearchCapExceeded
 from walklevel.fixtures import load_worked_example
-from walklevel.graphs import Graph, generalized_cospectral, walk_profile
+from walklevel.graphs import Graph, generalized_cospectral, parse_graph6, walk_profile
 from walklevel.intmat import IntMatrix, dot
 from walklevel.matesearch import (
     dedupe,
@@ -17,6 +18,26 @@ from walklevel.matesearch import (
     search_mates,
 )
 from walklevel.ortho import from_pair
+from walklevel.sweep import SweepConfig, sweep_one
+
+
+def nx_graph(g):
+    h = nx.empty_graph(g.n)
+    h.add_edges_from((i, j) for i in range(g.n) for j in range(i) if g.adj[i][j])
+    return h
+
+
+def check_flags_against_networkx(g, classes):
+    """isomorphic_to_input and distinct_mate_graphs against networkx."""
+    gn = nx_graph(g)
+    reps = []
+    for cls in classes:
+        h = nx_graph(cls.mate)
+        iso = nx.is_isomorphic(gn, h)
+        assert cls.isomorphic_to_input == iso
+        if not iso and not any(nx.is_isomorphic(h, r) for r in reps):
+            reps.append(h)
+    assert len(distinct_mate_graphs(classes)) == len(reps)
 
 
 def random_controllable(rng, n):
@@ -209,3 +230,33 @@ class TestCompletenessOracle:
                 IntMatrix.identity(10).data
             )
             assert (cls.level == 1) == is_perm
+
+
+class TestIsomorphismFlag:
+    """For a controllable graph Q is unique, so the flags need no isomorphism test."""
+
+    def test_fixture_matches_networkx(self):
+        ex = load_worked_example()
+        classes = search_mates(ex.graph, [1, 3, 9])
+        assert [c.level for c in classes] == [1, 3, 9]
+        check_flags_against_networkx(ex.graph, classes)
+
+    def test_seeded_searches_match_networkx(self):
+        # the sweep's own levels (seed 42, n 6-12) plus level 1
+        config = SweepConfig(n_min=6, n_max=12, seed=42)
+        searched = 0
+        for index in range(600):
+            rec = sweep_one(config, index)
+            if not rec.get("search", {}).get("classes"):
+                continue
+            g = parse_graph6(rec["graph6"])
+            classes = search_mates(g, [1, *rec["search"]["levels"]])
+            assert any(c.level > 1 for c in classes)
+            check_flags_against_networkx(g, classes)
+            searched += 1
+        assert searched >= 3
+
+    def test_duplicate_classes_counted_once(self):
+        ex = load_worked_example()
+        classes = search_mates(ex.graph, [1, 3, 9])
+        assert len(distinct_mate_graphs(classes + classes)) == 2

@@ -4,6 +4,8 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     exhaustive_kernel_count,
     exhaustive_solvable,
@@ -11,23 +13,44 @@ from oracles import (
     matvec_mod,
     minor_gcd,
 )
+from sympy import Matrix
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
+from sympy.polys.domains import ZZ
 from walklevel.arith import v_p
+from walklevel.graphs import walk_matrix
 from walklevel.intmat import IntMatrix, det
 from walklevel.snf import (
     dn_test,
     extend_basis,
+    invariant_factors,
     kernel_shape,
     rank_mod_p,
     snf_int,
     snf_mod_pk,
     solvable_mod_pk,
 )
+from walklevel.sweep import derive_stream, random_graph
 
 DIAG_FIXTURE = IntMatrix.diag([2, 10, 30, 270])
 
 
 def rand_matrix(rng, nr, nc, lo=-9, hi=9):
     return IntMatrix([[rng.randint(lo, hi) for _ in range(nc)] for _ in range(nr)])
+
+
+def seeded_walk_matrix(seed, n):
+    """Walk matrix of the first controllable G(n, 1/2) draw of a seeded stream."""
+    for attempt in range(1000):
+        w = walk_matrix(random_graph(derive_stream(seed, n, attempt), n, 1, 2))
+        if det(w):
+            return w
+    raise AssertionError("no controllable draw")
+
+
+def sympy_factors(m):
+    """Nonzero invariant factors from sympy, made positive."""
+    out = sympy_invariant_factors(Matrix([list(r) for r in m.data]), domain=ZZ)
+    return tuple(abs(int(x)) for x in out if x)
 
 
 def check_int_snf_invariants(m, res):
@@ -80,6 +103,88 @@ class TestSnfInt:
     def test_negative_factors_normalized(self):
         res = snf_int(IntMatrix([[-5]]))
         assert res.invariant_factors == (5,)
+
+
+class TestInvariantFactors:
+    def test_matches_snf_int_on_walk_matrices(self):
+        for n in (6, 9, 12, 16, 20, 24):
+            for seed in (1, 2):
+                w = seeded_walk_matrix(seed, n)
+                assert invariant_factors(w, det(w)) == snf_int(w).invariant_factors
+
+    def test_matches_sympy_on_walk_matrices(self):
+        for n in (8, 12, 16):
+            w = seeded_walk_matrix(3, n)
+            assert invariant_factors(w, det(w)) == sympy_factors(w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.lists(st.sampled_from([0, 1, -1, 2, 3, -4, 6, 9, 12, -18, 25, 27]),
+                 min_size=36, max_size=36),
+    )
+    def test_matches_sympy_random(self, nr, nc, pool):
+        m = IntMatrix([pool[i * 6:i * 6 + nc] for i in range(nr)])
+        expected = sympy_factors(m)
+        assert invariant_factors(m) == expected
+        if nr == nc and det(m):
+            assert invariant_factors(m, det(m)) == expected
+
+    def test_minor_gcd_oracle(self):
+        # mixed small primes make most pivots non-units, so the extended-gcd
+        # steps and the divisor-chain ordering both run
+        rng = random.Random(2025)
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            m = IntMatrix([[rng.choice([0, 2, 3, 4, 6, 9, -6, 12]) for _ in range(n)]
+                           for _ in range(n)])
+            d = det(m)
+            factors = invariant_factors(m, d) if d else invariant_factors(m)
+            rows = [list(r) for r in m.data]
+            prod = 1
+            for k in range(1, n + 1):
+                g = minor_gcd(rows, k)
+                if k <= len(factors):
+                    prod *= factors[k - 1]
+                    assert prod == g
+                else:
+                    assert g == 0
+
+    def test_unimodular(self):
+        for m in (IntMatrix([[2, 1], [1, 1]]), IntMatrix([[1, 2], [1, 1]])):
+            assert abs(det(m)) == 1
+            assert invariant_factors(m, det(m)) == (1, 1)
+
+    def test_negative_det(self):
+        m = IntMatrix([[0, 2, 0], [3, 0, 0], [0, 0, 5]])
+        assert det(m) == -30
+        assert invariant_factors(m, -30) == invariant_factors(m, 30) == (1, 1, 30)
+
+    def test_one_by_one(self):
+        assert invariant_factors(IntMatrix([[-5]]), -5) == (5,)
+        assert invariant_factors(IntMatrix([[7]])) == (7,)
+
+    def test_trailing_block_zero_mod_det(self):
+        m = IntMatrix.diag([1, 1, 5])
+        assert invariant_factors(m, 5) == (1, 1, 5)
+        assert invariant_factors(DIAG_FIXTURE, det(DIAG_FIXTURE)) == (2, 10, 30, 270)
+
+    def test_singular(self):
+        m = IntMatrix([[2, 4, 6], [1, 2, 3], [0, 6, 9]])
+        assert det(m) == 0
+        assert invariant_factors(m) == invariant_factors(m, 0) == snf_int(m).invariant_factors
+
+    def test_rectangular(self):
+        rng = random.Random(6)
+        for _ in range(30):
+            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+            m = rand_matrix(rng, nr, nc)
+            assert invariant_factors(m) == snf_int(m).invariant_factors
+
+    def test_det_for_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            invariant_factors(IntMatrix.zeros(2, 3), 6)
 
 
 class TestSnfModPk:
@@ -295,3 +400,20 @@ class TestRankModP:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 assert rank_mod_p(m, p) == rank_gauss_mod_p([list(r) for r in m.data], p)
+
+    def test_walk_matrices_match_gauss(self):
+        from oracles import rank_gauss_mod_p
+
+        for n in (6, 10, 14):
+            w = seeded_walk_matrix(4, n)
+            for p in (2, 3, 5, 7):
+                assert rank_mod_p(w, p) == rank_gauss_mod_p([list(r) for r in w.data], p)
+
+    def test_p2_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rank_mod_p(IntMatrix([[2, 1], [0, 2]]), 2) == 1
+
+    def test_composite_rejected(self):
+        with pytest.raises(ValueError):
+            rank_mod_p(IntMatrix.identity(2), 6)

@@ -102,3 +102,12 @@ class TestSweep:
         assert accepted == cfg.graph_count
         assert agg["bound_violations"] == []
         assert agg["lemma_failures"] == []
+
+    def test_mates_past_isomorphism_size_limit(self):
+        # slot 15 is a 14-vertex graph with a level-3 mate; the search no
+        # longer calls the isomorphism test, which stops at 12 vertices
+        rec = sweep_one(SweepConfig(n_min=14, n_max=16, seed=42), 15)
+        assert rec["n"] == 14
+        assert [c["level"] for c in rec["search"]["classes"]] == [3]
+        assert not rec["search"]["classes"][0]["isomorphic_to_input"]
+        assert rec["mates_found"] == 1
