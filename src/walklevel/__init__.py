@@ -6,6 +6,7 @@ orthogonal matrices, and complete desk-scale searches for generalized
 cospectral mates.
 """
 
+from .analysis import analyze, check_classes
 from .arith import divisors, factorize, is_prime, is_square_free, v_p
 from .bounds import (
     ConjectureReport,
@@ -42,7 +43,7 @@ from .graphs import (
     walk_matrix,
     walk_profile,
 )
-from .intmat import IntMatrix, IntPoly, adjugate, char_poly, det, dot, mat_mul
+from .intmat import IntMatrix, IntPoly, adjugate, char_poly, det, dot
 from .matesearch import (
     MateClass,
     dedupe,
@@ -73,12 +74,13 @@ __all__ = [
     "InvariantError", "KernelShape", "LemmaCheckReport", "LevelBoundReport",
     "MateClass", "MateCountBounds", "ModPK", "ParseError", "PrimeBound",
     "RatRegOrtho", "SearchCapExceeded", "SnfResult", "SweepConfig", "WalkProfile",
-    "WorkedExample", "adjugate", "char_poly", "conjecture_check", "conjugate",
+    "WorkedExample", "adjugate", "analyze", "char_poly", "check_classes",
+    "conjecture_check", "conjugate",
     "dedupe", "det", "dgs_certificate", "distinct_mate_graphs", "divisors",
     "dn_test", "dot", "emit_graph6", "enumerate_columns", "extend_basis",
     "extract_four_cong_witness", "factorize", "family_membership", "from_pair",
     "generalized_cospectral", "is_prime", "is_square_free", "isomorphic",
-    "kernel_shape", "level", "level_bounds", "load_worked_example", "mat_mul",
+    "kernel_shape", "level", "level_bounds", "load_worked_example",
     "mate_count_bounds", "parse_graph6", "parse_int_matrix_text", "rank_mod_p",
     "run_sweep", "search_mates", "snf_int", "snf_mod_pk", "solvable_mod_pk",
     "v_p", "verify_proof_lemmas", "walk_matrix", "walk_profile",

@@ -143,22 +143,15 @@ def factorize(n: int, budget: int = 10**6) -> dict[int, int]:
     return out
 
 
-def is_square_free(n: int, budget: int = 10**6) -> bool:
+def is_square_free(n: int) -> bool:
     if n == 0:
         return False
-    return all(e == 1 for e in factorize(n, budget).values())
+    return all(e == 1 for e in factorize(n).values())
 
 
-def divisors(n: int, budget: int = 10**6) -> list[int]:
+def divisors(n: int) -> list[int]:
     """All positive divisors of |n|, sorted ascending."""
     out = [1]
-    for p, e in factorize(n, budget).items():
+    for p, e in factorize(n).items():
         out = [d * p**j for d in out for j in range(e + 1)]
     return sorted(out)
-
-
-def odd_part(n: int) -> int:
-    n = abs(n)
-    while n and n % 2 == 0:
-        n //= 2
-    return n

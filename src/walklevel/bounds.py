@@ -5,12 +5,11 @@ controllable graph:
 
   odd-squarefree      p odd, p^2 does not divide det W  ->  exponent 0
   half-valuation      p odd, rank_p W = n-1              ->  floor(v_p(det W)/2)
-  valuation-minus-one p odd, rank_p W = n-1              ->  v_p(det W) - 1
   two-adic-odd        det W / 2^floor(n/2) odd           ->  exponent 0 at p = 2
 
-half-valuation is never worse than valuation-minus-one once v_p >= 2, so it
-is the rule the report records when the rank condition holds. When no rule
-applies the prime is reported as unbounded rather than guessed at.
+half-valuation is never worse than the older v_p(det W) - 1 once v_p >= 2,
+so no report records the older bound. When no rule applies the prime is
+reported as unbounded rather than guessed at.
 
 The witness machinery extracts, from a level-divisible matrix, a vector z0
 and eigenvalue lambda0 satisfying four exact congruences, then re-verifies
@@ -39,7 +38,6 @@ from .snf import (
 
 RULE_ODD_SQUAREFREE = "odd-squarefree"
 RULE_HALF_VALUATION = "half-valuation"
-RULE_VALUATION_MINUS_ONE = "valuation-minus-one"
 RULE_TWO_ADIC_ODD = "two-adic-odd"
 RULE_NONE = "none"
 
@@ -118,7 +116,7 @@ class DgsCertificate:
         return {"status": self.status, "reason": self.reason}
 
 
-def dgs_certificate(profile: WalkProfile, factor_budget: int = 10**6) -> DgsCertificate:
+def dgs_certificate(profile: WalkProfile) -> DgsCertificate:
     """Certify determination-by-generalized-spectrum when the normalized
     determinant is odd and square-free; otherwise report Unknown (never
     "not DGS")."""
@@ -128,7 +126,7 @@ def dgs_certificate(profile: WalkProfile, factor_budget: int = 10**6) -> DgsCert
     if nd % 2 == 0:
         return DgsCertificate("Unknown", f"normalized determinant {nd} is even")
     try:
-        if is_square_free(nd, factor_budget):
+        if is_square_free(nd):
             return DgsCertificate(
                 "DGS", f"normalized determinant {nd} is odd and square-free"
             )
@@ -161,7 +159,7 @@ class FamilyMembership:
         return {"exponent": self.exponent, "prime": self.prime, "cofactor": self.cofactor}
 
 
-def family_membership(profile: WalkProfile, factor_budget: int = 10**6) -> FamilyMembership:
+def family_membership(profile: WalkProfile) -> FamilyMembership:
     """Match the normalized determinant against p^2*b / p^3*b with b odd,
     square-free, coprime to p, plus the corank-1 rank condition at p."""
     if not profile.controllable:
@@ -169,7 +167,7 @@ def family_membership(profile: WalkProfile, factor_budget: int = 10**6) -> Famil
     nd = profile.normalized_det
     if nd % 2 == 0:
         return FamilyMembership(None, None, None)
-    fac = factorize(nd, factor_budget)
+    fac = factorize(nd)
     heavy = [(p, e) for p, e in fac.items() if e >= 2]
     if len(heavy) != 1:
         return FamilyMembership(None, None, None)
@@ -203,9 +201,7 @@ class MateCountBounds:
         return {"basic": self.basic, "improved": self.improved, "reason": self.reason}
 
 
-def mate_count_bounds(
-    invariant_factors: tuple[int, ...], factor_budget: int = 10**6
-) -> MateCountBounds:
+def mate_count_bounds(invariant_factors: tuple[int, ...]) -> MateCountBounds:
     d = invariant_factors
     n = len(d)
     if n == 0 or 0 in d:
@@ -217,7 +213,7 @@ def mate_count_bounds(
         )
     if n < 2 or d[n - 2] != 2:
         return MateCountBounds(None, None, f"d_{n-1} = {d[n - 2] if n >= 2 else '?'} != 2")
-    fac = factorize(d[n - 1], factor_budget)
+    fac = factorize(d[n - 1])
     m1 = fac.get(2, 0)
     basic = 1
     for e in fac.values():
@@ -297,11 +293,7 @@ def extract_four_cong_witness(g: Graph, q: RatRegOrtho, p: int) -> FourCongWitne
     """
     if p == 2 or p < 2:
         raise ValueError("witness extraction is defined for odd primes")
-    tau = 0
-    lvl = q.level
-    while lvl % p == 0:
-        lvl //= p
-        tau += 1
+    tau = v_p(q.level, p)
     if tau == 0:
         raise ValueError(f"level {q.level} has no factor {p}: tau = 0")
     a = g.adjacency()
@@ -559,15 +551,7 @@ def conjecture_check(profile: WalkProfile, observed_levels: list[int]) -> Conjec
     n = profile.n
     entries = []
     for p in profile.odd_primes():
-        obs = 0
-        for lvl in observed_levels:
-            if lvl != 0:
-                k = 0
-                x = lvl
-                while x % p == 0:
-                    x //= p
-                    k += 1
-                obs = max(obs, k)
+        obs = max((v_p(lvl, p) for lvl in observed_levels if lvl), default=0)
         vd = profile.valuation(p)
         vsum = v_p(d[n - 1], p) + (v_p(d[n - 2], p) if n >= 2 else 0)
         entries.append(ConjectureEntry(

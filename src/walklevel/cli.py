@@ -9,21 +9,13 @@ bug). JSON output is versioned with "schema": 1 and serialized canonically
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import combinations
 from math import gcd
 
+from .analysis import analyze, check_classes
 from .arith import divisors
-from .bounds import (
-    conjecture_check,
-    dgs_certificate,
-    extract_four_cong_witness,
-    family_membership,
-    level_bounds,
-    mate_count_bounds,
-    verify_proof_lemmas,
-)
+from .bounds import level_bounds
 from .errors import (
     ConjugationError,
     FactorizationError,
@@ -41,10 +33,8 @@ from .sweep import SweepConfig, report_json, run_sweep
 SCHEMA = 1
 
 
-def _emit_json(payload: dict, stream=None) -> None:
-    stream = stream or sys.stdout
-    payload = {"schema": SCHEMA, **payload}
-    stream.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+def _emit_json(payload: dict) -> None:
+    sys.stdout.write(report_json({"schema": SCHEMA, **payload}))
 
 
 # ---------------------------------------------------------------------------
@@ -108,17 +98,6 @@ def read_graphs(text: str, fmt: str = "auto") -> list[Graph]:
 # ---------------------------------------------------------------------------
 
 
-def _analyze_one(g: Graph, primes) -> dict:
-    prof = walk_profile(g, primes if primes else "auto")
-    rec = {"graph6": emit_graph6(g), "profile": prof.as_dict()}
-    if prof.controllable:
-        rec["bounds"] = level_bounds(prof).as_dict()
-        rec["dgs"] = dgs_certificate(prof).as_dict()
-        rec["family"] = family_membership(prof).as_dict()
-        rec["mate_bounds"] = mate_count_bounds(prof.invariant_factors).as_dict()
-    return rec
-
-
 def _print_analysis(rec: dict, out) -> None:
     prof = rec["profile"]
     out.write(f"graph {rec['graph6']}  n={prof['n']}\n")
@@ -151,7 +130,7 @@ def _print_analysis(rec: dict, out) -> None:
 def cmd_analyze(args) -> int:
     text = _read_text(args.path)
     graphs = read_graphs(text, args.format)
-    records = [_analyze_one(g, args.prime) for g in graphs]
+    records = [analyze(g, args.prime or "auto")[1] for g in graphs]
     if args.json:
         _emit_json({"graphs": records})
     else:
@@ -197,29 +176,9 @@ def cmd_mates(args) -> int:
         levels, notes = _auto_levels(prof, bounds_rep, args.level_cap)
     else:
         levels = sorted({int(tok) for tok in args.levels.split(",")})
-    classes = search_mates(g, levels, backend=args.backend)
-
-    records = []
-    witnesses = []
-    lemma_checks = []
-    invariant_failed = False
-    for cls in classes:
-        records.append({
-            "level": cls.level,
-            "qhat": [list(row) for row in cls.q.num.data],
-            "mate_graph6": emit_graph6(cls.mate),
-            "isomorphic_to_input": cls.isomorphic_to_input,
-        })
-        for p in prof.odd_primes():
-            if cls.level % p or prof.rank_p(p) != prof.n - 1:
-                continue
-            wit = extract_four_cong_witness(g, cls.q, p)
-            witnesses.append(wit.as_dict())
-            chk = verify_proof_lemmas(g, wit)
-            lemma_checks.append(chk.as_dict())
-            if not chk.all_ok:
-                invariant_failed = True
-    conj = conjecture_check(prof, [cls.level for cls in classes])
+    checked = check_classes(g, prof, search_mates(g, levels))
+    invariant_failed = not all(chk["all_ok"] for chk in checked["lemma_checks"])
+    violations = checked["bound_check"]["violations"]
 
     payload = {
         "graph6": emit_graph6(g),
@@ -227,10 +186,7 @@ def cmd_mates(args) -> int:
         "bounds": bounds_rep.as_dict(),
         "levels_searched": levels,
         "notes": notes,
-        "classes": records,
-        "witnesses": witnesses,
-        "lemma_checks": lemma_checks,
-        "conjecture": conj.as_dict(),
+        **checked,
     }
     if args.json:
         _emit_json(payload)
@@ -239,19 +195,20 @@ def cmd_mates(args) -> int:
         out.write(f"graph {payload['graph6']}: searched levels {levels}\n")
         for note in notes:
             out.write(f"  note: {note}\n")
-        nontrivial = [r for r in records if r["level"] > 1]
+        nontrivial = [r for r in checked["classes"] if r["level"] > 1]
         out.write(f"  {len(nontrivial)} non-permutation class(es)\n")
         for r in nontrivial:
             out.write(
                 f"    level {r['level']}: mate {r['mate_graph6']} "
                 f"(isomorphic to input: {r['isomorphic_to_input']})\n"
             )
-        out.write(f"  witnesses checked: {len(witnesses)}, all lemma checks "
+        out.write(f"  witnesses checked: {len(checked['witnesses'])}, all lemma checks "
                   f"{'pass' if not invariant_failed else 'FAIL'}\n")
+    if violations:
+        sys.stderr.write(f"invariant violation: level bound failed: {violations}\n")
     if invariant_failed:
         sys.stderr.write("invariant violation: a verified conclusion failed\n")
-        return 3
-    return 0
+    return 3 if violations or invariant_failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +229,7 @@ def _minor_gcd_products(m: IntMatrix, upto: int) -> list[int]:
 
 
 def cmd_snf(args) -> int:
-    try:
-        m = parse_int_matrix_text(_read_text(args.path))
-    except ParseError:
-        raise
+    m = parse_int_matrix_text(_read_text(args.path))
     res = snf_int(m)
     payload: dict = {
         "matrix": [list(r) for r in m.data],
@@ -387,8 +341,16 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (input error); argparse's own 2 means a resource cap here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="walklevel",
         description="Exact walk-matrix invariants, Smith normal forms, level "
                     "bounds, and cospectral-mate search for graphs.",
@@ -409,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", default="auto",
                    help="'auto' (divisors of the level bound) or comma-separated list")
     p.add_argument("--level-cap", type=int, default=1000)
-    p.add_argument("--backend", choices=("backtrack", "clique"), default="backtrack")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_mates)
 

@@ -206,15 +206,11 @@ class WalkProfile:
         }
 
 
-def walk_profile(
-    g: Graph,
-    primes: str | Iterable[int] = "auto",
-    factor_budget: int = 10**6,
-) -> WalkProfile:
+def walk_profile(g: Graph, primes: str | Iterable[int] = "auto") -> WalkProfile:
     """Full profile: W, det, invariant factors, per-prime valuations/ranks.
 
     With primes="auto" the odd primes are found by factoring the normalized
-    determinant (trial division then rho; an exhausted budget raises
+    determinant (trial division then rho; an exhausted rho budget raises
     FactorizationError naming the unfactored part).
     """
     w = walk_matrix(g)
@@ -232,7 +228,7 @@ def walk_profile(
     nd = d // (1 << half)
 
     if primes == "auto":
-        plist = sorted({2} | {p for p in factorize(nd, factor_budget) if p != 2})
+        plist = sorted({2} | {p for p in factorize(nd) if p != 2})
     else:
         plist = sorted(set(int(p) for p in primes))
     table = {p: (v_p(d, p), rank_mod_p(w, p)) for p in plist}

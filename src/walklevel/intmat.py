@@ -210,11 +210,6 @@ class IntPoly:
         return "IntPoly(" + " + ".join(terms) + ")"
 
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Exact matrix product (same as ``a @ b``)."""
-    return a @ b
-
-
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise ValueError("vector lengths differ")

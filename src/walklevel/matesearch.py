@@ -13,9 +13,9 @@ column under the running compatibility checks
     v_i . v_j = 0,   v_i^T A v_j in {0, l^2},   v_i^T A v_i = 0.
 
 Columns are chosen in strictly increasing lexicographic order, which picks
-exactly one representative from each right-permutation class {Q P}. Two
-assembly backends (plain backtracking and a bitset clique builder over the
-precomputed compatibility graph) cross-validate each other.
+exactly one representative from each right-permutation class {Q P}. The
+assembly enumerates n-cliques of the precomputed compatibility graph with
+bitsets; the tests cross-check it against plain backtracking.
 """
 
 from __future__ import annotations
@@ -142,54 +142,6 @@ def _compatible(u, v, au, lvl2) -> bool:
     return dot(u, v) == 0 and dot(au, v) in (0, lvl2)
 
 
-def _assemble_backtrack(cands, a_cands, n, lvl2, node_cap):
-    """DFS over strictly increasing candidate indices with running checks."""
-    m = len(cands)
-    results = []
-    chosen: list[int] = []
-    row_norms = [0] * n
-    nodes = 0
-
-    def rec(start: int):
-        nonlocal nodes
-        if len(chosen) == n:
-            results.append(tuple(chosen))
-            return
-        need = n - len(chosen)
-        for j in range(start, m - need + 1):
-            nodes += 1
-            if nodes > node_cap:
-                raise SearchCapExceeded(f"assembly explored more than {node_cap} nodes")
-            v = cands[j]
-            ok = True
-            for i in chosen:
-                if not _compatible(cands[i], v, a_cands[i], lvl2):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            bumped = []
-            for r in range(n):
-                nr = row_norms[r] + v[r] * v[r]
-                if nr > lvl2:
-                    for rr, old in bumped:
-                        row_norms[rr] = old
-                    ok = False
-                    break
-                bumped.append((r, row_norms[r]))
-                row_norms[r] = nr
-            if not ok:
-                continue
-            chosen.append(j)
-            rec(j + 1)
-            chosen.pop()
-            for rr, old in bumped:
-                row_norms[rr] = old
-
-    rec(0)
-    return results
-
-
 def _assemble_clique(cands, a_cands, n, lvl2, node_cap):
     """Bitset n-clique enumeration over the precomputed compatibility graph."""
     m = len(cands)
@@ -228,8 +180,6 @@ def search_mates(
     g: Graph,
     levels: list[int] | tuple[int, ...],
     *,
-    backend: str = "backtrack",
-    candidate_cap: int = CANDIDATE_CAP,
     node_cap: int = NODE_CAP,
 ) -> list[MateClass]:
     """All admissible matrices of g with level in ``levels``, one per
@@ -246,18 +196,12 @@ def search_mates(
     seen = set()
     for level in sorted(set(int(x) for x in levels)):
         lvl2 = level * level
-        cands = enumerate_columns(g, level, walk=w, cap=candidate_cap)
+        cands = enumerate_columns(g, level, walk=w)
         cands = [v for v in cands if dot(a.mat_vec(v), v) == 0]
         if len(cands) < n:
             continue
         a_cands = [a.mat_vec(v) for v in cands]
-        if backend == "backtrack":
-            picks = _assemble_backtrack(cands, a_cands, n, lvl2, node_cap)
-        elif backend == "clique":
-            picks = _assemble_clique(cands, a_cands, n, lvl2, node_cap)
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
-        for pick in picks:
+        for pick in _assemble_clique(cands, a_cands, n, lvl2, node_cap):
             num = IntMatrix.from_columns([cands[j] for j in pick])
             shared = gcd(level, *(x for x in num.entries))
             if shared != 1:

@@ -147,8 +147,3 @@ def conjugate(q: RatRegOrtho, g: Graph) -> Graph:
         return Graph(tuple(adj))
     except ValueError as exc:
         raise ConjugationError(f"conjugated matrix is not an adjacency matrix: {exc}") from exc
-
-
-def walk_matrix_transport(q: RatRegOrtho, g: Graph) -> IntMatrix:
-    """num^T W(G), which equals den * W(H) for H = conjugate(q, g)."""
-    return q.num.T @ walk_matrix(g)

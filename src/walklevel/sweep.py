@@ -22,26 +22,21 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .bounds import (
-    conjecture_check,
-    dgs_certificate,
-    extract_four_cong_witness,
-    family_membership,
-    level_bounds,
-    mate_count_bounds,
-    verify_proof_lemmas,
-)
+from .analysis import analyze, check_classes
 from .errors import SearchCapExceeded
-from .graphs import Graph, emit_graph6, walk_matrix, walk_profile
+from .graphs import Graph, walk_matrix
 from .intmat import det
 from .matesearch import distinct_mate_graphs, search_mates
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+# draws per slot before the slot is reported as exhausted
+MAX_ATTEMPTS = 10000
 
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer; the building block for all stream derivation."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK
+    z = (z + _GAMMA) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
@@ -54,11 +49,9 @@ class SplitMix64:
         self.state = seed & _MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        out = mix64(self.state)
+        self.state = (self.state + _GAMMA) & _MASK
+        return out
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection (no modulo bias)."""
@@ -104,7 +97,6 @@ class SweepConfig:
     level_cap: int = 100
     primes: tuple[int, ...] | None = None
     mates: bool = True
-    max_attempts: int = 10000
     workers: int = 1
     output_path: str | None = None
 
@@ -130,45 +122,21 @@ class SweepConfig:
         }
 
 
-def _v(level: int, p: int) -> int:
-    k = 0
-    while level % p == 0:
-        level //= p
-        k += 1
-    return k
-
-
 def sweep_one(config: SweepConfig, index: int) -> dict:
     """Process one sweep slot: sample until controllable, analyze, search."""
     span = config.n_max - config.n_min + 1
     n = config.n_min + index % span
 
-    graph = None
-    attempts = 0
-    for attempt in range(config.max_attempts):
-        attempts += 1
+    for attempt in range(MAX_ATTEMPTS):
         rng = derive_stream(config.seed, index, attempt)
-        cand = random_graph(rng, n, config.edge_prob_num, config.edge_prob_den)
-        if det(walk_matrix(cand)):
-            graph = cand
+        graph = random_graph(rng, n, config.edge_prob_num, config.edge_prob_den)
+        if det(walk_matrix(graph)):
             break
-    if graph is None:
-        return {"index": index, "n": n, "attempts": attempts, "exhausted": True}
+    else:
+        return {"index": index, "n": n, "attempts": MAX_ATTEMPTS, "exhausted": True}
 
-    prof = walk_profile(graph)
-    bounds_rep = level_bounds(prof)
-    record: dict = {
-        "index": index,
-        "n": n,
-        "attempts": attempts,
-        "graph6": emit_graph6(graph),
-        "profile": prof.as_dict(),
-        "bounds": bounds_rep.as_dict(),
-        "dgs": dgs_certificate(prof).as_dict(),
-        "family": family_membership(prof).as_dict(),
-        "mate_bounds": mate_count_bounds(prof.invariant_factors).as_dict(),
-    }
-
+    prof, rec = analyze(graph)
+    record: dict = {"index": index, "n": n, "attempts": attempt + 1, **rec}
     if not config.mates:
         return record
 
@@ -179,18 +147,9 @@ def sweep_one(config: SweepConfig, index: int) -> dict:
         if prof.valuation(p) >= 2 and prof.rank_p(p) == prof.n - 1
         and (config.primes is None or p in config.primes)
     ]
-    levels = sorted({
-        p ** j
-        for p in target_primes
-        for j in range(1, prof.valuation(p))
-        if p ** j <= config.level_cap
-    })
-    skipped = sorted({
-        p ** j
-        for p in target_primes
-        for j in range(1, prof.valuation(p))
-        if p ** j > config.level_cap
-    })
+    powers = sorted({p ** j for p in target_primes for j in range(1, prof.valuation(p))})
+    levels = [q for q in powers if q <= config.level_cap]
+    skipped = [q for q in powers if q > config.level_cap]
     record["search"] = {"levels": levels, "levels_over_cap": skipped, "classes": []}
     if not levels:
         return record
@@ -201,43 +160,22 @@ def sweep_one(config: SweepConfig, index: int) -> dict:
         record["search"]["cap_exceeded"] = str(exc)
         return record
 
-    bound_violations = []
-    witnesses = []
-    lemma_checks = []
-    for cls in classes:
-        record["search"]["classes"].append({
-            "level": cls.level,
-            "qhat": [list(row) for row in cls.q.num.data],
-            "mate_graph6": emit_graph6(cls.mate),
-            "isomorphic_to_input": cls.isomorphic_to_input,
-        })
-        for p in target_primes:
-            tau = _v(cls.level, p)
-            if tau == 0:
-                continue
-            if tau > prof.valuation(p) // 2:
-                bound_violations.append({"prime": p, "level": cls.level, "tau": tau})
-            wit = extract_four_cong_witness(graph, cls.q, p)
-            witnesses.append(wit.as_dict())
-            lemma_checks.append(verify_proof_lemmas(graph, wit).as_dict())
-
-    record["witnesses"] = witnesses
-    record["lemma_checks"] = lemma_checks
-    record["bound_check"] = {"violations": bound_violations}
+    # every class has level p^j for one target prime p, so the witness
+    # primes of check_classes are exactly the target primes dividing it
+    checked = check_classes(graph, prof, classes)
+    record["search"]["classes"] = checked.pop("classes")
+    record.update(checked)
 
     mates_found = len(distinct_mate_graphs(classes))
     record["mates_found"] = mates_found
-    mcb = mate_count_bounds(prof.invariant_factors)
-    if mcb.applicable:
+    mcb = record["mate_bounds"]
+    if mcb["basic"] is not None:
         record["mate_bound_check"] = {
             "found": mates_found,
-            "improved": mcb.improved,
-            "basic": mcb.basic,
-            "consistent": mates_found <= mcb.improved <= mcb.basic,
+            "improved": mcb["improved"],
+            "basic": mcb["basic"],
+            "consistent": mates_found <= mcb["improved"] <= mcb["basic"],
         }
-
-    observed = [cls.level for cls in classes]
-    record["conjecture"] = conjecture_check(prof, observed).as_dict()
     return record
 
 

@@ -301,3 +301,78 @@ def bruteforce_mate_classes(g):
         assert q.canonical_key() == key
         mates.append((q, h))
     return classes, mates
+
+
+# -- backtracking mate assembly (cross-check for the clique assembly) --------
+
+
+def backtrack_search_mates(g, levels, node_cap=10**8):
+    """search_mates with plain depth-first backtracking in place of cliques.
+
+    It shares the candidate columns (enumerate_columns), the lowest-terms
+    filter and the class dedupe with search_mates; only the assembly
+    differs. The DFS picks strictly increasing candidate indices under
+    running pairwise checks (v_i.v_j = 0, v_i^T A v_j in {0, l^2}) and row
+    norms at most l^2, so it never builds the compatibility graph.
+    """
+    from walklevel.errors import SearchCapExceeded
+    from walklevel.graphs import walk_matrix
+    from walklevel.intmat import IntMatrix, dot
+    from walklevel.matesearch import MateClass, enumerate_columns
+    from walklevel.ortho import RatRegOrtho, conjugate
+
+    def assemble(cands, a_cands, n, lvl2):
+        m = len(cands)
+        results = []
+        chosen = []
+        row_norms = [0] * n
+        nodes = 0
+
+        def rec(start):
+            nonlocal nodes
+            if len(chosen) == n:
+                results.append(tuple(chosen))
+                return
+            need = n - len(chosen)
+            for j in range(start, m - need + 1):
+                nodes += 1
+                if nodes > node_cap:
+                    raise SearchCapExceeded(f"assembly explored more than {node_cap} nodes")
+                v = cands[j]
+                if not all(dot(cands[i], v) == 0 and dot(a_cands[i], v) in (0, lvl2)
+                           for i in chosen):
+                    continue
+                bumped = [row_norms[r] + v[r] * v[r] for r in range(n)]
+                if max(bumped) > lvl2:
+                    continue
+                saved = row_norms[:]
+                row_norms[:] = bumped
+                chosen.append(j)
+                rec(j + 1)
+                chosen.pop()
+                row_norms[:] = saved
+
+        rec(0)
+        return results
+
+    w = walk_matrix(g)
+    a = g.adjacency()
+    n = g.n
+    classes = []
+    seen = set()
+    for level in sorted(set(int(x) for x in levels)):
+        lvl2 = level * level
+        cands = [v for v in enumerate_columns(g, level, walk=w) if dot(a.mat_vec(v), v) == 0]
+        if len(cands) < n:
+            continue
+        a_cands = [a.mat_vec(v) for v in cands]
+        for pick in assemble(cands, a_cands, n, lvl2):
+            num = IntMatrix.from_columns([cands[j] for j in pick])
+            if gcd(level, *num.entries) != 1:
+                continue  # a lower-level matrix, found at its own level
+            q = RatRegOrtho(num, level)
+            if q.canonical_key() in seen:
+                continue
+            seen.add(q.canonical_key())
+            classes.append(MateClass(q, conjugate(q, g), level, level == 1))
+    return classes

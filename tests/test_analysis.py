@@ -1,0 +1,69 @@
+"""The shared per-graph pipeline: one record format and one class check."""
+
+import dataclasses
+import io
+import json
+
+from walklevel import cli
+from walklevel.analysis import analyze, check_classes
+from walklevel.fixtures import load_worked_example
+from walklevel.graphs import emit_graph6, parse_graph6, walk_profile
+from walklevel.matesearch import search_mates
+from walklevel.sweep import SweepConfig, sweep_one
+
+
+def lowered_at_3(prof):
+    """The profile with v_3(det W) lowered from 4 to 3, so the bound is 3^1."""
+    primes = dict(prof.primes)
+    primes[3] = (3, primes[3][1])
+    return dataclasses.replace(prof, primes=primes)
+
+
+class TestAnalyze:
+    def test_fixture_record(self):
+        g = load_worked_example().graph
+        prof, rec = analyze(g)
+        assert prof == walk_profile(g)
+        assert rec["graph6"] == emit_graph6(g)
+        assert rec["bounds"]["overall_divisor"] == 9
+        assert set(rec) == {"graph6", "profile", "bounds", "dgs", "family", "mate_bounds"}
+
+    def test_uncontrollable_has_profile_only(self):
+        prof, rec = analyze(parse_graph6("A_"))
+        assert not prof.controllable
+        assert set(rec) == {"graph6", "profile"}
+
+    def test_sweep_records_carry_the_same_analysis(self):
+        config = SweepConfig(n_min=6, n_max=9, seed=5, mates=False)
+        for index in range(8):
+            rec = sweep_one(config, index)
+            _, want = analyze(parse_graph6(rec["graph6"]))
+            assert {k: rec[k] for k in want} == want
+
+
+class TestCheckClasses:
+    def test_fixture_has_no_violation(self):
+        g = load_worked_example().graph
+        prof = walk_profile(g)
+        checked = check_classes(g, prof, search_mates(g, [1, 3, 9]))
+        assert checked["bound_check"] == {"violations": []}
+        assert [c["level"] for c in checked["classes"]] == [1, 3, 9]
+        assert [w["tau"] for w in checked["witnesses"]] == [1, 2]
+        assert all(chk["all_ok"] for chk in checked["lemma_checks"])
+
+    def test_lowered_valuation_flags_level_nine(self):
+        g = load_worked_example().graph
+        prof = lowered_at_3(walk_profile(g))
+        checked = check_classes(g, prof, search_mates(g, [3, 9]))
+        assert checked["bound_check"]["violations"] == [{"prime": 3, "level": 9, "tau": 2}]
+
+    def test_mates_exits_3_on_a_violated_bound(self, monkeypatch, capsys):
+        real = cli.walk_profile
+        monkeypatch.setattr(cli, "walk_profile", lambda g: lowered_at_3(real(g)))
+        text = emit_graph6(load_worked_example().graph) + "\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert cli.main(["mates", "-", "--levels", "3,9", "--json"]) == 3
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["bound_check"]["violations"] == [{"prime": 3, "level": 9, "tau": 2}]
+        assert "level bound failed" in captured.err

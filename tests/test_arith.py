@@ -2,7 +2,7 @@
 
 import pytest
 
-from walklevel.arith import divisors, factorize, is_prime, is_square_free, odd_part, v_p
+from walklevel.arith import divisors, factorize, is_prime, is_square_free, v_p
 from walklevel.errors import FactorizationError
 
 
@@ -60,11 +60,6 @@ class TestHelpers:
         assert is_square_free(105)
         assert not is_square_free(1539)
         assert not is_square_free(0)
-
-    def test_odd_part(self):
-        assert odd_part(49248) == 1539
-        assert odd_part(-12) == 3
-        assert odd_part(0) == 0
 
     def test_v_p_sign_ignored(self):
         assert v_p(-270, 3) == 3

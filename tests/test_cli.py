@@ -89,6 +89,34 @@ class TestExitCodes:
         assert "resource cap" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    """argparse exits 2 on usage errors; here 2 means a resource cap."""
+
+    def test_unknown_option_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mates", "--bogus"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+    def test_removed_backend_option_exits_1(self, adj_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mates", adj_file, "--backend", "clique"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_bad_int_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--count", "abc"])
+        assert exc.value.code == 1
+        assert "invalid int value" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mates", "--help"])
+        assert exc.value.code == 0
+        assert "--level-cap" in capsys.readouterr().out
+
+
 class TestAnalyzeJson:
     def test_schema_and_values(self, adj_file, capsys):
         assert main(["analyze", adj_file, "--json"]) == 0
@@ -117,6 +145,7 @@ class TestMates:
         assert len(payload["witnesses"]) == 2
         assert all(chk["all_ok"] for chk in payload["lemma_checks"])
         assert not payload["conjecture"]["any_violation"]
+        assert payload["bound_check"] == {"violations": []}
 
     def test_explicit_levels(self, adj_file, capsys):
         assert main(["mates", adj_file, "--levels", "3", "--json"]) == 0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import charpoly_cofactor, det_cofactor
 from walklevel.arith import v_p
 from walklevel.fixtures import load_worked_example
-from walklevel.intmat import IntMatrix, IntPoly, char_poly, det, mat_mul
+from walklevel.intmat import IntMatrix, IntPoly, char_poly, det
 
 small_square = st.integers(1, 4).flatmap(
     lambda n: st.lists(
@@ -25,8 +25,8 @@ def rand_matrix(rng, n, lo=-9, hi=9):
 class TestMatMul:
     def test_identity(self):
         m = IntMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        assert mat_mul(IntMatrix.identity(3), m) == m
-        assert mat_mul(m, IntMatrix.identity(3)) == m
+        assert IntMatrix.identity(3) @ m == m
+        assert m @ IntMatrix.identity(3) == m
 
     def test_involution(self):
         swap = IntMatrix([[0, 1], [1, 0]])

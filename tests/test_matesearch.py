@@ -5,7 +5,7 @@ import random
 import networkx as nx
 import pytest
 
-from oracles import bruteforce_mate_classes
+from oracles import backtrack_search_mates, bruteforce_mate_classes
 from walklevel.arith import divisors
 from walklevel.errors import SearchCapExceeded
 from walklevel.fixtures import load_worked_example
@@ -136,9 +136,10 @@ class TestSearchMates:
             assert d_n % cls.level == 0
 
     def test_backends_agree(self):
+        # the clique assembly against the backtracking oracle
         ex = load_worked_example()
-        a = search_mates(ex.graph, [1, 3, 9], backend="backtrack")
-        b = search_mates(ex.graph, [1, 3, 9], backend="clique")
+        a = backtrack_search_mates(ex.graph, [1, 3, 9])
+        b = search_mates(ex.graph, [1, 3, 9])
         assert [c.canonical_key() for c in a] == [c.canonical_key() for c in b]
 
     def test_backends_agree_random(self):
@@ -146,21 +147,16 @@ class TestSearchMates:
         for _ in range(5):
             g = random_controllable(rng, 6)
             levels = [d for d in divisors(walk_profile(g).d_n) if d <= 50]
-            a = search_mates(g, levels, backend="backtrack")
-            b = search_mates(g, levels, backend="clique")
+            a = backtrack_search_mates(g, levels)
+            b = search_mates(g, levels)
             assert [c.canonical_key() for c in a] == [c.canonical_key() for c in b]
-
-    def test_unknown_backend(self):
-        ex = load_worked_example()
-        with pytest.raises(ValueError):
-            search_mates(ex.graph, [1], backend="magic")
 
     def test_node_cap_enforced(self):
         ex = load_worked_example()
         with pytest.raises(SearchCapExceeded):
-            search_mates(ex.graph, [3], node_cap=2)
+            backtrack_search_mates(ex.graph, [3], node_cap=2)
         with pytest.raises(SearchCapExceeded):
-            search_mates(ex.graph, [3], backend="clique", node_cap=2)
+            search_mates(ex.graph, [3], node_cap=2)
 
 
 class TestCompositeLevels:
@@ -177,7 +173,7 @@ class TestCompositeLevels:
         for cls in classes:
             assert from_pair(g, cls.mate) == cls.q
             assert generalized_cospectral(g, cls.mate)
-        assert search_mates(g, levels, backend="clique") == classes
+        assert backtrack_search_mates(g, levels) == classes
 
 
 class TestDedupe:
