@@ -42,7 +42,7 @@ def describe(g, label):
     if fam.is_member:
         print(f"  normalized det = {fam.prime}^{fam.exponent} * {fam.cofactor}: "
               f"at most one cospectral mate")
-    mcb = mate_count_bounds(prof.invariant_factors)
+    mcb = mate_count_bounds(prof)
     if mcb.applicable:
         print(f"  mate-count bounds from d_n: improved {mcb.improved}, "
               f"basic {mcb.basic}")

@@ -7,7 +7,7 @@ cospectral mates.
 """
 
 from .analysis import analyze, check_classes
-from .arith import divisors, factorize, is_prime, is_square_free, v_p
+from .arith import divisors, factorize, is_prime, v_p
 from .bounds import (
     ConjectureReport,
     DgsCertificate,
@@ -46,7 +46,6 @@ from .graphs import (
 from .intmat import IntMatrix, IntPoly, adjugate, char_poly, det, dot
 from .matesearch import (
     MateClass,
-    dedupe,
     distinct_mate_graphs,
     enumerate_columns,
     search_mates,
@@ -76,10 +75,10 @@ __all__ = [
     "RatRegOrtho", "SearchCapExceeded", "SnfResult", "SweepConfig", "WalkProfile",
     "WorkedExample", "adjugate", "analyze", "char_poly", "check_classes",
     "conjecture_check", "conjugate",
-    "dedupe", "det", "dgs_certificate", "distinct_mate_graphs", "divisors",
+    "det", "dgs_certificate", "distinct_mate_graphs", "divisors",
     "dn_test", "dot", "emit_graph6", "enumerate_columns", "extend_basis",
     "extract_four_cong_witness", "factorize", "family_membership", "from_pair",
-    "generalized_cospectral", "is_prime", "is_square_free", "isomorphic",
+    "generalized_cospectral", "is_prime", "isomorphic",
     "kernel_shape", "level", "level_bounds", "load_worked_example",
     "mate_count_bounds", "parse_graph6", "parse_int_matrix_text", "rank_mod_p",
     "run_sweep", "search_mates", "snf_int", "snf_mod_pk", "solvable_mod_pk",

@@ -22,15 +22,18 @@ from .graphs import Graph, WalkProfile, emit_graph6, walk_profile
 from .matesearch import MateClass
 
 
-def analyze(g: Graph, primes="auto") -> tuple[WalkProfile, dict]:
-    """The profile of g and its record; bounds and certificates need det W != 0."""
-    prof = walk_profile(g, primes)
+def analyze(g: Graph) -> tuple[WalkProfile, dict]:
+    """The profile of g and its record; bounds and certificates need det W != 0.
+
+    Only walk_profile factors; the other stages read the profile's prime table.
+    """
+    prof = walk_profile(g)
     rec = {"graph6": emit_graph6(g), "profile": prof.as_dict()}
     if prof.controllable:
         rec["bounds"] = level_bounds(prof).as_dict()
         rec["dgs"] = dgs_certificate(prof).as_dict()
         rec["family"] = family_membership(prof).as_dict()
-        rec["mate_bounds"] = mate_count_bounds(prof.invariant_factors).as_dict()
+        rec["mate_bounds"] = mate_count_bounds(prof).as_dict()
     return prof, rec
 
 

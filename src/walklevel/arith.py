@@ -8,6 +8,7 @@ loudly instead of hanging on adversarial inputs.
 from __future__ import annotations
 
 import math
+from typing import Mapping
 
 from .errors import FactorizationError
 
@@ -143,15 +144,9 @@ def factorize(n: int, budget: int = 10**6) -> dict[int, int]:
     return out
 
 
-def is_square_free(n: int) -> bool:
-    if n == 0:
-        return False
-    return all(e == 1 for e in factorize(n).values())
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of |n|, sorted ascending."""
+def divisors(factors: Mapping[int, int]) -> list[int]:
+    """All positive divisors of the number factored as {prime: exponent}, ascending."""
     out = [1]
-    for p, e in factorize(n).items():
+    for p, e in factors.items():
         out = [d * p**j for d in out for j in range(e + 1)]
     return sorted(out)

@@ -21,10 +21,11 @@ structured counterexample report, never papered over.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .arith import factorize, is_square_free, v_p
-from .errors import FactorizationError, InvariantError
+from .arith import v_p
+from .errors import InvariantError
 from .graphs import Graph, WalkProfile, walk_matrix
 from .intmat import IntMatrix, dot
 from .ortho import RatRegOrtho
@@ -94,12 +95,12 @@ def level_bounds(profile: WalkProfile) -> LevelBoundReport:
             entries.append(PrimeBound(p, v // 2, RULE_HALF_VALUATION))
         else:
             entries.append(PrimeBound(p, None, RULE_NONE))
-    overall = 1
-    for e in entries:
-        if e.exponent is None:
-            overall = None
-            break
-        overall *= e.prime ** e.exponent
+    try:
+        profile.factor(profile.det_w)
+    except ValueError:  # a partial prime table bounds only its own primes
+        return LevelBoundReport(tuple(entries), None)
+    bounded = all(e.exponent is not None for e in entries)
+    overall = math.prod(e.prime ** e.exponent for e in entries) if bounded else None
     return LevelBoundReport(tuple(entries), overall)
 
 
@@ -125,14 +126,9 @@ def dgs_certificate(profile: WalkProfile) -> DgsCertificate:
     nd = profile.normalized_det
     if nd % 2 == 0:
         return DgsCertificate("Unknown", f"normalized determinant {nd} is even")
-    try:
-        if is_square_free(nd):
-            return DgsCertificate(
-                "DGS", f"normalized determinant {nd} is odd and square-free"
-            )
-        return DgsCertificate("Unknown", f"normalized determinant {nd} is not square-free")
-    except FactorizationError as exc:
-        return DgsCertificate("Unknown", f"factorization incomplete: {exc}")
+    if all(e == 1 for e in profile.factor(nd).values()):
+        return DgsCertificate("DGS", f"normalized determinant {nd} is odd and square-free")
+    return DgsCertificate("Unknown", f"normalized determinant {nd} is not square-free")
 
 
 @dataclass(frozen=True)
@@ -167,17 +163,12 @@ def family_membership(profile: WalkProfile) -> FamilyMembership:
     nd = profile.normalized_det
     if nd % 2 == 0:
         return FamilyMembership(None, None, None)
-    fac = factorize(nd)
-    heavy = [(p, e) for p, e in fac.items() if e >= 2]
-    if len(heavy) != 1:
-        return FamilyMembership(None, None, None)
-    p, e = heavy[0]
-    if e not in (2, 3):
-        return FamilyMembership(None, None, None)
-    if p not in profile.primes or profile.rank_p(p) != profile.n - 1:
-        return FamilyMembership(None, None, None)
-    cofactor = abs(nd) // p**e
-    return FamilyMembership(e, p, cofactor)
+    heavy = [(p, e) for p, e in profile.factor(nd).items() if e >= 2]
+    if len(heavy) == 1:
+        p, e = heavy[0]
+        if e in (2, 3) and profile.rank_p(p) == profile.n - 1:
+            return FamilyMembership(e, p, abs(nd) // p**e)
+    return FamilyMembership(None, None, None)
 
 
 @dataclass(frozen=True)
@@ -201,11 +192,16 @@ class MateCountBounds:
         return {"basic": self.basic, "improved": self.improved, "reason": self.reason}
 
 
-def mate_count_bounds(invariant_factors: tuple[int, ...]) -> MateCountBounds:
-    d = invariant_factors
-    n = len(d)
-    if n == 0 or 0 in d:
+def mate_count_bounds(profile: WalkProfile) -> MateCountBounds:
+    """The bounds from d_n, factored through the profile's prime table.
+
+    Under the hypotheses d_1 ... d_{n-1} are 1 or 2, so the odd part of d_n
+    is that of the normalized determinant, whose primes the table holds.
+    """
+    if not profile.controllable:
         return MateCountBounds(None, None, "walk matrix is singular")
+    d = profile.invariant_factors
+    n = len(d)
     half_idx = (n + 1) // 2  # ceil(n/2), 1-based
     if d[half_idx - 1] != 1:
         return MateCountBounds(
@@ -213,15 +209,9 @@ def mate_count_bounds(invariant_factors: tuple[int, ...]) -> MateCountBounds:
         )
     if n < 2 or d[n - 2] != 2:
         return MateCountBounds(None, None, f"d_{n-1} = {d[n - 2] if n >= 2 else '?'} != 2")
-    fac = factorize(d[n - 1])
-    m1 = fac.get(2, 0)
-    basic = 1
-    for e in fac.values():
-        basic *= e
-    improved = m1
-    for p, e in fac.items():
-        if p != 2:
-            improved *= e // 2 + 1
+    fac = profile.factor(d[n - 1])
+    basic = math.prod(fac.values())
+    improved = fac.get(2, 0) * math.prod(e // 2 + 1 for p, e in fac.items() if p != 2)
     return MateCountBounds(basic - 1, improved - 1, "hypotheses hold")
 
 

@@ -130,7 +130,7 @@ def _print_analysis(rec: dict, out) -> None:
 def cmd_analyze(args) -> int:
     text = _read_text(args.path)
     graphs = read_graphs(text, args.format)
-    records = [analyze(g, args.prime or "auto")[1] for g in graphs]
+    records = [analyze(g)[1] for g in graphs]
     if args.json:
         _emit_json({"graphs": records})
     else:
@@ -155,7 +155,7 @@ def _auto_levels(profile, bounds_rep, cap: int) -> tuple[list[int], list[str]]:
             "some prime is unbounded by the implemented rules; falling back "
             f"to divisors of the last invariant factor {base}"
         )
-    levels = [d for d in divisors(base) if d > 1]
+    levels = [d for d in divisors(profile.factor(base)) if d > 1]
     dropped = [d for d in levels if d > cap]
     if dropped:
         notes.append(f"levels over cap {cap} skipped: {dropped}")
@@ -360,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="profiles, bounds and certificates per graph")
     p.add_argument("path", nargs="?", default="-", help="graph6/adjacency file or - for stdin")
     p.add_argument("--format", choices=("auto", "g6", "adj"), default="auto")
-    p.add_argument("--prime", type=int, action="append",
-                   help="restrict the per-prime table (repeatable); default: auto")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 

@@ -192,6 +192,23 @@ class WalkProfile:
     def odd_primes(self) -> tuple[int, ...]:
         return tuple(sorted(p for p in self.primes if p != 2))
 
+    def factor(self, m: int) -> dict[int, int]:
+        """{p: v_p(m)} for a nonzero divisor m of det W, read off the prime table.
+
+        Raises ValueError when the table's primes leave a cofactor of |m|,
+        as a table built from an explicit prime list may.
+        """
+        rest = abs(m)
+        out: dict[int, int] = {}
+        for p in self.primes:
+            while rest and rest % p == 0:
+                rest //= p
+                out[p] = out.get(p, 0) + 1
+        if rest != 1:
+            raise ValueError(f"the prime table {sorted(self.primes)} leaves "
+                             f"the cofactor {rest} of {m}")
+        return out
+
     def as_dict(self) -> dict:
         return {
             "n": self.n,
@@ -211,7 +228,9 @@ def walk_profile(g: Graph, primes: str | Iterable[int] = "auto") -> WalkProfile:
 
     With primes="auto" the odd primes are found by factoring the normalized
     determinant (trial division then rho; an exhausted rho budget raises
-    FactorizationError naming the unfactored part).
+    FactorizationError naming the unfactored part). This is the only
+    factoring of the per-graph analysis: every later stage reads the
+    table through ``WalkProfile.factor``.
     """
     w = walk_matrix(g)
     d = det(w)

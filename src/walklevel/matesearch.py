@@ -218,19 +218,6 @@ def search_mates(
     return classes
 
 
-def dedupe(classes: list[MateClass]) -> list[MateClass]:
-    """Quotient by right multiplication with permutations: canonical form is
-    the column-sorted scaled matrix; first representative wins."""
-    seen = set()
-    out = []
-    for cls in classes:
-        key = cls.canonical_key()
-        if key not in seen:
-            seen.add(key)
-            out.append(cls)
-    return out
-
-
 def distinct_mate_graphs(classes: list[MateClass]) -> list[Graph]:
     """The non-isomorphic mate graphs among classes not isomorphic to the input.
 
@@ -238,6 +225,11 @@ def distinct_mate_graphs(classes: list[MateClass]) -> list[Graph]:
     isomorphic to G exactly when Q is a permutation (level 1), and two
     classes give isomorphic mates exactly when they are the same
     right-permutation class. One mate per canonical key above level 1 is
-    therefore one per isomorphism class, with no isomorphism test.
+    therefore one per isomorphism class, with no isomorphism test; the
+    first class of each key supplies the mate.
     """
-    return [cls.mate for cls in dedupe(classes) if cls.level > 1]
+    mates: dict = {}
+    for cls in classes:
+        if cls.level > 1:
+            mates.setdefault(cls.canonical_key(), cls.mate)
+    return list(mates.values())

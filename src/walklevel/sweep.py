@@ -127,13 +127,15 @@ def sweep_one(config: SweepConfig, index: int) -> dict:
     span = config.n_max - config.n_min + 1
     n = config.n_min + index % span
 
-    for attempt in range(MAX_ATTEMPTS):
+    # at edge probability 0 or 1 every draw is the same graph
+    max_attempts = 1 if config.edge_prob_num in (0, config.edge_prob_den) else MAX_ATTEMPTS
+    for attempt in range(max_attempts):
         rng = derive_stream(config.seed, index, attempt)
         graph = random_graph(rng, n, config.edge_prob_num, config.edge_prob_den)
         if det(walk_matrix(graph)):
             break
     else:
-        return {"index": index, "n": n, "attempts": MAX_ATTEMPTS, "exhausted": True}
+        return {"index": index, "n": n, "attempts": max_attempts, "exhausted": True}
 
     prof, rec = analyze(graph)
     record: dict = {"index": index, "n": n, "attempts": attempt + 1, **rec}

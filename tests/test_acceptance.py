@@ -223,7 +223,7 @@ class TestMateSearchCompleteness:
                     rng_graph = g
             index += 1
             prof = walk_profile(rng_graph)
-            levels = divisors(prof.d_n)
+            levels = divisors(prof.factor(prof.d_n))
             ours = {c.canonical_key() for c in search_mates(rng_graph, levels)}
             truth, _ = bruteforce_mate_classes(rng_graph)
             assert ours == truth, f"graph {index - 1} (n={n}): {ours} != {truth}"

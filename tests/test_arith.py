@@ -2,7 +2,7 @@
 
 import pytest
 
-from walklevel.arith import divisors, factorize, is_prime, is_square_free, v_p
+from walklevel.arith import divisors, factorize, is_prime, v_p
 from walklevel.errors import FactorizationError
 
 
@@ -52,14 +52,9 @@ class TestFactorize:
 
 class TestHelpers:
     def test_divisors(self):
-        assert divisors(12) == [1, 2, 3, 4, 6, 12]
-        assert divisors(9) == [1, 3, 9]
-        assert divisors(1) == [1]
-
-    def test_square_free(self):
-        assert is_square_free(105)
-        assert not is_square_free(1539)
-        assert not is_square_free(0)
+        assert divisors({2: 2, 3: 1}) == [1, 2, 3, 4, 6, 12]
+        assert divisors({3: 2}) == [1, 3, 9]
+        assert divisors({}) == [1]
 
     def test_v_p_sign_ignored(self):
         assert v_p(-270, 3) == 3

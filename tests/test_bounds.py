@@ -1,8 +1,11 @@
 """Level-bound rules, certificates, witnesses, and lemma verification."""
 
+import dataclasses
+import math
 import random
 
 import pytest
+from sympy import factorint
 
 from walklevel.bounds import (
     RULE_HALF_VALUATION,
@@ -35,6 +38,16 @@ def synthetic_profile(n, det_w, primes):
         normalized_det=det_w // (1 << half),
         primes=primes,
     )
+
+
+def factors_profile(invariant_factors):
+    """A synthetic profile with these invariant factors whose table holds
+    every prime of det W = d_1 * ... * d_n (factored by sympy)."""
+    n = len(invariant_factors)
+    det_w = math.prod(invariant_factors)
+    primes = {int(p): (e, n - 1) for p, e in factorint(det_w).items()}
+    return dataclasses.replace(synthetic_profile(n, det_w, primes),
+                               invariant_factors=tuple(invariant_factors))
 
 
 class TestLevelBounds:
@@ -85,6 +98,15 @@ class TestLevelBounds:
         with pytest.raises(ValueError):
             level_bounds(prof)
 
+    def test_partial_table_claims_no_overall_divisor(self):
+        # the fixture has mates at levels 3 and 9; a table of 5 alone must
+        # not conclude that every admissible level divides 1
+        g = load_worked_example().graph
+        rep = level_bounds(walk_profile(g, primes=[5]))
+        assert rep.bound_for(2).exponent == 0
+        assert rep.overall_divisor is None
+        assert level_bounds(walk_profile(g, primes=[2, 3, 19])).overall_divisor == 9
+
 
 class TestDgsCertificate:
     def test_worked_example_unknown(self):
@@ -134,26 +156,26 @@ class TestFamilyMembership:
         prof = walk_profile(g)
         fam = family_membership(prof)
         assert fam.in_square_family and fam.prime == 3
-        classes = search_mates(g, divisors(prof.d_n))
+        classes = search_mates(g, divisors(prof.factor(prof.d_n)))
         assert len(distinct_mate_graphs(classes)) == 1
 
 
 class TestMateCountBounds:
     def test_formula_examples(self):
         # d_n = 2 * 3^4
-        b = mate_count_bounds((1, 1, 1, 2, 2 * 81))
+        b = mate_count_bounds(factors_profile((1, 1, 1, 2, 2 * 81)))
         assert (b.basic, b.improved) == (3, 2)
         # d_n = 2 * p^2: uniqueness
-        b = mate_count_bounds((1, 1, 1, 2, 2 * 49))
+        b = mate_count_bounds(factors_profile((1, 1, 1, 2, 2 * 49)))
         assert (b.basic, b.improved) == (1, 1)
         # d_n = 4 * 9 * 25
-        b = mate_count_bounds((1, 1, 1, 2, 4 * 9 * 25))
+        b = mate_count_bounds(factors_profile((1, 1, 1, 2, 4 * 9 * 25)))
         assert (b.basic, b.improved) == (7, 7)
 
     def test_hypotheses_unmet(self):
-        b = mate_count_bounds((1, 1, 2, 2, 12))
+        b = mate_count_bounds(factors_profile((1, 1, 2, 2, 12)))
         assert not b.applicable and "d_3" in b.reason
-        b = mate_count_bounds((1, 1, 1, 4, 12))
+        b = mate_count_bounds(factors_profile((1, 1, 1, 4, 12)))
         assert not b.applicable and "d_4" in b.reason
 
     def test_improved_never_exceeds_basic(self):
@@ -164,13 +186,13 @@ class TestMateCountBounds:
             d_n = 2**m1
             for p, e in odd:
                 d_n *= p**e
-            b = mate_count_bounds((1,) * 3 + (2, d_n))
+            b = mate_count_bounds(factors_profile((1,) * 3 + (2, d_n)))
             assert b.applicable
             assert b.improved <= b.basic
 
     def test_worked_example(self):
         prof = walk_profile(load_worked_example().graph)
-        b = mate_count_bounds(prof.invariant_factors)
+        b = mate_count_bounds(prof)
         assert (b.basic, b.improved) == (3, 2)
 
 

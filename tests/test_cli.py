@@ -104,6 +104,12 @@ class TestUsageErrors:
         assert exc.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_removed_analyze_prime_option_exits_1(self, adj_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", adj_file, "--prime", "3"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_bad_int_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--count", "abc"])
@@ -126,11 +132,6 @@ class TestAnalyzeJson:
         assert rec["profile"]["normalized_det"] == 1539
         assert rec["profile"]["primes"]["3"] == {"valuation": 4, "rank": 9}
         assert rec["bounds"]["overall_divisor"] == 9
-
-    def test_prime_restriction(self, adj_file, capsys):
-        assert main(["analyze", adj_file, "--json", "--prime", "3"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert list(payload["graphs"][0]["profile"]["primes"]) == ["3"]
 
 
 class TestMates:

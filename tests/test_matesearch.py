@@ -12,7 +12,6 @@ from walklevel.fixtures import load_worked_example
 from walklevel.graphs import Graph, generalized_cospectral, parse_graph6, walk_profile
 from walklevel.intmat import IntMatrix, dot
 from walklevel.matesearch import (
-    dedupe,
     distinct_mate_graphs,
     enumerate_columns,
     search_mates,
@@ -146,7 +145,8 @@ class TestSearchMates:
         rng = random.Random(3)
         for _ in range(5):
             g = random_controllable(rng, 6)
-            levels = [d for d in divisors(walk_profile(g).d_n) if d <= 50]
+            prof = walk_profile(g)
+            levels = [d for d in divisors(prof.factor(prof.d_n)) if d <= 50]
             a = backtrack_search_mates(g, levels)
             b = search_mates(g, levels)
             assert [c.canonical_key() for c in a] == [c.canonical_key() for c in b]
@@ -167,7 +167,7 @@ class TestCompositeLevels:
 
         g = parse_graph6(r"IWag\fxZG")
         prof = walk_profile(g)
-        levels = [d for d in divisors(prof.d_n) if d <= 100]
+        levels = [d for d in divisors(prof.factor(prof.d_n)) if d <= 100]
         classes = search_mates(g, levels)
         assert sorted(c.level for c in classes) == [1, 2, 5, 10]
         for cls in classes:
@@ -177,6 +177,8 @@ class TestCompositeLevels:
 
 
 class TestDedupe:
+    """distinct_mate_graphs keeps one mate per right-permutation class."""
+
     def test_right_permutation_collapses(self):
         # the same matrix with shuffled columns is the same class
         ex = load_worked_example()
@@ -191,10 +193,11 @@ class TestDedupe:
         shuffled = RatRegOrtho(IntMatrix.from_columns(cols), cls.level)
         twin = MateClass(shuffled, conjugate(shuffled, ex.graph), cls.level,
                          cls.isomorphic_to_input)
-        assert len(dedupe([cls, twin])) == 1
+        assert len(distinct_mate_graphs([cls, twin])) == 1
+        assert distinct_mate_graphs([cls, twin]) == [cls.mate]  # first class wins
 
     def test_empty(self):
-        assert dedupe([]) == []
+        assert distinct_mate_graphs([]) == []
 
 
 class TestCompletenessOracle:
@@ -203,7 +206,7 @@ class TestCompletenessOracle:
         for n in (6, 6, 7):
             g = random_controllable(rng, n)
             prof = walk_profile(g)
-            levels = divisors(prof.d_n)
+            levels = divisors(prof.factor(prof.d_n))
             ours = {c.canonical_key() for c in search_mates(g, levels)}
             truth, _ = bruteforce_mate_classes(g)
             assert ours == truth

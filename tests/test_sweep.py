@@ -111,3 +111,23 @@ class TestSweep:
         assert [c["level"] for c in rec["search"]["classes"]] == [3]
         assert not rec["search"]["classes"][0]["isomorphic_to_input"]
         assert rec["mates_found"] == 1
+
+
+class TestCertainEdgeProbability:
+    """At edge probability 0 or 1 every draw is the same graph, so one is enough."""
+
+    def test_complete_graph_exhausted_after_one_attempt(self):
+        cfg = SweepConfig(n_min=8, n_max=8, edge_prob_num=1, edge_prob_den=1)
+        assert sweep_one(cfg, 0) == {"index": 0, "n": 8, "attempts": 1, "exhausted": True}
+
+    def test_empty_graph_exhausted_after_one_attempt(self):
+        cfg = SweepConfig(n_min=8, n_max=8, edge_prob_num=0, edge_prob_den=3)
+        assert sweep_one(cfg, 0) == {"index": 0, "n": 8, "attempts": 1, "exhausted": True}
+
+    def test_single_vertex_still_accepted(self):
+        for num in (0, 1):
+            cfg = SweepConfig(n_min=1, n_max=1, edge_prob_num=num, edge_prob_den=1)
+            rec = sweep_one(cfg, 0)
+            assert rec["attempts"] == 1
+            assert "exhausted" not in rec
+            assert rec["profile"]["controllable"]

@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""sha256 digests of walklevel's canonical outputs, to show two versions agree byte for byte.
+
+Usage:
+    python3 tools/output_digest.py [--src DIR]
+
+Imports walklevel from DIR (default: the ``src`` next to this script) and
+prints one line per output group, ``<group> <items> <sha256>``:
+
+  sweep_small     report_json(run_sweep(...)), seed 42, n 6-12, 500 graphs, mates
+  sweep_factor    report_json(run_sweep(...)), seed 42, n 14-16, 24 graphs, no mates
+  analyze_fixture walklevel analyze --json on the bundled fixture
+  analyze_pool    walklevel analyze --json on each line of perfbench/mates_pool.txt
+  mates_fixture   walklevel mates --json on the fixture, automatic levels
+  mates_pool      walklevel mates --json on each pool line at its listed levels
+
+A group's digest covers each item's exit code, stdout and stderr in order.
+Run it on two checkouts (say, ``--src`` pointing at a ``git archive`` copy
+of the parent commit) and compare the lines. The pool file is always read
+from this script's checkout. Standard library only; it takes a few seconds.
+The path of the imported package goes to stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+POOL = ROOT / "perfbench" / "mates_pool.txt"
+
+
+def run_cli(main, argv: list[str], stdin: str) -> str:
+    """One walklevel.cli.main call as text: exit code, stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return f"{code}\n{out.getvalue()}\n{err.getvalue()}\n"
+
+
+def pool_lines() -> list[tuple[str, str]]:
+    """(graph6, comma-separated levels) for each line of the mates pool."""
+    out = []
+    for line in POOL.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            _, g6, levels = line.split()
+            out.append((g6, levels))
+    return out
+
+
+def groups(src: Path) -> dict[str, list[str]]:
+    sys.path.insert(0, str(src))
+    import walklevel
+    from walklevel.cli import main
+    from walklevel.sweep import SweepConfig, report_json, run_sweep
+
+    print(f"walklevel from {Path(walklevel.__file__).parent}", file=sys.stderr)
+    fixture = (src / "walklevel" / "fixtures" / "g10_adjacency.txt").read_text()
+    pool = pool_lines()
+    small = SweepConfig(n_min=6, n_max=12, graph_count=500, seed=42)
+    factor = SweepConfig(n_min=14, n_max=16, graph_count=24, seed=42, mates=False)
+    return {
+        "sweep_small": [report_json(run_sweep(small))],
+        "sweep_factor": [report_json(run_sweep(factor))],
+        "analyze_fixture": [run_cli(main, ["analyze", "-", "--json"], fixture)],
+        "analyze_pool": [run_cli(main, ["analyze", "-", "--json"], g6 + "\n")
+                         for g6, _ in pool],
+        "mates_fixture": [run_cli(main, ["mates", "-", "--json"], fixture)],
+        "mates_pool": [run_cli(main, ["mates", "-", "--levels", levels, "--json"], g6 + "\n")
+                       for g6, levels in pool],
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory that holds the walklevel package (default: ./src)")
+    args = parser.parse_args()
+    for name, items in groups(args.src.resolve()).items():
+        digest = hashlib.sha256("".join(items).encode()).hexdigest()
+        print(f"{name} {len(items)} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
