@@ -27,7 +27,11 @@ def analyze(g: Graph) -> tuple[WalkProfile, dict]:
 
     Only walk_profile factors; the other stages read the profile's prime table.
     """
-    prof = walk_profile(g)
+    return _analyze(g, walk_profile(g))
+
+
+def _analyze(g: Graph, prof: WalkProfile) -> tuple[WalkProfile, dict]:
+    """analyze for a caller that already holds the automatic profile of g."""
     rec = {"graph6": emit_graph6(g), "profile": prof.as_dict()}
     if prof.controllable:
         rec["bounds"] = level_bounds(prof).as_dict()

@@ -1,8 +1,11 @@
 """Exact integer arithmetic helpers: p-adic valuations and factoring.
 
-Factoring is trial division up to a small bound followed by Brent's cycle
-variant of Pollard rho, with an explicit work budget so callers can fail
-loudly instead of hanging on adversarial inputs.
+Factoring is trial division up to ``TRIAL_DIVISION_BOUND`` = 10^4 followed
+by Brent's cycle variant of Pollard rho (Brent 1980), which finds a prime
+factor p in about sqrt(p) steps, with an explicit work budget so callers
+can fail loudly instead of hanging on adversarial inputs. The bound stays
+at least the default ``walklevel mates --level-cap`` (1000), so every prime
+below that cap is found by trial division.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from typing import Mapping
 
 from .errors import FactorizationError
 
-TRIAL_DIVISION_BOUND = 10**6
+TRIAL_DIVISION_BOUND = 10**4
 
 # Deterministic Miller-Rabin witness set for n < 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -33,7 +36,12 @@ def v_p(m: int, p: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for all inputs this library meets)."""
+    """Miller-Rabin to the first 13 prime bases.
+
+    Exact for n < psi_13 ~ 3.3 * 10**24 (Sorenson-Webster 2017). Above that
+    a True is a strong probable prime, not a proof; normalized determinants
+    pass that size at about n = 16.
+    """
     if n < 2:
         return False
     for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

@@ -4,7 +4,7 @@ A Graph is an immutable symmetric 0-1 adjacency structure with zero
 diagonal. The walk matrix stacks e, Ae, ..., A^(n-1)e as columns; a graph is
 controllable when that matrix is nonsingular. Profiles collect the exact
 invariants the bound rules consume: det W, its Smith normal form, and
-per-prime valuations and ranks.
+per-prime valuations and ranks read off that Smith form.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .arith import factorize, v_p
+from .arith import factorize, is_prime
 from .errors import InvariantError, ParseError
 from .intmat import IntMatrix, char_poly, det
-from .snf import invariant_factors, rank_mod_p
+from .snf import invariant_factors
 
 ISOMORPHISM_SIZE_LIMIT = 12
 
@@ -165,10 +165,11 @@ def walk_matrix(g: Graph) -> IntMatrix:
 class WalkProfile:
     """Exact walk-matrix invariants of one graph.
 
-    ``primes`` maps p to (v_p(|det W|), rank of W mod p); it is empty for
-    non-controllable graphs. ``normalized_det`` is det W divided by
-    2^floor(n/2) (that power always divides det W; a violation would be an
-    internal error, not a property of the input).
+    ``primes`` maps p to (v_p(|det W|), rank of W mod p), both read off
+    ``invariant_factors`` (the sum of v_p(d_i) and the count of d_i prime
+    to p); it is empty for non-controllable graphs. ``normalized_det`` is
+    det W divided by 2^floor(n/2) (that power always divides det W; a
+    violation would be an internal error, not a property of the input).
     """
 
     n: int
@@ -230,10 +231,21 @@ def walk_profile(g: Graph, primes: str | Iterable[int] = "auto") -> WalkProfile:
     determinant (trial division then rho; an exhausted rho budget raises
     FactorizationError naming the unfactored part). This is the only
     factoring of the per-graph analysis: every later stage reads the
-    table through ``WalkProfile.factor``.
+    table through ``WalkProfile.factor``. An explicit prime list is checked
+    for primality (ValueError otherwise) but not factored.
+
+    The table is read off the invariant factors d_1 | ... | d_n: U W V = S
+    with U, V unimodular, so v_p(det W) = sum of v_p(d_i) and
+    rank_p W = #{i : p does not divide d_i}. No elimination mod p runs.
     """
     w = walk_matrix(g)
-    d = det(w)
+    return _profile(g, w, det(w), primes)
+
+
+def _profile(
+    g: Graph, w: IntMatrix, d: int, primes: str | Iterable[int] = "auto"
+) -> WalkProfile:
+    """walk_profile for a caller that already holds W = walk_matrix(g) and d = det W."""
     factors = invariant_factors(w, d)
     if d == 0:
         return WalkProfile(g.n, w, 0, False, factors, None, {})
@@ -250,8 +262,23 @@ def walk_profile(g: Graph, primes: str | Iterable[int] = "auto") -> WalkProfile:
         plist = sorted({2} | {p for p in factorize(nd) if p != 2})
     else:
         plist = sorted(set(int(p) for p in primes))
-    table = {p: (v_p(d, p), rank_mod_p(w, p)) for p in plist}
-    return WalkProfile(g.n, w, d, True, factors, nd, table)
+        for p in plist:
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
+    return WalkProfile(g.n, w, d, True, factors, nd, {p: _row(factors, p) for p in plist})
+
+
+def _row(factors: tuple[int, ...], p: int) -> tuple[int, int]:
+    """(sum of v_p(d_i), #{i : p does not divide d_i}) for a prime p."""
+    valuation = rank = 0
+    for f in factors:
+        if f % p:
+            rank += 1
+            continue
+        while f % p == 0:
+            f //= p
+            valuation += 1
+    return valuation, rank
 
 
 # ---------------------------------------------------------------------------

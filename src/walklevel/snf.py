@@ -5,7 +5,11 @@ U*M*V = S in the stated ring. Over Z the transforms are unimodular; over
 Z/p^kZ their determinants are units, and every nonzero invariant factor is
 normalized to a pure prime power p^c with 0 <= c < k. ``invariant_factors``
 and ``rank_mod_p`` build no transforms; for a nonsingular matrix the former
-keeps every entry reduced mod |det|.
+keeps every entry reduced mod |det|. Since U and V are unimodular, the
+rank of M mod p is the number of invariant factors prime to p, and
+v_p(det M) is the sum of their valuations: ``walk_profile`` reads its
+prime table that way, and ``rank_mod_p``'s plain GF(p) elimination is kept
+as an independent oracle that the pipeline does not call.
 
 On top of the forms sit the module-theoretic helpers: solvability of
 M x = b over Z/p^kZ, kernel structure, the "does M z = 0 have a unit-entry

@@ -22,9 +22,9 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .analysis import analyze, check_classes
+from .analysis import _analyze, check_classes
 from .errors import SearchCapExceeded
-from .graphs import Graph, walk_matrix
+from .graphs import Graph, _profile, walk_matrix
 from .intmat import det
 from .matesearch import distinct_mate_graphs, search_mates
 
@@ -132,12 +132,14 @@ def sweep_one(config: SweepConfig, index: int) -> dict:
     for attempt in range(max_attempts):
         rng = derive_stream(config.seed, index, attempt)
         graph = random_graph(rng, n, config.edge_prob_num, config.edge_prob_den)
-        if det(walk_matrix(graph)):
+        w = walk_matrix(graph)
+        d = det(w)
+        if d:
             break
     else:
         return {"index": index, "n": n, "attempts": max_attempts, "exhausted": True}
 
-    prof, rec = analyze(graph)
+    prof, rec = _analyze(graph, _profile(graph, w, d))
     record: dict = {"index": index, "n": n, "attempts": attempt + 1, **rec}
     if not config.mates:
         return record

@@ -1,9 +1,26 @@
 """Valuations, primality, and budgeted factorization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import factorint, nextprime, prevprime, primerange
 
-from walklevel.arith import divisors, factorize, is_prime, v_p
+from walklevel import arith
+from walklevel.arith import TRIAL_DIVISION_BOUND, divisors, factorize, is_prime, v_p
+from walklevel.cli import build_parser
 from walklevel.errors import FactorizationError
+
+# primes that trial division leaves to rho: just above 10^4, up to 10^6
+RHO_PRIMES = (
+    list(primerange(10**4, 10**4 + 120))
+    + [nextprime(10**5), prevprime(3 * 10**5), nextprime(5 * 10**5)]
+    + list(primerange(10**6 - 200, 10**6))
+)
+TRIAL_PRIMES = [2, 3, 5, 7, 97, 997, prevprime(10**4)]
+
+
+def sympy_factors(n):
+    return {int(p): e for p, e in factorint(n).items()}
 
 
 class TestPrimality:
@@ -48,6 +65,44 @@ class TestFactorize:
             factorize(p * q, budget=10)
         assert info.value.cofactor > 1
         assert (p * q) % info.value.cofactor == 0
+
+
+class TestTrialBoundary:
+    """Trial division stops at TRIAL_DIVISION_BOUND = 10^4; rho takes the rest."""
+
+    def test_bound_covers_the_mates_level_cap(self):
+        cap = build_parser().parse_args(["mates"]).level_cap
+        assert cap <= TRIAL_DIVISION_BOUND
+
+    def test_rho_takes_primes_above_the_bound(self, count_calls):
+        calls = count_calls(arith._pollard_brent)
+        p, q = RHO_PRIMES[0], RHO_PRIMES[1]
+        assert factorize(p * q) == {p: 1, q: 1}
+        assert calls == [p * q]
+
+    def test_primes_and_powers_above_the_bound(self):
+        for p in RHO_PRIMES:
+            for e in (1, 2, 3):
+                assert factorize(p**e) == {p: e}, (p, e)
+
+    def test_mixed_trial_and_rho_primes(self):
+        for i, p in enumerate(RHO_PRIMES):
+            small = TRIAL_PRIMES[i % len(TRIAL_PRIMES)]
+            q = RHO_PRIMES[-1 - i]
+            n = small**3 * p * q**2
+            assert factorize(n) == sympy_factors(n), n
+            assert factorize(-n) == sympy_factors(n), n
+
+    @given(
+        st.lists(st.sampled_from(RHO_PRIMES), min_size=1, max_size=4),
+        st.lists(st.sampled_from(TRIAL_PRIMES), max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_products(self, large, small):
+        n = 1
+        for p in large + small:
+            n *= p
+        assert factorize(n) == sympy_factors(n)
 
 
 class TestHelpers:

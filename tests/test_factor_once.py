@@ -2,18 +2,19 @@
 
 ``walk_profile`` factors the normalized determinant; the certificate, the
 family test, the mate-count bounds and the CLI's automatic levels read the
-table through ``WalkProfile.factor``. The guard counts ``factorize`` at
-every name it is bound to in the library; the oracle recomputes the
-readers from sympy's factorizations of the normalized determinant and d_n.
+table through ``WalkProfile.factor``. The guards count ``factorize`` and
+``rank_mod_p`` at every name they are bound to in the library (the table's
+ranks are read off the invariant factors, so ``rank_mod_p`` never runs);
+the oracle recomputes the readers from sympy's factorizations of the
+normalized determinant and d_n.
 """
 
-import sys
 from math import prod
 
 import pytest
 from sympy import factorint
 
-from walklevel import arith
+from walklevel import arith, snf
 from walklevel.analysis import analyze
 from walklevel.bounds import dgs_certificate, family_membership, mate_count_bounds
 from walklevel.cli import main
@@ -24,19 +25,15 @@ from walklevel.sweep import SweepConfig, derive_stream, random_graph, sweep_one
 
 
 @pytest.fixture
-def factorize_calls(monkeypatch):
+def factorize_calls(count_calls):
     """The arguments of every factorize call made through a walklevel module."""
-    calls = []
-    real = arith.factorize
+    return count_calls(arith.factorize)
 
-    def counted(n, *args, **kwargs):
-        calls.append(n)
-        return real(n, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "walklevel" and getattr(module, "factorize", None) is real:
-            monkeypatch.setattr(module, "factorize", counted)
-    return calls
+@pytest.fixture
+def rank_mod_p_calls(count_calls):
+    """Every rank_mod_p call made through a walklevel module."""
+    return count_calls(snf.rank_mod_p)
 
 
 def sweep_graphs(n_min, n_max, count):
@@ -58,24 +55,33 @@ def seeded_graphs():
 
 
 class TestFactorOnce:
-    def test_analyze_factors_once_on_the_fixture(self, factorize_calls):
+    """One factorize call per graph, and no GF(p) elimination: the table's
+    ranks are read off the invariant factors."""
+
+    def test_analyze_factors_once_on_the_fixture(self, factorize_calls, rank_mod_p_calls):
         prof, rec = analyze(load_worked_example().graph)
         assert factorize_calls == [prof.normalized_det]
         assert rec["dgs"]["status"] == "Unknown"
+        assert prof.rank_p(3) == 9
+        assert rank_mod_p_calls == []
 
-    def test_analyze_factors_once_per_graph_at_n_14_to_16(self, factorize_calls):
+    def test_analyze_factors_once_per_graph_at_n_14_to_16(self, factorize_calls,
+                                                          rank_mod_p_calls):
         graphs = sweep_graphs(14, 16, 6)
         factorize_calls.clear()  # drawing them ran the sweep's own analysis
         for count, g in enumerate(graphs, start=1):
             analyze(g)
             assert len(factorize_calls) == count
+        assert rank_mod_p_calls == []
 
-    def test_mates_auto_levels_factor_once(self, factorize_calls, tmp_path, capsys):
+    def test_mates_auto_levels_factor_once(self, factorize_calls, rank_mod_p_calls,
+                                           tmp_path, capsys):
         path = tmp_path / "g.g6"
         path.write_text(emit_graph6(load_worked_example().graph) + "\n")
         assert main(["mates", str(path), "--json"]) == 0
         assert '"levels_searched":[3,9]' in capsys.readouterr().out
         assert len(factorize_calls) == 1
+        assert rank_mod_p_calls == []
 
 
 class TestProfileFactor:

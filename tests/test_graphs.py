@@ -7,7 +7,9 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint, multiplicity, primerange
 
+from walklevel import arith
 from walklevel.errors import ParseError
 from walklevel.fixtures import load_worked_example
 from walklevel.graphs import (
@@ -20,6 +22,9 @@ from walklevel.graphs import (
     walk_profile,
 )
 from walklevel.intmat import det
+from walklevel.snf import rank_mod_p
+from walklevel.sweep import derive_stream
+from walklevel.sweep import random_graph as sweep_graph
 
 
 def random_graph(rng, n, p=0.5):
@@ -149,6 +154,65 @@ class TestWalkMatrix:
             for p, (_, rank) in prof.primes.items():
                 coprime = sum(1 for d in prof.invariant_factors if d % p)
                 assert rank == coprime
+
+
+def seeded_controllable(n_values, seed):
+    """The first controllable sweep draw for each n."""
+    out = []
+    for n in n_values:
+        for attempt in range(1000):
+            g = sweep_graph(derive_stream(seed, n, attempt), n, 1, 2)
+            if det(walk_matrix(g)):
+                out.append(g)
+                break
+    return out
+
+
+class TestPrimeTable:
+    """The table read off the invariant factors against det W and GF(p) ranks."""
+
+    @staticmethod
+    def assert_oracle(prof, primes):
+        w, d = prof.W, prof.det_w
+        for p in primes:
+            expected = (multiplicity(p, d), rank_mod_p(w, p))
+            assert prof.primes[p] == expected, (prof.invariant_factors, p)
+
+    def test_auto_table_n_6_to_18(self):
+        for seed in (7, 11):
+            for g in seeded_controllable(range(6, 19), seed):
+                prof = walk_profile(g)
+                assert 2 in prof.primes
+                self.assert_oracle(prof, prof.primes)
+
+    def test_explicit_primes_up_to_n_24(self):
+        # primes up to 60 and two that trial division leaves to rho, plus
+        # every prime of det W below 10^4 (the part of the auto table that
+        # factors fast at any n)
+        fixed = set(primerange(2, 60)) | {10007, 999983}
+        seen_coprime = 0
+        for g in seeded_controllable(range(6, 25), 5):
+            d = det(walk_matrix(g))
+            primes = sorted(fixed | {int(p) for p in factorint(abs(d), limit=10**4) if p < 10**4})
+            prof = walk_profile(g, primes=primes)
+            assert sorted(prof.primes) == primes
+            self.assert_oracle(prof, primes)
+            for p in primes:
+                if d % p:
+                    assert prof.primes[p] == (0, g.n)
+                    seen_coprime += 1
+        assert seen_coprime
+
+    def test_composite_or_unit_primes_rejected(self):
+        g = load_worked_example().graph
+        for bad in ([4], [1], [3, 9], [0], [-3]):
+            with pytest.raises(ValueError, match="not prime"):
+                walk_profile(g, primes=bad)
+
+    def test_primality_checked_once_per_listed_prime(self, count_calls):
+        calls = count_calls(arith.is_prime)
+        walk_profile(load_worked_example().graph, primes=[3, 5, 3, 19, 2])
+        assert sorted(calls) == [2, 3, 5, 19]
 
 
 class TestGeneralizedCospectral:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from walklevel import graphs, intmat
 from walklevel.sweep import (
     SplitMix64,
     SweepConfig,
@@ -131,3 +132,15 @@ class TestCertainEdgeProbability:
             assert rec["attempts"] == 1
             assert "exhausted" not in rec
             assert rec["profile"]["controllable"]
+
+
+def test_accepted_draw_reuses_its_walk_matrix_and_det(count_calls):
+    # W and det W of the accepted draw feed its profile; nothing rebuilds them
+    walks = count_calls(graphs.walk_matrix)
+    dets = count_calls(intmat.det)
+    records = [sweep_one(SweepConfig(n_min=6, n_max=12, seed=3, mates=False), i)
+               for i in range(20)]
+    draws = sum(rec["attempts"] for rec in records)
+    assert draws > len(records)
+    assert len(walks) == draws
+    assert len(dets) == draws
