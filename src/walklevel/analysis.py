@@ -57,11 +57,11 @@ def check_classes(g: Graph, prof: WalkProfile, classes: list[MateClass]) -> dict
         for p in prof.odd_primes():
             if cls.level % p or prof.rank_p(p) != prof.n - 1:
                 continue
-            wit = extract_four_cong_witness(g, cls.q, p)
+            wit = extract_four_cong_witness(g, cls.q, p, walk=prof.W)
             if wit.tau > prof.valuation(p) // 2:
                 violations.append({"prime": p, "level": cls.level, "tau": wit.tau})
             witnesses.append(wit.as_dict())
-            lemma_checks.append(verify_proof_lemmas(g, wit).as_dict())
+            lemma_checks.append(verify_proof_lemmas(g, wit, walk=prof.W).as_dict())
     return {
         "classes": records,
         "witnesses": witnesses,

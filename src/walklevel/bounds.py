@@ -272,14 +272,17 @@ def _solve_eigenvalue_mod(a: IntMatrix, z: tuple[int, ...], p: int, tau: int) ->
     return lam
 
 
-def extract_four_cong_witness(g: Graph, q: RatRegOrtho, p: int) -> FourCongWitness:
+def extract_four_cong_witness(
+    g: Graph, q: RatRegOrtho, p: int, *, walk: IntMatrix | None = None
+) -> FourCongWitness:
     """Extract the witness column from a scaled orthogonal matrix.
 
     Requires tau = v_p(level) >= 1 and rank_p W = n-1. Takes the
     lowest-index column of num with a unit entry mod p (determinism for
     golden tests), solves for lambda0, and asserts all four congruences;
     any failure raises InvariantError since the congruences are theorems
-    under the preconditions.
+    under the preconditions. ``walk`` is W = walk_matrix(g) when the caller
+    already holds it.
     """
     if p == 2 or p < 2:
         raise ValueError("witness extraction is defined for odd primes")
@@ -287,7 +290,7 @@ def extract_four_cong_witness(g: Graph, q: RatRegOrtho, p: int) -> FourCongWitne
     if tau == 0:
         raise ValueError(f"level {q.level} has no factor {p}: tau = 0")
     a = g.adjacency()
-    w = walk_matrix(g)
+    w = walk if walk is not None else walk_matrix(g)
 
     z0 = None
     for j in range(q.n):
@@ -388,7 +391,9 @@ def _walk_congruence_holds(
     return True
 
 
-def verify_proof_lemmas(g: Graph, witness: FourCongWitness) -> LemmaCheckReport:
+def verify_proof_lemmas(
+    g: Graph, witness: FourCongWitness, *, walk: IntMatrix | None = None
+) -> LemmaCheckReport:
     """Re-verify the structural conclusions behind the level bound.
 
     Checks, against exact Smith forms: the shifted adjacency A - lambda0*I
@@ -396,7 +401,8 @@ def verify_proof_lemmas(g: Graph, witness: FourCongWitness) -> LemmaCheckReport:
     augmenting it by z0 yields the free rank-(n-1) shape; and a vector z1
     with unit coordinate sum solves (A - lambda0 I) z1 = p^c z0. All found
     vectors are spot-checked against the walk congruence
-    W^T y = (e.y)(1, lambda0, ..., lambda0^{n-1}).
+    W^T y = (e.y)(1, lambda0, ..., lambda0^{n-1}). ``walk`` is
+    W = walk_matrix(g) when the caller already holds it.
     """
     p, tau, z0, lam = witness.prime, witness.tau, witness.z0, witness.lambda0
     n = g.n
@@ -404,7 +410,7 @@ def verify_proof_lemmas(g: Graph, witness: FourCongWitness) -> LemmaCheckReport:
         raise ValueError("lemma verification needs n >= 3")
     q = p ** tau
     a = g.adjacency()
-    w = walk_matrix(g)
+    w = walk if walk is not None else walk_matrix(g)
     b = a - lam * IntMatrix.identity(n)
     notes: list[str] = []
 

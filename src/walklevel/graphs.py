@@ -10,11 +10,12 @@ per-prime valuations and ranks read off that Smith form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping
 
 from .arith import factorize, is_prime
 from .errors import InvariantError, ParseError
-from .intmat import IntMatrix, char_poly, det
+from .intmat import IntMatrix, bareiss, char_poly
 from .snf import invariant_factors
 
 ISOMORPHISM_SIZE_LIMIT = 12
@@ -148,16 +149,14 @@ def emit_graph6(g: Graph) -> str:
 
 
 def walk_matrix(g: Graph) -> IntMatrix:
-    """[e, Ae, ..., A^(n-1)e] as columns, computed by repeated mat-vec."""
+    """[e, Ae, ..., A^(n-1)e] as columns; A v sums v over each vertex's neighbours."""
     n = g.n
     if n < 1:
         raise ValueError("graph must have at least one vertex")
-    cols = []
-    v = (1,) * n
-    a = g.adjacency()
-    for _ in range(n):
-        cols.append(v)
-        v = a.mat_vec(v)
+    cols = [(1,) * n]
+    for _ in range(n - 1):
+        v = cols[-1]
+        cols.append(tuple(sum(compress(v, row)) for row in g.adj))
     return IntMatrix.from_columns(cols)
 
 
@@ -237,16 +236,19 @@ def walk_profile(g: Graph, primes: str | Iterable[int] = "auto") -> WalkProfile:
     The table is read off the invariant factors d_1 | ... | d_n: U W V = S
     with U, V unimodular, so v_p(det W) = sum of v_p(d_i) and
     rank_p W = #{i : p does not divide d_i}. No elimination mod p runs.
+    One Bareiss pass gives det W and the gcd h of four (n-1)-minors, and
+    ``invariant_factors`` eliminates modulo gcd(|det W|, h).
     """
     w = walk_matrix(g)
-    return _profile(g, w, det(w), primes)
+    return _profile(g, w, *bareiss(w), primes)
 
 
 def _profile(
-    g: Graph, w: IntMatrix, d: int, primes: str | Iterable[int] = "auto"
+    g: Graph, w: IntMatrix, d: int, h: int, primes: str | Iterable[int] = "auto"
 ) -> WalkProfile:
-    """walk_profile for a caller that already holds W = walk_matrix(g) and d = det W."""
-    factors = invariant_factors(w, d)
+    """walk_profile for a caller that already holds W = walk_matrix(g) and
+    (d, h) = bareiss(W): det W and the gcd of the (n-1)-minors Bareiss holds."""
+    factors = invariant_factors(w, d, h)
     if d == 0:
         return WalkProfile(g.n, w, 0, False, factors, None, {})
 

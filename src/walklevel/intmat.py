@@ -20,7 +20,7 @@ class IntMatrix:
     data: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.data)
+        rows = tuple(tuple(map(int, row)) for row in self.data)
         if rows:
             w = len(rows[0])
             if any(len(r) != w for r in rows):
@@ -48,8 +48,7 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]]) -> "IntMatrix":
-        n = len(columns[0])
-        return cls(tuple(tuple(col[i] for col in columns) for i in range(n)))
+        return cls(tuple(zip(*columns, strict=True)))
 
     # -- shape and access --------------------------------------------------
 
@@ -217,19 +216,32 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def det(a: IntMatrix) -> int:
-    """Exact determinant via Bareiss fraction-free elimination.
+    """Exact determinant via Bareiss fraction-free elimination (see ``bareiss``)."""
+    return bareiss(a)[0]
+
+
+def bareiss(a: IntMatrix) -> tuple[int, int]:
+    """(det a, h) from one Bareiss fraction-free elimination.
 
     Intermediate values stay polynomial-sized; every division is exact.
+    After step k every entry of the trailing block is a (k+2)-minor of the
+    row-permuted matrix (Sylvester's identity), so one step before the end
+    the trailing 2x2 block holds four (n-1)-minors; h is their gcd, a
+    multiple of the gcd of all (n-1)-minors. For n = 1 that gcd is the empty
+    minor, 1. h is 0 when det a is 0, and nonzero otherwise.
     """
     if not a.is_square:
         raise ValueError("determinant of a non-square matrix")
     n = a.rows
     if n == 0:
-        return 1
+        return 1, 1
     m = [list(row) for row in a.data]
     sign = 1
     prev = 1
+    h = 1
     for k in range(n - 1):
+        if k == n - 2:
+            h = gcd(m[k][k], m[k][k + 1], m[k + 1][k], m[k + 1][k + 1])
         if m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
@@ -237,7 +249,7 @@ def det(a: IntMatrix) -> int:
                     sign = -sign
                     break
             else:
-                return 0
+                return 0, 0
         pivot = m[k][k]
         for i in range(k + 1, n):
             mik = m[i][k]
@@ -247,7 +259,8 @@ def det(a: IntMatrix) -> int:
                 row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    d = sign * m[n - 1][n - 1]
+    return d, h if d else 0
 
 
 def adjugate(a: IntMatrix) -> IntMatrix:

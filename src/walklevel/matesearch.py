@@ -180,6 +180,7 @@ def search_mates(
     g: Graph,
     levels: list[int] | tuple[int, ...],
     *,
+    walk: IntMatrix | None = None,
     node_cap: int = NODE_CAP,
 ) -> list[MateClass]:
     """All admissible matrices of g with level in ``levels``, one per
@@ -187,9 +188,10 @@ def search_mates(
 
     A matrix assembled at level l whose entries share a factor with l is a
     lower-level matrix in disguise and is skipped; it shows up (exactly
-    once) when its true level is searched.
+    once) when its true level is searched. ``walk`` is W = walk_matrix(g)
+    when the caller already holds it.
     """
-    w = walk_matrix(g)
+    w = walk if walk is not None else walk_matrix(g)
     a = g.adjacency()
     n = g.n
     classes: list[MateClass] = []

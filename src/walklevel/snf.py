@@ -4,8 +4,12 @@
 U*M*V = S in the stated ring. Over Z the transforms are unimodular; over
 Z/p^kZ their determinants are units, and every nonzero invariant factor is
 normalized to a pure prime power p^c with 0 <= c < k. ``invariant_factors``
-and ``rank_mod_p`` build no transforms; for a nonsingular matrix the former
-keeps every entry reduced mod |det|. Since U and V are unimodular, the
+and ``rank_mod_p`` build no transforms. For a nonsingular matrix the former
+keeps every entry reduced mod M = gcd(|det|, h), where h is a multiple of
+d_1...d_{n-1} such as the gcd of the (n-1)-minors that ``intmat.bareiss``
+returns with det. M is a multiple of d_1...d_{n-1}, so the elimination over
+Z/MZ gives d_1, ..., d_{n-1} exactly, and d_n is recomputed as
+|det| / (d_1...d_{n-1}). Since U and V are unimodular, the
 rank of M mod p is the number of invariant factors prime to p, and
 v_p(det M) is the sum of their valuations: ``walk_profile`` reads its
 prime table that way, and ``rank_mod_p``'s plain GF(p) elimination is kept
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .arith import is_prime, v_p
 from .errors import InvariantError
@@ -360,29 +364,49 @@ def _diagonal_mod(rows: list[list[int]], d: int) -> list[int]:
     return diag
 
 
-def invariant_factors(m: IntMatrix, det: int | None = None) -> tuple[int, ...]:
+def invariant_factors(
+    m: IntMatrix, det: int | None = None, h: int | None = None
+) -> tuple[int, ...]:
     """The nonzero invariant factors of m over Z, without transforms.
 
-    With ``det`` = det(m) nonzero, the elimination runs over Z/DZ with
-    D = |det|, so no entry ever exceeds D (Domich-Kannan-Trotter 1987,
-    Hafner-McCurley 1991). That is exact: every d_i divides D, so
-    d_i = gcd(s_i, D) for any Smith form diag(s_i) of m over Z/DZ. The
-    diagonal the elimination leaves is put in divisor-chain order by
-    gcd/lcm swaps, which keep the Smith form. Otherwise (det None or 0) it
-    runs the integer elimination of ``snf_int`` on S alone, which also
-    covers non-square m. ``det`` must be det(m); it is not recomputed.
+    With ``det`` = det(m) nonzero, the elimination runs over Z/MZ, so no
+    entry ever exceeds M (Domich-Kannan-Trotter 1987, Hafner-McCurley 1991).
+    M is gcd(|det|, h) when the caller passes ``h``, a nonzero multiple of
+    d_1...d_{n-1} such as the gcd of the (n-1)-minors that
+    ``intmat.bareiss`` returns; otherwise M = |det|. Either way d_1...d_{n-1}
+    divides M, and the Smith form of m over Z/MZ is diag(gcd(d_i, M)), so
+    the elimination gives d_1, ..., d_{n-1} exactly. Its diagonal is put in
+    divisor-chain order by gcd/lcm swaps, which keep the Smith form. The
+    last factor, which Z/MZ sees only as gcd(d_n, M), is recomputed as
+    d_n = |det| / (d_1...d_{n-1}); a remainder, or a d_n that d_{n-1} does
+    not divide, raises InvariantError. On walk matrices d_1...d_{n-1} is
+    tiny next to |det|, so M is too.
+
+    Otherwise (det None or 0) it runs the integer elimination of
+    ``snf_int`` on S alone, which also covers non-square m. ``det`` and
+    ``h`` must belong to m; they are not recomputed.
     """
     if det:
         if m.rows != m.cols:
             raise ValueError("det given for a non-square matrix")
+        if not m.rows:
+            return ()
         d = abs(det)
-        diag = _diagonal_mod([[x % d for x in row] for row in m.data], d)
+        modulus = gcd(d, h) if h else d
+        diag = _diagonal_mod([[x % modulus for x in row] for row in m.data], modulus)
         for i in range(len(diag)):
             for j in range(i + 1, len(diag)):
                 a, b = diag[i], diag[j]
                 g = gcd(a, b)
                 diag[i], diag[j] = g, a // g * b
-        return tuple(diag)
+        head = diag[:-1]
+        d_n, rest = divmod(d, prod(head))
+        if rest or (head and d_n % head[-1]):
+            raise InvariantError(
+                f"|det| = {d} is not d_n * d_1...d_(n-1) for the factors "
+                f"{tuple(head)} found modulo {modulus}"
+            )
+        return (*head, d_n)
     s = [list(row) for row in m.data]
     r = _smith_int(s, (), ())
     return tuple(s[i][i] for i in range(r))

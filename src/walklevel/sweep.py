@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .analysis import _analyze, check_classes
 from .errors import SearchCapExceeded
 from .graphs import Graph, _profile, walk_matrix
-from .intmat import det
+from .intmat import bareiss
 from .matesearch import distinct_mate_graphs, search_mates
 
 _MASK = (1 << 64) - 1
@@ -133,13 +133,13 @@ def sweep_one(config: SweepConfig, index: int) -> dict:
         rng = derive_stream(config.seed, index, attempt)
         graph = random_graph(rng, n, config.edge_prob_num, config.edge_prob_den)
         w = walk_matrix(graph)
-        d = det(w)
+        d, h = bareiss(w)
         if d:
             break
     else:
         return {"index": index, "n": n, "attempts": max_attempts, "exhausted": True}
 
-    prof, rec = _analyze(graph, _profile(graph, w, d))
+    prof, rec = _analyze(graph, _profile(graph, w, d, h))
     record: dict = {"index": index, "n": n, "attempts": attempt + 1, **rec}
     if not config.mates:
         return record
@@ -159,7 +159,7 @@ def sweep_one(config: SweepConfig, index: int) -> dict:
         return record
 
     try:
-        classes = search_mates(graph, levels)
+        classes = search_mates(graph, levels, walk=w)
     except SearchCapExceeded as exc:
         record["search"]["cap_exceeded"] = str(exc)
         return record

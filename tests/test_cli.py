@@ -6,6 +6,7 @@ import json
 import networkx as nx
 import pytest
 
+from walklevel import graphs
 from walklevel.cli import main, read_graphs
 from walklevel.fixtures import load_worked_example
 from walklevel.graphs import emit_graph6, parse_graph6
@@ -147,6 +148,14 @@ class TestMates:
         assert all(chk["all_ok"] for chk in payload["lemma_checks"])
         assert not payload["conjecture"]["any_violation"]
         assert payload["bound_check"] == {"violations": []}
+
+    def test_builds_walk_matrix_once(self, adj_file, capsys, count_calls):
+        # the profile's W feeds the search, the witnesses and the lemma checks
+        walks = count_calls(graphs.walk_matrix)
+        assert main(["mates", adj_file, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["witnesses"]) == len(payload["lemma_checks"]) == 2
+        assert len(walks) == 1
 
     def test_explicit_levels(self, adj_file, capsys):
         assert main(["mates", adj_file, "--levels", "3", "--json"]) == 0

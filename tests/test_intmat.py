@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import charpoly_cofactor, det_cofactor
+from oracles import charpoly_cofactor, det_cofactor, minor_gcd
 from walklevel.arith import v_p
 from walklevel.fixtures import load_worked_example
-from walklevel.intmat import IntMatrix, IntPoly, char_poly, det
+from walklevel.intmat import IntMatrix, IntPoly, bareiss, char_poly, det
 
 small_square = st.integers(1, 4).flatmap(
     lambda n: st.lists(
@@ -82,6 +82,114 @@ class TestDet:
         a = IntMatrix([row[:n] for row in a[:n]])
         b = IntMatrix([row[:n] for row in b[:n]])
         assert det(a @ b) == det(a) * det(b)
+
+
+def square(n, entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+# zero-heavy entries force Bareiss's zero-pivot row swaps
+sparse_square = st.integers(1, 7).flatmap(
+    lambda n: square(n, st.sampled_from([0, 0, 0, 1, -1, 2, -3, 4]))
+)
+# A diag(c) B with a divisor chain c: the gcd of the (n-1)-minors is a
+# multiple of c_1...c_(n-1), so it is rarely 1
+chained_square = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        square(n, st.integers(-2, 2)),
+        st.lists(st.sampled_from([1, 1, 2, 3]), min_size=n, max_size=n),
+        square(n, st.integers(-2, 2)),
+    )
+)
+
+
+def chain_product(a, steps, b):
+    c, acc = [], 1
+    for s in steps:
+        acc *= s
+        c.append(acc)
+    return (IntMatrix(a) @ IntMatrix.diag(c) @ IntMatrix(b)).data
+
+
+class TestBareiss:
+    """bareiss(a) = (det a, h): h is the gcd of the four (n-1)-minors in the
+    trailing 2x2 block one step before the end, checked against cofactors."""
+
+    def check(self, rows):
+        n = len(rows)
+        d, h = bareiss(IntMatrix(rows))
+        assert d == det_cofactor([list(r) for r in rows])
+        if d == 0:
+            assert h == 0
+        else:
+            assert h > 0
+            assert h % minor_gcd([list(r) for r in rows], n - 1) == 0
+        return d, h
+
+    @given(sparse_square)
+    @settings(max_examples=40, deadline=None)
+    def test_minor_gcd_divides_h_sparse(self, rows):
+        self.check(rows)
+
+    @given(chained_square)
+    @settings(max_examples=40, deadline=None)
+    def test_minor_gcd_divides_h_chained(self, abc):
+        self.check(chain_product(*abc))
+
+    def test_zero_pivot_swaps(self):
+        # zero pivots at steps 0 and 2, before h is read at step 3
+        rows = [[0, 2, 0, 0, 0], [3, 0, 0, 0, 0], [0, 0, 0, 4, 0],
+                [0, 0, 6, 0, 0], [0, 0, 0, 0, 5]]
+        assert self.check(rows) == (720, 36)
+        # zero pivot at the last step, after h is read
+        d, h = self.check([[1, 0, 0], [0, 0, 4], [0, 6, 0]])
+        assert (d, h) == (-24, 2)
+
+    def test_one_by_one(self):
+        # the only (n-1)-minor of a 1x1 matrix is the empty one, 1
+        assert bareiss(IntMatrix([[-5]])) == (-5, 1)
+        assert bareiss(IntMatrix([[0]])) == (0, 0)
+
+    def test_two_by_two_is_content(self):
+        assert bareiss(IntMatrix([[4, 6], [10, 8]])) == (-28, 2)
+        assert bareiss(IntMatrix([[0, 6], [9, 3]])) == (-54, 3)
+
+    def test_negative_det(self):
+        m = IntMatrix([[0, 2, 0], [3, 0, 0], [0, 0, 5]])
+        d, h = bareiss(m)
+        assert d == det(m) == -30
+        assert h % minor_gcd([list(r) for r in m.data], 2) == 0
+
+    def test_singular(self):
+        assert bareiss(IntMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])) == (0, 0)
+        assert bareiss(IntMatrix.zeros(3, 3)) == (0, 0)
+
+    def test_empty_and_non_square(self):
+        assert bareiss(IntMatrix(())) == (1, 1)
+        with pytest.raises(ValueError):
+            bareiss(IntMatrix([[1, 2]]))
+
+    def test_det_is_its_first_half(self):
+        rng = random.Random(12)
+        for _ in range(30):
+            m = rand_matrix(rng, rng.randint(1, 6))
+            assert det(m) == bareiss(m)[0]
+
+
+class TestConstruction:
+    def test_from_columns(self):
+        assert IntMatrix.from_columns([(1, 2), (3, 4), (5, 6)]) == IntMatrix(
+            [[1, 3, 5], [2, 4, 6]]
+        )
+
+    def test_from_columns_unequal_lengths(self):
+        with pytest.raises(ValueError):
+            IntMatrix.from_columns([(1, 2), (3,)])
+
+    def test_rows_normalized_and_checked(self):
+        assert IntMatrix([[True, 2.0]]).data == ((1, 2),)
+        with pytest.raises(ValueError):
+            IntMatrix([[1, 2], [3]])
 
 
 class TestCharPoly:

@@ -2,6 +2,7 @@
 
 import random
 import warnings
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,9 @@ from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 from sympy.polys.domains import ZZ
 from walklevel.arith import v_p
+from walklevel.errors import InvariantError
 from walklevel.graphs import walk_matrix
-from walklevel.intmat import IntMatrix, det
+from walklevel.intmat import IntMatrix, bareiss, det
 from walklevel.snf import (
     dn_test,
     extend_basis,
@@ -130,6 +132,7 @@ class TestInvariantFactors:
         assert invariant_factors(m) == expected
         if nr == nc and det(m):
             assert invariant_factors(m, det(m)) == expected
+            assert invariant_factors(m, *bareiss(m)) == expected
 
     def test_minor_gcd_oracle(self):
         # mixed small primes make most pivots non-units, so the extended-gcd
@@ -185,6 +188,54 @@ class TestInvariantFactors:
     def test_det_for_non_square_rejected(self):
         with pytest.raises(ValueError):
             invariant_factors(IntMatrix.zeros(2, 3), 6)
+
+
+class TestMinorGcdModulus:
+    """invariant_factors(m, det, h) with (det, h) = bareiss(m) eliminates
+    modulo gcd(|det|, h) and recomputes d_n from det."""
+
+    def test_matches_det_modulus_snf_int_and_sympy_on_walk_matrices(self):
+        for n in (6, 12, 16, 24, 32, 40):
+            for seed in (1, 2, 3):
+                w = seeded_walk_matrix(seed, n)
+                d, h = bareiss(w)
+                got = invariant_factors(w, d, h)
+                assert got == invariant_factors(w, d)
+                if seed == 1 and n <= 32:
+                    assert got == snf_int(w).invariant_factors
+                # snf_int and sympy take seconds from n = 32 on; at n = 40
+                # the mod-|det| path is the oracle
+                if seed == 2 and n <= 32:
+                    assert got == sympy_factors(w)
+                if n >= 24:
+                    # the modulus is a small fraction of |det W|
+                    assert 4 * gcd(d, h).bit_length() < abs(d).bit_length()
+
+    def test_last_factor_recomputed_from_det(self):
+        # modulo gcd(|det|, h) = 600 the last factor reads gcd(270, 600) = 30
+        d, h = bareiss(DIAG_FIXTURE)
+        assert gcd(d, h) == 600
+        assert invariant_factors(DIAG_FIXTURE, d, h) == (2, 10, 30, 270)
+
+    def test_negative_det_and_small_orders(self):
+        m = IntMatrix([[0, 2, 0], [3, 0, 0], [0, 0, 5]])
+        assert invariant_factors(m, *bareiss(m)) == (1, 1, 30)
+        assert invariant_factors(IntMatrix([[-5]]), *bareiss(IntMatrix([[-5]]))) == (5,)
+        m = IntMatrix([[4, 6], [10, 8]])
+        assert invariant_factors(m, *bareiss(m)) == (2, 14)
+        assert invariant_factors(IntMatrix(()), *bareiss(IntMatrix(()))) == ()
+
+    def test_singular_takes_the_integer_path(self):
+        m = IntMatrix([[2, 4, 6], [1, 2, 3], [0, 6, 9]])
+        assert bareiss(m) == (0, 0)
+        assert invariant_factors(m, *bareiss(m)) == snf_int(m).invariant_factors
+
+    def test_inconsistent_det_raises(self):
+        m = IntMatrix.diag([2, 2, 2])
+        with pytest.raises(InvariantError):  # 6 / (2 * 2) leaves a remainder
+            invariant_factors(m, 6, 2)
+        with pytest.raises(InvariantError):  # d_n = 4 / (2 * 2) = 1 is not a multiple of 2
+            invariant_factors(m, 4, 4)
 
 
 class TestSnfModPk:

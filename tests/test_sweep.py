@@ -135,9 +135,10 @@ class TestCertainEdgeProbability:
 
 
 def test_accepted_draw_reuses_its_walk_matrix_and_det(count_calls):
-    # W and det W of the accepted draw feed its profile; nothing rebuilds them
+    # W and the Bareiss pass (det W and the minor gcd h) of the accepted draw
+    # feed its profile; nothing rebuilds them
     walks = count_calls(graphs.walk_matrix)
-    dets = count_calls(intmat.det)
+    dets = count_calls(intmat.bareiss)
     records = [sweep_one(SweepConfig(n_min=6, n_max=12, seed=3, mates=False), i)
                for i in range(20)]
     draws = sum(rec["attempts"] for rec in records)

@@ -13,6 +13,9 @@ prints one line per output group, ``<group> <items> <sha256>``:
   analyze_pool    walklevel analyze --json on each line of perfbench/mates_pool.txt
   mates_fixture   walklevel mates --json on the fixture, automatic levels
   mates_pool      walklevel mates --json on each pool line at its listed levels
+  profile_n24_40  walk_profile(g, primes=(2, 3, 5, 7)).as_dict() as sorted JSON on
+                  the first controllable G(n, 1/2) draw of derive_stream(42, 1000 + i,
+                  attempt), i = 0..3, at n = 24, 32 and 40
 
 A group's digest covers each item's exit code, stdout and stderr in order.
 Run it on two checkouts (say, ``--src`` pointing at a ``git archive`` copy
@@ -27,6 +30,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -57,6 +61,26 @@ def pool_lines() -> list[tuple[str, str]]:
     return out
 
 
+def large_profiles() -> list[str]:
+    """walk_profile with the primes given on controllable draws at n = 24, 32, 40."""
+    from walklevel.graphs import walk_matrix, walk_profile
+    from walklevel.intmat import det
+    from walklevel.sweep import derive_stream, random_graph
+
+    out = []
+    for n in (24, 32, 40):
+        for i in range(4):
+            for attempt in range(1000):
+                g = random_graph(derive_stream(42, 1000 + i, attempt), n, 1, 2)
+                if det(walk_matrix(g)):
+                    break
+            else:
+                raise RuntimeError(f"no controllable draw at n = {n}, i = {i}")
+            prof = walk_profile(g, primes=(2, 3, 5, 7))
+            out.append(json.dumps(prof.as_dict(), sort_keys=True) + "\n")
+    return out
+
+
 def groups(src: Path) -> dict[str, list[str]]:
     sys.path.insert(0, str(src))
     import walklevel
@@ -77,6 +101,7 @@ def groups(src: Path) -> dict[str, list[str]]:
         "mates_fixture": [run_cli(main, ["mates", "-", "--json"], fixture)],
         "mates_pool": [run_cli(main, ["mates", "-", "--levels", levels, "--json"], g6 + "\n")
                        for g6, levels in pool],
+        "profile_n24_40": large_profiles(),
     }
 
 
