@@ -309,11 +309,13 @@ def cmd_sweep(args) -> int:
         primes=tuple(args.prime) if args.prime else None,
         mates=not args.no_mates,
         workers=args.workers,
-        output_path=args.out,
     )
     report = run_sweep(config)
     text = report_json(report)
     agg = report["aggregate"]
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
     if args.json and not args.out:
         sys.stdout.write(text)
     else:

@@ -41,10 +41,10 @@ class IntMatrix:
     def diag(cls, entries: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
         r = rows if rows is not None else len(entries)
         c = cols if cols is not None else len(entries)
-        return cls(tuple(
-            tuple(entries[i] if i == j and i < len(entries) else 0 for j in range(c))
-            for i in range(r)
-        ))
+        data = [[0] * c for _ in range(r)]
+        for i, x in enumerate(entries[:min(r, c)]):
+            data[i][i] = x
+        return cls(data)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]]) -> "IntMatrix":

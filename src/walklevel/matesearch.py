@@ -6,9 +6,10 @@ lattice conditions
     v.v = l^2,   e.v = l,   W^T v = 0 (mod l),
 
 so the search first enumerates that finite candidate set exactly (kernel
-residues of W^T mod l from the integer Smith form, then a bounded box walk
-per residue with norm pruning), and then assembles full matrices column by
-column under the running compatibility checks
+residues of W^T mod l from the modular Smith elimination over Z/lZ that
+``snf`` shares with ``invariant_factors`` and ``snf_mod_pk``, then a
+bounded box walk per residue with norm pruning), and then assembles full
+matrices column by column under the running compatibility checks
 
     v_i . v_j = 0,   v_i^T A v_j in {0, l^2},   v_i^T A v_i = 0.
 
@@ -25,9 +26,9 @@ from math import gcd
 
 from .errors import SearchCapExceeded
 from .graphs import Graph, walk_matrix
-from .intmat import IntMatrix, dot
+from .intmat import IntMatrix, det, dot
 from .ortho import RatRegOrtho, conjugate
-from .snf import snf_int
+from .snf import _diagonal_mod, _identity
 
 CANDIDATE_CAP = 10**6
 NODE_CAP = 10**8
@@ -59,21 +60,25 @@ def enumerate_columns(
 ) -> list[tuple[int, ...]]:
     """All integer vectors v with v.v = level^2, e.v = level, W^T v = 0 mod level.
 
-    The congruence confines v mod level to the kernel of W^T, read off the
-    integer Smith form; each residue class is then walked coordinate by
-    coordinate with exact norm/sum pruning (every entry satisfies
-    |v_i| <= level). The result is lexicographically sorted and complete.
+    The congruence confines v mod level to the kernel of W^T over Z/lZ.
+    The modular Smith elimination of W^T (``snf._diagonal_mod``) carries
+    its column transform V, whose entries stay below the level: with
+    U W^T V = diag(g_i) mod level and U, V invertible, the kernel is V y
+    with each y_i a multiple of level/g_i. Each residue class is then
+    walked coordinate by coordinate with exact norm/sum pruning (every
+    entry satisfies |v_i| <= level). The result is lexicographically
+    sorted and complete.
     """
     if level < 1:
         raise ValueError("level must be positive")
     w = walk if walk is not None else walk_matrix(g)
     n = g.n
-    res = snf_int(w.T)
-    if res.rank < n:
+    if not det(w):
         raise ValueError("graph is not controllable")
 
-    # kernel of W^T mod level: y_i ranges over multiples of level/gcd(d_i, level)
-    gcds = [gcd(d, level) for d in res.invariant_factors]
+    # product of the g_i = product of gcd(d_i, level) over W's invariant factors
+    v = _identity(n)
+    gcds = _diagonal_mod([[x % level for x in row] for row in w.T.data], level, v=v)
     total = 1
     for gi in gcds:
         total *= gi
@@ -82,7 +87,6 @@ def enumerate_columns(
                 f"kernel of W^T mod {level} has more than {cap} residue classes"
             )
 
-    v_cols = res.V.T.data  # row i = column i of V
     lvl2 = level * level
     out: list[tuple[int, ...]] = []
 
@@ -120,11 +124,8 @@ def enumerate_columns(
     # iterate kernel residues y, map to v = V y mod level
     idx = [0] * n
     while True:
-        y = [idx[i] * (level // gcds[i]) for i in range(n)]
-        residue = tuple(
-            sum(v_cols[j][i] * y[j] for j in range(n) if y[j]) % level
-            for i in range(n)
-        )
+        y = [(j, idx[j] * (level // gcds[j])) for j in range(n) if idx[j]]
+        residue = tuple(sum(row[j] * yj for j, yj in y) % level for row in v)
         box_walk(residue)
         for i in range(n):
             idx[i] += 1
@@ -195,24 +196,24 @@ def search_mates(
     a = g.adjacency()
     n = g.n
     classes: list[MateClass] = []
-    seen = set()
     for level in sorted(set(int(x) for x in levels)):
         lvl2 = level * level
-        cands = enumerate_columns(g, level, walk=w)
-        cands = [v for v in cands if dot(a.mat_vec(v), v) == 0]
+        cands, a_cands = [], []
+        for v in enumerate_columns(g, level, walk=w):
+            av = a.mat_vec(v)
+            if dot(av, v) == 0:
+                cands.append(v)
+                a_cands.append(av)
         if len(cands) < n:
             continue
-        a_cands = [a.mat_vec(v) for v in cands]
+        # cliques are increasing index tuples over distinct columns, so no
+        # two of one level share a canonical key and none needs a dedupe
         for pick in _assemble_clique(cands, a_cands, n, lvl2, node_cap):
             num = IntMatrix.from_columns([cands[j] for j in pick])
             shared = gcd(level, *(x for x in num.entries))
             if shared != 1:
                 continue  # true level is level/shared; found in its own pass
             q = RatRegOrtho(num, level)
-            key = q.canonical_key()
-            if key in seen:
-                continue
-            seen.add(key)
             mate = conjugate(q, g)
             # Q is unique for a controllable g, so the mate is isomorphic
             # to g exactly when Q is a permutation matrix, i.e. level 1

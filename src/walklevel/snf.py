@@ -3,17 +3,22 @@
 ``snf_int`` and ``snf_mod_pk`` return the full (U, S, V) triple with
 U*M*V = S in the stated ring. Over Z the transforms are unimodular; over
 Z/p^kZ their determinants are units, and every nonzero invariant factor is
-normalized to a pure prime power p^c with 0 <= c < k. ``invariant_factors``
-and ``rank_mod_p`` build no transforms. For a nonsingular matrix the former
-keeps every entry reduced mod M = gcd(|det|, h), where h is a multiple of
-d_1...d_{n-1} such as the gcd of the (n-1)-minors that ``intmat.bareiss``
-returns with det. M is a multiple of d_1...d_{n-1}, so the elimination over
-Z/MZ gives d_1, ..., d_{n-1} exactly, and d_n is recomputed as
-|det| / (d_1...d_{n-1}). Since U and V are unimodular, the
-rank of M mod p is the number of invariant factors prime to p, and
-v_p(det M) is the sum of their valuations: ``walk_profile`` reads its
-prime table that way, and ``rank_mod_p``'s plain GF(p) elimination is kept
-as an independent oracle that the pipeline does not call.
+normalized to a pure prime power p^c with 0 <= c < k.
+
+One modular elimination, ``_diagonal_mod`` over Z/dZ, serves
+``snf_mod_pk`` (with U and V), ``invariant_factors`` (without) and
+``matesearch.enumerate_columns`` (with V alone). Only ``snf_int`` builds
+integer transforms, for ``dn_test`` and ``walklevel snf``. For a
+nonsingular matrix ``invariant_factors`` keeps every entry reduced mod
+M = gcd(|det|, h), where h is a multiple of d_1...d_{n-1} such as the gcd
+of the (n-1)-minors that ``intmat.bareiss`` returns with det. M is a
+multiple of d_1...d_{n-1}, so the elimination over Z/MZ gives
+d_1, ..., d_{n-1} exactly, and d_n is recomputed as |det| / (d_1...d_{n-1}).
+Since U and V are unimodular, the rank of M mod p is the number of
+invariant factors prime to p, and v_p(det M) is the sum of their
+valuations: ``walk_profile`` reads its prime table that way, and
+``rank_mod_p``'s plain GF(p) elimination is kept as an independent oracle
+that the pipeline does not call.
 
 On top of the forms sit the module-theoretic helpers: solvability of
 M x = b over Z/p^kZ, kernel structure, the "does M z = 0 have a unit-entry
@@ -104,6 +109,10 @@ def _prime_of_modulus(q: int) -> int:
 # ---------------------------------------------------------------------------
 # SNF over Z
 # ---------------------------------------------------------------------------
+
+
+def _identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _swap_rows(m, i, j):
@@ -273,36 +282,75 @@ def snf_int(m: IntMatrix) -> SnfResult:
     """
     nr, nc = m.rows, m.cols
     s = [list(row) for row in m.data]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    u, v = _identity(nr), _identity(nc)
     r = _smith_int(s, (u,), (v,))
     factors = tuple(s[i][i] for i in range(r))
     return SnfResult(None, IntMatrix(u), IntMatrix(s), IntMatrix(v), factors)
 
 
 def _unit_to_gcd(x: int, g: int, d: int) -> int:
-    """A unit u of Z/dZ with u * x = g (mod d), where g = gcd(x, d) < d."""
+    """A unit c of Z/dZ with c * x = g (mod d), where g = gcd(x, d) < d.
+
+    When x/g is a unit mod d, which over Z/p^kZ it always is, c is its
+    inverse mod d. ``_diagonal_mod``, the one elimination behind
+    ``invariant_factors``, ``snf_mod_pk`` and ``enumerate_columns``, thus
+    scales a local-ring pivot by the inverse of its unit part, the moves
+    that fix ``snf_mod_pk``'s U. Otherwise the inverse of x/g modulo d/g is
+    lifted to a unit of Z/dZ.
+    """
+    y = x // g
+    if gcd(y, d) == 1:
+        return pow(y, -1, d)
     n = d // g
-    u = pow(x // g, -1, n)
-    # lift u from Z/nZ to a unit of Z/dZ: make it 1 modulo the part of d
-    # coprime to n (for m = 1 the correction term is 0)
+    c = pow(y, -1, n)
+    # make c 1 modulo the part of d coprime to n (for m = 1 the term is 0)
     m = d
     while (h := gcd(m, n)) > 1:
         m //= h
-    return u + n * ((1 - u) * pow(n, -1, m) % m)
+    return c + n * ((1 - c) * pow(n, -1, m) % m)
 
 
-def _diagonal_mod(rows: list[list[int]], d: int) -> list[int]:
-    """Diagonalize a square matrix over Z/dZ; return the diagonal.
+def _combine_rows(m, a, b, x0, y0, af, bf, d):
+    """Rows a, b of m := x0*a + y0*b and af*b - bf*a, mod d."""
+    ra, rb = m[a], m[b]
+    m[a] = [(x0 * p + y0 * q) % d for p, q in zip(ra, rb)]
+    m[b] = [(af * q - bf * p) % d for p, q in zip(ra, rb)]
 
-    Each entry of the result divides d. The pivot is the trailing entry with
-    the smallest gcd(x, d), first scaled by a unit to that gcd. A row or
-    column entry it divides is cleared by exact division; any other one by
-    an extended-gcd transform, which replaces the pivot by a proper divisor.
-    Pivots thus walk down the divisor lattice of d and the loop ends.
+
+def _combine_cols(m, a, b, x0, y0, af, bf, d):
+    """Column analogue of _combine_rows."""
+    for row in m:
+        p, q = row[a], row[b]
+        row[a] = (x0 * p + y0 * q) % d
+        row[b] = (af * q - bf * p) % d
+
+
+def _diagonal_mod(
+    rows: list[list[int]],
+    d: int,
+    u: list[list[int]] | None = None,
+    v: list[list[int]] | None = None,
+) -> list[int]:
+    """Diagonalize a matrix over Z/dZ; return the min(rows, cols) diagonal.
+
+    Each entry of the result divides d; a zero trailing block gives entries
+    d. The pivot is the first trailing entry, in row-major order, with the
+    smallest gcd(x, d), first scaled by a unit to that gcd. A row or column
+    entry it divides is cleared by exact division; any other one by an
+    extended-gcd transform, which replaces the pivot by a proper divisor.
+    Pivots thus walk down the divisor lattice of d and the loop ends. Over
+    Z/p^kZ the pivot divides every entry, so the diagonal is a divisor chain.
+
+    Every row operation is also applied to ``u`` and every column operation
+    to ``v`` (row lists of square matrices with entries mod d, usually the
+    identity), so that u * m * v = diag (mod d) and det u, det v are units.
+    Without ``v``, the top-row entries that the pivot divides are left in
+    place: with the column below the pivot cleared, clearing them would
+    change the top row only, which the next step drops.
     """
     diag = []
-    while rows:
+    t = 0  # rows and columns done: row t of u and column t of v go with the pivot
+    while rows and rows[0]:
         best = None
         for i, row in enumerate(rows):
             for j, x in enumerate(row):
@@ -315,52 +363,68 @@ def _diagonal_mod(rows: list[list[int]], d: int) -> list[int]:
             if best is not None and best[0] == 1:
                 break
         if best is None:  # the trailing block is zero: each factor is gcd(0, d)
-            diag.extend([d] * len(rows))
+            diag.extend([d] * min(len(rows), len(rows[0])))
             break
         g, i, j = best
         rows[0], rows[i] = rows[i], rows[0]
+        if u is not None:
+            u[t], u[t + i] = u[t + i], u[t]
         if j:
             for row in rows:
                 row[0], row[j] = row[j], row[0]
+            for row in v or ():
+                row[t], row[t + j] = row[t + j], row[t]
         if rows[0][0] != g:
-            u = _unit_to_gcd(rows[0][0], g, d)
-            rows[0] = [u * x % d for x in rows[0]]
+            c = _unit_to_gcd(rows[0][0], g, d)
+            rows[0] = [c * x % d for x in rows[0]]
+            if u is not None:
+                u[t] = [c * x % d for x in u[t]]
 
         while True:
-            top = rows[0]
             for i in range(1, len(rows)):
                 b = rows[i][0]
                 if not b:
                     continue
                 if b % g == 0:
                     c = b // g
-                    rows[i] = [(x - c * y) % d for x, y in zip(rows[i], top)]
+                    rows[i] = [(x - c * y) % d for x, y in zip(rows[i], rows[0])]
+                    if u is not None:
+                        # in place, skipping zeros: u's rows start sparse
+                        ui = u[t + i]
+                        for k, y in enumerate(u[t]):
+                            if y:
+                                ui[k] = (ui[k] - c * y) % d
                 else:
                     g2, x0, y0 = _xgcd(g, b)
                     af, bf = g // g2, b // g2
-                    old, ri = top, rows[i]
-                    top = [(x0 * p + y0 * q) % d for p, q in zip(old, ri)]
-                    rows[i] = [(af * q - bf * p) % d for p, q in zip(old, ri)]
-                    rows[0] = top
+                    _combine_rows(rows, 0, i, x0, y0, af, bf, d)
+                    if u is not None:
+                        _combine_rows(u, t, t + i, x0, y0, af, bf, d)
                     g = g2
-            # entries of the top row that g divides need no work: the column
-            # below the pivot is zero, so clearing them touches the top row only
             dirty = False
-            for j in range(1, len(top)):
-                b = top[j]
-                if b % g:
-                    g2, x0, y0 = _xgcd(g, b)
-                    af, bf = g // g2, b // g2
-                    for row in rows:
-                        p, q = row[0], row[j]
-                        row[0] = (x0 * p + y0 * q) % d
-                        row[j] = (af * q - bf * p) % d
-                    g = g2
-                    dirty = True
+            for j in range(1, len(rows[0])):
+                b = rows[0][j]
+                if b % g == 0:
+                    if b and v is not None:
+                        c = b // g
+                        for m, o in ((rows, 0), (v, t)):
+                            oj = o + j
+                            for row in m:
+                                if row[o]:
+                                    row[oj] = (row[oj] - c * row[o]) % d
+                    continue
+                g2, x0, y0 = _xgcd(g, b)
+                af, bf = g // g2, b // g2
+                _combine_cols(rows, 0, j, x0, y0, af, bf, d)
+                if v is not None:
+                    _combine_cols(v, t, t + j, x0, y0, af, bf, d)
+                g = g2
+                dirty = True
             if not dirty or not any(row[0] for row in rows[1:]):
                 break
         diag.append(g)
         rows = [row[1:] for row in rows[1:]]
+        t += 1
     return diag
 
 
@@ -417,24 +481,14 @@ def invariant_factors(
 # ---------------------------------------------------------------------------
 
 
-def _val_mod(x: int, p: int, k: int) -> int:
-    """Valuation of a residue in [0, p^k); the zero residue gets k."""
-    if x == 0:
-        return k
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 def snf_mod_pk(m: IntMatrix, p: int, k: int) -> SnfResult:
     """Smith normal form over the local ring Z/p^kZ.
 
-    Entries are reduced mod p^k; each nonzero invariant factor comes out as
-    an exact power p^c with 0 <= c < k, and det(U), det(V) are units.
-    p = 2 is accepted (the form is ring-correct) but flagged, since the
-    downstream level-bound rules only consume odd primes.
+    Entries are reduced mod p^k and diagonalized by ``_diagonal_mod``; each
+    nonzero invariant factor comes out as an exact power p^c with
+    0 <= c < k, and det(U), det(V) are units. p = 2 is accepted (the form
+    is ring-correct) but flagged, since the downstream level-bound rules
+    only consume odd primes.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -447,64 +501,11 @@ def snf_mod_pk(m: IntMatrix, p: int, k: int) -> SnfResult:
             stacklevel=2,
         )
     q = p ** k
-    nr, nc = m.rows, m.cols
-    s = [[x % q for x in row] for row in m.data]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    factors = []
-    limit = min(nr, nc)
-    for t in range(limit):
-        piv = None
-        best = k
-        for i in range(t, nr):
-            row = s[i]
-            for j in range(t, nc):
-                val = _val_mod(row[j], p, k)
-                if val < best:
-                    best = val
-                    piv = (i, j)
-                    if val == 0:
-                        break
-            if best == 0:
-                break
-        if piv is None:
-            break
-        if piv[0] != t:
-            _swap_rows(s, t, piv[0])
-            _swap_rows(u, t, piv[0])
-        if piv[1] != t:
-            _swap_cols(s, t, piv[1])
-            _swap_cols(v, t, piv[1])
-
-        pv = best
-        unit = s[t][t] // p ** pv
-        uinv = pow(unit, -1, q)
-        s[t] = [(uinv * x) % q for x in s[t]]
-        u[t] = [(uinv * x) % q for x in u[t]]
-        pivot = p ** pv  # == s[t][t]
-
-        for i in range(t + 1, nr):
-            x = s[i][t]
-            if x:
-                c = x // pivot  # exact: pivot had minimal valuation
-                row_i, row_t = s[i], s[t]
-                for j in range(nc):
-                    row_i[j] = (row_i[j] - c * row_t[j]) % q
-                ui, ut = u[i], u[t]
-                for j in range(nr):
-                    ui[j] = (ui[j] - c * ut[j]) % q
-        for j in range(t + 1, nc):
-            x = s[t][j]
-            if x:
-                c = x // pivot
-                for row in s:
-                    row[j] = (row[j] - c * row[t]) % q
-                for row in v:
-                    row[j] = (row[j] - c * row[t]) % q
-        factors.append(pivot)
-
-    return SnfResult(ModPK(p, k), IntMatrix(u), IntMatrix(s), IntMatrix(v), tuple(factors))
+    u, v = _identity(m.rows), _identity(m.cols)
+    diag = _diagonal_mod([[x % q for x in row] for row in m.data], q, u, v)
+    factors = tuple(x for x in diag if x < q)
+    s = IntMatrix.diag(factors, m.rows, m.cols)
+    return SnfResult(ModPK(p, k), IntMatrix(u), s, IntMatrix(v), factors)
 
 
 def rank_mod_p(m: IntMatrix, p: int) -> int:

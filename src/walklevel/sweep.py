@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 from .analysis import _analyze, check_classes
 from .errors import SearchCapExceeded
@@ -84,8 +85,7 @@ class SweepConfig:
 
     ``primes`` = None means auto (search every odd prime the profile
     qualifies); otherwise only the listed primes are searched and
-    witnessed. ``output_path`` makes run_sweep write the canonical JSON
-    report there as a side effect.
+    witnessed.
     """
 
     n_min: int = 6
@@ -98,7 +98,6 @@ class SweepConfig:
     primes: tuple[int, ...] | None = None
     mates: bool = True
     workers: int = 1
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.n_min < 1 or self.n_max < self.n_min:
@@ -183,21 +182,16 @@ def sweep_one(config: SweepConfig, index: int) -> dict:
     return record
 
 
-def _sweep_one_star(args):
-    return sweep_one(*args)
-
-
 def run_sweep(config: SweepConfig) -> dict:
     """Full sweep report: per-graph records plus an order-independent
-    aggregate. Records are computed (possibly in parallel) keyed by index,
-    then assembled in index order."""
-    indices = list(range(config.graph_count))
+    aggregate. Records are computed (possibly in parallel) and come back
+    in index order."""
+    indices = range(config.graph_count)
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(_sweep_one_star, ((config, i) for i in indices)))
+            records = list(pool.map(sweep_one, repeat(config), indices))
     else:
         records = [sweep_one(config, i) for i in indices]
-    records.sort(key=lambda r: r["index"])
 
     acceptance: dict[int, list[int]] = {}
     rules: dict[str, int] = {}
@@ -249,11 +243,7 @@ def run_sweep(config: SweepConfig) -> dict:
         str(n): {"accepted": a, "attempts": t} for n, (a, t) in sorted(acceptance.items())
     }
     agg["rules_fired"] = dict(sorted(rules.items()))
-    report = {"schema": 1, "config": config.as_dict(), "graphs": records, "aggregate": agg}
-    if config.output_path:
-        with open(config.output_path, "w") as fh:
-            fh.write(report_json(report))
-    return report
+    return {"schema": 1, "config": config.as_dict(), "graphs": records, "aggregate": agg}
 
 
 def report_json(report: dict) -> str:

@@ -376,3 +376,113 @@ def backtrack_search_mates(g, levels, node_cap=10**8):
             seen.add(q.canonical_key())
             classes.append(MateClass(q, conjugate(q, g), level, level == 1))
     return classes
+
+
+# -- frozen modular eliminations (cross-checks for snf._diagonal_mod) --------
+
+
+def snf_mod_pk_loop(mat, p, k):
+    """(U, S, V) of the local-ring Smith elimination as row tuples.
+
+    This is snf_mod_pk's own pivot loop before it moved onto the shared
+    modular elimination, kept verbatim in its moves: pivot of least
+    valuation in row-major order, its row scaled by the inverse of its unit
+    part mod p^k, then exact clears of its column and its row. The shared
+    elimination must reproduce U, S and V bit for bit.
+    """
+    q = p ** k
+    nr, nc = len(mat), len(mat[0]) if mat else 0
+    s = [[x % q for x in row] for row in mat]
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def val(x):
+        if x == 0:
+            return k
+        c = 0
+        while x % p == 0:
+            x //= p
+            c += 1
+        return c
+
+    for t in range(min(nr, nc)):
+        piv, best = None, k
+        for i in range(t, nr):
+            for j in range(t, nc):
+                c = val(s[i][j])
+                if c < best:
+                    best, piv = c, (i, j)
+                    if c == 0:
+                        break
+            if best == 0:
+                break
+        if piv is None:
+            break
+        i, j = piv
+        s[t], s[i] = s[i], s[t]
+        u[t], u[i] = u[i], u[t]
+        for m in (s, v):
+            for row in m:
+                row[t], row[j] = row[j], row[t]
+        uinv = pow(s[t][t] // p ** best, -1, q)
+        s[t] = [uinv * x % q for x in s[t]]
+        u[t] = [uinv * x % q for x in u[t]]
+        pivot = p ** best
+        for i in range(t + 1, nr):
+            c = s[i][t] // pivot
+            if c:
+                s[i] = [(x - c * y) % q for x, y in zip(s[i], s[t])]
+                u[i] = [(x - c * y) % q for x, y in zip(u[i], u[t])]
+        for j in range(t + 1, nc):
+            c = s[t][j] // pivot
+            if c:
+                for m in (s, v):
+                    for row in m:
+                        row[j] = (row[j] - c * row[t]) % q
+    return tuple(map(tuple, u)), tuple(map(tuple, s)), tuple(map(tuple, v))
+
+
+def enumerate_columns_snf_int(g, level, cap=10**6):
+    """enumerate_columns with its kernel residues read off snf_int(W^T).
+
+    The integer Smith form gives W^T's invariant factors d_i and a
+    unimodular V; the kernel of W^T mod level is V y with y_i a multiple of
+    level / gcd(d_i, level). Each residue is then walked over the box
+    |v_i| <= level under the norm and sum conditions. Returns the sorted
+    candidate list, or the SearchCapExceeded message as a string.
+    """
+    from walklevel.graphs import walk_matrix
+    from walklevel.snf import snf_int
+
+    n = g.n
+    res = snf_int(walk_matrix(g).T)
+    assert res.rank == n, "oracle needs a controllable graph"
+    gcds = [gcd(d, level) for d in res.invariant_factors]
+    total = 1
+    for gi in gcds:
+        total *= gi
+    if total > cap:
+        return f"kernel of W^T mod {level} has more than {cap} residue classes"
+    vt = res.V.T.data
+    lvl2 = level * level
+    out = []
+
+    def walk(options, chosen, norm_left, sum_left):
+        if len(chosen) == n:
+            if norm_left == 0 and sum_left == 0:
+                out.append(tuple(chosen))
+            return
+        rest = n - len(chosen) - 1
+        for x in options[len(chosen)]:
+            nl, sl = norm_left - x * x, sum_left - x
+            if nl >= 0 and sl * sl <= rest * nl:  # Cauchy-Schwarz on the rest
+                walk(options, chosen + [x], nl, sl)
+
+    for idx in product(*(range(gi) for gi in gcds)):
+        y = [i * (level // gi) for i, gi in zip(idx, gcds)]
+        residue = [sum(vt[j][i] * y[j] for j in range(n)) % level for i in range(n)]
+        walk([sorted({r, r - level} if r else {0, -level, level}) for r in residue],
+             [], lvl2, level)
+    if len(out) > cap:
+        return f"more than {cap} column candidates at level {level}"
+    return sorted(out)

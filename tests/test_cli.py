@@ -227,7 +227,7 @@ class TestSnf:
 
 
 class TestSweepCli:
-    def test_seeded_sweep_deterministic(self, tmp_path):
+    def test_seeded_sweep_deterministic(self, tmp_path, capsys):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
         args = ["sweep", "--seed", "11", "--count", "12", "--n-min", "6",
@@ -235,6 +235,9 @@ class TestSweepCli:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+        capsys.readouterr()
+        assert main(args + ["--json"]) == 0
+        assert out1.read_text() == capsys.readouterr().out
 
     def test_zero_count(self, capsys):
         assert main(["sweep", "--count", "0", "--json"]) == 0

@@ -1,11 +1,12 @@
 """Column enumeration and matrix assembly, checked against brute force."""
 
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
-from oracles import backtrack_search_mates, bruteforce_mate_classes
+from oracles import backtrack_search_mates, bruteforce_mate_classes, enumerate_columns_snf_int
 from walklevel.arith import divisors
 from walklevel.errors import SearchCapExceeded
 from walklevel.fixtures import load_worked_example
@@ -37,6 +38,26 @@ def check_flags_against_networkx(g, classes):
         if not iso and not any(nx.is_isomorphic(h, r) for r in reps):
             reps.append(h)
     assert len(distinct_mate_graphs(classes)) == len(reps)
+
+
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "mates_pool.txt"
+
+
+def pool_searches():
+    """(graph, levels) for each line of the mates pool."""
+    out = []
+    for line in POOL.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            _, g6, levels = line.split()
+            out.append((parse_graph6(g6), [int(x) for x in levels.split(",")]))
+    return out
+
+
+def columns_or_cap(g, level):
+    try:
+        return enumerate_columns(g, level)
+    except SearchCapExceeded as exc:
+        return str(exc)
 
 
 def random_controllable(rng, n):
@@ -82,6 +103,21 @@ class TestEnumerateColumns:
         ex = load_worked_example()
         with pytest.raises(SearchCapExceeded):
             enumerate_columns(ex.graph, 9, cap=4)
+
+    def test_matches_frozen_integer_smith_version(self):
+        # kernel residues from the modular elimination of W^T against those
+        # read off snf_int's integer transforms, cap errors included
+        ex = load_worked_example()
+        for level in range(1, 13):
+            assert columns_or_cap(ex.graph, level) == enumerate_columns_snf_int(ex.graph, level)
+        for g, levels in pool_searches():
+            for level in levels:
+                assert columns_or_cap(g, level) == enumerate_columns_snf_int(g, level)
+        rng = random.Random(11)
+        for n in [*range(6, 12)] * 4:
+            g = random_controllable(rng, n)
+            for level in range(1, 13):
+                assert columns_or_cap(g, level) == enumerate_columns_snf_int(g, level)
 
     def test_matches_naive_enumeration(self):
         # the kernel-residue + box walk must equal the defining conditions
@@ -254,6 +290,15 @@ class TestIsomorphismFlag:
             check_flags_against_networkx(g, classes)
             searched += 1
         assert searched >= 3
+
+    def test_canonical_keys_pairwise_distinct(self):
+        # search_mates keeps no dedupe set: cliques are increasing index
+        # tuples over distinct candidates, so their keys never collide
+        ex = load_worked_example()
+        searches = [(ex.graph, [1, 3, 9]), *pool_searches()]
+        for g, levels in searches:
+            keys = [c.canonical_key() for c in search_mates(g, levels)]
+            assert len(set(keys)) == len(keys)
 
     def test_duplicate_classes_counted_once(self):
         ex = load_worked_example()

@@ -89,12 +89,6 @@ class TestSweep:
         assert rep["config"]["primes"] == [101]
         assert rep["aggregate"]["searched"] == 0
 
-    def test_output_path_side_effect(self, tmp_path):
-        out = tmp_path / "report.json"
-        cfg = SweepConfig(graph_count=4, seed=2, output_path=str(out))
-        rep = run_sweep(cfg)
-        assert out.read_text() == report_json(rep)
-
     def test_aggregate_consistency(self):
         cfg = SweepConfig(graph_count=30, seed=42, n_min=6, n_max=10)
         rep = run_sweep(cfg)

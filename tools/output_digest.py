@@ -16,6 +16,11 @@ prints one line per output group, ``<group> <items> <sha256>``:
   profile_n24_40  walk_profile(g, primes=(2, 3, 5, 7)).as_dict() as sorted JSON on
                   the first controllable G(n, 1/2) draw of derive_stream(42, 1000 + i,
                   attempt), i = 0..3, at n = 24, 32 and 40
+  columns_l1_12   enumerate_columns on the fixture and the first 20 pool graphs at
+                  levels 1-12, a SearchCapExceeded message standing for its list
+  snf_local       walklevel snf --prime p --power k --json on the three fixture
+                  matrices, (p, k) in (3,1), (3,2), (3,3), (5,2), (2,3); warning
+                  messages go in by text, without the file and line they name
 
 A group's digest covers each item's exit code, stdout and stderr in order.
 Run it on two checkouts (say, ``--src`` pointing at a ``git archive`` copy
@@ -32,6 +37,7 @@ import hashlib
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,6 +87,40 @@ def large_profiles() -> list[str]:
     return out
 
 
+def column_lists(fixture: str, pool: list[tuple[str, str]]) -> list[str]:
+    """enumerate_columns at levels 1-12 on the fixture and 20 pool graphs."""
+    from walklevel.cli import read_graphs
+    from walklevel.errors import SearchCapExceeded
+    from walklevel.graphs import parse_graph6
+    from walklevel.matesearch import enumerate_columns
+
+    graphs = read_graphs(fixture) + [parse_graph6(g6) for g6, _ in pool[:20]]
+    out = []
+    for g in graphs:
+        for level in range(1, 13):
+            try:
+                item = enumerate_columns(g, level)
+            except SearchCapExceeded as exc:
+                item = str(exc)
+            out.append(json.dumps(item) + "\n")
+    return out
+
+
+def local_forms(main, fixtures: Path) -> list[str]:
+    """walklevel snf over Z/p^kZ on each fixture matrix."""
+    out = []
+    for name in ("g10_adjacency.txt", "g10_qhat_level3.txt", "g10_qhat_level9.txt"):
+        text = (fixtures / name).read_text()
+        for p, k in ((3, 1), (3, 2), (3, 3), (5, 2), (2, 3)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                item = run_cli(main, ["snf", "-", "--prime", str(p), "--power", str(k),
+                                      "--json"], text)
+            out.append(item + "".join(f"{w.category.__name__}: {w.message}\n"
+                                      for w in caught))
+    return out
+
+
 def groups(src: Path) -> dict[str, list[str]]:
     sys.path.insert(0, str(src))
     import walklevel
@@ -88,7 +128,8 @@ def groups(src: Path) -> dict[str, list[str]]:
     from walklevel.sweep import SweepConfig, report_json, run_sweep
 
     print(f"walklevel from {Path(walklevel.__file__).parent}", file=sys.stderr)
-    fixture = (src / "walklevel" / "fixtures" / "g10_adjacency.txt").read_text()
+    fixtures = src / "walklevel" / "fixtures"
+    fixture = (fixtures / "g10_adjacency.txt").read_text()
     pool = pool_lines()
     small = SweepConfig(n_min=6, n_max=12, graph_count=500, seed=42)
     factor = SweepConfig(n_min=14, n_max=16, graph_count=24, seed=42, mates=False)
@@ -102,6 +143,8 @@ def groups(src: Path) -> dict[str, list[str]]:
         "mates_pool": [run_cli(main, ["mates", "-", "--levels", levels, "--json"], g6 + "\n")
                        for g6, levels in pool],
         "profile_n24_40": large_profiles(),
+        "columns_l1_12": column_lists(fixture, pool),
+        "snf_local": local_forms(main, fixtures),
     }
 
 
