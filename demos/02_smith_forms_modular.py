@@ -36,7 +36,8 @@ def main():
         print(f"  over Z/3^{k}Z:   diagonal {diag}")
 
     print(f"\n{BANNER}")
-    print("Solvability of M x = b over Z/9Z is an invariant-factor match:")
+    print("Solvability of M x = b over Z/9Z, read through U M V = S: (U b)_i must")
+    print("be a multiple of d_i within the rank and 0 beyond it; then x = V S^+ U b")
     m = IntMatrix.diag([3, 1])
     for b in ((1, 0), (3, 5)):
         ok, x = solvable_mod_pk(m, b, 3, 2)

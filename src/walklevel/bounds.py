@@ -29,13 +29,7 @@ from .errors import InvariantError
 from .graphs import Graph, WalkProfile, walk_matrix
 from .intmat import IntMatrix, dot
 from .ortho import RatRegOrtho
-from .snf import (
-    extend_basis,
-    invariant_factors,
-    kernel_shape,
-    snf_mod_pk,
-    solvable_mod_pk,
-)
+from .snf import _kernel, _solve, extend_basis, invariant_factors, snf_mod_pk
 
 RULE_ODD_SQUAREFREE = "odd-squarefree"
 RULE_HALF_VALUATION = "half-valuation"
@@ -401,8 +395,10 @@ def verify_proof_lemmas(
     augmenting it by z0 yields the free rank-(n-1) shape; and a vector z1
     with unit coordinate sum solves (A - lambda0 I) z1 = p^c z0. All found
     vectors are spot-checked against the walk congruence
-    W^T y = (e.y)(1, lambda0, ..., lambda0^{n-1}). ``walk`` is
-    W = walk_matrix(g) when the caller already holds it.
+    W^T y = (e.y)(1, lambda0, ..., lambda0^{n-1}). One Smith decomposition
+    of A - lambda0*I over Z/p^tau serves the shape check, every trial
+    exponent c and the kernel at c = tau. ``walk`` is W = walk_matrix(g)
+    when the caller already holds it.
     """
     p, tau, z0, lam = witness.prime, witness.tau, witness.z0, witness.lambda0
     n = g.n
@@ -421,7 +417,7 @@ def verify_proof_lemmas(
         f[n - 1] == 0 or f[n - 1] % q == 0
     )
 
-    # ... and over Z/p^tau: diag(1, ..., 1, p^c, 0)
+    # ... and over Z/p^tau: diag(1, ..., 1, p^c, 0); U, S, V also give z1 below
     res_mod = snf_mod_pk(b, p, tau)
     fac = res_mod.invariant_factors
     mod_ok = (
@@ -452,7 +448,7 @@ def verify_proof_lemmas(
     sum_ok = False
     for c_try in range(tau + 1):
         if c_try == tau:
-            ks = kernel_shape(b, p, tau)
+            ks = _kernel(res_mod)
             if ks.torsion_exponents or ks.free_rank != 2 or ks.free_basis is None:
                 notes.append(
                     f"kernel shape unexpected: torsion {ks.torsion_exponents}, "
@@ -463,8 +459,8 @@ def verify_proof_lemmas(
             z1 = completed[1]
             c_found = tau
             break
-        ok, x = solvable_mod_pk(b, tuple((p ** c_try * v) % q for v in z0), p, tau)
-        if ok:
+        x = _solve(res_mod, tuple((p ** c_try * v) % q for v in z0))
+        if x is not None:
             z1 = x
             c_found = c_try
             break

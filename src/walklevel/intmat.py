@@ -69,9 +69,6 @@ class IntMatrix:
         i, j = key
         return self.data[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)
 
@@ -81,12 +78,6 @@ class IntMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def is_symmetric(self) -> bool:
-        return self.is_square and all(
-            self.data[i][j] == self.data[j][i]
-            for i in range(self.rows) for j in range(i)
-        )
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
@@ -150,11 +141,6 @@ class IntMatrix:
         if len(v) != self.rows:
             raise ValueError("column length does not match row count")
         return IntMatrix(tuple(row + (int(x),) for row, x in zip(self.data, v)))
-
-    def augment(self, other: "IntMatrix") -> "IntMatrix":
-        if other.rows != self.rows:
-            raise ValueError("row counts differ")
-        return IntMatrix(tuple(ra + rb for ra, rb in zip(self.data, other.data)))
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "IntMatrix":
         cj = tuple(col_idx)

@@ -67,14 +67,12 @@ def enumerate_columns(
     with each y_i a multiple of level/g_i. Each residue class is then
     walked coordinate by coordinate with exact norm/sum pruning (every
     entry satisfies |v_i| <= level). The result is lexicographically
-    sorted and complete.
+    sorted and complete, for singular W too.
     """
     if level < 1:
         raise ValueError("level must be positive")
     w = walk if walk is not None else walk_matrix(g)
     n = g.n
-    if not det(w):
-        raise ValueError("graph is not controllable")
 
     # product of the g_i = product of gcd(d_i, level) over W's invariant factors
     v = _identity(n)
@@ -190,9 +188,12 @@ def search_mates(
     A matrix assembled at level l whose entries share a factor with l is a
     lower-level matrix in disguise and is skipped; it shows up (exactly
     once) when its true level is searched. ``walk`` is W = walk_matrix(g)
-    when the caller already holds it.
+    when the caller already holds it. An uncontrollable g (det W = 0)
+    raises ValueError: the uniqueness of Q below needs W nonsingular.
     """
     w = walk if walk is not None else walk_matrix(g)
+    if not det(w):
+        raise ValueError("graph is not controllable")
     a = g.adjacency()
     n = g.n
     classes: list[MateClass] = []

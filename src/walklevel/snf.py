@@ -23,6 +23,9 @@ that the pipeline does not call.
 On top of the forms sit the module-theoretic helpers: solvability of
 M x = b over Z/p^kZ, kernel structure, the "does M z = 0 have a unit-entry
 solution mod p^k" test, and basis extension inside free submodules.
+``_solve`` decides and solves M x = b through the U and S of one
+decomposition U M V = S, not by an invariant-factor match of M and (M, b),
+and ``_kernel`` reads ker M off the same one.
 """
 
 from __future__ import annotations
@@ -533,36 +536,54 @@ def rank_mod_p(m: IntMatrix, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _solve(res: SnfResult, b) -> tuple[int, ...] | None:
+    """One x with M x = b over Z/p^kZ, read through res = (U, S, V) of M.
+
+    M x = b holds exactly when S y = U b for y = V^-1 x, since U and V are
+    invertible. So it is solvable exactly when (U b)_i is a multiple of d_i
+    within the rank and 0 beyond it; then x = V * S^+ * U * b. None when
+    there is no solution.
+    """
+    q = res.ring.modulus
+    y = [0] * res.V.rows
+    for i, ci in enumerate(res.U.mat_vec(b)):
+        ci %= q
+        if i < res.rank:
+            d = res.invariant_factors[i]
+            if ci % d:
+                return None
+            y[i] = ci // d
+        elif ci:
+            return None
+    return tuple(val % q for val in res.V.mat_vec(y))
+
+
+def _kernel(res: SnfResult) -> KernelShape:
+    """Structure of ker(M) over Z/p^kZ, read off res = (U, S, V) of M."""
+    p, q = res.ring.p, res.ring.modulus
+    cols = res.V.rows
+    torsion = tuple(v_p(d, p) for d in res.invariant_factors if d != 1)
+    basis = None if torsion else tuple(
+        tuple(x % q for x in res.V.column(j)) for j in range(res.rank, cols)
+    )
+    return KernelShape(torsion, cols - res.rank, q, basis)
+
+
 def solvable_mod_pk(
     m: IntMatrix, b: tuple[int, ...] | list[int], p: int, k: int
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Decide M x = b over Z/p^kZ; return (solvable, one solution or None).
 
-    Solvability is decided by comparing the invariant factors of M and of
-    the augmented matrix (M, b); a solution is then read off through the
-    transforms, x = V * S^+ * U * b, with per-coordinate divisibility.
+    Solvability and the solution are both read through the U and S of one
+    decomposition U M V = S (``_solve``), and the solution is checked
+    against the system.
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match row count")
     q = p ** k
-    res = snf_mod_pk(m, p, k)
-    res_aug = snf_mod_pk(m.augment_column(b), p, k)
-    if res.invariant_factors != res_aug.invariant_factors:
+    x = _solve(snf_mod_pk(m, p, k), b)
+    if x is None:
         return False, None
-
-    c = res.U.mat_vec(b)
-    z = [0] * m.cols
-    r = res.rank
-    for i in range(m.rows):
-        ci = c[i] % q
-        if i < r:
-            d = res.invariant_factors[i]
-            if ci % d:
-                raise InvariantError("factor match promised solvability, division failed")
-            z[i] = ci // d
-        elif ci:
-            raise InvariantError("factor match promised solvability, residual row nonzero")
-    x = tuple(val % q for val in res.V.mat_vec(z))
     if tuple(val % q for val in m.mat_vec(x)) != tuple(val % q for val in b):
         raise InvariantError("extracted solution does not satisfy the system")
     return True, x
@@ -575,18 +596,7 @@ def kernel_shape(m: IntMatrix, p: int, k: int) -> KernelShape:
     kernel is free, an explicit basis (columns of V past the rank) is
     attached.
     """
-    q = p ** k
-    res = snf_mod_pk(m, p, k)
-    exps = tuple(v_p(d, p) if d != 1 else 0 for d in res.invariant_factors)
-    torsion = tuple(c for c in exps if c >= 1)
-    free_rank = m.cols - res.rank
-    basis = None
-    if not torsion:
-        basis = tuple(
-            tuple(x % q for x in res.V.column(j))
-            for j in range(res.rank, m.cols)
-        )
-    return KernelShape(torsion, free_rank, q, basis)
+    return _kernel(snf_mod_pk(m, p, k))
 
 
 def dn_test(m: IntMatrix, p: int, k: int) -> tuple[bool, tuple[int, ...] | None]:

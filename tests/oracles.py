@@ -161,6 +161,56 @@ def exhaustive_unit_kernel_exists(mat, p, k) -> bool:
     return False
 
 
+def solvable_by_factor_match(m, b, p, k) -> bool:
+    """Is M x = b solvable over Z/p^kZ, decided as solvable_mod_pk once did?
+
+    Frozen from its earlier decision path: over a local ring the system is
+    solvable exactly when M and the augmented matrix (M, b) have the same
+    invariant factors. It calls snf_mod_pk, not the decision it checks.
+    """
+    from walklevel.snf import snf_mod_pk
+
+    return (snf_mod_pk(m, p, k).invariant_factors
+            == snf_mod_pk(m.augment_column(b), p, k).invariant_factors)
+
+
+# -- random graphs and brute-force columns ----------------------------------
+
+
+def random_controllable(rng, n):
+    """The first G(n, 1/2) draw from rng whose walk matrix is nonsingular.
+
+    No graph on 2 to 5 vertices is controllable: an exhaustive count finds
+    none among the 2^C(n,2) labeled graphs, against 5,760 at n = 6. Those n
+    raise ValueError rather than draw forever.
+    """
+    from walklevel.graphs import Graph, walk_matrix
+    from walklevel.intmat import det
+
+    if 2 <= n <= 5:
+        raise ValueError(f"no graph on {n} vertices is controllable")
+    while True:
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        g = Graph.from_edges(n, edges)
+        if det(walk_matrix(g)):
+            return g
+
+
+def box_columns(g, level):
+    """Every v in the box |v_i| <= level with v.v = level^2, e.v = level and
+    W^T v = 0 (mod level), in lexicographic order, by scanning the box."""
+    from walklevel.graphs import walk_matrix
+
+    wt = walk_matrix(g).T
+    out = []
+    for v in product(range(-level, level + 1), repeat=g.n):
+        if sum(x * x for x in v) != level * level or sum(v) != level:
+            continue
+        if all(x % level == 0 for x in wt.mat_vec(v)):
+            out.append(v)
+    return out
+
+
 # -- exhaustive mate enumeration (the completeness oracle) -------------------
 
 

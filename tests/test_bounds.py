@@ -262,6 +262,7 @@ class TestLemmaBranchInstances:
         assert wit.tau == 1
         assert rep.c == expected_c
         assert rep.all_ok, rep
+        return g, wit
 
     def test_direct_solvable_route(self):
         # shifted adjacency has a unit (n-1)-st factor: z1 solves directly
@@ -273,6 +274,23 @@ class TestLemmaBranchInstances:
 
     def test_kernel_extension_route_p5(self):
         self._check(r"IWag\fxZG", 5, expected_c=1)
+
+    @pytest.mark.parametrize("g6, p, c, forms", [
+        ("HTAWQhV", 3, 0, 2),      # A - lambda0 I and the augmented shape
+        ("Hh}boM{", 3, 1, 3),      # ... and extend_basis's coordinates
+        (r"IWag\fxZG", 5, 1, 3),
+    ])
+    def test_one_local_form_of_the_shifted_matrix(self, g6, p, c, forms, count_calls):
+        from walklevel import snf
+
+        g, wit = self._check(g6, p, expected_c=c)
+        local = count_calls(snf.snf_mod_pk)
+        solves = count_calls(snf.solvable_mod_pk)
+        kernels = count_calls(snf.kernel_shape)
+        verify_proof_lemmas(g, wit)
+        assert len(local) == forms
+        assert len(solves) == (c == wit.tau)  # only inside extend_basis
+        assert kernels == []
 
 
 class TestConjectureCheck:

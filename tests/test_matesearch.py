@@ -6,11 +6,23 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from oracles import backtrack_search_mates, bruteforce_mate_classes, enumerate_columns_snf_int
+from oracles import (
+    backtrack_search_mates,
+    box_columns,
+    bruteforce_mate_classes,
+    enumerate_columns_snf_int,
+    random_controllable,
+)
 from walklevel.arith import divisors
 from walklevel.errors import SearchCapExceeded
 from walklevel.fixtures import load_worked_example
-from walklevel.graphs import Graph, generalized_cospectral, parse_graph6, walk_profile
+from walklevel.graphs import (
+    Graph,
+    generalized_cospectral,
+    parse_graph6,
+    walk_matrix,
+    walk_profile,
+)
 from walklevel.intmat import IntMatrix, dot
 from walklevel.matesearch import (
     distinct_mate_graphs,
@@ -60,12 +72,13 @@ def columns_or_cap(g, level):
         return str(exc)
 
 
-def random_controllable(rng, n):
-    while True:
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
-        g = Graph.from_edges(n, edges)
-        if walk_profile(g).controllable:
-            return g
+class TestRandomControllable:
+    def test_raises_where_no_graph_is_controllable(self):
+        rng = random.Random(0)
+        for n in range(2, 6):
+            with pytest.raises(ValueError):
+                random_controllable(rng, n)
+        assert rng.random() == random.Random(0).random()  # nothing was drawn
 
 
 class TestEnumerateColumns:
@@ -78,8 +91,6 @@ class TestEnumerateColumns:
 
     def test_candidate_invariants(self):
         ex = load_worked_example()
-        from walklevel.graphs import walk_matrix
-
         w = walk_matrix(ex.graph)
         for lvl in (3, 9):
             for v in enumerate_columns(ex.graph, lvl):
@@ -95,9 +106,18 @@ class TestEnumerateColumns:
         c9 = set(enumerate_columns(ex.graph, 9))
         assert set(ex.q_level9.num.columns()) <= c9
 
-    def test_uncontrollable_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_columns(Graph.from_edges(2, [(0, 1)]), 1)
+    def test_uncontrollable_matches_box(self):
+        # singular W: the output is still every v with the three conditions
+        from itertools import combinations
+
+        from walklevel.intmat import det
+
+        pairs = list(combinations(range(4), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph.from_edges(4, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            assert not det(walk_matrix(g))
+            for level in (1, 2, 3):
+                assert enumerate_columns(g, level) == box_columns(g, level)
 
     def test_cap_enforced(self):
         ex = load_worked_example()
@@ -122,25 +142,16 @@ class TestEnumerateColumns:
     def test_matches_naive_enumeration(self):
         # the kernel-residue + box walk must equal the defining conditions
         # applied to every vector in the box, including a composite level
-        from itertools import product
-
-        from walklevel.graphs import walk_matrix
-
-        rng = random.Random(9)
-        g = random_controllable(rng, 6)
-        w = walk_matrix(g)
-        wt = w.T
+        g = random_controllable(random.Random(9), 6)
         for lvl in (2, 3, 4):
-            naive = []
-            for v in product(range(-lvl, lvl + 1), repeat=6):
-                if sum(x * x for x in v) != lvl * lvl or sum(v) != lvl:
-                    continue
-                if all(x % lvl == 0 for x in wt.mat_vec(v)):
-                    naive.append(v)
-            assert enumerate_columns(g, lvl) == sorted(naive)
+            assert enumerate_columns(g, lvl) == box_columns(g, lvl)
 
 
 class TestSearchMates:
+    def test_uncontrollable_rejected(self):
+        with pytest.raises(ValueError):
+            search_mates(Graph.from_edges(2, [(0, 1)]), [1])
+
     def test_worked_example_exactly_two(self):
         ex = load_worked_example()
         classes = search_mates(ex.graph, [1, 3, 9])

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import random_controllable
 from walklevel.errors import ConjugationError
 from walklevel.fixtures import load_worked_example
 from walklevel.graphs import Graph, walk_matrix
@@ -14,15 +15,6 @@ from walklevel.ortho import RatRegOrtho, conjugate, from_pair, level
 def random_graph(rng, n, p=0.5):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
-
-
-def random_controllable(rng, n):
-    from walklevel.intmat import det
-
-    while True:
-        g = random_graph(rng, n)
-        if det(walk_matrix(g)) != 0:
-            return g
 
 
 class TestRatRegOrtho:

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    all_vectors_mod,
     exhaustive_kernel_count,
     exhaustive_solvable,
     exhaustive_unit_kernel_exists,
     matvec_mod,
     minor_gcd,
     snf_mod_pk_loop,
+    solvable_by_factor_match,
 )
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
@@ -25,6 +27,7 @@ from walklevel.intmat import IntMatrix, bareiss, det
 from walklevel.snf import (
     _diagonal_mod,
     _identity,
+    _solve,
     dn_test,
     extend_basis,
     invariant_factors,
@@ -50,6 +53,25 @@ def seeded_walk_matrix(seed, n):
         if det(w):
             return w
     raise AssertionError("no controllable draw")
+
+
+def local_systems(rng, count):
+    """Seeded (m, b, p, k) with p in {3, 5, 7}, k <= 3, up to 4 x 4 and
+    rectangular, about a third of the entries zero and another third
+    multiples of p; b is m times a random x half the time (solvable)."""
+    out = []
+    for _ in range(count):
+        p, k = rng.choice((3, 5, 7)), rng.randint(1, 3)
+        nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+        m = IntMatrix([[rng.choice((0, p * rng.randint(-p, p), rng.randint(-9, 9)))
+                        for _ in range(nc)] for _ in range(nr)])
+        if rng.random() < 0.5:
+            b = m.mat_vec([rng.randrange(p ** k) for _ in range(nc)])
+        else:
+            b = tuple(rng.choice((0, p ** rng.randint(0, k) * rng.randint(-9, 9)))
+                      for _ in range(nr))
+        out.append((m, b, p, k))
+    return out
 
 
 def sympy_factors(m):
@@ -393,6 +415,39 @@ class TestSolvable:
             assert ok == truth
             if ok:
                 assert tuple(v % 9 for v in m.mat_vec(x)) == tuple(v % 9 for v in b)
+
+    def test_matches_factor_match(self):
+        # the decision through U and S equals the factor match of M and
+        # (M, b) it replaced, and exhaustive search on the tiny systems
+        tiny = 0
+        for m, b, p, k in local_systems(random.Random(14), 300):
+            ok, x = solvable_mod_pk(m, b, p, k)
+            assert ok == solvable_by_factor_match(m, b, p, k), (m, b, p, k)
+            assert (x is not None) == ok
+            if (p ** k) ** m.cols <= 729:
+                tiny += 1
+                assert ok == exhaustive_solvable([list(r) for r in m.data], b, p, k)
+        assert tiny >= 50
+
+    def test_reader_on_one_decomposition(self):
+        # _solve on one SnfResult answers every right-hand side, and a
+        # row beyond the rank with a nonzero residual has no solution
+        for m, _, p, k in local_systems(random.Random(15), 60):
+            q = p ** k
+            if q ** m.cols > 729 or q ** m.rows > 2401:
+                continue
+            res = snf_mod_pk(m, p, k)
+            mat = [list(r) for r in m.data]
+            image = {matvec_mod(mat, x, q) for x in all_vectors_mod(q, m.cols)}
+            for b in all_vectors_mod(q, m.rows):
+                x = _solve(res, b)
+                assert (x is not None) == (b in image)
+                if x is not None:
+                    assert matvec_mod(mat, x, q) == b
+        res = snf_mod_pk(IntMatrix([[1, 2], [2, 4]]), 3, 1)
+        assert res.rank == 1
+        assert _solve(res, (1, 2)) is not None
+        assert _solve(res, (1, 0)) is None
 
 
 class TestKernelShape:

@@ -21,6 +21,9 @@ prints one line per output group, ``<group> <items> <sha256>``:
   snf_local       walklevel snf --prime p --power k --json on the three fixture
                   matrices, (p, k) in (3,1), (3,2), (3,3), (5,2), (2,3); warning
                   messages go in by text, without the file and line they name
+  snf_helpers     solvable_mod_pk, kernel_shape and extend_basis on random.Random(7)
+                  matrices with n <= 4 over p^k in 3, 9, 27, 25, 49; a raised
+                  error's type and message stand for its output
 
 A group's digest covers each item's exit code, stdout and stderr in order.
 Run it on two checkouts (say, ``--src`` pointing at a ``git archive`` copy
@@ -36,6 +39,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import warnings
 from pathlib import Path
@@ -121,6 +125,47 @@ def local_forms(main, fixtures: Path) -> list[str]:
     return out
 
 
+def local_helpers() -> list[str]:
+    """solvable_mod_pk, kernel_shape and extend_basis on seeded small matrices."""
+    from walklevel.intmat import IntMatrix, det
+    from walklevel.snf import extend_basis, kernel_shape, solvable_mod_pk
+
+    rng = random.Random(7)
+    out = []
+
+    def item(name, f, *args):
+        try:
+            val = f(*args)
+        except (ArithmeticError, ValueError) as exc:
+            val = f"{type(exc).__name__}: {exc}"
+        out.append(json.dumps([name, val], default=vars) + "\n")
+
+    for p, k in ((3, 1), (3, 2), (3, 3), (5, 2), (7, 2)):
+        q = p ** k
+        for _ in range(40):
+            nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+            m = IntMatrix([[rng.choice((0, p * rng.randrange(q), rng.randrange(q)))
+                            for _ in range(nc)] for _ in range(nr)])
+            if rng.random() < 0.5:
+                b = m.mat_vec([rng.randrange(q) for _ in range(nc)])
+            else:
+                b = tuple(rng.randrange(q) for _ in range(nr))
+            item("solvable_mod_pk", solvable_mod_pk, m, b, p, k)
+            item("kernel_shape", kernel_shape, m, p, k)
+        for _ in range(20):
+            # r columns of a matrix invertible mod p span a free module of rank r
+            n = rng.randint(1, 4)
+            full = IntMatrix.zeros(n, n)
+            while det(full) % p == 0:
+                full = IntMatrix([[rng.randrange(q) for _ in range(n)] for _ in range(n)])
+            r = rng.randint(1, n)
+            span = IntMatrix.from_columns(full.columns()[:r])
+            vectors = [tuple(x % q for x in span.mat_vec([rng.randrange(q) for _ in range(r)]))
+                       for _ in range(rng.randint(0, r))]
+            item("extend_basis", extend_basis, vectors, span.columns(), p, k)
+    return out
+
+
 def groups(src: Path) -> dict[str, list[str]]:
     sys.path.insert(0, str(src))
     import walklevel
@@ -145,6 +190,7 @@ def groups(src: Path) -> dict[str, list[str]]:
         "profile_n24_40": large_profiles(),
         "columns_l1_12": column_lists(fixture, pool),
         "snf_local": local_forms(main, fixtures),
+        "snf_helpers": local_helpers(),
     }
 
 
