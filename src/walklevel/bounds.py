@@ -13,9 +13,11 @@ reported as unbounded rather than guessed at.
 
 The witness machinery extracts, from a level-divisible matrix, a vector z0
 and eigenvalue lambda0 satisfying four exact congruences, then re-verifies
-the structural conclusions that make the half-valuation bound work (Smith
-form shapes of A - lambda0*I plain and augmented, and the existence of z1
-with unit coordinate sum). Any failed conclusion is returned as a
+the structural conclusions that make the half-valuation bound work (the
+Smith shape of A - lambda0*I over Z and over Z/p^tau, the shape of
+[A - lambda0*I | z0], and the existence of z1 with unit coordinate sum).
+All of the local checks read one Smith decomposition U, S, V of
+A - lambda0*I over Z/p^tau. Any failed conclusion is returned as a
 structured counterexample report, never papered over.
 """
 
@@ -29,7 +31,7 @@ from .errors import InvariantError
 from .graphs import Graph, WalkProfile, walk_matrix
 from .intmat import IntMatrix, dot
 from .ortho import RatRegOrtho
-from .snf import _kernel, _solve, extend_basis, invariant_factors, snf_mod_pk
+from .snf import _augmented_factors, _kernel, _solve, invariant_factors, snf_mod_pk
 
 RULE_ODD_SQUAREFREE = "odd-squarefree"
 RULE_HALF_VALUATION = "half-valuation"
@@ -396,8 +398,12 @@ def verify_proof_lemmas(
     with unit coordinate sum solves (A - lambda0 I) z1 = p^c z0. All found
     vectors are spot-checked against the walk congruence
     W^T y = (e.y)(1, lambda0, ..., lambda0^{n-1}). One Smith decomposition
-    of A - lambda0*I over Z/p^tau serves the shape check, every trial
-    exponent c and the kernel at c = tau. ``walk`` is W = walk_matrix(g)
+    U (A - lambda0*I) V = S over Z/p^tau is the only elimination over that
+    ring: the augmented shape is read off [S | U z0], every trial exponent
+    c < tau through U and S, and the kernel at c = tau off V, whose last two
+    columns k1, k2 span it. There z0 = s k1 + t k2, and z1 is k2 when s is
+    a unit mod p ({z0, k2} is then a kernel basis), else k1. A z0 outside
+    the kernel leaves z1 None with a note. ``walk`` is W = walk_matrix(g)
     when the caller already holds it.
     """
     p, tau, z0, lam = witness.prime, witness.tau, witness.z0, witness.lambda0
@@ -413,57 +419,48 @@ def verify_proof_lemmas(
     # Smith form of the shifted adjacency over Z
     fs = invariant_factors(b)
     f = list(fs) + [0] * (n - len(fs))
-    over_z_ok = (f[n - 3] != 0 and f[n - 3] % p != 0) and (
-        f[n - 1] == 0 or f[n - 1] % q == 0
-    )
+    over_z_ok = f[n - 3] % p != 0 and f[n - 1] % q == 0  # 0 is no unit; q | 0
 
     # ... and over Z/p^tau: diag(1, ..., 1, p^c, 0); U, S, V also give z1 below
     res_mod = snf_mod_pk(b, p, tau)
     fac = res_mod.invariant_factors
-    mod_ok = (
-        len(fac) >= n - 2
-        and all(x == 1 for x in fac[: n - 2])
-        and len(fac) <= n - 1
-    )
-    if len(fac) == n - 1:
-        c_shape = v_p(fac[n - 2], p)
-    else:
-        c_shape = tau
+    mod_ok = n - 2 <= len(fac) <= n - 1 and all(x == 1 for x in fac[: n - 2])
+    c_shape = v_p(fac[n - 2], p) if len(fac) == n - 1 else tau
     if not mod_ok:
         notes.append(f"shifted Smith form mod {p}^{tau} has factors {fac}")
 
     # augmented [A - lambda0 I, z0] must be free of rank n-1 over Z/p^tau
-    m_aug = b.augment_column(z0)
-    res_aug = snf_mod_pk(m_aug, p, tau)
-    aug_ok = res_aug.invariant_factors == (1,) * (n - 1)
+    aug_fac = _augmented_factors(res_mod, z0)
+    aug_ok = aug_fac == (1,) * (n - 1)
     if not aug_ok:
-        notes.append(f"augmented Smith form factors {res_aug.invariant_factors}")
+        notes.append(f"augmented Smith form factors {aug_fac}")
 
     # find z1 with (A - lambda0 I) z1 = p^c z0 and unit coordinate sum,
     # trying c ascending; at c = tau the equation degenerates to the kernel,
-    # where z1 comes from completing {z0} to a kernel basis instead.
-    z1 = None
-    c_found = None
-    eq_ok = False
-    sum_ok = False
-    for c_try in range(tau + 1):
-        if c_try == tau:
-            ks = _kernel(res_mod)
-            if ks.torsion_exponents or ks.free_rank != 2 or ks.free_basis is None:
-                notes.append(
-                    f"kernel shape unexpected: torsion {ks.torsion_exponents}, "
-                    f"free rank {ks.free_rank}"
-                )
-                break
-            completed = extend_basis([z0], list(ks.free_basis), p, tau)
-            z1 = completed[1]
-            c_found = tau
-            break
-        x = _solve(res_mod, tuple((p ** c_try * v) % q for v in z0))
-        if x is not None:
-            z1 = x
+    # where z1 completes {z0} to a kernel basis instead.
+    z1 = c_found = None
+    eq_ok = sum_ok = False
+    for c_try in range(tau):
+        z1 = _solve(res_mod, tuple((p ** c_try * v) % q for v in z0))
+        if z1 is not None:
             c_found = c_try
             break
+    else:
+        ks = _kernel(res_mod)
+        if ks.torsion_exponents or ks.free_rank != 2:
+            notes.append(
+                f"kernel shape unexpected: torsion {ks.torsion_exponents}, "
+                f"free rank {ks.free_rank}"
+            )
+        elif any(x % q for x in b.mat_vec(z0)):
+            notes.append(f"z0 is not in the kernel of A - lambda0 I mod {p}^{tau}")
+        else:
+            # z0 = s k1 + t k2 in the kernel basis, z0 != 0 mod p (else c = tau - 1
+            # solves); s is a unit exactly when some 2 x 2 minor of (z0, k2) is
+            k1, k2 = ks.free_basis
+            unit_s = any((z0[i] * k2[j] - z0[j] * k2[i]) % p
+                         for i in range(n) for j in range(i + 1, n))
+            z1, c_found = (k2 if unit_s else k1), tau
     if z1 is not None:
         rhs = tuple((p ** c_found * v) % q for v in z0)
         eq_ok = tuple(x % q for x in b.mat_vec(z1)) == rhs
@@ -473,9 +470,7 @@ def verify_proof_lemmas(
     else:
         notes.append("no z1 found at any exponent")
 
-    walk_ok = _walk_congruence_holds(w, z0, lam, p, q)
-    if z1 is not None:
-        walk_ok = walk_ok and _walk_congruence_holds(w, z1, lam, p, q)
+    walk_ok = all(_walk_congruence_holds(w, y, lam, p, q) for y in (z0, z1) if y is not None)
 
     return LemmaCheckReport(
         prime=p,

@@ -247,7 +247,7 @@ def cmd_snf(args) -> int:
         prod = 1
         agreements = []
         for k, g in enumerate(gcds, start=1):
-            prod = prod * res.factor_at(k) if res.factor_at(k) else 0
+            prod *= res.S[k - 1, k - 1]  # d_k within the rank, 0 beyond it
             agreements.append(prod == g)
         payload["oracle_check"] = {"minor_gcds": gcds, "agrees": agreements}
         if not all(agreements):

@@ -137,11 +137,6 @@ class IntMatrix:
 
     # -- block operations ----------------------------------------------------
 
-    def augment_column(self, v: Sequence[int]) -> "IntMatrix":
-        if len(v) != self.rows:
-            raise ValueError("column length does not match row count")
-        return IntMatrix(tuple(row + (int(x),) for row, x in zip(self.data, v)))
-
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "IntMatrix":
         cj = tuple(col_idx)
         return IntMatrix(tuple(tuple(self.data[i][j] for j in cj) for i in row_idx))

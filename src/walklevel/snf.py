@@ -6,9 +6,9 @@ Z/p^kZ their determinants are units, and every nonzero invariant factor is
 normalized to a pure prime power p^c with 0 <= c < k.
 
 One modular elimination, ``_diagonal_mod`` over Z/dZ, serves
-``snf_mod_pk`` (with U and V), ``invariant_factors`` (without) and
-``matesearch.enumerate_columns`` (with V alone). Only ``snf_int`` builds
-integer transforms, for ``dn_test`` and ``walklevel snf``. For a
+``snf_mod_pk`` (with U and V), ``invariant_factors`` (without), and
+``dn_test`` and ``matesearch.enumerate_columns`` (with V alone). Only
+``snf_int`` builds integer transforms, for ``walklevel snf``. For a
 nonsingular matrix ``invariant_factors`` keeps every entry reduced mod
 M = gcd(|det|, h), where h is a multiple of d_1...d_{n-1} such as the gcd
 of the (n-1)-minors that ``intmat.bareiss`` returns with det. M is a
@@ -22,10 +22,11 @@ that the pipeline does not call.
 
 On top of the forms sit the module-theoretic helpers: solvability of
 M x = b over Z/p^kZ, kernel structure, the "does M z = 0 have a unit-entry
-solution mod p^k" test, and basis extension inside free submodules.
-``_solve`` decides and solves M x = b through the U and S of one
-decomposition U M V = S, not by an invariant-factor match of M and (M, b),
-and ``_kernel`` reads ker M off the same one.
+solution mod p^k" test, and basis extension inside free submodules. Three
+private readers take one decomposition U M V = S over Z/p^kZ: ``_solve``
+(M x = b through U and S), ``_kernel`` (ker M off S and V) and
+``_augmented_factors`` (the factors of [M | b] as those of [S | U b]).
+``verify_proof_lemmas`` makes one such decomposition per witness.
 """
 
 from __future__ import annotations
@@ -71,12 +72,6 @@ class SnfResult:
     @property
     def rank(self) -> int:
         return len(self.invariant_factors)
-
-    def factor_at(self, i: int) -> int:
-        """d_i with 1-based index, zero beyond the rank."""
-        if not 1 <= i <= min(self.S.rows, self.S.cols):
-            raise IndexError(f"invariant factor index {i} out of range")
-        return self.invariant_factors[i - 1] if i <= self.rank else 0
 
 
 @dataclass(frozen=True)
@@ -569,6 +564,17 @@ def _kernel(res: SnfResult) -> KernelShape:
     return KernelShape(torsion, cols - res.rank, q, basis)
 
 
+def _augmented_factors(res: SnfResult, b) -> tuple[int, ...]:
+    """Invariant factors of [M | b] over Z/p^kZ, read through res = (U, S, V) of M.
+
+    U [M | b] diag(V, 1) = [S | U b], so both have the same factors; the
+    second is diagonalized without transforms.
+    """
+    q = res.ring.modulus
+    rows = [[*row, y % q] for row, y in zip(res.S.data, res.U.mat_vec(b))]
+    return tuple(x for x in _diagonal_mod(rows, q) if x < q)
+
+
 def solvable_mod_pk(
     m: IntMatrix, b: tuple[int, ...] | list[int], p: int, k: int
 ) -> tuple[bool, tuple[int, ...] | None]:
@@ -603,23 +609,25 @@ def dn_test(m: IntMatrix, p: int, k: int) -> tuple[bool, tuple[int, ...] | None]
     """Does M z = 0 (mod p^k) admit a solution with z != 0 (mod p)?
 
     For an m x n integral matrix with m >= n this holds exactly when p^k
-    divides the n-th invariant factor over Z; the witness is the last
-    column of the right transform.
+    divides the n-th invariant factor over Z, that is when the n-th factor
+    over Z/p^kZ is 0. The elimination over Z/p^kZ carries V alone; with
+    U M V = diag (mod p^k) the witness is V's last column, nonzero mod p
+    since det V is a unit.
     """
+    if not is_prime(p) or k < 1:
+        raise ValueError(f"need a prime p and k >= 1, got p = {p}, k = {k}")
     if m.rows < m.cols:
         raise ValueError("matrix must have at least as many rows as columns")
     q = p ** k
-    res = snf_int(m)
-    n = m.cols
-    d_n = res.factor_at(n)
-    if d_n != 0 and d_n % q != 0:
+    v = _identity(m.cols)
+    if _diagonal_mod([[x % q for x in row] for row in m.data], q, v=v)[-1] != q:
         return False, None
-    z = res.V.column(n - 1)
+    z = tuple(row[-1] for row in v)
     if all(x % p == 0 for x in z):
-        raise InvariantError("unimodular transform produced a column divisible by p")
+        raise InvariantError("invertible transform produced a column divisible by p")
     if any(x % q for x in m.mat_vec(z)):
         raise InvariantError("witness fails M z = 0 mod p^k")
-    return True, tuple(x % q for x in z)
+    return True, z
 
 
 def _pivot_rows_mod_p(columns: list[list[int]], nrows: int, p: int) -> list[int] | None:

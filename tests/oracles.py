@@ -161,6 +161,15 @@ def exhaustive_unit_kernel_exists(mat, p, k) -> bool:
     return False
 
 
+def augment_column(m, b):
+    """The IntMatrix [M | b]: M with the column b appended."""
+    from walklevel.intmat import IntMatrix
+
+    if len(b) != m.rows:
+        raise ValueError("column length does not match row count")
+    return IntMatrix(tuple(row + (int(x),) for row, x in zip(m.data, b)))
+
+
 def solvable_by_factor_match(m, b, p, k) -> bool:
     """Is M x = b solvable over Z/p^kZ, decided as solvable_mod_pk once did?
 
@@ -171,7 +180,7 @@ def solvable_by_factor_match(m, b, p, k) -> bool:
     from walklevel.snf import snf_mod_pk
 
     return (snf_mod_pk(m, p, k).invariant_factors
-            == snf_mod_pk(m.augment_column(b), p, k).invariant_factors)
+            == snf_mod_pk(augment_column(m, b), p, k).invariant_factors)
 
 
 # -- random graphs and brute-force columns ----------------------------------
@@ -536,3 +545,94 @@ def enumerate_columns_snf_int(g, level, cap=10**6):
     if len(out) > cap:
         return f"more than {cap} column candidates at level {level}"
     return sorted(out)
+
+
+# -- frozen lemma checks (reference for bounds.verify_proof_lemmas) ----------
+
+
+def verify_proof_lemmas_ref(g, witness):
+    """verify_proof_lemmas as it was with one Smith form per matrix.
+
+    Frozen from its earlier body: the augmented shape comes from a second
+    snf_mod_pk, of [A - lambda0 I | z0], and z1 at c = tau from extend_basis
+    completing {z0} to the kernel basis, which raises ValueError for a z0
+    outside the kernel. Returns the same LemmaCheckReport.
+    """
+    from walklevel.arith import v_p
+    from walklevel.bounds import LemmaCheckReport
+    from walklevel.graphs import walk_matrix
+    from walklevel.intmat import IntMatrix
+    from walklevel.snf import _kernel, _solve, extend_basis, invariant_factors, snf_mod_pk
+
+    p, tau, z0, lam = witness.prime, witness.tau, witness.z0, witness.lambda0
+    n = g.n
+    if n < 3:
+        raise ValueError("lemma verification needs n >= 3")
+    q = p ** tau
+    w = walk_matrix(g)
+    b = g.adjacency() - lam * IntMatrix.identity(n)
+    notes = []
+
+    fs = invariant_factors(b)
+    f = list(fs) + [0] * (n - len(fs))
+    over_z_ok = (f[n - 3] != 0 and f[n - 3] % p != 0) and (
+        f[n - 1] == 0 or f[n - 1] % q == 0
+    )
+
+    res_mod = snf_mod_pk(b, p, tau)
+    fac = res_mod.invariant_factors
+    mod_ok = len(fac) >= n - 2 and all(x == 1 for x in fac[: n - 2]) and len(fac) <= n - 1
+    c_shape = v_p(fac[n - 2], p) if len(fac) == n - 1 else tau
+    if not mod_ok:
+        notes.append(f"shifted Smith form mod {p}^{tau} has factors {fac}")
+
+    res_aug = snf_mod_pk(augment_column(b, z0), p, tau)
+    aug_ok = res_aug.invariant_factors == (1,) * (n - 1)
+    if not aug_ok:
+        notes.append(f"augmented Smith form factors {res_aug.invariant_factors}")
+
+    z1 = c_found = None
+    eq_ok = sum_ok = False
+    for c_try in range(tau + 1):
+        if c_try == tau:
+            ks = _kernel(res_mod)
+            if ks.torsion_exponents or ks.free_rank != 2 or ks.free_basis is None:
+                notes.append(
+                    f"kernel shape unexpected: torsion {ks.torsion_exponents}, "
+                    f"free rank {ks.free_rank}"
+                )
+                break
+            z1 = extend_basis([z0], list(ks.free_basis), p, tau)[1]
+            c_found = tau
+            break
+        x = _solve(res_mod, tuple((p ** c_try * v) % q for v in z0))
+        if x is not None:
+            z1, c_found = x, c_try
+            break
+    if z1 is not None:
+        rhs = tuple((p ** c_found * v) % q for v in z0)
+        eq_ok = tuple(x % q for x in b.mat_vec(z1)) == rhs
+        sum_ok = sum(z1) % p != 0
+        if c_found != c_shape:
+            notes.append(f"first solvable exponent {c_found} != shape exponent {c_shape}")
+    else:
+        notes.append("no z1 found at any exponent")
+
+    def walk_congruence(y):
+        ey, lam_pow = sum(y), 1
+        for lhs in w.T.mat_vec(y):
+            if (lhs - ey * lam_pow) % q:
+                return False
+            lam_pow *= lam
+        return True
+
+    walk_ok = walk_congruence(z0) and (z1 is None or walk_congruence(z1))
+    return LemmaCheckReport(
+        prime=p, tau=tau, lambda0=lam, c=c_found,
+        shifted_snf_over_z_ok=over_z_ok,
+        shifted_snf_mod_ok=mod_ok and c_found == c_shape,
+        augmented_snf_ok=aug_ok,
+        z1=z1, z1_equation_ok=eq_ok, z1_unit_sum_ok=sum_ok,
+        walk_congruence_ok=walk_ok,
+        notes=tuple(notes),
+    )

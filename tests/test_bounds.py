@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from oracles import verify_proof_lemmas_ref
 from sympy import factorint
 
 from walklevel.bounds import (
@@ -12,6 +13,7 @@ from walklevel.bounds import (
     RULE_NONE,
     RULE_ODD_SQUAREFREE,
     RULE_TWO_ADIC_ODD,
+    FourCongWitness,
     conjecture_check,
     dgs_certificate,
     extract_four_cong_witness,
@@ -275,22 +277,126 @@ class TestLemmaBranchInstances:
     def test_kernel_extension_route_p5(self):
         self._check(r"IWag\fxZG", 5, expected_c=1)
 
-    @pytest.mark.parametrize("g6, p, c, forms", [
-        ("HTAWQhV", 3, 0, 2),      # A - lambda0 I and the augmented shape
-        ("Hh}boM{", 3, 1, 3),      # ... and extend_basis's coordinates
+    @pytest.mark.parametrize("g6, p, c, reads", [
+        ("HTAWQhV", 3, 0, 2),      # the augmented shape and the solve at c = 0
+        ("Hh}boM{", 3, 1, 3),      # ... and the kernel at c = tau
         (r"IWag\fxZG", 5, 1, 3),
     ])
-    def test_one_local_form_of_the_shifted_matrix(self, g6, p, c, forms, count_calls):
+    def test_one_local_form_of_the_shifted_matrix(self, g6, p, c, reads, count_calls):
         from walklevel import snf
 
         g, wit = self._check(g6, p, expected_c=c)
         local = count_calls(snf.snf_mod_pk)
         solves = count_calls(snf.solvable_mod_pk)
         kernels = count_calls(snf.kernel_shape)
+        extends = count_calls(snf.extend_basis)
+        readers = [count_calls(f) for f in (snf._augmented_factors, snf._solve, snf._kernel)]
         verify_proof_lemmas(g, wit)
-        assert len(local) == forms
-        assert len(solves) == (c == wit.tau)  # only inside extend_basis
-        assert kernels == []
+        assert len(local) == 1
+        assert solves == kernels == extends == []
+        forms = [res for calls in readers for res in calls]
+        assert len(forms) == reads
+        assert all(res is forms[0] for res in forms)
+        assert forms[0].ring.modulus == p ** wit.tau
+
+    def test_z0_outside_the_kernel_is_a_failed_conclusion(self):
+        # at c = tau the kernel basis cannot hold a z0 with (A - lambda0 I) z0 != 0
+        g, wit = self._check("Hh}boM{", 3, expected_c=1)
+        z0 = (wit.z0[0] + 1, *wit.z0[1:])
+        bad = dataclasses.replace(wit, z0=z0)
+        with pytest.raises(ValueError):
+            verify_proof_lemmas_ref(g, bad)
+        rep = verify_proof_lemmas(g, bad)
+        assert not rep.all_ok
+        assert rep.z1 is None and rep.c is None
+        assert "z0 is not in the kernel of A - lambda0 I mod 3^1" in rep.notes
+
+
+@pytest.fixture(scope="module")
+def pipeline_witnesses():
+    """(graph, witness) of every lemma check on the fixture, on each
+    perfbench pool graph at its listed levels and in the seed-42 n 6-12 sweep."""
+    from pathlib import Path
+
+    from walklevel import analysis
+    from walklevel.analysis import check_classes
+    from walklevel.graphs import parse_graph6
+    from walklevel.matesearch import search_mates
+    from walklevel.sweep import SweepConfig, run_sweep
+
+    ex = load_worked_example()
+    seen = [(ex.graph, extract_four_cong_witness(ex.graph, q, 3))
+            for q in (ex.q_level3, ex.q_level9)]
+    real = analysis.verify_proof_lemmas
+
+    def record(g, wit, **kwargs):
+        seen.append((g, wit))
+        return real(g, wit, **kwargs)
+
+    pool = Path(__file__).resolve().parent.parent / "perfbench" / "mates_pool.txt"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "verify_proof_lemmas", record)
+        for line in pool.read_text().splitlines():
+            if line.strip() and not line.startswith("#"):
+                _, g6, levels = line.split()
+                g = parse_graph6(g6)
+                prof = walk_profile(g)
+                found = search_mates(g, [int(x) for x in levels.split(",")], walk=prof.W)
+                check_classes(g, prof, found)
+        run_sweep(SweepConfig(n_min=6, n_max=12, graph_count=500, seed=42))
+    return seen
+
+
+class TestLemmaChecksAgainstReference:
+    """verify_proof_lemmas against the frozen one with a Smith form per matrix."""
+
+    @staticmethod
+    def _compare(g, wit):
+        """The new report as a dict, and the route the reference took: "solve",
+        "kernel", "none" (no z1) or "raised"."""
+        got = verify_proof_lemmas(g, wit).as_dict()
+        try:
+            want = verify_proof_lemmas_ref(g, wit).as_dict()
+        except ValueError:
+            assert not got["all_ok"], got
+            assert f"z0 is not in the kernel of A - lambda0 I mod {wit.prime}^{wit.tau}" \
+                in got["notes"]
+            return got, "raised"
+        assert got == want
+        if got["c"] is None:
+            return got, "none"
+        return got, "kernel" if got["c"] == wit.tau else "solve"
+
+    def test_pipeline_witnesses(self, pipeline_witnesses):
+        routes = [self._compare(g, wit)[1] for g, wit in pipeline_witnesses]
+        assert len(routes) >= 100
+        assert set(routes) == {"solve", "kernel"}
+
+    def test_hand_built_witnesses(self, pipeline_witnesses):
+        rng = random.Random(11)
+        routes = []
+        shapes_failed = 0
+        for _ in range(300):
+            g, wit = rng.choice(pipeline_witnesses)
+            p, tau = wit.prime, wit.tau
+            kind = rng.randrange(3)
+            if kind == 0:  # random lambda0 and z0 at a random prime power
+                p, tau = rng.choice((3, 5, 7)), rng.randint(1, 2)
+                q = p ** tau
+                z0 = tuple(rng.randrange(q) for _ in range(g.n))
+                wit = FourCongWitness(p, tau, z0, rng.randrange(q), wit.checks)
+            elif kind == 1:  # the true lambda0, z0 moved by a random vector
+                q = p ** tau
+                z0 = tuple((x + rng.choice((0, 0, 1, p)) * rng.randrange(q)) % q
+                           for x in wit.z0)
+                wit = dataclasses.replace(wit, z0=z0)
+            else:  # the true z0, a random lambda0
+                wit = dataclasses.replace(wit, lambda0=rng.randrange(p ** tau))
+            got, route = self._compare(g, wit)
+            routes.append(route)
+            shapes_failed += not (got["augmented_snf_ok"] or got["shifted_snf_mod_ok"])
+        assert {"solve", "kernel", "raised"} <= set(routes)
+        assert shapes_failed >= 100
 
 
 class TestConjectureCheck:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     all_vectors_mod,
+    augment_column,
     exhaustive_kernel_count,
     exhaustive_solvable,
     exhaustive_unit_kernel_exists,
@@ -25,6 +26,7 @@ from walklevel.errors import InvariantError
 from walklevel.graphs import walk_matrix
 from walklevel.intmat import IntMatrix, bareiss, det
 from walklevel.snf import (
+    _augmented_factors,
     _diagonal_mod,
     _identity,
     _solve,
@@ -450,6 +452,28 @@ class TestSolvable:
         assert _solve(res, (1, 0)) is None
 
 
+class TestAugmentedFactors:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(1, 4),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2, 3, 4, 5, 6, 7, 9, -8, 10,
+                                  14, 16, 25, 27, 49, 81, 125]),
+                 min_size=30, max_size=30),
+    )
+    def test_same_factors_as_the_augmented_form(self, p, k, nr, nc, pool):
+        # [S | U z] has the factors of [M | z], rectangular and zero-heavy M too
+        m = IntMatrix([pool[i * 5:i * 5 + nc] for i in range(nr)])
+        z = pool[25:25 + nr]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # p = 2
+            res = snf_mod_pk(m, p, k)
+            want = snf_mod_pk(augment_column(m, z), p, k).invariant_factors
+        assert _augmented_factors(res, z) == want
+
+
 class TestKernelShape:
     def test_single_p(self):
         ks = kernel_shape(IntMatrix([[3]]), 3, 2)
@@ -499,17 +523,32 @@ class TestDnTest:
         with pytest.raises(ValueError):
             dn_test(IntMatrix.zeros(2, 3), 3, 1)
 
-    def test_tall_matrices(self):
+    def test_composite_p_rejected(self):
+        # z = (0, 2) solves diag(1, 2) z = 0 (mod 4) with z != 0 (mod 4), but
+        # "a unit mod p" means nothing for p = 4
+        with pytest.raises(ValueError):
+            dn_test(IntMatrix.diag([1, 2]), 4, 1)
+
+    @pytest.mark.parametrize("p, k", [(1, 1), (0, 1), (9, 2), (3, 0), (5, -1)])
+    def test_bad_p_or_k_rejected(self, p, k):
+        with pytest.raises(ValueError):
+            dn_test(IntMatrix.diag([1, 3]), p, k)
+
+    def test_tall_matrices(self, count_calls):
+        from walklevel import snf
+
+        integer_forms = count_calls(snf.snf_int)
         rng = random.Random(31)
         for _ in range(20):
             m = rand_matrix(rng, 4, 2)
-            for p, k in ((3, 1), (5, 2)):
+            for p, k in ((3, 1), (5, 2), (2, 2)):
                 ok, z = dn_test(m, p, k)
                 truth = exhaustive_unit_kernel_exists([list(r) for r in m.data], p, k)
                 assert ok == truth
                 if ok:
                     assert any(x % p for x in z)
                     assert all(v % p**k == 0 for v in m.mat_vec(z))
+        assert integer_forms == []  # the local form with V alone
 
     def test_against_exhaustive_random(self):
         rng = random.Random(32)

@@ -24,6 +24,9 @@ prints one line per output group, ``<group> <items> <sha256>``:
   snf_helpers     solvable_mod_pk, kernel_shape and extend_basis on random.Random(7)
                   matrices with n <= 4 over p^k in 3, 9, 27, 25, 49; a raised
                   error's type and message stand for its output
+  dn_answers      the answer of dn_test(m, p, k), without its witness, on
+                  random.Random(7) matrices with n <= 4 columns and n to 4 rows,
+                  over p^k in 3, 9, 27, 25, 49
 
 A group's digest covers each item's exit code, stdout and stderr in order.
 Run it on two checkouts (say, ``--src`` pointing at a ``git archive`` copy
@@ -166,6 +169,24 @@ def local_helpers() -> list[str]:
     return out
 
 
+def unit_kernel_answers() -> list[str]:
+    """dn_test's yes or no on seeded small tall matrices."""
+    from walklevel.intmat import IntMatrix
+    from walklevel.snf import dn_test
+
+    rng = random.Random(7)
+    out = []
+    for p, k in ((3, 1), (3, 2), (3, 3), (5, 2), (7, 2)):
+        q = p ** k
+        for _ in range(40):
+            nc = rng.randint(1, 4)
+            nr = rng.randint(nc, 4)
+            m = IntMatrix([[rng.choice((0, p * rng.randrange(q), rng.randrange(q)))
+                            for _ in range(nc)] for _ in range(nr)])
+            out.append(json.dumps([m.data, p, k, dn_test(m, p, k)[0]]) + "\n")
+    return out
+
+
 def groups(src: Path) -> dict[str, list[str]]:
     sys.path.insert(0, str(src))
     import walklevel
@@ -191,6 +212,7 @@ def groups(src: Path) -> dict[str, list[str]]:
         "columns_l1_12": column_lists(fixture, pool),
         "snf_local": local_forms(main, fixtures),
         "snf_helpers": local_helpers(),
+        "dn_answers": unit_kernel_answers(),
     }
 
 
