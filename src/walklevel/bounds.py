@@ -16,9 +16,10 @@ and eigenvalue lambda0 satisfying four exact congruences, then re-verifies
 the structural conclusions that make the half-valuation bound work (the
 Smith shape of A - lambda0*I over Z and over Z/p^tau, the shape of
 [A - lambda0*I | z0], and the existence of z1 with unit coordinate sum).
-All of the local checks read one Smith decomposition U, S, V of
-A - lambda0*I over Z/p^tau. Any failed conclusion is returned as a
-structured counterexample report, never papered over.
+Every check reads one Smith decomposition U, S, V of A - lambda0*I over
+Z/p^tau; the shape over Z follows from it, since the local factors are
+gcd(f_i, p^tau) of the factors f_i over Z. Any failed conclusion is
+returned as a structured counterexample report, never papered over.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import InvariantError
 from .graphs import Graph, WalkProfile, walk_matrix
 from .intmat import IntMatrix, dot
 from .ortho import RatRegOrtho
-from .snf import _augmented_factors, _kernel, _solve, invariant_factors, snf_mod_pk
+from .snf import _augmented_factors, _kernel, _solve, snf_mod_pk
 
 RULE_ODD_SQUAREFREE = "odd-squarefree"
 RULE_HALF_VALUATION = "half-valuation"
@@ -240,34 +241,6 @@ class FourCongWitness:
         }
 
 
-def _solve_eigenvalue_mod(a: IntMatrix, z: tuple[int, ...], p: int, tau: int) -> int:
-    """The unique lambda mod p^tau with A z = lambda z (mod p^tau).
-
-    Lifted digit by digit: each step solves one residue mod p at a unit
-    coordinate of z and checks the whole vector, so both existence and
-    uniqueness are verified along the way.
-    """
-    pivot = next((i for i, x in enumerate(z) if x % p), None)
-    if pivot is None:
-        raise ValueError("z is divisible by p; eigenvalue is not determined")
-    inv = pow(z[pivot] % p, -1, p)
-    az = a.mat_vec(z)
-    lam = 0
-    for j in range(tau):
-        pj = p ** j
-        resid = [(az[i] - lam * z[i]) for i in range(len(z))]
-        if any(r % pj for r in resid):
-            raise InvariantError("eigenvalue lift lost an already-verified digit")
-        digit = ((resid[pivot] // pj) * inv) % p
-        lam += digit * pj
-        if any((az[i] - lam * z[i]) % (pj * p) for i in range(len(z))):
-            raise ValueError(
-                f"A z = lambda z has no solution mod {p}^{j + 1}; "
-                "hypotheses are violated"
-            )
-    return lam
-
-
 def extract_four_cong_witness(
     g: Graph, q: RatRegOrtho, p: int, *, walk: IntMatrix | None = None
 ) -> FourCongWitness:
@@ -275,10 +248,11 @@ def extract_four_cong_witness(
 
     Requires tau = v_p(level) >= 1 and rank_p W = n-1. Takes the
     lowest-index column of num with a unit entry mod p (determinism for
-    golden tests), solves for lambda0, and asserts all four congruences;
-    any failure raises InvariantError since the congruences are theorems
-    under the preconditions. ``walk`` is W = walk_matrix(g) when the caller
-    already holds it.
+    golden tests) and reads lambda0 off its first unit entry z0_i as
+    (A z0)_i / z0_i mod p^tau. A failed fourth congruence then means no
+    eigenvalue exists and raises ValueError; a failure of the other three
+    raises InvariantError, since they are theorems under the preconditions.
+    ``walk`` is W = walk_matrix(g) when the caller already holds it.
     """
     if p == 2 or p < 2:
         raise ValueError("witness extraction is defined for odd primes")
@@ -297,17 +271,19 @@ def extract_four_cong_witness(
     if z0 is None:
         raise InvariantError("scaled matrix is divisible by p despite lowest terms")
 
-    lam = _solve_eigenvalue_mod(a, z0, p, tau)
-
-    p2t = p ** (2 * tau)
-    pt = p ** tau
+    # the one lambda0 that z0's unit entry allows; the fourth check says if it is one
+    pt, p2t = p ** tau, p ** (2 * tau)
     az0 = a.mat_vec(z0)
+    pivot = next(i for i, x in enumerate(z0) if x % p)
+    lam = az0[pivot] * pow(z0[pivot], -1, pt) % pt
     checks = (
         dot(z0, z0) % p2t == 0,
         dot(z0, az0) % p2t == 0,
         all(x % pt == 0 for x in w.T.mat_vec(z0)),
         all((az0[i] - lam * z0[i]) % pt == 0 for i in range(len(z0))),
     )
+    if not checks[3]:
+        raise ValueError(f"A z = lambda z has no solution mod {p}^{tau}; hypotheses are violated")
     if not all(checks):
         raise InvariantError(
             f"witness congruences failed: {checks}; this contradicts the "
@@ -334,7 +310,7 @@ class LemmaCheckReport:
     tau: int
     lambda0: int
     c: int | None  # exponent with (A - lambda0 I) z1 = p^c z0 solvable
-    shifted_snf_over_z_ok: bool   # f_{n-2} unit mod p, p^tau | f_n
+    shifted_snf_over_z_ok: bool   # f_{n-2} unit mod p, p^tau | f_n; read off the local factors
     shifted_snf_mod_ok: bool      # shape diag(1,...,1,p^c,0) over Z/p^tau
     augmented_snf_ok: bool        # [A - lambda0 I, z0] has shape diag(I_{n-1},0),0
     z1: tuple[int, ...] | None
@@ -374,14 +350,13 @@ class LemmaCheckReport:
 
 
 def _walk_congruence_holds(
-    w: IntMatrix, y: tuple[int, ...], lam: int, p: int, modulus: int
+    wt: IntMatrix, y: tuple[int, ...], lam: int, modulus: int
 ) -> bool:
-    n = w.rows
+    """W^T y = (e.y)(1, lam, ..., lam^{n-1}) mod modulus, given wt = W^T."""
     ey = sum(y)
-    lhs = w.T.mat_vec(y)
     lam_pow = 1
-    for i in range(n):
-        if (lhs[i] - ey * lam_pow) % modulus:
+    for lhs in wt.mat_vec(y):
+        if (lhs - ey * lam_pow) % modulus:
             return False
         lam_pow *= lam
     return True
@@ -392,14 +367,14 @@ def verify_proof_lemmas(
 ) -> LemmaCheckReport:
     """Re-verify the structural conclusions behind the level bound.
 
-    Checks, against exact Smith forms: the shifted adjacency A - lambda0*I
-    has corank <= 1 mod p with p^tau dividing its last invariant factor;
-    augmenting it by z0 yields the free rank-(n-1) shape; and a vector z1
-    with unit coordinate sum solves (A - lambda0 I) z1 = p^c z0. All found
-    vectors are spot-checked against the walk congruence
-    W^T y = (e.y)(1, lambda0, ..., lambda0^{n-1}). One Smith decomposition
-    U (A - lambda0*I) V = S over Z/p^tau is the only elimination over that
-    ring: the augmented shape is read off [S | U z0], every trial exponent
+    Checks that the shifted adjacency A - lambda0*I has corank <= 1 mod p
+    with p^tau dividing its last invariant factor, over Z/p^tau and so over
+    Z (the local factors are gcd(f_i, p^tau)); that augmenting it by z0
+    yields the free rank-(n-1) shape; and that a vector z1 with unit
+    coordinate sum solves (A - lambda0 I) z1 = p^c z0. All found vectors are
+    spot-checked against W^T y = (e.y)(1, lambda0, ..., lambda0^{n-1}). One
+    Smith decomposition U (A - lambda0*I) V = S over Z/p^tau is the only
+    elimination: the augmented shape is read off [S | U z0], every trial exponent
     c < tau through U and S, and the kernel at c = tau off V, whose last two
     columns k1, k2 span it. There z0 = s k1 + t k2, and z1 is k2 when s is
     a unit mod p ({z0, k2} is then a kernel basis), else k1. A z0 outside
@@ -412,16 +387,13 @@ def verify_proof_lemmas(
         raise ValueError("lemma verification needs n >= 3")
     q = p ** tau
     a = g.adjacency()
-    w = walk if walk is not None else walk_matrix(g)
+    wt = (walk if walk is not None else walk_matrix(g)).T
     b = a - lam * IntMatrix.identity(n)
     notes: list[str] = []
 
-    # Smith form of the shifted adjacency over Z
-    fs = invariant_factors(b)
-    f = list(fs) + [0] * (n - len(fs))
-    over_z_ok = f[n - 3] % p != 0 and f[n - 1] % q == 0  # 0 is no unit; q | 0
-
-    # ... and over Z/p^tau: diag(1, ..., 1, p^c, 0); U, S, V also give z1 below
+    # Smith form over Z/p^tau: diag(1, ..., 1, p^c, 0); U, S, V also give z1 below.
+    # Its factors are gcd(f_i, p^tau) of the factors f_i over Z, so this shape
+    # also decides the over-Z one: f_{n-2} a unit mod p and p^tau | f_n.
     res_mod = snf_mod_pk(b, p, tau)
     fac = res_mod.invariant_factors
     mod_ok = n - 2 <= len(fac) <= n - 1 and all(x == 1 for x in fac[: n - 2])
@@ -470,14 +442,14 @@ def verify_proof_lemmas(
     else:
         notes.append("no z1 found at any exponent")
 
-    walk_ok = all(_walk_congruence_holds(w, y, lam, p, q) for y in (z0, z1) if y is not None)
+    walk_ok = all(_walk_congruence_holds(wt, y, lam, q) for y in (z0, z1) if y is not None)
 
     return LemmaCheckReport(
         prime=p,
         tau=tau,
         lambda0=lam,
         c=c_found,
-        shifted_snf_over_z_ok=over_z_ok,
+        shifted_snf_over_z_ok=mod_ok,
         shifted_snf_mod_ok=mod_ok and c_found == c_shape,
         augmented_snf_ok=aug_ok,
         z1=z1,

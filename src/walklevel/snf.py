@@ -7,18 +7,19 @@ normalized to a pure prime power p^c with 0 <= c < k.
 
 One modular elimination, ``_diagonal_mod`` over Z/dZ, serves
 ``snf_mod_pk`` (with U and V), ``invariant_factors`` (without), and
-``dn_test`` and ``matesearch.enumerate_columns`` (with V alone). Only
-``snf_int`` builds integer transforms, for ``walklevel snf``. For a
-nonsingular matrix ``invariant_factors`` keeps every entry reduced mod
+``dn_test`` and ``matesearch.enumerate_columns`` (with V alone). The
+integer elimination runs only in ``snf_int``, for ``walklevel snf``, and in
+``invariant_factors`` of a singular or non-square matrix. For a nonsingular
+matrix ``invariant_factors`` keeps every entry reduced mod
 M = gcd(|det|, h), where h is a multiple of d_1...d_{n-1} such as the gcd
 of the (n-1)-minors that ``intmat.bareiss`` returns with det. M is a
 multiple of d_1...d_{n-1}, so the elimination over Z/MZ gives
 d_1, ..., d_{n-1} exactly, and d_n is recomputed as |det| / (d_1...d_{n-1}).
 Since U and V are unimodular, the rank of M mod p is the number of
 invariant factors prime to p, and v_p(det M) is the sum of their
-valuations: ``walk_profile`` reads its prime table that way, and
-``rank_mod_p``'s plain GF(p) elimination is kept as an independent oracle
-that the pipeline does not call.
+valuations: ``walk_profile`` reads its prime table that way. ``rank_mod_p``
+(a plain GF(p) elimination) has no caller in the pipeline; it stays public
+because the tests use it as an oracle and the benchmark's span list names it.
 
 On top of the forms sit the module-theoretic helpers: solvability of
 M x = b over Z/p^kZ, kernel structure, the "does M z = 0 have a unit-entry
@@ -26,7 +27,8 @@ solution mod p^k" test, and basis extension inside free submodules. Three
 private readers take one decomposition U M V = S over Z/p^kZ: ``_solve``
 (M x = b through U and S), ``_kernel`` (ker M off S and V) and
 ``_augmented_factors`` (the factors of [M | b] as those of [S | U b]).
-``verify_proof_lemmas`` makes one such decomposition per witness.
+``verify_proof_lemmas`` makes one such decomposition per witness; its
+factors gcd(f_i, p^k) of the factors f_i over Z also decide the shape over Z.
 """
 
 from __future__ import annotations
@@ -444,9 +446,9 @@ def invariant_factors(
     not divide, raises InvariantError. On walk matrices d_1...d_{n-1} is
     tiny next to |det|, so M is too.
 
-    Otherwise (det None or 0) it runs the integer elimination of
-    ``snf_int`` on S alone, which also covers non-square m. ``det`` and
-    ``h`` must belong to m; they are not recomputed.
+    Otherwise (det None or 0) it runs the integer elimination of ``snf_int``
+    on S alone, also for non-square m; in the library only ``walk_profile``
+    of an uncontrollable graph does. ``det`` and ``h`` must belong to m.
     """
     if det:
         if m.rows != m.cols:

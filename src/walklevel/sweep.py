@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .analysis import _analyze, check_classes
+from .arith import is_prime
 from .errors import SearchCapExceeded
 from .graphs import Graph, _profile, walk_matrix
 from .intmat import bareiss
@@ -105,6 +106,8 @@ class SweepConfig:
         if not 0 <= self.edge_prob_num <= self.edge_prob_den or self.edge_prob_den < 1:
             raise ValueError("edge probability must be a rational in [0, 1]")
         if self.primes is not None:
+            if any(p < 3 or not is_prime(p) for p in self.primes):
+                raise ValueError(f"sweep primes must be odd primes, got {list(self.primes)}")
             object.__setattr__(self, "primes", tuple(sorted(set(self.primes))))
 
     def as_dict(self) -> dict:

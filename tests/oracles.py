@@ -636,3 +636,37 @@ def verify_proof_lemmas_ref(g, witness):
         walk_congruence_ok=walk_ok,
         notes=tuple(notes),
     )
+
+
+# -- frozen eigenvalue lift (reference for extract_four_cong_witness) ---------
+
+
+def solve_eigenvalue_mod_ref(a, z, p, tau):
+    """The unique lambda mod p^tau with A z = lambda z (mod p^tau).
+
+    Frozen from the digit-by-digit lift that extract_four_cong_witness used
+    before it read lambda0 off one inverse: each step solves one residue mod
+    p at a unit coordinate of z and checks the whole vector, raising
+    ValueError at the first digit with no solution.
+    """
+    from walklevel.errors import InvariantError
+
+    pivot = next((i for i, x in enumerate(z) if x % p), None)
+    if pivot is None:
+        raise ValueError("z is divisible by p; eigenvalue is not determined")
+    inv = pow(z[pivot] % p, -1, p)
+    az = a.mat_vec(z)
+    lam = 0
+    for j in range(tau):
+        pj = p ** j
+        resid = [(az[i] - lam * z[i]) for i in range(len(z))]
+        if any(r % pj for r in resid):
+            raise InvariantError("eigenvalue lift lost an already-verified digit")
+        digit = ((resid[pivot] // pj) * inv) % p
+        lam += digit * pj
+        if any((az[i] - lam * z[i]) % (pj * p) for i in range(len(z))):
+            raise ValueError(
+                f"A z = lambda z has no solution mod {p}^{j + 1}; "
+                "hypotheses are violated"
+            )
+    return lam

@@ -1,13 +1,19 @@
 """Level-bound rules, certificates, witnesses, and lemma verification."""
 
 import dataclasses
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
-from oracles import verify_proof_lemmas_ref
-from sympy import factorint
+from oracles import solve_eigenvalue_mod_ref, verify_proof_lemmas_ref
+from sympy import Matrix, factorint
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
+from sympy.polys.domains import ZZ
 
+from walklevel import snf
+from walklevel.analysis import check_classes
 from walklevel.bounds import (
     RULE_HALF_VALUATION,
     RULE_NONE,
@@ -22,10 +28,25 @@ from walklevel.bounds import (
     mate_count_bounds,
     verify_proof_lemmas,
 )
+from walklevel.cli import main
 from walklevel.fixtures import load_worked_example
-from walklevel.graphs import WalkProfile, walk_profile
+from walklevel.graphs import Graph, WalkProfile, emit_graph6, parse_graph6, walk_profile
 from walklevel.intmat import IntMatrix
+from walklevel.matesearch import search_mates
 from walklevel.ortho import RatRegOrtho
+from walklevel.sweep import derive_stream, random_graph
+
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "mates_pool.txt"
+
+
+def pool_graphs():
+    """(graph, levels) for each line of the perfbench mates pool."""
+    out = []
+    for line in POOL.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            _, g6, levels = line.split()
+            out.append((parse_graph6(g6), [int(x) for x in levels.split(",")]))
+    return out
 
 
 def synthetic_profile(n, det_w, primes):
@@ -229,6 +250,34 @@ class TestWitnessExtraction:
         with pytest.raises(ValueError):
             extract_four_cong_witness(ex.graph, ex.q_level9, 2)
 
+    def test_eigenvalue_needs_the_inverse_mod_p_tau(self):
+        # relabelings of the fixture move other unit entries of the level-9
+        # witness to its pivot; at a pivot other than +-1 mod 9, an inverse
+        # taken mod 3 alone would give the wrong lambda0
+        ex = load_worked_example()
+        adj, num = ex.graph.adj, ex.q_level9.num.data
+        pivots = set()
+        for shift in range(10):
+            perm = [(i + shift) % 10 for i in range(10)]
+            g = Graph(tuple(tuple(adj[i][j] for j in perm) for i in perm))
+            q = RatRegOrtho(IntMatrix([[num[i][j] for j in perm] for i in perm]), 9)
+            wit = extract_four_cong_witness(g, q, 3)
+            assert wit.lambda0 == solve_eigenvalue_mod_ref(g.adjacency(), wit.z0, 3, 2)
+            pivots.add(next(x for x in wit.z0 if x % 3) % 9)
+        assert pivots - {1, 8}
+
+    def test_no_eigenvector_is_a_value_error(self):
+        # the fixture's level-9 matrix on other graphs: its first unit column
+        # is no eigenvector of A mod 9, which the digit-by-digit lift also rejects
+        q = load_worked_example().q_level9
+        z0 = next(c for c in q.num.columns() if any(x % 3 for x in c))
+        for i in range(40):
+            g = random_graph(derive_stream(1, i, 0), 10, 1, 2)
+            with pytest.raises(ValueError, match=r"no solution mod 3\^2; hypotheses"):
+                extract_four_cong_witness(g, q, 3)
+            with pytest.raises(ValueError, match="hypotheses are violated"):
+                solve_eigenvalue_mod_ref(g.adjacency(), z0, 3, 2)
+
 
 class TestVerifyProofLemmas:
     def test_worked_example_both_witnesses(self):
@@ -283,17 +332,17 @@ class TestLemmaBranchInstances:
         (r"IWag\fxZG", 5, 1, 3),
     ])
     def test_one_local_form_of_the_shifted_matrix(self, g6, p, c, reads, count_calls):
-        from walklevel import snf
-
         g, wit = self._check(g6, p, expected_c=c)
         local = count_calls(snf.snf_mod_pk)
         solves = count_calls(snf.solvable_mod_pk)
         kernels = count_calls(snf.kernel_shape)
         extends = count_calls(snf.extend_basis)
+        over_z = [count_calls(f) for f in (snf._smith_int, snf.invariant_factors)]
         readers = [count_calls(f) for f in (snf._augmented_factors, snf._solve, snf._kernel)]
         verify_proof_lemmas(g, wit)
         assert len(local) == 1
         assert solves == kernels == extends == []
+        assert over_z == [[], []]
         forms = [res for calls in readers for res in calls]
         assert len(forms) == reads
         assert all(res is forms[0] for res in forms)
@@ -316,12 +365,7 @@ class TestLemmaBranchInstances:
 def pipeline_witnesses():
     """(graph, witness) of every lemma check on the fixture, on each
     perfbench pool graph at its listed levels and in the seed-42 n 6-12 sweep."""
-    from pathlib import Path
-
     from walklevel import analysis
-    from walklevel.analysis import check_classes
-    from walklevel.graphs import parse_graph6
-    from walklevel.matesearch import search_mates
     from walklevel.sweep import SweepConfig, run_sweep
 
     ex = load_worked_example()
@@ -333,16 +377,11 @@ def pipeline_witnesses():
         seen.append((g, wit))
         return real(g, wit, **kwargs)
 
-    pool = Path(__file__).resolve().parent.parent / "perfbench" / "mates_pool.txt"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "verify_proof_lemmas", record)
-        for line in pool.read_text().splitlines():
-            if line.strip() and not line.startswith("#"):
-                _, g6, levels = line.split()
-                g = parse_graph6(g6)
-                prof = walk_profile(g)
-                found = search_mates(g, [int(x) for x in levels.split(",")], walk=prof.W)
-                check_classes(g, prof, found)
+        for g, levels in pool_graphs():
+            prof = walk_profile(g)
+            check_classes(g, prof, search_mates(g, levels, walk=prof.W))
         run_sweep(SweepConfig(n_min=6, n_max=12, graph_count=500, seed=42))
     return seen
 
@@ -397,6 +436,62 @@ class TestLemmaChecksAgainstReference:
             shapes_failed += not (got["augmented_snf_ok"] or got["shifted_snf_mod_ok"])
         assert {"solve", "kernel", "raised"} <= set(routes)
         assert shapes_failed >= 100
+
+
+def test_eigenvalue_matches_the_lift(pipeline_witnesses):
+    for g, wit in pipeline_witnesses:
+        assert wit.lambda0 == solve_eigenvalue_mod_ref(g.adjacency(), wit.z0, wit.prime, wit.tau)
+
+
+class TestOverZShape:
+    """shifted_snf_over_z_ok is read off the local factors, which are gcd(f_i, p^tau)
+    of the factors f_i over Z; here f comes from sympy."""
+
+    @pytest.mark.filterwarnings("ignore:snf_mod_pk at p = 2")
+    def test_local_condition_matches_sympy(self):
+        rng = random.Random(5)
+        singular = flags = 0
+        for i in range(400):
+            n = 3 + i % 6
+            g = random_graph(derive_stream(5, i, 0), n, 1, 2)
+            p, tau, lam = rng.choice((2, 3, 5, 7)), rng.randint(1, 3), rng.randint(-2, 2)
+            q = p ** tau
+            b = g.adjacency() - lam * IntMatrix.identity(n)
+            f = [abs(int(x)) for x in sympy_invariant_factors(Matrix(b.data), domain=ZZ) if x]
+            f += [0] * (n - len(f))
+            over_z = f[n - 3] % p != 0 and f[n - 1] % q == 0
+            fac = snf.snf_mod_pk(b, p, tau).invariant_factors
+            local = n - 2 <= len(fac) <= n - 1 and all(x == 1 for x in fac[: n - 2])
+            z0 = tuple(rng.randrange(q) for _ in range(n))
+            rep = verify_proof_lemmas(g, FourCongWitness(p, tau, z0, lam, (True,) * 4))
+            assert over_z == local == rep.shifted_snf_over_z_ok, (emit_graph6(g), p, tau, lam)
+            singular += f[n - 1] == 0
+            flags += over_z
+        assert singular >= 40
+        assert 40 <= flags <= 360
+
+
+class TestNoIntegerElimination:
+    """The witness stage makes no Smith elimination over Z."""
+
+    def test_mates_on_the_fixture(self, count_calls, tmp_path, capsys):
+        calls = count_calls(snf._smith_int)
+        path = tmp_path / "g.g6"
+        path.write_text(emit_graph6(load_worked_example().graph) + "\n")
+        assert main(["mates", str(path), "--json"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert len(rec["lemma_checks"]) == 2
+        assert calls == []
+
+    def test_check_classes_on_the_pool(self, count_calls):
+        calls = count_calls(snf._smith_int)
+        checked = 0
+        for g, levels in pool_graphs():
+            prof = walk_profile(g)
+            rec = check_classes(g, prof, search_mates(g, levels, walk=prof.W))
+            checked += len(rec["lemma_checks"])
+        assert checked == 100
+        assert calls == []
 
 
 class TestConjectureCheck:

@@ -244,6 +244,16 @@ class TestSweepCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["aggregate"]["graphs"] == 0
 
+    def test_prime_that_is_not_an_odd_prime_exits_1(self, capsys):
+        args = ["sweep", "--seed", "42", "--count", "40", "--n-min", "8", "--n-max", "10"]
+        assert main(args + ["--prime", "3", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["aggregate"]["searched"] == 3
+        for prime in ("9", "4", "1", "2"):
+            assert main(args + ["--prime", prime, "--json"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "input error: sweep primes must be odd primes" in captured.err
+
     def test_report_fields(self, capsys):
         assert main(["sweep", "--seed", "3", "--count", "6", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

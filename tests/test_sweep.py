@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from walklevel import graphs, intmat
 from walklevel.sweep import (
     SplitMix64,
@@ -88,6 +90,12 @@ class TestSweep:
         rep = run_sweep(cfg)
         assert rep["config"]["primes"] == [101]
         assert rep["aggregate"]["searched"] == 0
+
+    @pytest.mark.parametrize("primes", [(9,), (4,), (1,), (2,), (0,), (-3,), (3, 9)])
+    def test_primes_must_be_odd_primes(self, primes):
+        # only odd primes are ever searched; any other value would search nothing
+        with pytest.raises(ValueError, match="odd primes"):
+            SweepConfig(primes=primes)
 
     def test_aggregate_consistency(self):
         cfg = SweepConfig(graph_count=30, seed=42, n_min=6, n_max=10)

@@ -27,6 +27,10 @@ prints one line per output group, ``<group> <items> <sha256>``:
   dn_answers      the answer of dn_test(m, p, k), without its witness, on
                   random.Random(7) matrices with n <= 4 columns and n to 4 rows,
                   over p^k in 3, 9, 27, 25, 49
+  lemma_reports   verify_proof_lemmas(g, wit).as_dict() on 300 random.Random(7)
+                  witnesses over the fixture and the first 20 pool graphs: p in
+                  3, 5, 7, tau <= 2, z0 and lambda0 drawn in [0, p^tau); how many
+                  of the shifted matrices A - lambda0*I are singular goes to stderr
 
 A group's digest covers each item's exit code, stdout and stderr in order.
 Run it on two checkouts (say, ``--src`` pointing at a ``git archive`` copy
@@ -187,6 +191,31 @@ def unit_kernel_answers() -> list[str]:
     return out
 
 
+def lemma_reports(fixture: str, pool: list[tuple[str, str]]) -> list[str]:
+    """verify_proof_lemmas on seeded hand-built witnesses."""
+    from walklevel.bounds import FourCongWitness, verify_proof_lemmas
+    from walklevel.cli import read_graphs
+    from walklevel.graphs import parse_graph6
+    from walklevel.intmat import IntMatrix, det
+
+    graphs = read_graphs(fixture) + [parse_graph6(g6) for g6, _ in pool[:20]]
+    rng = random.Random(7)
+    out = []
+    singular = 0
+    for _ in range(300):
+        g = rng.choice(graphs)
+        p, tau = rng.choice((3, 5, 7)), rng.randint(1, 2)
+        q = p ** tau
+        z0 = tuple(rng.randrange(q) for _ in range(g.n))
+        lam = rng.randrange(q)
+        singular += det(g.adjacency() - lam * IntMatrix.identity(g.n)) == 0
+        wit = FourCongWitness(p, tau, z0, lam, (True,) * 4)
+        out.append(json.dumps(verify_proof_lemmas(g, wit).as_dict()) + "\n")
+    print(f"lemma_reports: {singular} of {len(out)} shifted matrices are singular",
+          file=sys.stderr)
+    return out
+
+
 def groups(src: Path) -> dict[str, list[str]]:
     sys.path.insert(0, str(src))
     import walklevel
@@ -213,6 +242,7 @@ def groups(src: Path) -> dict[str, list[str]]:
         "snf_local": local_forms(main, fixtures),
         "snf_helpers": local_helpers(),
         "dn_answers": unit_kernel_answers(),
+        "lemma_reports": lemma_reports(fixture, pool),
     }
 
 
