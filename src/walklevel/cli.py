@@ -176,7 +176,7 @@ def cmd_mates(args) -> int:
         levels, notes = _auto_levels(prof, bounds_rep, args.level_cap)
     else:
         levels = sorted({int(tok) for tok in args.levels.split(",")})
-    checked = check_classes(g, prof, search_mates(g, levels, walk=prof.W))
+    checked = check_classes(g, prof, search_mates(g, levels, profile=prof))
     invariant_failed = not all(chk["all_ok"] for chk in checked["lemma_checks"])
     violations = checked["bound_check"]["violations"]
 

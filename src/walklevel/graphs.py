@@ -10,7 +10,7 @@ per-prime valuations and ranks read off that Smith form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, repeat
 from typing import Iterable, Mapping
 
 from .arith import factorize, is_prime
@@ -26,8 +26,15 @@ class Graph:
     adj: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        adj = tuple(tuple(int(x) for x in row) for row in self.adj)
+        adj = tuple(tuple(map(int, row)) for row in self.adj)
         n = len(adj)
+        # a valid matrix passes these whole-matrix checks; the loop below
+        # runs only on an invalid one, to raise the error its first fault names
+        if (set(map(len, adj)) <= {n} and tuple(zip(*adj)) == adj
+                and set(chain.from_iterable(adj)) <= {0, 1}
+                and not any(map(tuple.__getitem__, adj, range(n)))):
+            object.__setattr__(self, "adj", adj)
+            return
         for i, row in enumerate(adj):
             if len(row) != n:
                 raise ValueError("adjacency matrix is not square")
@@ -150,14 +157,19 @@ def emit_graph6(g: Graph) -> str:
 
 def walk_matrix(g: Graph) -> IntMatrix:
     """[e, Ae, ..., A^(n-1)e] as columns; A v sums v over each vertex's neighbours."""
-    n = g.n
-    if n < 1:
+    if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    cols = [(1,) * n]
-    for _ in range(n - 1):
-        v = cols[-1]
-        cols.append(tuple(sum(compress(v, row)) for row in g.adj))
-    return IntMatrix.from_columns(cols)
+    return IntMatrix(_walk_rows(g.adj))
+
+
+def _walk_rows(adj: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+    """The rows of W = [e, Ae, ..., A^(n-1)e] for the 0-1 adjacency rows ``adj``."""
+    v = (1,) * len(adj)
+    cols = [v]
+    for _ in range(len(adj) - 1):
+        v = tuple(map(sum, map(compress, repeat(v), adj)))
+        cols.append(v)
+    return list(zip(*cols))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 
@@ -113,7 +114,7 @@ class IntMatrix:
             )
         bt = other.transpose().data
         return IntMatrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
+            tuple(sum(map(mul, row, col)) for col in bt)
             for row in self.data
         ))
 
@@ -127,7 +128,7 @@ class IntMatrix:
     def mat_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.data)
+        return tuple(sum(map(mul, row, v)) for row in self.data)
 
     def map(self, f: Callable[[int], int]) -> "IntMatrix":
         return IntMatrix(tuple(tuple(f(a) for a in row) for row in self.data))
@@ -193,7 +194,7 @@ class IntPoly:
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise ValueError("vector lengths differ")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def det(a: IntMatrix) -> int:
@@ -213,10 +214,15 @@ def bareiss(a: IntMatrix) -> tuple[int, int]:
     """
     if not a.is_square:
         raise ValueError("determinant of a non-square matrix")
-    n = a.rows
+    return _bareiss(a.data)
+
+
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """``bareiss`` on the rows of a square integer matrix, which it does not modify."""
+    n = len(rows)
     if n == 0:
         return 1, 1
-    m = [list(row) for row in a.data]
+    m = [list(row) for row in rows]
     sign = 1
     prev = 1
     h = 1

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .errors import SearchCapExceeded
-from .graphs import Graph, walk_matrix
+from .graphs import Graph, WalkProfile, walk_matrix
 from .intmat import IntMatrix, det, dot
 from .ortho import RatRegOrtho, conjugate
 from .snf import _diagonal_mod, _identity
@@ -137,18 +138,21 @@ def enumerate_columns(
     return out
 
 
-def _compatible(u, v, au, lvl2) -> bool:
-    return dot(u, v) == 0 and dot(au, v) in (0, lvl2)
-
-
 def _assemble_clique(cands, a_cands, n, lvl2, node_cap):
-    """Bitset n-clique enumeration over the precomputed compatibility graph."""
+    """Bitset n-clique enumeration over the precomputed compatibility graph.
+
+    Columns i < j are compatible when u.v = 0 and (A u).v is 0 or l^2.
+    """
     m = len(cands)
     masks = [0] * m
     for i in range(m):
+        u, au = cands[i], a_cands[i]
+        mask = 0
         for j in range(i + 1, m):
-            if _compatible(cands[i], cands[j], a_cands[i], lvl2):
-                masks[i] |= 1 << j
+            v = cands[j]
+            if sum(map(mul, u, v)) == 0 and sum(map(mul, au, v)) in (0, lvl2):
+                mask |= 1 << j
+        masks[i] = mask
     results = []
     nodes = 0
 
@@ -179,7 +183,7 @@ def search_mates(
     g: Graph,
     levels: list[int] | tuple[int, ...],
     *,
-    walk: IntMatrix | None = None,
+    profile: WalkProfile | None = None,
     node_cap: int = NODE_CAP,
 ) -> list[MateClass]:
     """All admissible matrices of g with level in ``levels``, one per
@@ -187,12 +191,18 @@ def search_mates(
 
     A matrix assembled at level l whose entries share a factor with l is a
     lower-level matrix in disguise and is skipped; it shows up (exactly
-    once) when its true level is searched. ``walk`` is W = walk_matrix(g)
-    when the caller already holds it. An uncontrollable g (det W = 0)
-    raises ValueError: the uniqueness of Q below needs W nonsingular.
+    once) when its true level is searched. ``profile`` is g's walk profile
+    when the caller already holds it; W and controllability are read off
+    it, and without it W is built and its det computed here. An
+    uncontrollable g (det W = 0) raises ValueError: the uniqueness of Q
+    below needs W nonsingular.
     """
-    w = walk if walk is not None else walk_matrix(g)
-    if not det(w):
+    if profile is not None:
+        w, controllable = profile.W, profile.controllable
+    else:
+        w = walk_matrix(g)
+        controllable = det(w) != 0
+    if not controllable:
         raise ValueError("graph is not controllable")
     a = g.adjacency()
     n = g.n

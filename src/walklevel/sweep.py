@@ -8,6 +8,12 @@ same seed and config therefore give byte-identical reports on any
 platform, regardless of worker count, because records are keyed by index
 and assembled in order.
 
+A slot keeps drawing until W(G) is nonsingular. A draw whose walk matrix
+has two equal rows is rejected before any Bareiss pass: equal rows make
+det W = 0 exactly, so the same draws are rejected as before and the
+attempt counts in the report do not change. Rejected draws get their walk
+rows as plain tuples; only the accepted draw's W becomes an ``IntMatrix``.
+
 Per controllable graph the sweep computes the profile and bound report,
 then (optionally) searches all prime-power levels p^j up to one less than
 the determinant valuation - the weaker, previously known ceiling - so a
@@ -26,12 +32,14 @@ from itertools import repeat
 from .analysis import _analyze, check_classes
 from .arith import is_prime
 from .errors import SearchCapExceeded
-from .graphs import Graph, _profile, walk_matrix
-from .intmat import bareiss
+from .graphs import Graph, _profile, _walk_rows
+from .intmat import IntMatrix, _bareiss
 from .matesearch import distinct_mate_graphs, search_mates
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
 # draws per slot before the slot is reported as exhausted
 MAX_ATTEMPTS = 10000
 
@@ -39,8 +47,8 @@ MAX_ATTEMPTS = 10000
 def mix64(z: int) -> int:
     """SplitMix64 finalizer; the building block for all stream derivation."""
     z = (z + _GAMMA) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK
     return z ^ (z >> 31)
 
 
@@ -71,13 +79,33 @@ def derive_stream(seed: int, index: int, attempt: int) -> SplitMix64:
 
 
 def random_graph(rng: SplitMix64, n: int, prob_num: int, prob_den: int) -> Graph:
-    """One draw of the binomial random graph with exact edge probability."""
+    """One draw of the binomial random graph with exact edge probability.
+
+    Pair (i, j), i < j, taken in lexicographic order, is an edge when
+    ``rng.below(prob_den) < prob_num``. The SplitMix64 steps and the
+    rejection rule of ``below`` run inline, so a draw consumes exactly the
+    outputs that calling ``below`` would.
+    """
     adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.below(prob_den) < prob_num:
-                adj[i][j] = adj[j][i] = 1
-    return Graph(tuple(tuple(row) for row in adj))
+    if n > 1:
+        if prob_den <= 0:
+            raise ValueError("bound must be positive")
+        limit = (1 << 64) - ((1 << 64) % prob_den)
+        state = rng.state
+        for i in range(n):
+            row = adj[i]
+            for j in range(i + 1, n):
+                while True:
+                    state = (state + _GAMMA) & _MASK
+                    z = ((state ^ (state >> 30)) * _MUL1) & _MASK
+                    z = ((z ^ (z >> 27)) * _MUL2) & _MASK
+                    z ^= z >> 31
+                    if z < limit:
+                        break
+                if z % prob_den < prob_num:
+                    row[j] = adj[j][i] = 1
+        rng.state = state
+    return Graph(tuple(map(tuple, adj)))
 
 
 @dataclass(frozen=True)
@@ -134,14 +162,16 @@ def sweep_one(config: SweepConfig, index: int) -> dict:
     for attempt in range(max_attempts):
         rng = derive_stream(config.seed, index, attempt)
         graph = random_graph(rng, n, config.edge_prob_num, config.edge_prob_den)
-        w = walk_matrix(graph)
-        d, h = bareiss(w)
-        if d:
-            break
+        rows = _walk_rows(graph.adj)
+        # two equal rows make det W = 0, so such a draw needs no Bareiss pass
+        if len(set(rows)) == n:
+            d, h = _bareiss(rows)
+            if d:
+                break
     else:
         return {"index": index, "n": n, "attempts": max_attempts, "exhausted": True}
 
-    prof, rec = _analyze(graph, _profile(graph, w, d, h))
+    prof, rec = _analyze(graph, _profile(graph, IntMatrix(rows), d, h))
     record: dict = {"index": index, "n": n, "attempts": attempt + 1, **rec}
     if not config.mates:
         return record
@@ -161,7 +191,7 @@ def sweep_one(config: SweepConfig, index: int) -> dict:
         return record
 
     try:
-        classes = search_mates(graph, levels, walk=w)
+        classes = search_mates(graph, levels, profile=prof)
     except SearchCapExceeded as exc:
         record["search"]["cap_exceeded"] = str(exc)
         return record

@@ -670,3 +670,62 @@ def solve_eigenvalue_mod_ref(a, z, p, tau):
                 "hypotheses are violated"
             )
     return lam
+
+
+# -- frozen draw and validator (references for the sweep's per-draw fast paths)
+
+
+def random_graph_below(rng, n, prob_num, prob_den):
+    """Adjacency rows of one binomial random graph, one ``rng.below`` per pair.
+
+    Frozen from the sweep's draw before it ran the SplitMix64 steps inline:
+    pair (i, j), i < j, taken in lexicographic order, is an edge when
+    ``rng.below(prob_den) < prob_num``.
+    """
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.below(prob_den) < prob_num:
+                adj[i][j] = adj[j][i] = 1
+    return tuple(tuple(row) for row in adj)
+
+
+def unmix64(out):
+    """The SplitMix64 state whose next output is ``out``: mix64 inverted step by step."""
+    mask = (1 << 64) - 1
+
+    def unshift(z, s):  # inverts z ^ (z >> s)
+        x = z
+        for _ in range(64 // s):
+            x = z ^ (x >> s)
+        return x
+
+    z = unshift(out, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & mask, 27)
+    z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask, 30)
+    return (z - 0x9E3779B97F4A7C15) & mask
+
+
+def graph_error_ref(adj):
+    """(type name, message) of the error Graph(adj) raises, or None if it accepts.
+
+    Frozen from Graph's validator before it checked whole matrices first:
+    the rows are converted with int, then walked entry by entry, and the
+    first fault met decides the error.
+    """
+    try:
+        adj = tuple(tuple(int(x) for x in row) for row in adj)
+        n = len(adj)
+        for i, row in enumerate(adj):
+            if len(row) != n:
+                raise ValueError("adjacency matrix is not square")
+            if row[i] != 0:
+                raise ValueError("diagonal must be zero")
+            for j, x in enumerate(row):
+                if x not in (0, 1):
+                    raise ValueError("entries must be 0 or 1")
+                if x != adj[j][i]:
+                    raise ValueError("adjacency matrix must be symmetric")
+    except (ValueError, IndexError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    return None

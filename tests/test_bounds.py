@@ -381,7 +381,7 @@ def pipeline_witnesses():
         mp.setattr(analysis, "verify_proof_lemmas", record)
         for g, levels in pool_graphs():
             prof = walk_profile(g)
-            check_classes(g, prof, search_mates(g, levels, walk=prof.W))
+            check_classes(g, prof, search_mates(g, levels, profile=prof))
         run_sweep(SweepConfig(n_min=6, n_max=12, graph_count=500, seed=42))
     return seen
 
@@ -488,7 +488,7 @@ class TestNoIntegerElimination:
         checked = 0
         for g, levels in pool_graphs():
             prof = walk_profile(g)
-            rec = check_classes(g, prof, search_mates(g, levels, walk=prof.W))
+            rec = check_classes(g, prof, search_mates(g, levels, profile=prof))
             checked += len(rec["lemma_checks"])
         assert checked == 100
         assert calls == []

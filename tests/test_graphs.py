@@ -7,6 +7,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import graph_error_ref
 from sympy import factorint, multiplicity, primerange
 
 from walklevel import arith
@@ -40,6 +41,54 @@ class TestGraphType:
             Graph(((1,),))  # diagonal
         with pytest.raises(ValueError):
             Graph(((0, 2), (2, 0)))  # not 0/1
+
+    def test_errors_match_frozen_validator(self):
+        # ragged rows, nonzero diagonals, entries outside {0, 1} and
+        # asymmetry, alone and together, on lists, bools and ints alike
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(3000):
+            n = rng.randint(0, 6)
+            adj = [[0] * n for _ in range(n)]
+            for i, j in itertools.combinations(range(n), 2):
+                adj[i][j] = adj[j][i] = rng.randint(0, 1)
+            for _ in range(rng.choice((0, 1, 1, 2, 3)) if n else 0):
+                i, j = rng.randrange(n), rng.randrange(n)
+                fault = rng.choice(("ragged", "diagonal", "entry", "asymmetric"))
+                if fault == "ragged":
+                    if rng.random() < 0.5 and adj[i]:
+                        adj[i].pop()
+                    else:
+                        adj[i].append(rng.randint(0, 1))
+                elif fault == "diagonal" and i < len(adj[i]):
+                    adj[i][i] = rng.choice((1, 2, -1))
+                elif fault == "entry" and j < len(adj[i]):
+                    adj[i][j] = rng.choice((2, -1, 3))
+                    if rng.random() < 0.5 and i < len(adj[j]):
+                        adj[j][i] = adj[i][j]
+                elif fault == "asymmetric" and i != j and j < len(adj[i]):
+                    adj[i][j] = 1 - adj[i][j]
+            if rng.random() < 0.3:
+                adj = [[bool(x) if x in (0, 1) else x for x in row] for row in adj]
+            if rng.random() < 0.5:
+                adj = tuple(tuple(row) for row in adj)
+            expected = graph_error_ref(adj)
+            try:
+                got = Graph(adj).adj
+            except (ValueError, IndexError) as exc:
+                got = (type(exc).__name__, str(exc))
+            else:
+                assert got == tuple(tuple(int(x) for x in row) for row in adj)
+                got = None
+            assert got == expected
+            seen.add(expected)
+        assert seen >= {
+            None,
+            ("ValueError", "adjacency matrix is not square"),
+            ("ValueError", "diagonal must be zero"),
+            ("ValueError", "entries must be 0 or 1"),
+            ("ValueError", "adjacency matrix must be symmetric"),
+        }
 
     def test_complement_involution(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])

@@ -13,6 +13,7 @@ from oracles import (
     enumerate_columns_snf_int,
     random_controllable,
 )
+from walklevel import graphs, intmat
 from walklevel.arith import divisors
 from walklevel.errors import SearchCapExceeded
 from walklevel.fixtures import load_worked_example
@@ -149,8 +150,23 @@ class TestEnumerateColumns:
 
 class TestSearchMates:
     def test_uncontrollable_rejected(self):
+        g = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(ValueError):
-            search_mates(Graph.from_edges(2, [(0, 1)]), [1])
+            search_mates(g, [1])
+        with pytest.raises(ValueError):
+            search_mates(g, [1], profile=walk_profile(g))
+
+    def test_profile_saves_the_det(self, count_calls):
+        # with the caller's profile the search reads W and det W != 0 off
+        # it; without one it builds W and runs one det
+        ex = load_worked_example()
+        prof = walk_profile(ex.graph)
+        dets = count_calls(intmat.det)
+        walks = count_calls(graphs.walk_matrix)
+        with_profile = search_mates(ex.graph, [1, 3, 9], profile=prof)
+        assert (dets, walks) == ([], [])
+        assert search_mates(ex.graph, [1, 3, 9]) == with_profile
+        assert (len(dets), len(walks)) == (1, 1)
 
     def test_worked_example_exactly_two(self):
         ex = load_worked_example()

@@ -3,9 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from oracles import random_graph_below, unmix64
+from sympy.polys.domains import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from walklevel import graphs, intmat
+from walklevel.graphs import walk_matrix
 from walklevel.sweep import (
+    _GAMMA,
     SplitMix64,
     SweepConfig,
     derive_stream,
@@ -60,6 +65,41 @@ class TestRandomGraph:
         a = random_graph(derive_stream(1, 0, 0), 8, 1, 2)
         b = random_graph(derive_stream(1, 1, 0), 8, 1, 2)
         assert a != b  # overwhelmingly; fixed seeds make this deterministic
+
+    # the last two reject 1/4 and about 1/2 of all outputs
+    @pytest.mark.parametrize("num, den", [
+        (1, 2), (1, 3), (2, 7), (0, 1), (1, 1), (1 << 62, 3 << 62), (5, (1 << 63) + 1),
+    ])
+    def test_same_draws_as_below(self, num, den):
+        # the inline SplitMix64 steps pick the same edges as one below() per
+        # pair and leave the stream where below() leaves it
+        outputs = pairs = 0
+        for n in range(1, 17):
+            for seed, index, attempt in [(0, 0, 0), (1, 2, 3), (42, 7, 0), (101, 999, 5),
+                                         (2026, 3, 9999), (1 << 63, 1, 1)]:
+                ours, ref = derive_stream(seed, index, attempt), derive_stream(seed, index, attempt)
+                start = ref.state
+                assert random_graph(ours, n, num, den).adj == random_graph_below(ref, n, num, den)
+                assert ours.state == ref.state
+                outputs += outputs_between(start, ref.state)
+                pairs += n * (n - 1) // 2
+        assert outputs > pairs if den >= 1 << 62 else outputs == pairs
+
+    @pytest.mark.parametrize("den", [3, 7])
+    def test_rejected_output_is_skipped(self, den):
+        # 2^64 - 1 lies at or above the rejection limit 2^64 - (2^64 mod den)
+        # for den 3 and 7, so the first pair's edge comes from the next output
+        start = unmix64((1 << 64) - 1)
+        for n in (2, 3, 5):
+            ours, ref = SplitMix64(start), SplitMix64(start)
+            assert random_graph(ours, n, 1, den).adj == random_graph_below(ref, n, 1, den)
+            assert ours.state == ref.state
+            assert outputs_between(start, ours.state) == n * (n - 1) // 2 + 1
+
+
+def outputs_between(start: int, end: int) -> int:
+    """How many SplitMix64 outputs take the state from start to end."""
+    return (end - start) * pow(_GAMMA, -1, 1 << 64) % (1 << 64)
 
 
 class TestSweep:
@@ -136,14 +176,51 @@ class TestCertainEdgeProbability:
             assert rec["profile"]["controllable"]
 
 
-def test_accepted_draw_reuses_its_walk_matrix_and_det(count_calls):
-    # W and the Bareiss pass (det W and the minor gcd h) of the accepted draw
-    # feed its profile; nothing rebuilds them
+def test_bareiss_runs_only_on_draws_with_distinct_walk_rows(count_calls):
+    # random_graph runs once per draw; a draw whose walk matrix has two
+    # equal rows is rejected without a Bareiss pass; the accepted draw's W
+    # rows and its (det W, h) feed its profile and the search, which rebuild
+    # neither
+    draws = count_calls(random_graph)
     walks = count_calls(graphs.walk_matrix)
-    dets = count_calls(intmat.bareiss)
-    records = [sweep_one(SweepConfig(n_min=6, n_max=12, seed=3, mates=False), i)
-               for i in range(20)]
-    draws = sum(rec["attempts"] for rec in records)
-    assert draws > len(records)
-    assert len(walks) == draws
-    assert len(dets) == draws
+    passes = count_calls(intmat._bareiss)
+    cfg = SweepConfig(n_min=6, n_max=12, seed=3)
+    records = [sweep_one(cfg, i) for i in range(20)]
+    assert any(rec["search"]["levels"] for rec in records)
+
+    distinct_rows = []
+    equal_rows = 0
+    for rec in records:
+        for attempt in range(rec["attempts"]):
+            g = random_graph(derive_stream(cfg.seed, rec["index"], attempt), rec["n"], 1, 2)
+            rows = list(walk_matrix(g).data)
+            if len(set(rows)) == g.n:
+                distinct_rows.append(rows)
+            else:
+                equal_rows += 1
+    assert len(draws) == sum(rec["attempts"] for rec in records)
+    assert equal_rows > 0
+    assert len(distinct_rows) > len(records)  # some distinct-row draws are singular too
+    assert passes == distinct_rows
+    assert walks == []
+
+
+@pytest.mark.parametrize("num, den", [(1, 2), (1, 3), (2, 7)])
+def test_first_nonsingular_draw_is_accepted(num, den):
+    # against sympy's det W: the draws a slot rejects, equal-row ones
+    # included, are singular, and the draw it accepts is not
+    cfg = SweepConfig(n_min=6, n_max=11, seed=7, edge_prob_num=num, edge_prob_den=den,
+                      mates=False)
+    equal_rows = 0
+    for i in range(24):
+        rec = sweep_one(cfg, i)
+        for attempt in range(rec["attempts"]):
+            g = random_graph(derive_stream(cfg.seed, i, attempt), rec["n"], num, den)
+            rows = walk_matrix(g).data
+            d = DomainMatrix([[ZZ(x) for x in row] for row in rows], (g.n, g.n), ZZ).det()
+            assert (d != 0) == (attempt == rec["attempts"] - 1)
+            if len(set(rows)) < g.n:
+                assert d == 0
+                equal_rows += 1
+        assert rec["profile"]["det_w"] == d
+    assert equal_rows > 0

@@ -9,6 +9,9 @@ prints one line per output group, ``<group> <items> <sha256>``:
 
   sweep_small     report_json(run_sweep(...)), seed 42, n 6-12, 500 graphs, mates
   sweep_factor    report_json(run_sweep(...)), seed 42, n 14-16, 24 graphs, no mates
+  sweep_edge_prob report_json(run_sweep(...)) at edge probabilities 1/3 and 2/7,
+                  seed 42, n 5-10, 30 graphs each, mates; every n = 5 slot is
+                  exhausted after its 10,000 draws
   analyze_fixture walklevel analyze --json on the bundled fixture
   analyze_pool    walklevel analyze --json on each line of perfbench/mates_pool.txt
   mates_fixture   walklevel mates --json on the fixture, automatic levels
@@ -35,7 +38,7 @@ prints one line per output group, ``<group> <items> <sha256>``:
 A group's digest covers each item's exit code, stdout and stderr in order.
 Run it on two checkouts (say, ``--src`` pointing at a ``git archive`` copy
 of the parent commit) and compare the lines. The pool file is always read
-from this script's checkout. Standard library only; it takes a few seconds.
+from this script's checkout. Standard library only; it takes about ten seconds.
 The path of the imported package goes to stderr.
 """
 
@@ -228,9 +231,12 @@ def groups(src: Path) -> dict[str, list[str]]:
     pool = pool_lines()
     small = SweepConfig(n_min=6, n_max=12, graph_count=500, seed=42)
     factor = SweepConfig(n_min=14, n_max=16, graph_count=24, seed=42, mates=False)
+    sparse = [SweepConfig(n_min=5, n_max=10, graph_count=30, seed=42, edge_prob_num=num,
+                          edge_prob_den=den) for num, den in ((1, 3), (2, 7))]
     return {
         "sweep_small": [report_json(run_sweep(small))],
         "sweep_factor": [report_json(run_sweep(factor))],
+        "sweep_edge_prob": [report_json(run_sweep(config)) for config in sparse],
         "analyze_fixture": [run_cli(main, ["analyze", "-", "--json"], fixture)],
         "analyze_pool": [run_cli(main, ["analyze", "-", "--json"], g6 + "\n")
                          for g6, _ in pool],
