@@ -1,11 +1,17 @@
 """Exact integer arithmetic helpers: p-adic valuations and factoring.
 
-Factoring is trial division up to ``TRIAL_DIVISION_BOUND`` = 10^4 followed
-by Brent's cycle variant of Pollard rho (Brent 1980), which finds a prime
-factor p in about sqrt(p) steps, with an explicit work budget so callers
-can fail loudly instead of hanging on adversarial inputs. The bound stays
-at least the default ``walklevel mates --level-cap`` (1000), so every prime
-below that cap is found by trial division.
+Factoring first takes g = gcd(n, P), where P is the product of the primes
+below ``TRIAL_DIVISION_BOUND`` = 10^4 (a 14,277-bit number built once at
+import). The primes dividing g are exactly the small primes of n; walking
+them in increasing order, up to the point where p^2 > g leaves g itself
+prime, replaces about 1,200 big-integer remainders with one gcd and a few
+small-integer ones. The cofactor has no prime below 10^4, so below 10007^2
+it is prime; otherwise it goes to Brent's cycle variant of Pollard rho
+(Brent 1980), which finds a prime factor p in about sqrt(p) steps, with an
+explicit work budget so callers can fail loudly instead of hanging on
+adversarial inputs. The bound stays at least the default
+``walklevel mates --level-cap`` (1000), so every prime below that cap is
+found without rho.
 """
 
 from __future__ import annotations
@@ -16,6 +22,22 @@ from typing import Mapping
 from .errors import FactorizationError
 
 TRIAL_DIVISION_BOUND = 10**4
+
+
+def _primes_below(bound: int) -> tuple[int, ...]:
+    """The primes below ``bound``, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+    return tuple(p for p in range(bound) if sieve[p])
+
+
+_TRIAL_PRIMES = _primes_below(TRIAL_DIVISION_BOUND)
+_PRIMORIAL = math.prod(_TRIAL_PRIMES)
+# a cofactor free of trial primes and below this square of the next prime is prime
+_PRIME_BELOW = 10007**2
 
 # Deterministic Miller-Rabin witness set for n < 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -112,23 +134,19 @@ def factorize(n: int, budget: int = 10**6) -> dict[int, int]:
         raise ValueError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while d * d <= n and d <= TRIAL_DIVISION_BOUND:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += wheel[i]
-        i = (i + 1) % 8
+    g = math.gcd(n, _PRIMORIAL)  # the product of n's distinct trial primes
+    for p in _TRIAL_PRIMES:
+        if p * p > g:
+            break
+        if g % p == 0:
+            g //= p
+            n = _strip(n, p, out)
+    if g > 1:  # no trial prime up to sqrt(g) divides it, so it is prime
+        n = _strip(n, g, out)
     if n == 1:
         return out
-    if d * d > n:
-        out[n] = out.get(n, 0) + 1
+    if n < _PRIME_BELOW:
+        out[n] = 1
         return out
 
     stack = [n]
@@ -150,6 +168,16 @@ def factorize(n: int, budget: int = 10**6) -> dict[int, int]:
         stack.append(f)
         stack.append(m // f)
     return out
+
+
+def _strip(n: int, p: int, out: dict[int, int]) -> int:
+    """n with every factor p divided out; out[p] gets the exponent."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    out[p] = e
+    return n
 
 
 def divisors(factors: Mapping[int, int]) -> list[int]:

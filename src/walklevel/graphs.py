@@ -15,8 +15,8 @@ from typing import Iterable, Mapping
 
 from .arith import factorize, is_prime
 from .errors import InvariantError, ParseError
-from .intmat import IntMatrix, bareiss, char_poly
-from .snf import invariant_factors
+from .intmat import IntMatrix, _bareiss, char_poly
+from .snf import _factors_from_block, invariant_factors
 
 ISOMORPHISM_SIZE_LIMIT = 12
 
@@ -28,16 +28,17 @@ class Graph:
     def __post_init__(self):
         adj = tuple(tuple(map(int, row)) for row in self.adj)
         n = len(adj)
-        # a valid matrix passes these whole-matrix checks; the loop below
-        # runs only on an invalid one, to raise the error its first fault names
+        # a valid matrix passes these whole-matrix checks; the checks below
+        # run only on an invalid one, to raise the error its first fault names
+        # (any ragged row first, so the entry loop never indexes a short row)
         if (set(map(len, adj)) <= {n} and tuple(zip(*adj)) == adj
                 and set(chain.from_iterable(adj)) <= {0, 1}
                 and not any(map(tuple.__getitem__, adj, range(n)))):
             object.__setattr__(self, "adj", adj)
             return
+        if any(len(row) != n for row in adj):
+            raise ValueError("adjacency matrix is not square")
         for i, row in enumerate(adj):
-            if len(row) != n:
-                raise ValueError("adjacency matrix is not square")
             if row[i] != 0:
                 raise ValueError("diagonal must be zero")
             for j, x in enumerate(row):
@@ -248,21 +249,23 @@ def walk_profile(g: Graph, primes: str | Iterable[int] = "auto") -> WalkProfile:
     The table is read off the invariant factors d_1 | ... | d_n: U W V = S
     with U, V unimodular, so v_p(det W) = sum of v_p(d_i) and
     rank_p W = #{i : p does not divide d_i}. No elimination mod p runs.
-    One Bareiss pass gives det W and the gcd h of four (n-1)-minors, and
-    ``invariant_factors`` eliminates modulo gcd(|det W|, h).
+    One Bareiss pass gives det W, the gcd h of four (n-1)-minors and a
+    trailing block T_k with W equivalent to I_k (+) T_k modulo
+    M = gcd(|det W|, h); only T_k is then eliminated modulo M.
     """
     w = walk_matrix(g)
-    return _profile(g, w, *bareiss(w), primes)
+    return _profile(g, w, _bareiss(w.data), primes)
 
 
 def _profile(
-    g: Graph, w: IntMatrix, d: int, h: int, primes: str | Iterable[int] = "auto"
+    g: Graph, w: IntMatrix, elimination: tuple, primes: str | Iterable[int] = "auto"
 ) -> WalkProfile:
     """walk_profile for a caller that already holds W = walk_matrix(g) and
-    (d, h) = bareiss(W): det W and the gcd of the (n-1)-minors Bareiss holds."""
-    factors = invariant_factors(w, d, h)
+    ``elimination`` = intmat._bareiss(W's rows): (det W, h, k, T_k)."""
+    d, h, k, block = elimination
     if d == 0:
-        return WalkProfile(g.n, w, 0, False, factors, None, {})
+        return WalkProfile(g.n, w, 0, False, invariant_factors(w), None, {})
+    factors = _factors_from_block(d, h, k, block)
 
     half = g.n // 2
     if d % (1 << half):

@@ -206,7 +206,7 @@ def bareiss(a: IntMatrix) -> tuple[int, int]:
     """(det a, h) from one Bareiss fraction-free elimination.
 
     Intermediate values stay polynomial-sized; every division is exact.
-    After step k every entry of the trailing block is a (k+2)-minor of the
+    After k steps every entry of the trailing block is a (k+1)-minor of the
     row-permuted matrix (Sylvester's identity), so one step before the end
     the trailing 2x2 block holds four (n-1)-minors; h is their gcd, a
     multiple of the gcd of all (n-1)-minors. For n = 1 that gcd is the empty
@@ -214,18 +214,33 @@ def bareiss(a: IntMatrix) -> tuple[int, int]:
     """
     if not a.is_square:
         raise ValueError("determinant of a non-square matrix")
-    return _bareiss(a.data)
+    return _bareiss(a.data)[:2]
 
 
-def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """``bareiss`` on the rows of a square integer matrix, which it does not modify."""
+def _bareiss(
+    rows: Sequence[Sequence[int]],
+) -> tuple[int, int, int, Sequence[Sequence[int]]]:
+    """``bareiss`` on the rows of a square integer matrix, which it does not
+    modify, plus a trailing block (k, T) for ``snf._factors_from_block``.
+
+    After k steps the pivot D_k is the leading k-minor of the row-permuted
+    matrix P*a, and by Sylvester's identity the trailing block is
+    T_k = D_k * S_k, with S_k the Schur complement of that leading block.
+    Modulo M = gcd(|det a|, h) a D_k prime to M is a unit, so the leading
+    block is invertible and a is equivalent to I_k (+) T_k over Z/MZ: the
+    Smith form of a mod M is k ones followed by that of T_k mod M. Each
+    step keeps D_k and a copy of T_k; the result carries the block of the
+    largest k with gcd(D_k, M) = 1, or k = 0 and ``rows`` itself when no
+    pivot is prime to M (or det a = 0).
+    """
     n = len(rows)
     if n == 0:
-        return 1, 1
+        return 1, 1, 0, rows
     m = [list(row) for row in rows]
     sign = 1
     prev = 1
     h = 1
+    blocks = []
     for k in range(n - 1):
         if k == n - 2:
             h = gcd(m[k][k], m[k][k + 1], m[k + 1][k], m[k + 1][k + 1])
@@ -236,7 +251,7 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
                     sign = -sign
                     break
             else:
-                return 0, 0
+                return 0, 0, 0, rows
         pivot = m[k][k]
         for i in range(k + 1, n):
             mik = m[i][k]
@@ -246,8 +261,16 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
                 row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
+        blocks.append((pivot, [row[k + 1:] for row in m[k + 1:]]))
     d = sign * m[n - 1][n - 1]
-    return d, h if d else 0
+    if not d:
+        return 0, 0, 0, rows
+    modulus = gcd(d, h)
+    for k in range(n - 1, 0, -1):
+        pivot, block = blocks[k - 1]
+        if gcd(pivot, modulus) == 1:
+            return d, h, k, block
+    return d, h, 0, rows
 
 
 def adjugate(a: IntMatrix) -> IntMatrix:

@@ -6,17 +6,23 @@ Z/p^kZ their determinants are units, and every nonzero invariant factor is
 normalized to a pure prime power p^c with 0 <= c < k.
 
 One modular elimination, ``_diagonal_mod`` over Z/dZ, serves
-``snf_mod_pk`` (with U and V), ``invariant_factors`` (without), and
+``snf_mod_pk`` (with U and V), the invariant factors (without), and
 ``dn_test`` and ``matesearch.enumerate_columns`` (with V alone). The
 integer elimination runs only in ``snf_int``, for ``walklevel snf``, and in
 ``invariant_factors`` of a singular or non-square matrix. For a nonsingular
-matrix ``invariant_factors`` keeps every entry reduced mod
+matrix ``_factors_from_block`` keeps every entry reduced mod
 M = gcd(|det|, h), where h is a multiple of d_1...d_{n-1} such as the gcd
 of the (n-1)-minors that ``intmat.bareiss`` returns with det. M is a
 multiple of d_1...d_{n-1}, so the elimination over Z/MZ gives
 d_1, ..., d_{n-1} exactly, and d_n is recomputed as |det| / (d_1...d_{n-1}).
-Since U and V are unimodular, the rank of M mod p is the number of
-invariant factors prime to p, and v_p(det M) is the sum of their
+It eliminates only a trailing block: the Bareiss pass that gave det and h
+has already eliminated a leading k x k block whose minor D_k is prime to M,
+and by Sylvester's identity its trailing block is T_k = D_k times the Schur
+complement, so the matrix is I_k (+) T_k over Z/MZ. ``walk_profile`` and
+the sweep pass the block ``intmat._bareiss`` returns (k >= 1 on walk
+matrices, whose first pivot is 1); ``invariant_factors`` passes k = 0 and
+the whole matrix. Since U and V are unimodular, the rank of M mod p is the
+number of invariant factors prime to p, and v_p(det M) is the sum of their
 valuations: ``walk_profile`` reads its prime table that way. ``rank_mod_p``
 (a plain GF(p) elimination) has no caller in the pipeline; it stays public
 because the tests use it as an oracle and the benchmark's span list names it.
@@ -437,14 +443,8 @@ def invariant_factors(
     entry ever exceeds M (Domich-Kannan-Trotter 1987, Hafner-McCurley 1991).
     M is gcd(|det|, h) when the caller passes ``h``, a nonzero multiple of
     d_1...d_{n-1} such as the gcd of the (n-1)-minors that
-    ``intmat.bareiss`` returns; otherwise M = |det|. Either way d_1...d_{n-1}
-    divides M, and the Smith form of m over Z/MZ is diag(gcd(d_i, M)), so
-    the elimination gives d_1, ..., d_{n-1} exactly. Its diagonal is put in
-    divisor-chain order by gcd/lcm swaps, which keep the Smith form. The
-    last factor, which Z/MZ sees only as gcd(d_n, M), is recomputed as
-    d_n = |det| / (d_1...d_{n-1}); a remainder, or a d_n that d_{n-1} does
-    not divide, raises InvariantError. On walk matrices d_1...d_{n-1} is
-    tiny next to |det|, so M is too.
+    ``intmat.bareiss`` returns; otherwise M = |det|. The rest is
+    ``_factors_from_block`` with no leading block split off (k = 0).
 
     Otherwise (det None or 0) it runs the integer elimination of ``snf_int``
     on S alone, also for non-square m; in the library only ``walk_profile``
@@ -455,25 +455,44 @@ def invariant_factors(
             raise ValueError("det given for a non-square matrix")
         if not m.rows:
             return ()
-        d = abs(det)
-        modulus = gcd(d, h) if h else d
-        diag = _diagonal_mod([[x % modulus for x in row] for row in m.data], modulus)
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                a, b = diag[i], diag[j]
-                g = gcd(a, b)
-                diag[i], diag[j] = g, a // g * b
-        head = diag[:-1]
-        d_n, rest = divmod(d, prod(head))
-        if rest or (head and d_n % head[-1]):
-            raise InvariantError(
-                f"|det| = {d} is not d_n * d_1...d_(n-1) for the factors "
-                f"{tuple(head)} found modulo {modulus}"
-            )
-        return (*head, d_n)
+        return _factors_from_block(det, h, 0, m.data)
     s = [list(row) for row in m.data]
     r = _smith_int(s, (), ())
     return tuple(s[i][i] for i in range(r))
+
+
+def _factors_from_block(det: int, h: int | None, k: int, block) -> tuple[int, ...]:
+    """The invariant factors of a nonsingular n x n matrix a that is
+    equivalent to I_k (+) ``block`` over Z/MZ, M = gcd(|det|, h) (or |det|
+    when h is None or 0).
+
+    ``intmat._bareiss`` returns such a trailing block with (det, h); k = 0
+    with a itself as the block is always valid. d_1...d_{n-1} divides M, and
+    the Smith form of a over Z/MZ is diag(gcd(d_i, M)), so k ones followed
+    by the diagonal of the block over Z/MZ give d_1, ..., d_{n-1} exactly.
+    The block's diagonal is put in divisor-chain order by gcd/lcm swaps,
+    which keep the Smith form (the ones already lead). The last factor,
+    which Z/MZ sees only as gcd(d_n, M), is recomputed as
+    d_n = |det| / (d_1...d_{n-1}); a remainder, or a d_n that d_{n-1} does
+    not divide, raises InvariantError. On walk matrices d_1...d_{n-1} is
+    tiny next to |det|, so M is too.
+    """
+    d = abs(det)
+    modulus = gcd(d, h) if h else d
+    tail = _diagonal_mod([[x % modulus for x in row] for row in block], modulus)
+    for i in range(len(tail)):
+        for j in range(i + 1, len(tail)):
+            a, b = tail[i], tail[j]
+            g = gcd(a, b)
+            tail[i], tail[j] = g, a // g * b
+    head = [1] * k + tail[:-1]
+    d_n, rest = divmod(d, prod(head))
+    if rest or (head and d_n % head[-1]):
+        raise InvariantError(
+            f"|det| = {d} is not d_n * d_1...d_(n-1) for the factors "
+            f"{tuple(head)} found modulo {modulus}"
+        )
+    return (*head, d_n)
 
 
 # ---------------------------------------------------------------------------

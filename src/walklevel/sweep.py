@@ -165,13 +165,13 @@ def sweep_one(config: SweepConfig, index: int) -> dict:
         rows = _walk_rows(graph.adj)
         # two equal rows make det W = 0, so such a draw needs no Bareiss pass
         if len(set(rows)) == n:
-            d, h = _bareiss(rows)
-            if d:
+            elimination = _bareiss(rows)
+            if elimination[0]:
                 break
     else:
         return {"index": index, "n": n, "attempts": max_attempts, "exhausted": True}
 
-    prof, rec = _analyze(graph, _profile(graph, IntMatrix(rows), d, h))
+    prof, rec = _analyze(graph, _profile(graph, IntMatrix(rows), elimination))
     record: dict = {"index": index, "n": n, "attempts": attempt + 1, **rec}
     if not config.mates:
         return record
@@ -242,10 +242,10 @@ def run_sweep(config: SweepConfig) -> dict:
     }
     for rec in records:
         stats = acceptance.setdefault(rec["n"], [0, 0])
-        stats[0] += 1
         stats[1] += rec["attempts"]
         if rec.get("exhausted"):
             continue
+        stats[0] += 1
         for entry in rec["bounds"]["per_prime"]:
             rules[entry["rule"]] = rules.get(entry["rule"], 0) + 1
         search = rec.get("search")

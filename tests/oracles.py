@@ -729,3 +729,60 @@ def graph_error_ref(adj):
     except (ValueError, IndexError, TypeError) as exc:
         return type(exc).__name__, str(exc)
     return None
+
+
+# -- frozen trial division (reference for arith.factorize) -------------------
+
+
+def factorize_ref(n, budget=10**6):
+    """{prime: exponent} of |n|, with the keys in the order they are found.
+
+    Frozen from ``arith.factorize`` before it took one gcd against the
+    product of the trial primes: 2, 3, 5, then a mod-30 wheel of trial
+    divisors up to 10^4, then arith's own Brent rho on what is left.
+    """
+    from walklevel.arith import _pollard_brent, is_prime
+    from walklevel.errors import FactorizationError
+
+    if n == 0:
+        raise ValueError("cannot factor 0")
+    n = abs(n)
+    out = {}
+    for p in (2, 3, 5):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    d = 7
+    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
+    i = 0
+    while d * d <= n and d <= 10**4:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += wheel[i]
+        i = (i + 1) % 8
+    if n == 1:
+        return out
+    if d * d > n:
+        out[n] = out.get(n, 0) + 1
+        return out
+
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        f = None
+        for seed in range(8):
+            f = _pollard_brent(m, budget, seed)
+            if f is not None and 1 < f < m:
+                break
+            f = None
+        if f is None:
+            raise FactorizationError(abs(n), out, m)
+        stack.append(f)
+        stack.append(m // f)
+    return out

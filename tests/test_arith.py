@@ -1,14 +1,21 @@
 """Valuations, primality, and budgeted factorization."""
 
+import random
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import factorize_ref
 from sympy import factorint, nextprime, prevprime, primerange
 
 from walklevel import arith
 from walklevel.arith import TRIAL_DIVISION_BOUND, divisors, factorize, is_prime, v_p
 from walklevel.cli import build_parser
 from walklevel.errors import FactorizationError
+from walklevel.graphs import walk_matrix
+from walklevel.intmat import det
+from walklevel.sweep import derive_stream, random_graph
 
 # primes that trial division leaves to rho: just above 10^4, up to 10^6
 RHO_PRIMES = (
@@ -103,6 +110,91 @@ class TestTrialBoundary:
         for p in large + small:
             n *= p
         assert factorize(n) == sympy_factors(n)
+
+
+# 9973 is the largest prime below the trial bound, 10007 the smallest above it
+BOUNDARY_NUMBERS = (
+    [9973**k for k in range(1, 6)]
+    + [10007, 10007**2, 9973 * 10007, 10007**2 * 9973, 10007**3, 2 * 10007**2,
+       9967 * 9973, 9967**2 * 9973**3 * 10007, 10001**2, 10003 * 10007]
+)
+
+
+def seeded_normalized_dets(seed, orders):
+    """det W / 2^floor(n/2) of the first controllable draw at each order."""
+    out = []
+    for n in orders:
+        for attempt in range(1000):
+            d = det(walk_matrix(random_graph(derive_stream(seed, n, attempt), n, 1, 2)))
+            if d:
+                out.append(d >> n // 2)
+                break
+    return out
+
+
+class TestPrimorialGcd:
+    """factorize takes n's trial primes from gcd(n, product of the primes
+    below 10^4); the frozen wheel loop is the reference, key order included."""
+
+    def check(self, n):
+        got = factorize(n)
+        expected = factorize_ref(n)
+        assert got == expected == sympy_factors(abs(n)), n
+        assert list(got) == list(expected), n
+
+    def test_primorial(self):
+        assert arith._PRIMORIAL == prod(primerange(2, TRIAL_DIVISION_BOUND))
+        assert arith._PRIMORIAL.bit_length() == 14277
+        # a cofactor free of trial primes is prime below the next prime's square
+        assert arith._PRIME_BELOW == nextprime(TRIAL_DIVISION_BOUND) ** 2
+
+    def test_boundary_numbers(self):
+        for n in BOUNDARY_NUMBERS:
+            self.check(n)
+            self.check(-n)
+
+    def test_many_trial_primes_with_high_exponents(self):
+        primes = list(primerange(2, TRIAL_DIVISION_BOUND))
+        rng = random.Random(13)
+        for _ in range(60):
+            n = 1
+            for p in rng.sample(primes, rng.randint(1, 40)):
+                n *= p ** rng.randint(1, 25)
+            if rng.random() < 0.5:
+                n *= rng.choice(RHO_PRIMES) ** rng.randint(1, 2)
+            self.check(n)
+            self.check(-n)
+
+    def test_small_numbers(self):
+        for n in range(1, 3000):
+            self.check(n)
+            self.check(-n)
+
+    def test_normalized_dets_of_walk_matrices(self):
+        for seed in (0, 42):
+            for nd in seeded_normalized_dets(seed, range(6, 19)):
+                self.check(nd)
+
+    def test_rho_gets_the_same_inputs(self, count_calls):
+        calls = count_calls(arith._pollard_brent)
+        for n in BOUNDARY_NUMBERS + seeded_normalized_dets(42, range(6, 19)):
+            factorize(n)
+        new = list(calls)
+        calls.clear()
+        for n in BOUNDARY_NUMBERS + seeded_normalized_dets(42, range(6, 19)):
+            factorize_ref(n)
+        assert new == calls
+        assert len(calls) > 0
+
+    def test_same_error_on_an_exhausted_budget(self):
+        n = 3**4 * 9973 * (2**89 - 1) * (2**107 - 1)
+        with pytest.raises(FactorizationError) as got:
+            factorize(n, budget=10)
+        with pytest.raises(FactorizationError) as expected:
+            factorize_ref(n, budget=10)
+        assert str(got.value) == str(expected.value)
+        assert got.value.factored == expected.value.factored == {3: 4, 9973: 1}
+        assert got.value.cofactor == expected.value.cofactor
 
 
 class TestHelpers:

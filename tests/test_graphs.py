@@ -42,6 +42,13 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(((0, 2), (2, 0)))  # not 0/1
 
+    def test_ragged_rows_are_not_square(self):
+        # a short later row is named before any entry fault of an earlier row
+        for adj in (((0, 0, 1), (0, 0, 0), (1,)), ((1, 0, 1), (0, 0), (1, 0, 0)),
+                    ((0, 2), (2, 0, 1))):
+            with pytest.raises(ValueError, match="adjacency matrix is not square"):
+                Graph(adj)
+
     def test_errors_match_frozen_validator(self):
         # ragged rows, nonzero diagonals, entries outside {0, 1} and
         # asymmetry, alone and together, on lists, bools and ints alike
@@ -72,10 +79,16 @@ class TestGraphType:
                 adj = [[bool(x) if x in (0, 1) else x for x in row] for row in adj]
             if rng.random() < 0.5:
                 adj = tuple(tuple(row) for row in adj)
-            expected = graph_error_ref(adj)
+            # the frozen validator walked entries before it reached a short
+            # row, so it could name another fault or raise IndexError; a
+            # ragged matrix is now rejected as not square before any entry
+            if any(len(row) != n for row in adj):
+                expected = ("ValueError", "adjacency matrix is not square")
+            else:
+                expected = graph_error_ref(adj)
             try:
                 got = Graph(adj).adj
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 got = (type(exc).__name__, str(exc))
             else:
                 assert got == tuple(tuple(int(x) for x in row) for row in adj)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     all_vectors_mod,
     augment_column,
+    det_cofactor,
     exhaustive_kernel_count,
     exhaustive_solvable,
     exhaustive_unit_kernel_exists,
@@ -21,13 +22,15 @@ from oracles import (
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 from sympy.polys.domains import ZZ
+from walklevel import snf
 from walklevel.arith import v_p
 from walklevel.errors import InvariantError
-from walklevel.graphs import walk_matrix
-from walklevel.intmat import IntMatrix, bareiss, det
+from walklevel.graphs import parse_graph6, walk_matrix, walk_profile
+from walklevel.intmat import IntMatrix, _bareiss, bareiss, det
 from walklevel.snf import (
     _augmented_factors,
     _diagonal_mod,
+    _factors_from_block,
     _identity,
     _solve,
     dn_test,
@@ -39,7 +42,7 @@ from walklevel.snf import (
     snf_mod_pk,
     solvable_mod_pk,
 )
-from walklevel.sweep import derive_stream, random_graph
+from walklevel.sweep import SweepConfig, derive_stream, random_graph, sweep_one
 
 DIAG_FIXTURE = IntMatrix.diag([2, 10, 30, 270])
 
@@ -48,13 +51,18 @@ def rand_matrix(rng, nr, nc, lo=-9, hi=9):
     return IntMatrix([[rng.randint(lo, hi) for _ in range(nc)] for _ in range(nr)])
 
 
+def seeded_graph(seed, n):
+    """The first controllable G(n, 1/2) draw of a seeded stream."""
+    for attempt in range(1000):
+        g = random_graph(derive_stream(seed, n, attempt), n, 1, 2)
+        if det(walk_matrix(g)):
+            return g
+    raise AssertionError("no controllable draw")
+
+
 def seeded_walk_matrix(seed, n):
     """Walk matrix of the first controllable G(n, 1/2) draw of a seeded stream."""
-    for attempt in range(1000):
-        w = walk_matrix(random_graph(derive_stream(seed, n, attempt), n, 1, 2))
-        if det(w):
-            return w
-    raise AssertionError("no controllable draw")
+    return walk_matrix(seeded_graph(seed, n))
 
 
 def local_systems(rng, count):
@@ -263,6 +271,108 @@ class TestMinorGcdModulus:
             invariant_factors(m, 6, 2)
         with pytest.raises(InvariantError):  # d_n = 4 / (2 * 2) = 1 is not a multiple of 2
             invariant_factors(m, 4, 4)
+
+
+def leading_minor(rows, k, extra_row=None, extra_col=None):
+    """det of the leading k x k block, bordered by one more row and column."""
+    ri = list(range(k)) + ([extra_row] if extra_row is not None else [])
+    ci = list(range(k)) + ([extra_col] if extra_col is not None else [])
+    return det_cofactor([[rows[i][j] for j in ci] for i in ri])
+
+
+class TestBareissTrailingBlock:
+    """intmat._bareiss returns (det, h, k, T_k): W is I_k (+) T_k modulo
+    M = gcd(|det|, h), and snf._factors_from_block reads the invariant
+    factors off T_k alone."""
+
+    def test_walk_matrices_match_snf_int_and_sympy(self):
+        for n in (6, 9, 12, 16, 20, 24):
+            for seed in (1, 2):
+                w = seeded_walk_matrix(seed, n)
+                d, h, k, block = _bareiss(w.data)
+                assert (d, h) == bareiss(w)
+                assert 1 <= k < n and len(block) == len(block[0]) == n - k
+                got = _factors_from_block(d, h, k, block)
+                assert got == snf_int(w).invariant_factors == invariant_factors(w, d, h)
+                if n <= 16:
+                    assert got == sympy_factors(w)
+
+    def test_block_is_the_bordered_minors_and_k_is_largest(self):
+        # walk matrices whose leading minors are all nonzero take no row swap,
+        # so T_k holds the (k+1)-minors of W itself (Sylvester's identity)
+        seen = 0
+        for seed in range(12):
+            for n in (6, 7, 8):
+                rows = seeded_walk_matrix(seed, n).data
+                minors = [leading_minor(rows, j) for j in range(1, n)]
+                if not all(minors):
+                    continue
+                d, h, k, block = _bareiss(rows)
+                modulus = gcd(d, h)
+                assert gcd(minors[k - 1], modulus) == 1
+                assert all(gcd(m, modulus) > 1 for m in minors[k:])
+                assert block == [[leading_minor(rows, k, k + a, k + b) for b in range(n - k)]
+                                 for a in range(n - k)]
+                seen += 1
+        assert seen >= 15
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, 3, -4, 6, 9]), min_size=36, max_size=36),
+    )
+    def test_zero_pivots_match_sympy(self, n, pool):
+        rows = [pool[i * 6:i * 6 + n] for i in range(n)]
+        d, h, k, block = _bareiss(rows)
+        if not d:
+            return
+        assert len(block) == n - k
+        assert _factors_from_block(d, h, k, block) == sympy_factors(IntMatrix(rows))
+
+    def test_no_pivot_prime_to_the_modulus(self):
+        # every entry of 2I + 2P is even, so every pivot and M are, and k = 0
+        rng = random.Random(31)
+        for _ in range(30):
+            n = rng.randint(2, 6)
+            m = IntMatrix([[2 * (i == j) + 2 * rng.randint(-3, 3) for j in range(n)]
+                           for i in range(n)])
+            d, h, k, block = _bareiss(m.data)
+            if not d:
+                continue
+            assert k == 0 and block is m.data
+            got = _factors_from_block(d, h, k, block)
+            assert got == snf_int(m).invariant_factors == sympy_factors(m)
+
+    def test_small_orders_and_unit_det(self):
+        cases = [
+            ([[-5]], 0, (5,)),
+            ([[4, 6], [10, 8]], 0, (2, 14)),  # M = 2 and the pivot 4 is even
+            ([[1, 2], [3, 4]], 1, (1, 2)),
+            ([[2, 1], [1, 1]], 1, (1, 1)),  # det 1: M = 1, every pivot is a unit
+            ([[0, 1, 0], [1, 0, 0], [0, 0, -1]], 2, (1, 1, 1)),
+            ([[0, 2, 0], [3, 0, 0], [0, 0, 5]], 0, (1, 1, 30)),
+        ]
+        for rows, k, factors in cases:
+            el = _bareiss(rows)
+            assert el[2] == k, rows
+            assert _factors_from_block(*el) == factors == invariant_factors(IntMatrix(rows))
+
+    def test_leading_block_is_not_eliminated_twice(self, count_calls):
+        # the one modular elimination of a profile sees the n - k rows of T_k
+        calls = count_calls(snf._diagonal_mod)
+        config = SweepConfig(n_min=6, n_max=16, seed=42, mates=False)
+        graphs = [parse_graph6(sweep_one(config, i)["graph6"]) for i in range(22)]
+        for seed in range(4):
+            graphs.append(seeded_graph(seed, 24))
+            walk_profile(graphs[-1], primes=(3,))
+        assert len(calls) == len(graphs)
+        ks = []
+        for rows, g in zip(calls, graphs):
+            k = _bareiss(walk_matrix(g).data)[2]
+            assert len(rows) == len(rows[0]) == g.n - k
+            ks.append(k)
+        assert min(ks) >= 1
+        assert sum(k > 1 for k in ks) > len(ks) // 2
 
 
 def divisor_chain(diag):

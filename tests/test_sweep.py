@@ -146,6 +146,18 @@ class TestSweep:
         assert agg["bound_violations"] == []
         assert agg["lemma_failures"] == []
 
+    def test_exhausted_slots_are_not_accepted(self):
+        # no 5-vertex graph is controllable: both n = 5 slots draw 10,000
+        # graphs and are exhausted; their draws count, the slots do not
+        rep = run_sweep(SweepConfig(n_min=5, n_max=6, graph_count=4, seed=42, mates=False))
+        exhausted = {}
+        for rec in rep["graphs"]:
+            exhausted.setdefault(rec["n"], []).append(rec.get("exhausted", False))
+        assert exhausted == {5: [True, True], 6: [False, False]}
+        acceptance = rep["aggregate"]["controllable_acceptance"]
+        assert acceptance["5"] == {"accepted": 0, "attempts": 20000}
+        assert acceptance["6"]["accepted"] == 2
+
     def test_mates_past_isomorphism_size_limit(self):
         # slot 15 is a 14-vertex graph with a level-3 mate; the search no
         # longer calls the isomorphism test, which stops at 12 vertices

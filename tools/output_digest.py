@@ -34,6 +34,12 @@ prints one line per output group, ``<group> <items> <sha256>``:
                   witnesses over the fixture and the first 20 pool graphs: p in
                   3, 5, 7, tau <= 2, z0 and lambda0 drawn in [0, p^tau); how many
                   of the shifted matrices A - lambda0*I are singular goes to stderr
+  factor_smith    factorize(n) as JSON in the order its keys were found (no
+                  sort_keys) on numbers at the trial-division boundary (powers of
+                  9973, 10007, their products) and on det W / 2^floor(n/2) of the
+                  first controllable G(n, 1/2) draw of derive_stream(42, n,
+                  attempt), n = 6..18; then invariant_factors(m, *bareiss(m)) on
+                  300 random.Random(7) square matrices with n <= 8
 
 A group's digest covers each item's exit code, stdout and stderr in order.
 Run it on two checkouts (say, ``--src`` pointing at a ``git archive`` copy
@@ -219,6 +225,34 @@ def lemma_reports(fixture: str, pool: list[tuple[str, str]]) -> list[str]:
     return out
 
 
+def factor_smith() -> list[str]:
+    """factorize with its key order, and invariant factors through bareiss."""
+    from walklevel.arith import factorize
+    from walklevel.graphs import walk_matrix
+    from walklevel.intmat import IntMatrix, bareiss, det
+    from walklevel.snf import invariant_factors
+    from walklevel.sweep import derive_stream, random_graph
+
+    numbers = [9973**k for k in range(1, 6)] + [
+        10007, 10007**2, 9973 * 10007, 10007**2 * 9973, 10007**3, 9967**2 * 9973**3 * 10007,
+        2**40 * 3**25 * 9973**2 * 10007, -(10001**2), -(10003 * 10007)]
+    for n in range(6, 19):
+        for attempt in range(1000):
+            d = det(walk_matrix(random_graph(derive_stream(42, n, attempt), n, 1, 2)))
+            if d:
+                numbers.append(d >> n // 2)
+                break
+    out = [json.dumps([n, factorize(n)]) + "\n" for n in numbers]
+
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        pool = rng.choice(((0, 1, -1, 2), (0, 2, 4, 6, 3), tuple(range(-9, 10))))
+        m = IntMatrix([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+        out.append(json.dumps([m.data, invariant_factors(m, *bareiss(m))]) + "\n")
+    return out
+
+
 def groups(src: Path) -> dict[str, list[str]]:
     sys.path.insert(0, str(src))
     import walklevel
@@ -249,6 +283,7 @@ def groups(src: Path) -> dict[str, list[str]]:
         "snf_helpers": local_helpers(),
         "dn_answers": unit_kernel_answers(),
         "lemma_reports": lemma_reports(fixture, pool),
+        "factor_smith": factor_smith(),
     }
 
 
