@@ -134,22 +134,23 @@ def factorize(n: int, budget: int = 10**6) -> dict[int, int]:
         raise ValueError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
+    rest = n  # what trial division leaves
     g = math.gcd(n, _PRIMORIAL)  # the product of n's distinct trial primes
     for p in _TRIAL_PRIMES:
         if p * p > g:
             break
         if g % p == 0:
             g //= p
-            n = _strip(n, p, out)
+            rest = _strip(rest, p, out)
     if g > 1:  # no trial prime up to sqrt(g) divides it, so it is prime
-        n = _strip(n, g, out)
-    if n == 1:
+        rest = _strip(rest, g, out)
+    if rest == 1:
         return out
-    if n < _PRIME_BELOW:
-        out[n] = 1
+    if rest < _PRIME_BELOW:
+        out[rest] = 1
         return out
 
-    stack = [n]
+    stack = [rest]
     while stack:
         m = stack.pop()
         if m == 1:
@@ -164,7 +165,7 @@ def factorize(n: int, budget: int = 10**6) -> dict[int, int]:
                 break
             f = None
         if f is None:
-            raise FactorizationError(abs(n), out, m)
+            raise FactorizationError(n, out, m)
         stack.append(f)
         stack.append(m // f)
     return out

@@ -406,9 +406,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 1
     except (ValueError, ConjugationError, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 1

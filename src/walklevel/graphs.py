@@ -15,8 +15,8 @@ from typing import Iterable, Mapping
 
 from .arith import factorize, is_prime
 from .errors import InvariantError, ParseError
-from .intmat import IntMatrix, _bareiss, char_poly
-from .snf import _factors_from_block, invariant_factors
+from .intmat import IntMatrix, char_poly
+from .snf import _det_and_factors, _factors_over_z
 
 ISOMORPHISM_SIZE_LIMIT = 12
 
@@ -158,13 +158,13 @@ def emit_graph6(g: Graph) -> str:
 
 def walk_matrix(g: Graph) -> IntMatrix:
     """[e, Ae, ..., A^(n-1)e] as columns; A v sums v over each vertex's neighbours."""
-    if g.n < 1:
-        raise ValueError("graph must have at least one vertex")
     return IntMatrix(_walk_rows(g.adj))
 
 
 def _walk_rows(adj: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
     """The rows of W = [e, Ae, ..., A^(n-1)e] for the 0-1 adjacency rows ``adj``."""
+    if not adj:
+        raise ValueError("graph must have at least one vertex")
     v = (1,) * len(adj)
     cols = [v]
     for _ in range(len(adj) - 1):
@@ -249,23 +249,30 @@ def walk_profile(g: Graph, primes: str | Iterable[int] = "auto") -> WalkProfile:
     The table is read off the invariant factors d_1 | ... | d_n: U W V = S
     with U, V unimodular, so v_p(det W) = sum of v_p(d_i) and
     rank_p W = #{i : p does not divide d_i}. No elimination mod p runs.
-    One Bareiss pass gives det W, the gcd h of four (n-1)-minors and a
-    trailing block T_k with W equivalent to I_k (+) T_k modulo
-    M = gcd(|det W|, h); only T_k is then eliminated modulo M.
+    A controllable graph takes the one path of ``invariant_factors``: one
+    Bareiss pass gives det W and a trailing block T_k, and only T_k is
+    eliminated, modulo M = gcd(|det W|, h) (see ``snf``). A graph whose
+    Bareiss pass finds det W = 0 gets the integer elimination alone.
     """
+    prof = _controllable_profile(g, primes)
+    if prof is not None:
+        return prof
     w = walk_matrix(g)
-    return _profile(g, w, _bareiss(w.data), primes)
+    return WalkProfile(g.n, w, 0, False, _factors_over_z(w.data), None, {})
 
 
-def _profile(
-    g: Graph, w: IntMatrix, elimination: tuple, primes: str | Iterable[int] = "auto"
-) -> WalkProfile:
-    """walk_profile for a caller that already holds W = walk_matrix(g) and
-    ``elimination`` = intmat._bareiss(W's rows): (det W, h, k, T_k)."""
-    d, h, k, block = elimination
-    if d == 0:
-        return WalkProfile(g.n, w, 0, False, invariant_factors(w), None, {})
-    factors = _factors_from_block(d, h, k, block)
+def _controllable_profile(g: Graph, primes: str | Iterable[int] = "auto") -> WalkProfile | None:
+    """walk_profile of a controllable graph, or None when det W = 0.
+
+    Two equal walk rows make det W = 0, so such a graph is turned away
+    before any Bareiss pass; otherwise one pass decides.
+    """
+    rows = _walk_rows(g.adj)
+    if len(set(rows)) < g.n:
+        return None
+    d, factors = _det_and_factors(rows)
+    if not d:
+        return None
 
     half = g.n // 2
     if d % (1 << half):
@@ -282,7 +289,8 @@ def _profile(
         for p in plist:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
-    return WalkProfile(g.n, w, d, True, factors, nd, {p: _row(factors, p) for p in plist})
+    return WalkProfile(g.n, IntMatrix(rows), d, True, factors, nd,
+                       {p: _row(factors, p) for p in plist})
 
 
 def _row(factors: tuple[int, ...], p: int) -> tuple[int, int]:

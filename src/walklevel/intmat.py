@@ -198,40 +198,29 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def det(a: IntMatrix) -> int:
-    """Exact determinant via Bareiss fraction-free elimination (see ``bareiss``)."""
-    return bareiss(a)[0]
-
-
-def bareiss(a: IntMatrix) -> tuple[int, int]:
-    """(det a, h) from one Bareiss fraction-free elimination.
-
-    Intermediate values stay polynomial-sized; every division is exact.
-    After k steps every entry of the trailing block is a (k+1)-minor of the
-    row-permuted matrix (Sylvester's identity), so one step before the end
-    the trailing 2x2 block holds four (n-1)-minors; h is their gcd, a
-    multiple of the gcd of all (n-1)-minors. For n = 1 that gcd is the empty
-    minor, 1. h is 0 when det a is 0, and nonzero otherwise.
-    """
+    """Exact determinant via Bareiss fraction-free elimination (``_bareiss``)."""
     if not a.is_square:
         raise ValueError("determinant of a non-square matrix")
-    return _bareiss(a.data)[:2]
+    return _bareiss(a.data)[0]
 
 
-def _bareiss(
-    rows: Sequence[Sequence[int]],
-) -> tuple[int, int, int, Sequence[Sequence[int]]]:
-    """``bareiss`` on the rows of a square integer matrix, which it does not
-    modify, plus a trailing block (k, T) for ``snf._factors_from_block``.
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int, int, Sequence[Sequence[int]]]:
+    """(det a, M, k, T_k) from one Bareiss fraction-free elimination of the
+    rows of a square integer matrix a, which it does not modify; the tuple
+    is for ``snf._factors_from_block``.
 
+    Intermediate values stay polynomial-sized; every division is exact.
     After k steps the pivot D_k is the leading k-minor of the row-permuted
-    matrix P*a, and by Sylvester's identity the trailing block is
-    T_k = D_k * S_k, with S_k the Schur complement of that leading block.
-    Modulo M = gcd(|det a|, h) a D_k prime to M is a unit, so the leading
-    block is invertible and a is equivalent to I_k (+) T_k over Z/MZ: the
-    Smith form of a mod M is k ones followed by that of T_k mod M. Each
-    step keeps D_k and a copy of T_k; the result carries the block of the
-    largest k with gcd(D_k, M) = 1, or k = 0 and ``rows`` itself when no
-    pivot is prime to M (or det a = 0).
+    matrix P*a, and by Sylvester's identity every entry of the trailing
+    block T_k = D_k * S_k is a (k+1)-minor of P*a, S_k being the Schur
+    complement of that leading block. One step before the end the trailing
+    2x2 block thus holds four (n-1)-minors; their gcd h is a multiple of
+    d_1...d_(n-1) (for n = 1 it is the empty minor, 1), and so is
+    M = gcd(|det a|, h). Modulo M a D_k prime to M is a unit, so a is
+    equivalent to I_k (+) T_k over Z/MZ. Each step keeps D_k and a copy of
+    T_k; the result carries the block of the largest k with
+    gcd(D_k, M) = 1, or k = 0 and ``rows`` itself when no pivot is prime to
+    M. A singular a gives (0, 0, 0, rows).
     """
     n = len(rows)
     if n == 0:
@@ -269,8 +258,8 @@ def _bareiss(
     for k in range(n - 1, 0, -1):
         pivot, block = blocks[k - 1]
         if gcd(pivot, modulus) == 1:
-            return d, h, k, block
-    return d, h, 0, rows
+            return d, modulus, k, block
+    return d, modulus, 0, rows
 
 
 def adjugate(a: IntMatrix) -> IntMatrix:

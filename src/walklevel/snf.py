@@ -8,24 +8,21 @@ normalized to a pure prime power p^c with 0 <= c < k.
 One modular elimination, ``_diagonal_mod`` over Z/dZ, serves
 ``snf_mod_pk`` (with U and V), the invariant factors (without), and
 ``dn_test`` and ``matesearch.enumerate_columns`` (with V alone). The
-integer elimination runs only in ``snf_int``, for ``walklevel snf``, and in
-``invariant_factors`` of a singular or non-square matrix. For a nonsingular
-matrix ``_factors_from_block`` keeps every entry reduced mod
-M = gcd(|det|, h), where h is a multiple of d_1...d_{n-1} such as the gcd
-of the (n-1)-minors that ``intmat.bareiss`` returns with det. M is a
-multiple of d_1...d_{n-1}, so the elimination over Z/MZ gives
-d_1, ..., d_{n-1} exactly, and d_n is recomputed as |det| / (d_1...d_{n-1}).
-It eliminates only a trailing block: the Bareiss pass that gave det and h
-has already eliminated a leading k x k block whose minor D_k is prime to M,
-and by Sylvester's identity its trailing block is T_k = D_k times the Schur
-complement, so the matrix is I_k (+) T_k over Z/MZ. ``walk_profile`` and
-the sweep pass the block ``intmat._bareiss`` returns (k >= 1 on walk
-matrices, whose first pivot is 1); ``invariant_factors`` passes k = 0 and
-the whole matrix. Since U and V are unimodular, the rank of M mod p is the
-number of invariant factors prime to p, and v_p(det M) is the sum of their
-valuations: ``walk_profile`` reads its prime table that way. ``rank_mod_p``
-(a plain GF(p) elimination) has no caller in the pipeline; it stays public
-because the tests use it as an oracle and the benchmark's span list names it.
+integer elimination runs only in ``snf_int``, for ``walklevel snf``, and
+in ``_factors_over_z``, the invariant factors of a singular, non-square or
+empty matrix. A nonempty square matrix takes one path,
+``_det_and_factors``, shared by ``invariant_factors`` and ``walk_profile``:
+one ``intmat._bareiss`` pass gives det, a modulus M = gcd(|det|, h) with h
+a gcd of (n-1)-minors, and a trailing block T_k such that the matrix is
+I_k (+) T_k over Z/MZ (k >= 1 on walk matrices, whose first pivot is 1).
+``_factors_from_block`` eliminates T_k alone modulo M. M is a multiple of
+d_1...d_{n-1}, so this gives d_1, ..., d_{n-1} exactly, and d_n is
+recomputed as |det| / (d_1...d_{n-1}). Since U and V are unimodular, the
+rank of a matrix mod p is the number of its invariant factors prime to p,
+and v_p(det) is the sum of their valuations: ``walk_profile`` reads its
+prime table that way. ``rank_mod_p`` (a plain GF(p) elimination) has no
+caller in the pipeline; it stays public because the tests use it as an
+oracle and the benchmark's span list names it.
 
 On top of the forms sit the module-theoretic helpers: solvability of
 M x = b over Z/p^kZ, kernel structure, the "does M z = 0 have a unit-entry
@@ -45,7 +42,7 @@ from math import gcd, prod
 
 from .arith import is_prime, v_p
 from .errors import InvariantError
-from .intmat import IntMatrix
+from .intmat import IntMatrix, _bareiss
 
 
 @dataclass(frozen=True)
@@ -434,41 +431,46 @@ def _diagonal_mod(
     return diag
 
 
-def invariant_factors(
-    m: IntMatrix, det: int | None = None, h: int | None = None
-) -> tuple[int, ...]:
+def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     """The nonzero invariant factors of m over Z, without transforms.
 
-    With ``det`` = det(m) nonzero, the elimination runs over Z/MZ, so no
+    A nonempty square m gets one Bareiss pass (``_det_and_factors``). When
+    det m is nonzero only a trailing block is eliminated, over Z/MZ, so no
     entry ever exceeds M (Domich-Kannan-Trotter 1987, Hafner-McCurley 1991).
-    M is gcd(|det|, h) when the caller passes ``h``, a nonzero multiple of
-    d_1...d_{n-1} such as the gcd of the (n-1)-minors that
-    ``intmat.bareiss`` returns; otherwise M = |det|. The rest is
-    ``_factors_from_block`` with no leading block split off (k = 0).
-
-    Otherwise (det None or 0) it runs the integer elimination of ``snf_int``
-    on S alone, also for non-square m; in the library only ``walk_profile``
-    of an uncontrollable graph does. ``det`` and ``h`` must belong to m.
+    Otherwise, and for a non-square or empty m, the integer elimination of
+    ``snf_int`` runs on S alone (``_factors_over_z``).
     """
-    if det:
-        if m.rows != m.cols:
-            raise ValueError("det given for a non-square matrix")
-        if not m.rows:
-            return ()
-        return _factors_from_block(det, h, 0, m.data)
-    s = [list(row) for row in m.data]
+    if m.rows and m.is_square:
+        d, factors = _det_and_factors(m.data)
+        if d:
+            return factors
+    return _factors_over_z(m.data)
+
+
+def _det_and_factors(rows) -> tuple[int, tuple[int, ...]]:
+    """(det a, invariant factors of a) for the rows of a nonempty square
+    matrix a, from one ``intmat._bareiss`` pass; the factors are () when
+    det a = 0, and no Smith elimination runs then."""
+    d, modulus, k, block = _bareiss(rows)
+    if not d:
+        return 0, ()
+    return d, _factors_from_block(d, modulus, k, block)
+
+
+def _factors_over_z(rows) -> tuple[int, ...]:
+    """The nonzero invariant factors of any integer matrix by the integer
+    elimination of ``snf_int``, without U and V."""
+    s = [list(row) for row in rows]
     r = _smith_int(s, (), ())
     return tuple(s[i][i] for i in range(r))
 
 
-def _factors_from_block(det: int, h: int | None, k: int, block) -> tuple[int, ...]:
+def _factors_from_block(det: int, modulus: int, k: int, block) -> tuple[int, ...]:
     """The invariant factors of a nonsingular n x n matrix a that is
-    equivalent to I_k (+) ``block`` over Z/MZ, M = gcd(|det|, h) (or |det|
-    when h is None or 0).
+    equivalent to I_k (+) ``block`` over Z/MZ, M = ``modulus``, a multiple
+    of d_1...d_{n-1} dividing det a: the tuple ``intmat._bareiss`` returns.
 
-    ``intmat._bareiss`` returns such a trailing block with (det, h); k = 0
-    with a itself as the block is always valid. d_1...d_{n-1} divides M, and
-    the Smith form of a over Z/MZ is diag(gcd(d_i, M)), so k ones followed
+    The Smith form of a over Z/MZ is diag(gcd(d_i, M)), so k ones followed
     by the diagonal of the block over Z/MZ give d_1, ..., d_{n-1} exactly.
     The block's diagonal is put in divisor-chain order by gcd/lcm swaps,
     which keep the Smith form (the ones already lead). The last factor,
@@ -478,7 +480,6 @@ def _factors_from_block(det: int, h: int | None, k: int, block) -> tuple[int, ..
     tiny next to |det|, so M is too.
     """
     d = abs(det)
-    modulus = gcd(d, h) if h else d
     tail = _diagonal_mod([[x % modulus for x in row] for row in block], modulus)
     for i in range(len(tail)):
         for j in range(i + 1, len(tail)):

@@ -4,15 +4,14 @@ Reproducibility contract: graph bits come from SplitMix64 streams derived
 as mix(mix(mix(seed) ^ mix(index)) ^ mix(attempt)), with edge decisions
 drawn pair by pair in lexicographic (i, j) order and the edge probability
 handled as an exact rational a/b (a draw below b compared against a). The
-same seed and config therefore give byte-identical reports on any
-platform, regardless of worker count, because records are keyed by index
-and assembled in order.
+same seed and config therefore give byte-identical records and aggregate
+on any platform and for any worker count (the config echo records the
+count), because records are keyed by index and assembled in order.
 
-A slot keeps drawing until W(G) is nonsingular. A draw whose walk matrix
-has two equal rows is rejected before any Bareiss pass: equal rows make
-det W = 0 exactly, so the same draws are rejected as before and the
-attempt counts in the report do not change. Rejected draws get their walk
-rows as plain tuples; only the accepted draw's W becomes an ``IntMatrix``.
+A slot keeps drawing until W(G) is nonsingular; ``graphs._controllable_profile``
+rejects a draw with two equal walk rows (det W = 0) before any Bareiss pass.
+No graph on 2-5 vertices is controllable (the tests enumerate all 1,098), so
+a slot of such an order is exhausted after zero attempts.
 
 Per controllable graph the sweep computes the profile and bound report,
 then (optionally) searches all prime-power levels p^j up to one less than
@@ -32,8 +31,7 @@ from itertools import repeat
 from .analysis import _analyze, check_classes
 from .arith import is_prime
 from .errors import SearchCapExceeded
-from .graphs import Graph, _profile, _walk_rows
-from .intmat import IntMatrix, _bareiss
+from .graphs import Graph, _controllable_profile
 from .matesearch import distinct_mate_graphs, search_mates
 
 _MASK = (1 << 64) - 1
@@ -157,21 +155,20 @@ def sweep_one(config: SweepConfig, index: int) -> dict:
     span = config.n_max - config.n_min + 1
     n = config.n_min + index % span
 
-    # at edge probability 0 or 1 every draw is the same graph
-    max_attempts = 1 if config.edge_prob_num in (0, config.edge_prob_den) else MAX_ATTEMPTS
+    if 2 <= n <= 5:  # no graph on 2-5 vertices is controllable
+        max_attempts = 0
+    else:  # at edge probability 0 or 1 every draw is the same graph
+        max_attempts = 1 if config.edge_prob_num in (0, config.edge_prob_den) else MAX_ATTEMPTS
     for attempt in range(max_attempts):
         rng = derive_stream(config.seed, index, attempt)
         graph = random_graph(rng, n, config.edge_prob_num, config.edge_prob_den)
-        rows = _walk_rows(graph.adj)
-        # two equal rows make det W = 0, so such a draw needs no Bareiss pass
-        if len(set(rows)) == n:
-            elimination = _bareiss(rows)
-            if elimination[0]:
-                break
+        prof = _controllable_profile(graph)
+        if prof is not None:
+            break
     else:
         return {"index": index, "n": n, "attempts": max_attempts, "exhausted": True}
 
-    prof, rec = _analyze(graph, _profile(graph, IntMatrix(rows), elimination))
+    _, rec = _analyze(graph, prof)
     record: dict = {"index": index, "n": n, "attempts": attempt + 1, **rec}
     if not config.mates:
         return record

@@ -127,6 +127,70 @@ def rank_gauss_mod_p(mat, p) -> int:
     return rank
 
 
+def invariant_factors_mod_det(mat, det) -> tuple[int, ...]:
+    """Invariant factors of a nonsingular square matrix whose determinant is
+    ``det``, by the path ``snf.invariant_factors`` took when a caller passed
+    det alone: the whole matrix is diagonalized over Z/|det|Z, the diagonal
+    is made a divisor chain by gcd/lcm swaps, which gives d_1, ..., d_(n-1),
+    and d_n is |det| / (d_1...d_(n-1)).
+
+    The elimination is written out here: the pivot is a nonzero entry of
+    least gcd with |det|, and each entry below or right of it is cleared by
+    an integer extended-gcd row or column transform (determinant 1), or by
+    plain subtraction when the pivot divides it, so the pivot's
+    representative shrinks until it divides its row and column.
+    """
+    d = abs(det)
+    rows = [[x % d for x in row] for row in mat]
+    diag = []
+
+    def xgcd(a, b):
+        if b % a == 0:  # plain subtraction: swapping would ping-pong forever
+            return a, 1, 0
+        x0, x1, y0, y1 = 1, 0, 0, 1
+        while b:
+            q, a, b = a // b, b, a % b
+            x0, x1, y0, y1 = x1, x0 - q * x1, y1, y0 - q * y1
+        return a, x0, y0
+
+    while rows:
+        nz = [(gcd(x, d), i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+        if not nz:
+            diag.extend([d] * len(rows))
+            break
+        _, i, j = min(nz)
+        rows[0], rows[i] = rows[i], rows[0]
+        for row in rows:
+            row[0], row[j] = row[j], row[0]
+        while any(row[0] for row in rows[1:]) or any(rows[0][1:]):
+            for i in range(1, len(rows)):
+                a, b = rows[0][0], rows[i][0]
+                if b:
+                    g, x, y = xgcd(a, b)
+                    r0, ri = rows[0], rows[i]
+                    rows[0] = [(x * u + y * v) % d for u, v in zip(r0, ri)]
+                    rows[i] = [(a // g * v - b // g * u) % d for u, v in zip(r0, ri)]
+            for j in range(1, len(rows[0])):
+                a, b = rows[0][0], rows[0][j]
+                if b:
+                    g, x, y = xgcd(a, b)
+                    for row in rows:
+                        u, v = row[0], row[j]
+                        row[0], row[j] = (x * u + y * v) % d, (a // g * v - b // g * u) % d
+        diag.append(gcd(rows[0][0], d))
+        rows = [row[1:] for row in rows[1:]]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    head = diag[:-1]
+    prod = 1
+    for f in head:
+        prod *= f
+    assert d % prod == 0
+    return (*head, d // prod)
+
+
 def all_vectors_mod(q, n):
     return product(range(q), repeat=n)
 

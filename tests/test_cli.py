@@ -151,7 +151,7 @@ class TestMates:
 
     def test_builds_walk_matrix_once(self, adj_file, capsys, count_calls):
         # the profile's W feeds the search, the witnesses and the lemma checks
-        walks = count_calls(graphs.walk_matrix)
+        walks = count_calls(graphs._walk_rows)
         assert main(["mates", adj_file, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["witnesses"]) == len(payload["lemma_checks"]) == 2

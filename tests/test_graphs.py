@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import graph_error_ref
 from sympy import factorint, multiplicity, primerange
 
-from walklevel import arith
+from walklevel import arith, graphs, intmat, snf
 from walklevel.errors import ParseError
 from walklevel.fixtures import load_worked_example
 from walklevel.graphs import (
@@ -216,6 +216,34 @@ class TestWalkMatrix:
             for p, (_, rank) in prof.primes.items():
                 coprime = sum(1 for d in prof.invariant_factors if d % p)
                 assert rank == coprime
+
+
+class TestOneBareissPass:
+    """A profile runs at most one Bareiss pass and one modular elimination,
+    and none for a graph with two equal walk rows."""
+
+    def test_counts_per_profile(self, count_calls):
+        passes = count_calls(intmat._bareiss)
+        eliminations = count_calls(snf._diagonal_mod)
+        walks = count_calls(graphs._walk_rows)
+        integer = count_calls(snf._factors_over_z)
+        rng = random.Random(23)
+        kinds = {"controllable": 0, "equal rows": 0, "distinct rows, singular": 0}
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(6, 10))
+            rows = walk_matrix(g).data
+            del passes[:], eliminations[:], walks[:], integer[:]
+            prof = walk_profile(g, primes=(3,))
+            if prof.controllable:
+                kinds["controllable"] += 1
+                assert (len(walks), len(passes), len(eliminations), len(integer)) == (1, 1, 1, 0)
+            elif len(set(rows)) < g.n:
+                kinds["equal rows"] += 1
+                assert (len(passes), len(eliminations), len(integer)) == (0, 0, 1)
+            else:
+                kinds["distinct rows, singular"] += 1
+                assert (len(passes), len(eliminations), len(integer)) == (1, 0, 1)
+        assert all(kinds.values()), kinds
 
 
 def seeded_controllable(n_values, seed):

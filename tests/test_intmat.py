@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import charpoly_cofactor, det_cofactor, minor_gcd
 from walklevel.arith import v_p
 from walklevel.fixtures import load_worked_example
-from walklevel.intmat import IntMatrix, IntPoly, bareiss, char_poly, det
+from walklevel.intmat import IntMatrix, IntPoly, _bareiss, char_poly, det
 
 small_square = st.integers(1, 4).flatmap(
     lambda n: st.lists(
@@ -112,19 +112,22 @@ def chain_product(a, steps, b):
 
 
 class TestBareiss:
-    """bareiss(a) = (det a, h): h is the gcd of the four (n-1)-minors in the
-    trailing 2x2 block one step before the end, checked against cofactors."""
+    """_bareiss(a) = (det a, M, k, T_k): M = gcd(|det a|, h), with h the gcd
+    of the four (n-1)-minors in the trailing 2x2 block one step before the
+    end, is a multiple of the gcd of all (n-1)-minors; checked against
+    cofactors."""
 
     def check(self, rows):
         n = len(rows)
-        d, h = bareiss(IntMatrix(rows))
+        d, modulus, k, block = _bareiss(rows)
         assert d == det_cofactor([list(r) for r in rows])
         if d == 0:
-            assert h == 0
+            assert (modulus, k) == (0, 0) and block is rows
         else:
-            assert h > 0
-            assert h % minor_gcd([list(r) for r in rows], n - 1) == 0
-        return d, h
+            assert modulus > 0 and d % modulus == 0
+            assert modulus % minor_gcd([list(r) for r in rows], n - 1) == 0
+            assert 0 <= k < n and len(block) == n - k
+        return d, modulus
 
     @given(sparse_square)
     @settings(max_examples=40, deadline=None)
@@ -137,43 +140,41 @@ class TestBareiss:
         self.check(chain_product(*abc))
 
     def test_zero_pivot_swaps(self):
-        # zero pivots at steps 0 and 2, before h is read at step 3
+        # zero pivots at steps 0 and 2, before h is read at step 3 (h = 36)
         rows = [[0, 2, 0, 0, 0], [3, 0, 0, 0, 0], [0, 0, 0, 4, 0],
                 [0, 0, 6, 0, 0], [0, 0, 0, 0, 5]]
         assert self.check(rows) == (720, 36)
-        # zero pivot at the last step, after h is read
-        d, h = self.check([[1, 0, 0], [0, 0, 4], [0, 6, 0]])
-        assert (d, h) == (-24, 2)
+        # zero pivot at the last step, after h = 2 is read
+        assert self.check([[1, 0, 0], [0, 0, 4], [0, 6, 0]]) == (-24, 2)
 
     def test_one_by_one(self):
         # the only (n-1)-minor of a 1x1 matrix is the empty one, 1
-        assert bareiss(IntMatrix([[-5]])) == (-5, 1)
-        assert bareiss(IntMatrix([[0]])) == (0, 0)
+        assert _bareiss([[-5]]) == (-5, 1, 0, [[-5]])
+        assert _bareiss([[0]]) == (0, 0, 0, [[0]])
 
     def test_two_by_two_is_content(self):
-        assert bareiss(IntMatrix([[4, 6], [10, 8]])) == (-28, 2)
-        assert bareiss(IntMatrix([[0, 6], [9, 3]])) == (-54, 3)
+        assert self.check([[4, 6], [10, 8]]) == (-28, 2)
+        assert self.check([[0, 6], [9, 3]]) == (-54, 3)
 
     def test_negative_det(self):
         m = IntMatrix([[0, 2, 0], [3, 0, 0], [0, 0, 5]])
-        d, h = bareiss(m)
-        assert d == det(m) == -30
-        assert h % minor_gcd([list(r) for r in m.data], 2) == 0
+        assert self.check(m.data)[0] == det(m) == -30
 
     def test_singular(self):
-        assert bareiss(IntMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])) == (0, 0)
-        assert bareiss(IntMatrix.zeros(3, 3)) == (0, 0)
+        assert self.check([[1, 2, 3], [2, 4, 6], [0, 1, 1]])[0] == 0
+        assert self.check(IntMatrix.zeros(3, 3).data)[0] == 0
 
     def test_empty_and_non_square(self):
-        assert bareiss(IntMatrix(())) == (1, 1)
+        assert _bareiss(()) == (1, 1, 0, ())
+        assert det(IntMatrix(())) == 1
         with pytest.raises(ValueError):
-            bareiss(IntMatrix([[1, 2]]))
+            det(IntMatrix([[1, 2]]))
 
     def test_det_is_its_first_half(self):
         rng = random.Random(12)
         for _ in range(30):
             m = rand_matrix(rng, rng.randint(1, 6))
-            assert det(m) == bareiss(m)[0]
+            assert det(m) == _bareiss(m.data)[0] == det_cofactor([list(r) for r in m.data])
 
 
 class TestConstruction:

@@ -14,6 +14,7 @@ from oracles import (
     exhaustive_kernel_count,
     exhaustive_solvable,
     exhaustive_unit_kernel_exists,
+    invariant_factors_mod_det,
     matvec_mod,
     minor_gcd,
     snf_mod_pk_loop,
@@ -22,11 +23,12 @@ from oracles import (
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 from sympy.polys.domains import ZZ
+from sympy.polys.matrices import DomainMatrix
 from walklevel import snf
 from walklevel.arith import v_p
 from walklevel.errors import InvariantError
 from walklevel.graphs import parse_graph6, walk_matrix, walk_profile
-from walklevel.intmat import IntMatrix, _bareiss, bareiss, det
+from walklevel.intmat import IntMatrix, _bareiss, det
 from walklevel.snf import (
     _augmented_factors,
     _diagonal_mod,
@@ -147,12 +149,12 @@ class TestInvariantFactors:
         for n in (6, 9, 12, 16, 20, 24):
             for seed in (1, 2):
                 w = seeded_walk_matrix(seed, n)
-                assert invariant_factors(w, det(w)) == snf_int(w).invariant_factors
+                assert invariant_factors(w) == snf_int(w).invariant_factors
 
     def test_matches_sympy_on_walk_matrices(self):
         for n in (8, 12, 16):
             w = seeded_walk_matrix(3, n)
-            assert invariant_factors(w, det(w)) == sympy_factors(w)
+            assert invariant_factors(w) == sympy_factors(w)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -162,12 +164,9 @@ class TestInvariantFactors:
                  min_size=36, max_size=36),
     )
     def test_matches_sympy_random(self, nr, nc, pool):
+        # square or not, singular or not
         m = IntMatrix([pool[i * 6:i * 6 + nc] for i in range(nr)])
-        expected = sympy_factors(m)
-        assert invariant_factors(m) == expected
-        if nr == nc and det(m):
-            assert invariant_factors(m, det(m)) == expected
-            assert invariant_factors(m, *bareiss(m)) == expected
+        assert invariant_factors(m) == sympy_factors(m)
 
     def test_minor_gcd_oracle(self):
         # mixed small primes make most pivots non-units, so the extended-gcd
@@ -177,8 +176,7 @@ class TestInvariantFactors:
             n = rng.randint(2, 6)
             m = IntMatrix([[rng.choice([0, 2, 3, 4, 6, 9, -6, 12]) for _ in range(n)]
                            for _ in range(n)])
-            d = det(m)
-            factors = invariant_factors(m, d) if d else invariant_factors(m)
+            factors = invariant_factors(m)
             rows = [list(r) for r in m.data]
             prod = 1
             for k in range(1, n + 1):
@@ -191,27 +189,30 @@ class TestInvariantFactors:
 
     def test_unimodular(self):
         for m in (IntMatrix([[2, 1], [1, 1]]), IntMatrix([[1, 2], [1, 1]])):
-            assert abs(det(m)) == 1
-            assert invariant_factors(m, det(m)) == (1, 1)
+            assert det(m) in (1, -1)
+            assert invariant_factors(m) == (1, 1)
 
     def test_negative_det(self):
         m = IntMatrix([[0, 2, 0], [3, 0, 0], [0, 0, 5]])
         assert det(m) == -30
-        assert invariant_factors(m, -30) == invariant_factors(m, 30) == (1, 1, 30)
+        assert invariant_factors(m) == invariant_factors(-m) == (1, 1, 30)
 
     def test_one_by_one(self):
-        assert invariant_factors(IntMatrix([[-5]]), -5) == (5,)
+        assert invariant_factors(IntMatrix([[-5]])) == (5,)
         assert invariant_factors(IntMatrix([[7]])) == (7,)
+        assert invariant_factors(IntMatrix([[0]])) == ()
 
     def test_trailing_block_zero_mod_det(self):
+        # M = 1 here, so the whole trailing block is zero modulo M
         m = IntMatrix.diag([1, 1, 5])
-        assert invariant_factors(m, 5) == (1, 1, 5)
-        assert invariant_factors(DIAG_FIXTURE, det(DIAG_FIXTURE)) == (2, 10, 30, 270)
+        assert _bareiss(m.data)[1] == 1
+        assert invariant_factors(m) == (1, 1, 5)
+        assert invariant_factors(DIAG_FIXTURE) == (2, 10, 30, 270)
 
     def test_singular(self):
         m = IntMatrix([[2, 4, 6], [1, 2, 3], [0, 6, 9]])
         assert det(m) == 0
-        assert invariant_factors(m) == invariant_factors(m, 0) == snf_int(m).invariant_factors
+        assert invariant_factors(m) == snf_int(m).invariant_factors == sympy_factors(m)
 
     def test_rectangular(self):
         rng = random.Random(6)
@@ -220,57 +221,65 @@ class TestInvariantFactors:
             m = rand_matrix(rng, nr, nc)
             assert invariant_factors(m) == snf_int(m).invariant_factors
 
-    def test_det_for_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            invariant_factors(IntMatrix.zeros(2, 3), 6)
+
+def sympy_det(m):
+    return int(DomainMatrix([[ZZ(x) for x in row] for row in m.data], (m.rows, m.cols), ZZ).det())
 
 
 class TestMinorGcdModulus:
-    """invariant_factors(m, det, h) with (det, h) = bareiss(m) eliminates
-    modulo gcd(|det|, h) and recomputes d_n from det."""
+    """invariant_factors(m) of a nonsingular m eliminates modulo
+    M = gcd(|det|, h), which _bareiss returns, and recomputes d_n from det."""
 
     def test_matches_det_modulus_snf_int_and_sympy_on_walk_matrices(self):
         for n in (6, 12, 16, 24, 32, 40):
             for seed in (1, 2, 3):
                 w = seeded_walk_matrix(seed, n)
-                d, h = bareiss(w)
-                got = invariant_factors(w, d, h)
-                assert got == invariant_factors(w, d)
+                got = invariant_factors(w)
+                d = sympy_det(w)
+                assert got == invariant_factors_mod_det(w.data, d)
                 if seed == 1 and n <= 32:
                     assert got == snf_int(w).invariant_factors
                 # snf_int and sympy take seconds from n = 32 on; at n = 40
-                # the mod-|det| path is the oracle
+                # the mod-|det| oracle stands alone
                 if seed == 2 and n <= 32:
                     assert got == sympy_factors(w)
                 if n >= 24:
                     # the modulus is a small fraction of |det W|
-                    assert 4 * gcd(d, h).bit_length() < abs(d).bit_length()
+                    assert 4 * _bareiss(w.data)[1].bit_length() < abs(d).bit_length()
 
     def test_last_factor_recomputed_from_det(self):
-        # modulo gcd(|det|, h) = 600 the last factor reads gcd(270, 600) = 30
-        d, h = bareiss(DIAG_FIXTURE)
-        assert gcd(d, h) == 600
-        assert invariant_factors(DIAG_FIXTURE, d, h) == (2, 10, 30, 270)
+        # modulo M = 600 the last factor reads gcd(270, 600) = 30
+        assert _bareiss(DIAG_FIXTURE.data)[1] == 600
+        assert invariant_factors(DIAG_FIXTURE) == (2, 10, 30, 270)
 
     def test_negative_det_and_small_orders(self):
-        m = IntMatrix([[0, 2, 0], [3, 0, 0], [0, 0, 5]])
-        assert invariant_factors(m, *bareiss(m)) == (1, 1, 30)
-        assert invariant_factors(IntMatrix([[-5]]), *bareiss(IntMatrix([[-5]]))) == (5,)
-        m = IntMatrix([[4, 6], [10, 8]])
-        assert invariant_factors(m, *bareiss(m)) == (2, 14)
-        assert invariant_factors(IntMatrix(()), *bareiss(IntMatrix(()))) == ()
+        cases = [
+            ([[0, 2, 0], [3, 0, 0], [0, 0, 5]], (1, 1, 30)),
+            ([[-5]], (5,)),
+            ([[4, 6], [10, 8]], (2, 14)),
+            ([[0, -1], [-1, 0]], (1, 1)),
+            ([], ()),
+        ]
+        for rows, factors in cases:
+            m = IntMatrix(rows)
+            assert invariant_factors(m) == factors
+            if rows:
+                assert factors == sympy_factors(m)
 
-    def test_singular_takes_the_integer_path(self):
-        m = IntMatrix([[2, 4, 6], [1, 2, 3], [0, 6, 9]])
-        assert bareiss(m) == (0, 0)
-        assert invariant_factors(m, *bareiss(m)) == snf_int(m).invariant_factors
+    def test_singular_takes_the_integer_path(self, count_calls):
+        blocks = count_calls(snf._factors_from_block)
+        for m in (IntMatrix([[2, 4, 6], [1, 2, 3], [0, 6, 9]]), IntMatrix.zeros(3, 3),
+                  IntMatrix([[1, 2]]), IntMatrix.zeros(3, 2), IntMatrix(())):
+            assert invariant_factors(m) == snf_int(m).invariant_factors
+        assert blocks == []
 
     def test_inconsistent_det_raises(self):
-        m = IntMatrix.diag([2, 2, 2])
+        # a det that does not belong to the block
+        rows = IntMatrix.diag([2, 2, 2]).data
         with pytest.raises(InvariantError):  # 6 / (2 * 2) leaves a remainder
-            invariant_factors(m, 6, 2)
+            _factors_from_block(6, 2, 0, rows)
         with pytest.raises(InvariantError):  # d_n = 4 / (2 * 2) = 1 is not a multiple of 2
-            invariant_factors(m, 4, 4)
+            _factors_from_block(4, 4, 0, rows)
 
 
 def leading_minor(rows, k, extra_row=None, extra_col=None):
@@ -281,7 +290,7 @@ def leading_minor(rows, k, extra_row=None, extra_col=None):
 
 
 class TestBareissTrailingBlock:
-    """intmat._bareiss returns (det, h, k, T_k): W is I_k (+) T_k modulo
+    """intmat._bareiss returns (det, M, k, T_k): W is I_k (+) T_k modulo
     M = gcd(|det|, h), and snf._factors_from_block reads the invariant
     factors off T_k alone."""
 
@@ -289,11 +298,11 @@ class TestBareissTrailingBlock:
         for n in (6, 9, 12, 16, 20, 24):
             for seed in (1, 2):
                 w = seeded_walk_matrix(seed, n)
-                d, h, k, block = _bareiss(w.data)
-                assert (d, h) == bareiss(w)
+                d, modulus, k, block = _bareiss(w.data)
+                assert d == det(w) and d % modulus == 0
                 assert 1 <= k < n and len(block) == len(block[0]) == n - k
-                got = _factors_from_block(d, h, k, block)
-                assert got == snf_int(w).invariant_factors == invariant_factors(w, d, h)
+                got = _factors_from_block(d, modulus, k, block)
+                assert got == snf_int(w).invariant_factors == invariant_factors(w)
                 if n <= 16:
                     assert got == sympy_factors(w)
 
@@ -307,8 +316,7 @@ class TestBareissTrailingBlock:
                 minors = [leading_minor(rows, j) for j in range(1, n)]
                 if not all(minors):
                     continue
-                d, h, k, block = _bareiss(rows)
-                modulus = gcd(d, h)
+                d, modulus, k, block = _bareiss(rows)
                 assert gcd(minors[k - 1], modulus) == 1
                 assert all(gcd(m, modulus) > 1 for m in minors[k:])
                 assert block == [[leading_minor(rows, k, k + a, k + b) for b in range(n - k)]
@@ -323,11 +331,11 @@ class TestBareissTrailingBlock:
     )
     def test_zero_pivots_match_sympy(self, n, pool):
         rows = [pool[i * 6:i * 6 + n] for i in range(n)]
-        d, h, k, block = _bareiss(rows)
+        d, modulus, k, block = _bareiss(rows)
         if not d:
             return
         assert len(block) == n - k
-        assert _factors_from_block(d, h, k, block) == sympy_factors(IntMatrix(rows))
+        assert _factors_from_block(d, modulus, k, block) == sympy_factors(IntMatrix(rows))
 
     def test_no_pivot_prime_to_the_modulus(self):
         # every entry of 2I + 2P is even, so every pivot and M are, and k = 0
@@ -336,11 +344,11 @@ class TestBareissTrailingBlock:
             n = rng.randint(2, 6)
             m = IntMatrix([[2 * (i == j) + 2 * rng.randint(-3, 3) for j in range(n)]
                            for i in range(n)])
-            d, h, k, block = _bareiss(m.data)
+            d, modulus, k, block = _bareiss(m.data)
             if not d:
                 continue
             assert k == 0 and block is m.data
-            got = _factors_from_block(d, h, k, block)
+            got = _factors_from_block(d, modulus, k, block)
             assert got == snf_int(m).invariant_factors == sympy_factors(m)
 
     def test_small_orders_and_unit_det(self):

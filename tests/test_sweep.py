@@ -1,6 +1,7 @@
 """Sweep engine: RNG portability, reproducibility, worker independence."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from oracles import random_graph_below, unmix64
@@ -147,15 +148,15 @@ class TestSweep:
         assert agg["lemma_failures"] == []
 
     def test_exhausted_slots_are_not_accepted(self):
-        # no 5-vertex graph is controllable: both n = 5 slots draw 10,000
-        # graphs and are exhausted; their draws count, the slots do not
+        # no 5-vertex graph is controllable: both n = 5 slots are exhausted
+        # without a draw, and they count as not accepted
         rep = run_sweep(SweepConfig(n_min=5, n_max=6, graph_count=4, seed=42, mates=False))
         exhausted = {}
         for rec in rep["graphs"]:
             exhausted.setdefault(rec["n"], []).append(rec.get("exhausted", False))
         assert exhausted == {5: [True, True], 6: [False, False]}
         acceptance = rep["aggregate"]["controllable_acceptance"]
-        assert acceptance["5"] == {"accepted": 0, "attempts": 20000}
+        assert acceptance["5"] == {"accepted": 0, "attempts": 0}
         assert acceptance["6"]["accepted"] == 2
 
     def test_mates_past_isomorphism_size_limit(self):
@@ -188,11 +189,34 @@ class TestCertainEdgeProbability:
             assert rec["profile"]["controllable"]
 
 
+def test_no_graph_on_two_to_five_vertices_is_controllable():
+    # all 2 + 8 + 64 + 1,024 labelled graphs, W built column by column and
+    # its det taken by sympy; so such a slot draws nothing
+    count = 0
+    for n in range(2, 6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            adj = [[0] * n for _ in range(n)]
+            for k, (i, j) in enumerate(pairs):
+                if bits >> k & 1:
+                    adj[i][j] = adj[j][i] = 1
+            cols = [[1] * n]
+            for _ in range(n - 1):
+                cols.append([sum(a * x for a, x in zip(row, cols[-1])) for row in adj])
+            w = [[ZZ(col[i]) for col in cols] for i in range(n)]
+            assert DomainMatrix(w, (n, n), ZZ).det() == 0
+            count += 1
+        for num, den in ((1, 2), (2, 7), (0, 1), (1, 1)):
+            cfg = SweepConfig(n_min=n, n_max=n, edge_prob_num=num, edge_prob_den=den)
+            assert sweep_one(cfg, 0) == {"index": 0, "n": n, "attempts": 0, "exhausted": True}
+    assert count == 1098
+
+
 def test_bareiss_runs_only_on_draws_with_distinct_walk_rows(count_calls):
     # random_graph runs once per draw; a draw whose walk matrix has two
     # equal rows is rejected without a Bareiss pass; the accepted draw's W
-    # rows and its (det W, h) feed its profile and the search, which rebuild
-    # neither
+    # rows and its one Bareiss pass feed its profile and the search, which
+    # rebuild neither
     draws = count_calls(random_graph)
     walks = count_calls(graphs.walk_matrix)
     passes = count_calls(intmat._bareiss)

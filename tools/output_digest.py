@@ -11,7 +11,7 @@ prints one line per output group, ``<group> <items> <sha256>``:
   sweep_factor    report_json(run_sweep(...)), seed 42, n 14-16, 24 graphs, no mates
   sweep_edge_prob report_json(run_sweep(...)) at edge probabilities 1/3 and 2/7,
                   seed 42, n 5-10, 30 graphs each, mates; every n = 5 slot is
-                  exhausted after its 10,000 draws
+                  exhausted (no graph on 5 vertices is controllable)
   analyze_fixture walklevel analyze --json on the bundled fixture
   analyze_pool    walklevel analyze --json on each line of perfbench/mates_pool.txt
   mates_fixture   walklevel mates --json on the fixture, automatic levels
@@ -38,8 +38,9 @@ prints one line per output group, ``<group> <items> <sha256>``:
                   sort_keys) on numbers at the trial-division boundary (powers of
                   9973, 10007, their products) and on det W / 2^floor(n/2) of the
                   first controllable G(n, 1/2) draw of derive_stream(42, n,
-                  attempt), n = 6..18; then invariant_factors(m, *bareiss(m)) on
-                  300 random.Random(7) square matrices with n <= 8
+                  attempt), n = 6..18; then invariant_factors(m) on 300
+                  random.Random(7) square matrices with n <= 8, singular ones
+                  included
 
 A group's digest covers each item's exit code, stdout and stderr in order.
 Run it on two checkouts (say, ``--src`` pointing at a ``git archive`` copy
@@ -226,10 +227,10 @@ def lemma_reports(fixture: str, pool: list[tuple[str, str]]) -> list[str]:
 
 
 def factor_smith() -> list[str]:
-    """factorize with its key order, and invariant factors through bareiss."""
+    """factorize with its key order, and invariant_factors on square matrices."""
     from walklevel.arith import factorize
     from walklevel.graphs import walk_matrix
-    from walklevel.intmat import IntMatrix, bareiss, det
+    from walklevel.intmat import IntMatrix, det
     from walklevel.snf import invariant_factors
     from walklevel.sweep import derive_stream, random_graph
 
@@ -249,7 +250,7 @@ def factor_smith() -> list[str]:
         n = rng.randint(1, 8)
         pool = rng.choice(((0, 1, -1, 2), (0, 2, 4, 6, 3), tuple(range(-9, 10))))
         m = IntMatrix([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
-        out.append(json.dumps([m.data, invariant_factors(m, *bareiss(m))]) + "\n")
+        out.append(json.dumps([m.data, invariant_factors(m)]) + "\n")
     return out
 
 
