@@ -51,17 +51,17 @@ def main():
     print("\nassembling complete matrices at levels 1, 3, 9:")
     classes = search_mates(g, [1, 3, 9])
     for cls in classes:
-        kind = "permutation class" if cls.is_permutation_class else "mate"
+        kind = "permutation class" if cls.level == 1 else "mate"
         print(f"  level {cls.level}: {kind}, mate graph {emit_graph6(cls.mate)}, "
               f"isomorphic to input: {cls.isomorphic_to_input}")
 
     print("\nthe two non-permutation classes equal the bundled fixtures:")
-    keys = {c.canonical_key() for c in classes if not c.is_permutation_class}
+    keys = {c.q.canonical_key() for c in classes if c.level > 1}
     print(f"  match: {keys == {ex.q_level3.canonical_key(), ex.q_level9.canonical_key()}}")
 
     print("\nsoundness, re-verified from scratch for each mate:")
     for cls in classes:
-        if cls.is_permutation_class:
+        if cls.level == 1:
             continue
         h = conjugate(cls.q, g)
         print(f"  level {cls.level}: cospectral {generalized_cospectral(g, h)}, "
@@ -70,7 +70,7 @@ def main():
 
     print("\ncongruence witnesses and structural checks at p = 3:")
     for cls in classes:
-        if cls.is_permutation_class:
+        if cls.level == 1:
             continue
         wit = extract_four_cong_witness(g, cls.q, 3)
         chk = verify_proof_lemmas(g, wit)

@@ -18,7 +18,7 @@ from .bounds import (
     mate_count_bounds,
     verify_proof_lemmas,
 )
-from .graphs import Graph, WalkProfile, emit_graph6, walk_profile
+from .graphs import Graph, WalkProfile, emit_graph6, profile_walk, walk_profile
 from .matesearch import MateClass
 
 
@@ -42,7 +42,12 @@ def _analyze(g: Graph, prof: WalkProfile) -> tuple[WalkProfile, dict]:
 
 
 def check_classes(g: Graph, prof: WalkProfile, classes: list[MateClass]) -> dict:
-    """Class records, witnesses, lemma checks, bound check and conjecture tally."""
+    """Class records, witnesses, lemma checks, bound check and conjecture tally.
+
+    ``prof`` must be g's own profile (ValueError otherwise): its prime
+    table picks the witness primes and its W feeds every check.
+    """
+    profile_walk(g, prof)
     records = []
     witnesses = []
     lemma_checks = []
@@ -57,11 +62,11 @@ def check_classes(g: Graph, prof: WalkProfile, classes: list[MateClass]) -> dict
         for p in prof.odd_primes():
             if cls.level % p or prof.rank_p(p) != prof.n - 1:
                 continue
-            wit = extract_four_cong_witness(g, cls.q, p, walk=prof.W)
+            wit = extract_four_cong_witness(g, cls.q, p, profile=prof)
             if wit.tau > prof.valuation(p) // 2:
                 violations.append({"prime": p, "level": cls.level, "tau": wit.tau})
             witnesses.append(wit.as_dict())
-            lemma_checks.append(verify_proof_lemmas(g, wit, walk=prof.W).as_dict())
+            lemma_checks.append(verify_proof_lemmas(g, wit, profile=prof).as_dict())
     return {
         "classes": records,
         "witnesses": witnesses,

@@ -20,16 +20,20 @@ Every check reads one Smith decomposition U, S, V of A - lambda0*I over
 Z/p^tau; the shape over Z follows from it, since the local factors are
 gcd(f_i, p^tau) of the factors f_i over Z. Any failed conclusion is
 returned as a structured counterexample report, never papered over.
+
+Every report but ``LevelBoundReport`` (entries under ``per_prime``) writes
+its JSON through ``Report.as_dict``, one key per field in field order;
+``LemmaCheckReport`` adds ``all_ok`` and ``ConjectureReport`` ``any_violation``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .arith import v_p
 from .errors import InvariantError
-from .graphs import Graph, WalkProfile, walk_matrix
+from .graphs import Graph, WalkProfile, profile_walk
 from .intmat import IntMatrix, dot
 from .ortho import RatRegOrtho
 from .snf import _augmented_factors, _kernel, _solve, snf_mod_pk
@@ -40,19 +44,33 @@ RULE_TWO_ADIC_ODD = "two-adic-odd"
 RULE_NONE = "none"
 
 
+class Report:
+    """Field-less base of the reports: ``as_dict`` maps each dataclass field
+    to its value, a tuple written as a list and a nested report as its own
+    dict."""
+
+    def as_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(x):
+    if isinstance(x, Report):
+        return x.as_dict()
+    if isinstance(x, tuple):
+        return [_plain(v) for v in x]
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Level bounds and arithmetic certificates
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class PrimeBound:
+class PrimeBound(Report):
     prime: int
     exponent: int | None  # None = unbounded by the implemented rules
     rule: str
-
-    def as_dict(self) -> dict:
-        return {"prime": self.prime, "exponent": self.exponent, "rule": self.rule}
 
 
 @dataclass(frozen=True)
@@ -102,16 +120,13 @@ def level_bounds(profile: WalkProfile) -> LevelBoundReport:
 
 
 @dataclass(frozen=True)
-class DgsCertificate:
+class DgsCertificate(Report):
     status: str  # "DGS" | "Unknown"
     reason: str
 
     @property
     def is_dgs(self) -> bool:
         return self.status == "DGS"
-
-    def as_dict(self) -> dict:
-        return {"status": self.status, "reason": self.reason}
 
 
 def dgs_certificate(profile: WalkProfile) -> DgsCertificate:
@@ -129,7 +144,7 @@ def dgs_certificate(profile: WalkProfile) -> DgsCertificate:
 
 
 @dataclass(frozen=True)
-class FamilyMembership:
+class FamilyMembership(Report):
     """Classification by normalized determinant shape p^e * b.
 
     exponent 2: the graph sits in the family with a single squared odd
@@ -147,9 +162,6 @@ class FamilyMembership:
     @property
     def in_square_family(self) -> bool:
         return self.exponent == 2
-
-    def as_dict(self) -> dict:
-        return {"exponent": self.exponent, "prime": self.prime, "cofactor": self.cofactor}
 
 
 def family_membership(profile: WalkProfile) -> FamilyMembership:
@@ -169,7 +181,7 @@ def family_membership(profile: WalkProfile) -> FamilyMembership:
 
 
 @dataclass(frozen=True)
-class MateCountBounds:
+class MateCountBounds(Report):
     """Upper bounds on the number of cospectral mates from d_n's factorization.
 
     ``basic`` multiplies the exponents; ``improved`` halves the odd ones
@@ -184,9 +196,6 @@ class MateCountBounds:
     @property
     def applicable(self) -> bool:
         return self.basic is not None
-
-    def as_dict(self) -> dict:
-        return {"basic": self.basic, "improved": self.improved, "reason": self.reason}
 
 
 def mate_count_bounds(profile: WalkProfile) -> MateCountBounds:
@@ -218,7 +227,7 @@ def mate_count_bounds(profile: WalkProfile) -> MateCountBounds:
 
 
 @dataclass(frozen=True)
-class FourCongWitness:
+class FourCongWitness(Report):
     """z0 and lambda0 with the four exact congruences that force the bound.
 
     checks, in order: z0.z0 = 0 (mod p^2tau), z0.A.z0 = 0 (mod p^2tau),
@@ -231,18 +240,9 @@ class FourCongWitness:
     lambda0: int
     checks: tuple[bool, bool, bool, bool]
 
-    def as_dict(self) -> dict:
-        return {
-            "prime": self.prime,
-            "tau": self.tau,
-            "z0": list(self.z0),
-            "lambda0": self.lambda0,
-            "checks": list(self.checks),
-        }
-
 
 def extract_four_cong_witness(
-    g: Graph, q: RatRegOrtho, p: int, *, walk: IntMatrix | None = None
+    g: Graph, q: RatRegOrtho, p: int, *, profile: WalkProfile | None = None
 ) -> FourCongWitness:
     """Extract the witness column from a scaled orthogonal matrix.
 
@@ -252,7 +252,7 @@ def extract_four_cong_witness(
     (A z0)_i / z0_i mod p^tau. A failed fourth congruence then means no
     eigenvalue exists and raises ValueError; a failure of the other three
     raises InvariantError, since they are theorems under the preconditions.
-    ``walk`` is W = walk_matrix(g) when the caller already holds it.
+    W is read off ``profile``, g's walk profile, when the caller holds it.
     """
     if p == 2 or p < 2:
         raise ValueError("witness extraction is defined for odd primes")
@@ -260,7 +260,7 @@ def extract_four_cong_witness(
     if tau == 0:
         raise ValueError(f"level {q.level} has no factor {p}: tau = 0")
     a = g.adjacency()
-    w = walk if walk is not None else walk_matrix(g)
+    w = profile_walk(g, profile)
 
     z0 = None
     for j in range(q.n):
@@ -298,7 +298,7 @@ def extract_four_cong_witness(
 
 
 @dataclass(frozen=True)
-class LemmaCheckReport:
+class LemmaCheckReport(Report):
     """Conclusions re-verified on one (graph, witness) instance.
 
     A False flag is a counterexample to the theory at this instance, which
@@ -332,21 +332,9 @@ class LemmaCheckReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "prime": self.prime,
-            "tau": self.tau,
-            "lambda0": self.lambda0,
-            "c": self.c,
-            "shifted_snf_over_z_ok": self.shifted_snf_over_z_ok,
-            "shifted_snf_mod_ok": self.shifted_snf_mod_ok,
-            "augmented_snf_ok": self.augmented_snf_ok,
-            "z1": list(self.z1) if self.z1 is not None else None,
-            "z1_equation_ok": self.z1_equation_ok,
-            "z1_unit_sum_ok": self.z1_unit_sum_ok,
-            "walk_congruence_ok": self.walk_congruence_ok,
-            "all_ok": self.all_ok,
-            "notes": list(self.notes),
-        }
+        out = super().as_dict()
+        notes = out.pop("notes")
+        return {**out, "all_ok": self.all_ok, "notes": notes}
 
 
 def _walk_congruence_holds(
@@ -363,7 +351,7 @@ def _walk_congruence_holds(
 
 
 def verify_proof_lemmas(
-    g: Graph, witness: FourCongWitness, *, walk: IntMatrix | None = None
+    g: Graph, witness: FourCongWitness, *, profile: WalkProfile | None = None
 ) -> LemmaCheckReport:
     """Re-verify the structural conclusions behind the level bound.
 
@@ -378,8 +366,8 @@ def verify_proof_lemmas(
     c < tau through U and S, and the kernel at c = tau off V, whose last two
     columns k1, k2 span it. There z0 = s k1 + t k2, and z1 is k2 when s is
     a unit mod p ({z0, k2} is then a kernel basis), else k1. A z0 outside
-    the kernel leaves z1 None with a note. ``walk`` is W = walk_matrix(g)
-    when the caller already holds it.
+    the kernel leaves z1 None with a note. W is read off ``profile``, g's
+    walk profile, when the caller holds it.
     """
     p, tau, z0, lam = witness.prime, witness.tau, witness.z0, witness.lambda0
     n = g.n
@@ -387,7 +375,7 @@ def verify_proof_lemmas(
         raise ValueError("lemma verification needs n >= 3")
     q = p ** tau
     a = g.adjacency()
-    wt = (walk if walk is not None else walk_matrix(g)).T
+    wt = profile_walk(g, profile).T
     b = a - lam * IntMatrix.identity(n)
     notes: list[str] = []
 
@@ -466,7 +454,7 @@ def verify_proof_lemmas(
 
 
 @dataclass(frozen=True)
-class ConjectureEntry:
+class ConjectureEntry(Report):
     prime: int
     observed_max: int              # max v_p(level) over the supplied levels
     last_two_valuation_sum: int    # v_p(d_n) + v_p(d_{n-1})
@@ -474,19 +462,9 @@ class ConjectureEntry:
     violates_refined: bool         # 2*observed > v_p(d_n) + v_p(d_{n-1})
     violates_det_half: bool        # 2*observed > v_p(det W)
 
-    def as_dict(self) -> dict:
-        return {
-            "prime": self.prime,
-            "observed_max": self.observed_max,
-            "last_two_valuation_sum": self.last_two_valuation_sum,
-            "det_valuation": self.det_valuation,
-            "violates_refined": self.violates_refined,
-            "violates_det_half": self.violates_det_half,
-        }
-
 
 @dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(Report):
     entries: tuple[ConjectureEntry, ...]
 
     @property
@@ -494,10 +472,7 @@ class ConjectureReport:
         return any(e.violates_refined or e.violates_det_half for e in self.entries)
 
     def as_dict(self) -> dict:
-        return {
-            "entries": [e.as_dict() for e in self.entries],
-            "any_violation": self.any_violation,
-        }
+        return {**super().as_dict(), "any_violation": self.any_violation}
 
 
 def conjecture_check(profile: WalkProfile, observed_levels: list[int]) -> ConjectureReport:

@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     SearchCapExceeded,
 )
-from .fixtures import parse_int_matrix_text
+from .fixtures import _parse_numbered_lines, parse_int_matrix_text
 from .graphs import Graph, emit_graph6, parse_graph6, walk_profile
 from .intmat import IntMatrix, det
 from .matesearch import search_mates
@@ -75,12 +75,12 @@ def read_graphs(text: str, fmt: str = "auto") -> list[Graph]:
                 n = int(header)
             except ValueError:
                 raise ParseError(f"expected a vertex count, found {header!r}", line=lineno)
-            block = lines[pos: pos + n + 1]
-            body = "\n".join(ln for _, ln in block)
             try:
-                m = parse_int_matrix_text(body)
+                m = _parse_numbered_lines(lines[pos: pos + n + 1])
                 graphs.append(Graph(m.data))
             except ValueError as exc:
+                if getattr(exc, "line", None) is not None:
+                    raise  # a faulty row, already named by its file line
                 raise ParseError(str(exc), line=lineno) from exc
             pos += n + 1
         return graphs

@@ -12,6 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from importlib import resources
+from typing import Iterable
 
 from .errors import InvariantError, ParseError
 from .graphs import Graph
@@ -38,10 +39,16 @@ def parse_int_matrix_text(text: str) -> IntMatrix:
     Lines starting with '#' are comments. Raises ParseError with a line
     number on malformed input.
     """
+    return _parse_numbered_lines(enumerate(text.splitlines(), start=1))
+
+
+def _parse_numbered_lines(lines: Iterable[tuple[int, str]]) -> IntMatrix:
+    """parse_int_matrix_text on (line number, line) pairs, so that an error
+    names the line number it is given."""
     rows_spec = None
     cols_spec = None
     rows: list[list[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

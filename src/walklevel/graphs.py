@@ -1,10 +1,14 @@
 """Graphs, graph6 I/O, walk matrices, and spectral comparisons.
 
 A Graph is an immutable symmetric 0-1 adjacency structure with zero
-diagonal. The walk matrix stacks e, Ae, ..., A^(n-1)e as columns; a graph is
-controllable when that matrix is nonsingular. Profiles collect the exact
-invariants the bound rules consume: det W, its Smith normal form, and
-per-prime valuations and ranks read off that Smith form.
+diagonal. graph6 strings are read and written in all three size forms, so
+any order below 2^36 round-trips. The walk matrix stacks e, Ae, ...,
+A^(n-1)e as columns; a graph is controllable when that matrix is
+nonsingular. Profiles collect the exact invariants the bound rules consume:
+det W, its Smith normal form, and per-prime valuations and ranks read off
+that Smith form. A profile records its graph, and ``profile_walk`` is the
+one place a later stage takes W from: the profile's W when it is g's own,
+else a W built from g.
 """
 
 from __future__ import annotations
@@ -95,8 +99,29 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# graph6 encoding (short form, n <= 62)
+# graph6 encoding: one size byte up to n = 62, '~' and 3 bytes up to
+# n = 258,047, '~~' and 6 bytes below 2^36
 # ---------------------------------------------------------------------------
+
+
+def _sixes(chars: str):
+    """The 6-bit values of graph6 bytes (each byte is 63 + value)."""
+    for ch in chars:
+        val = ord(ch) - 63
+        if not 0 <= val < 64:
+            raise ParseError(f"invalid graph6 byte {ch!r}")
+        yield val
+
+
+def _graph6_size(n: int) -> str:
+    """The graph6 size field of n, in its shortest form."""
+    if n <= 62:
+        return chr(63 + n)
+    if n >= 1 << 36:
+        raise ValueError("graph6 supports n < 2^36 only")
+    units = 3 if n <= 258047 else 6
+    return "~" * (units // 3) + "".join(
+        chr(63 + (n >> 6 * k & 63)) for k in reversed(range(units)))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -105,21 +130,23 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise ParseError("empty graph6 string")
-    n = ord(s[0]) - 63
-    if not 0 <= n <= 62:
-        raise ParseError(f"unsupported graph6 order byte {s[0]!r} (short form only)")
+    start, stop = (0, 1) if s[0] != "~" else (1, 4) if s[1:2] != "~" else (2, 8)
+    if len(s) < stop:
+        raise ParseError(f"graph6 size field {s!r} is cut short")
+    n = 0
+    for val in _sixes(s[start:stop]):
+        n = n << 6 | val
+    if s[:stop] != _graph6_size(n):
+        raise ParseError(f"graph6 size field {s[:stop]!r} is not the shortest form of n={n}")
     need = n * (n - 1) // 2
     nbytes = (need + 5) // 6
-    body = s[1:]
+    body = s[stop:]
     if len(body) != nbytes:
         raise ParseError(
             f"graph6 body has {len(body)} bytes, expected {nbytes} for n={n}"
         )
     bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
-            raise ParseError(f"invalid graph6 byte {ch!r}")
+    for val in _sixes(body):
         bits.extend((val >> (5 - t)) & 1 for t in range(6))
     if any(bits[need:]):
         raise ParseError("nonzero padding bits")
@@ -134,15 +161,13 @@ def parse_graph6(text: str) -> Graph:
 
 def emit_graph6(g: Graph) -> str:
     n = g.n
-    if n > 62:
-        raise ValueError("short-form graph6 supports n <= 62 only")
     bits = []
     for j in range(1, n):
         for i in range(j):
             bits.append(g.adj[i][j])
     while len(bits) % 6:
         bits.append(0)
-    out = [chr(63 + n)]
+    out = [_graph6_size(n)]
     for t in range(0, len(bits), 6):
         b = 0
         for bit in bits[t:t + 6]:
@@ -177,20 +202,26 @@ def _walk_rows(adj: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
 class WalkProfile:
     """Exact walk-matrix invariants of one graph.
 
-    ``primes`` maps p to (v_p(|det W|), rank of W mod p), both read off
-    ``invariant_factors`` (the sum of v_p(d_i) and the count of d_i prime
-    to p); it is empty for non-controllable graphs. ``normalized_det`` is
-    det W divided by 2^floor(n/2) (that power always divides det W; a
-    violation would be an internal error, not a property of the input).
+    ``graph`` is the graph the profile was built from; ``profile_walk``
+    refuses to lend the profile to any other. ``primes`` maps p to
+    (v_p(|det W|), rank of W mod p), both read off ``invariant_factors``
+    (the sum of v_p(d_i) and the count of d_i prime to p); it is empty for
+    non-controllable graphs. ``normalized_det`` is det W divided by
+    2^floor(n/2) (that power always divides det W; a violation would be an
+    internal error, not a property of the input).
     """
 
-    n: int
+    graph: Graph
     W: IntMatrix
     det_w: int
     controllable: bool
     invariant_factors: tuple[int, ...]
     normalized_det: int | None
     primes: Mapping[int, tuple[int, int]]
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
 
     @property
     def d_n(self) -> int:
@@ -258,7 +289,7 @@ def walk_profile(g: Graph, primes: str | Iterable[int] = "auto") -> WalkProfile:
     if prof is not None:
         return prof
     w = walk_matrix(g)
-    return WalkProfile(g.n, w, 0, False, _factors_over_z(w.data), None, {})
+    return WalkProfile(g, w, 0, False, _factors_over_z(w.data), None, {})
 
 
 def _controllable_profile(g: Graph, primes: str | Iterable[int] = "auto") -> WalkProfile | None:
@@ -289,8 +320,19 @@ def _controllable_profile(g: Graph, primes: str | Iterable[int] = "auto") -> Wal
         for p in plist:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
-    return WalkProfile(g.n, IntMatrix(rows), d, True, factors, nd,
+    return WalkProfile(g, IntMatrix(rows), d, True, factors, nd,
                        {p: _row(factors, p) for p in plist})
+
+
+def profile_walk(g: Graph, profile: WalkProfile | None) -> IntMatrix:
+    """W of g: read off ``profile``, g's walk profile, when one is given, else
+    built here. A profile of another graph raises ValueError: its W and its
+    prime table describe that graph, not g."""
+    if profile is None:
+        return walk_matrix(g)
+    if profile.graph != g:
+        raise ValueError("the walk profile belongs to another graph")
+    return profile.W
 
 
 def _row(factors: tuple[int, ...], p: int) -> tuple[int, int]:

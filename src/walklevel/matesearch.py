@@ -17,6 +17,11 @@ Columns are chosen in strictly increasing lexicographic order, which picks
 exactly one representative from each right-permutation class {Q P}. The
 assembly enumerates n-cliques of the precomputed compatibility graph with
 bitsets; the tests cross-check it against plain backtracking.
+
+A class is its Q and the mate Q^T A Q. For a controllable graph Q is
+unique, so everything else a class states is read off Q: its level is Q's
+denominator, and the mate is isomorphic to the input exactly when that
+level is 1.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from math import gcd
 from operator import mul
 
 from .errors import SearchCapExceeded
-from .graphs import Graph, WalkProfile, walk_matrix
-from .intmat import IntMatrix, det, dot
+from .graphs import Graph, WalkProfile, _controllable_profile, profile_walk
+from .intmat import IntMatrix, dot
 from .ortho import RatRegOrtho, conjugate
 from .snf import _diagonal_mod, _identity
 
@@ -41,22 +46,23 @@ class MateClass:
 
     q: RatRegOrtho
     mate: Graph
-    level: int
-    isomorphic_to_input: bool
 
     @property
-    def is_permutation_class(self) -> bool:
-        return self.level == 1
+    def level(self) -> int:
+        return self.q.level
 
-    def canonical_key(self):
-        return self.q.canonical_key()
+    @property
+    def isomorphic_to_input(self) -> bool:
+        # Q is unique for a controllable graph: a mate isomorphic to it
+        # would give a second, permutation Q, so this holds only at level 1
+        return self.level == 1
 
 
 def enumerate_columns(
     g: Graph,
     level: int,
     *,
-    walk: IntMatrix | None = None,
+    profile: WalkProfile | None = None,
     cap: int = CANDIDATE_CAP,
 ) -> list[tuple[int, ...]]:
     """All integer vectors v with v.v = level^2, e.v = level, W^T v = 0 mod level.
@@ -68,11 +74,12 @@ def enumerate_columns(
     with each y_i a multiple of level/g_i. Each residue class is then
     walked coordinate by coordinate with exact norm/sum pruning (every
     entry satisfies |v_i| <= level). The result is lexicographically
-    sorted and complete, for singular W too.
+    sorted and complete, for singular W too. W is read off ``profile``,
+    g's walk profile, when the caller holds it.
     """
     if level < 1:
         raise ValueError("level must be positive")
-    w = walk if walk is not None else walk_matrix(g)
+    w = profile_walk(g, profile)
     n = g.n
 
     # product of the g_i = product of gcd(d_i, level) over W's invariant factors
@@ -193,16 +200,15 @@ def search_mates(
     lower-level matrix in disguise and is skipped; it shows up (exactly
     once) when its true level is searched. ``profile`` is g's walk profile
     when the caller already holds it; W and controllability are read off
-    it, and without it W is built and its det computed here. An
-    uncontrollable g (det W = 0) raises ValueError: the uniqueness of Q
-    below needs W nonsingular.
+    it, and without it a profile with an empty prime table is built here.
+    An uncontrollable g (det W = 0) raises ValueError: the uniqueness of Q,
+    which ``MateClass`` relies on, needs W nonsingular.
     """
-    if profile is not None:
-        w, controllable = profile.W, profile.controllable
+    if profile is None:
+        profile = _controllable_profile(g, ())
     else:
-        w = walk_matrix(g)
-        controllable = det(w) != 0
-    if not controllable:
+        profile_walk(g, profile)  # refuses a profile of another graph
+    if profile is None or not profile.controllable:
         raise ValueError("graph is not controllable")
     a = g.adjacency()
     n = g.n
@@ -210,7 +216,7 @@ def search_mates(
     for level in sorted(set(int(x) for x in levels)):
         lvl2 = level * level
         cands, a_cands = [], []
-        for v in enumerate_columns(g, level, walk=w):
+        for v in enumerate_columns(g, level, profile=profile):
             av = a.mat_vec(v)
             if dot(av, v) == 0:
                 cands.append(v)
@@ -225,10 +231,7 @@ def search_mates(
             if shared != 1:
                 continue  # true level is level/shared; found in its own pass
             q = RatRegOrtho(num, level)
-            mate = conjugate(q, g)
-            # Q is unique for a controllable g, so the mate is isomorphic
-            # to g exactly when Q is a permutation matrix, i.e. level 1
-            classes.append(MateClass(q, mate, level, level == 1))
+            classes.append(MateClass(q, conjugate(q, g)))
     return classes
 
 
@@ -245,5 +248,5 @@ def distinct_mate_graphs(classes: list[MateClass]) -> list[Graph]:
     mates: dict = {}
     for cls in classes:
         if cls.level > 1:
-            mates.setdefault(cls.canonical_key(), cls.mate)
+            mates.setdefault(cls.q.canonical_key(), cls.mate)
     return list(mates.values())

@@ -73,9 +73,6 @@ class RatRegOrtho:
     def level(self) -> int:
         return self.den
 
-    def is_permutation(self) -> bool:
-        return self.den == 1
-
     def canonical_key(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(level, columns of num sorted lex): constant on {Q P : P permutation}."""
         return self.den, tuple(sorted(self.num.T.data))

@@ -439,7 +439,7 @@ def backtrack_search_mates(g, levels, node_cap=10**8):
     norms at most l^2, so it never builds the compatibility graph.
     """
     from walklevel.errors import SearchCapExceeded
-    from walklevel.graphs import walk_matrix
+    from walklevel.graphs import walk_profile
     from walklevel.intmat import IntMatrix, dot
     from walklevel.matesearch import MateClass, enumerate_columns
     from walklevel.ortho import RatRegOrtho, conjugate
@@ -478,14 +478,14 @@ def backtrack_search_mates(g, levels, node_cap=10**8):
         rec(0)
         return results
 
-    w = walk_matrix(g)
+    profile = walk_profile(g, primes=())
     a = g.adjacency()
     n = g.n
     classes = []
     seen = set()
     for level in sorted(set(int(x) for x in levels)):
         lvl2 = level * level
-        cands = [v for v in enumerate_columns(g, level, walk=w) if dot(a.mat_vec(v), v) == 0]
+        cands = [v for v in enumerate_columns(g, level, profile=profile) if dot(a.mat_vec(v), v) == 0]
         if len(cands) < n:
             continue
         a_cands = [a.mat_vec(v) for v in cands]
@@ -497,7 +497,7 @@ def backtrack_search_mates(g, levels, node_cap=10**8):
             if q.canonical_key() in seen:
                 continue
             seen.add(q.canonical_key())
-            classes.append(MateClass(q, conjugate(q, g), level, level == 1))
+            classes.append(MateClass(q, conjugate(q, g)))
     return classes
 
 
@@ -850,3 +850,97 @@ def factorize_ref(n, budget=10**6):
         stack.append(f)
         stack.append(m // f)
     return out
+
+
+# -- frozen report serializations (reference for bounds.Report.as_dict) ------
+#
+# The nine hand-written as_dict bodies the bound reports had before they
+# shared one rule, copied unchanged except that a nested report goes
+# through frozen_as_dict as well.
+
+
+def _prime_bound_as_dict(self):
+    return {"prime": self.prime, "exponent": self.exponent, "rule": self.rule}
+
+
+def _level_bound_report_as_dict(self):
+    return {
+        "per_prime": [frozen_as_dict(e) for e in self.entries],
+        "overall_divisor": self.overall_divisor,
+    }
+
+
+def _dgs_certificate_as_dict(self):
+    return {"status": self.status, "reason": self.reason}
+
+
+def _family_membership_as_dict(self):
+    return {"exponent": self.exponent, "prime": self.prime, "cofactor": self.cofactor}
+
+
+def _mate_count_bounds_as_dict(self):
+    return {"basic": self.basic, "improved": self.improved, "reason": self.reason}
+
+
+def _four_cong_witness_as_dict(self):
+    return {
+        "prime": self.prime,
+        "tau": self.tau,
+        "z0": list(self.z0),
+        "lambda0": self.lambda0,
+        "checks": list(self.checks),
+    }
+
+
+def _lemma_check_report_as_dict(self):
+    return {
+        "prime": self.prime,
+        "tau": self.tau,
+        "lambda0": self.lambda0,
+        "c": self.c,
+        "shifted_snf_over_z_ok": self.shifted_snf_over_z_ok,
+        "shifted_snf_mod_ok": self.shifted_snf_mod_ok,
+        "augmented_snf_ok": self.augmented_snf_ok,
+        "z1": list(self.z1) if self.z1 is not None else None,
+        "z1_equation_ok": self.z1_equation_ok,
+        "z1_unit_sum_ok": self.z1_unit_sum_ok,
+        "walk_congruence_ok": self.walk_congruence_ok,
+        "all_ok": self.all_ok,
+        "notes": list(self.notes),
+    }
+
+
+def _conjecture_entry_as_dict(self):
+    return {
+        "prime": self.prime,
+        "observed_max": self.observed_max,
+        "last_two_valuation_sum": self.last_two_valuation_sum,
+        "det_valuation": self.det_valuation,
+        "violates_refined": self.violates_refined,
+        "violates_det_half": self.violates_det_half,
+    }
+
+
+def _conjecture_report_as_dict(self):
+    return {
+        "entries": [frozen_as_dict(e) for e in self.entries],
+        "any_violation": self.any_violation,
+    }
+
+
+FROZEN_AS_DICT = {
+    "PrimeBound": _prime_bound_as_dict,
+    "LevelBoundReport": _level_bound_report_as_dict,
+    "DgsCertificate": _dgs_certificate_as_dict,
+    "FamilyMembership": _family_membership_as_dict,
+    "MateCountBounds": _mate_count_bounds_as_dict,
+    "FourCongWitness": _four_cong_witness_as_dict,
+    "LemmaCheckReport": _lemma_check_report_as_dict,
+    "ConjectureEntry": _conjecture_entry_as_dict,
+    "ConjectureReport": _conjecture_report_as_dict,
+}
+
+
+def frozen_as_dict(report):
+    """The dict the hand-written as_dict of report's type returned."""
+    return FROZEN_AS_DICT[type(report).__name__](report)

@@ -4,12 +4,15 @@ import dataclasses
 import io
 import json
 
+import pytest
+
 from walklevel import cli
 from walklevel.analysis import analyze, check_classes
+from walklevel.bounds import extract_four_cong_witness, verify_proof_lemmas
 from walklevel.fixtures import load_worked_example
-from walklevel.graphs import emit_graph6, parse_graph6, walk_profile
-from walklevel.matesearch import search_mates
-from walklevel.sweep import SweepConfig, sweep_one
+from walklevel.graphs import Graph, emit_graph6, parse_graph6, walk_profile
+from walklevel.matesearch import enumerate_columns, search_mates
+from walklevel.sweep import SweepConfig, derive_stream, random_graph, sweep_one
 
 
 def lowered_at_3(prof):
@@ -67,3 +70,31 @@ class TestCheckClasses:
         payload = json.loads(captured.out)
         assert payload["bound_check"]["violations"] == [{"prime": 3, "level": 9, "tau": 2}]
         assert "level bound failed" in captured.err
+
+
+class TestForeignProfile:
+    """A walk profile describes one graph; every stage refuses another's."""
+
+    def test_each_stage_refuses_it(self):
+        g = load_worked_example().graph
+        h = random_graph(derive_stream(1, 0, 0), 10, 1, 2)
+        assert emit_graph6(h) == "I?Xxn^ak_"
+        other = walk_profile(h)
+        prof = walk_profile(Graph(g.adj))  # an equal graph's profile is g's own
+        classes = search_mates(g, [3, 9], profile=prof)
+        assert [c.level for c in classes] == [3, 9]
+        assert len(enumerate_columns(g, 3, profile=prof)) == 16
+        assert len(check_classes(g, prof, classes)["witnesses"]) == 2
+        wit = extract_four_cong_witness(g, classes[0].q, 3, profile=prof)
+        assert verify_proof_lemmas(g, wit, profile=prof).all_ok
+        refused = [
+            lambda: search_mates(g, [3, 9], profile=other),
+            lambda: enumerate_columns(g, 3, profile=other),
+            lambda: extract_four_cong_witness(g, classes[0].q, 3, profile=other),
+            lambda: verify_proof_lemmas(g, wit, profile=other),
+            lambda: check_classes(g, other, classes),
+            lambda: check_classes(g, other, []),
+        ]
+        for call in refused:
+            with pytest.raises(ValueError, match="another graph"):
+                call()

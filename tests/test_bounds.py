@@ -7,13 +7,19 @@ import random
 from pathlib import Path
 
 import pytest
-from oracles import solve_eigenvalue_mod_ref, verify_proof_lemmas_ref
+from oracles import (
+    FROZEN_AS_DICT,
+    frozen_as_dict,
+    solve_eigenvalue_mod_ref,
+    verify_proof_lemmas_ref,
+)
 from sympy import Matrix, factorint
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 from sympy.polys.domains import ZZ
 
 from walklevel import snf
-from walklevel.analysis import check_classes
+from walklevel import bounds
+from walklevel.analysis import analyze, check_classes
 from walklevel.bounds import (
     RULE_HALF_VALUATION,
     RULE_NONE,
@@ -34,7 +40,7 @@ from walklevel.graphs import Graph, WalkProfile, emit_graph6, parse_graph6, walk
 from walklevel.intmat import IntMatrix
 from walklevel.matesearch import search_mates
 from walklevel.ortho import RatRegOrtho
-from walklevel.sweep import derive_stream, random_graph
+from walklevel.sweep import SweepConfig, derive_stream, random_graph, sweep_one
 
 POOL = Path(__file__).resolve().parent.parent / "perfbench" / "mates_pool.txt"
 
@@ -50,10 +56,11 @@ def pool_graphs():
 
 
 def synthetic_profile(n, det_w, primes):
-    """A WalkProfile stub with just the fields the bound rules read."""
+    """A WalkProfile stub with just the fields the bound rules read; its
+    graph is the edgeless one, which only gives n."""
     half = n // 2
     return WalkProfile(
-        n=n,
+        graph=Graph.from_edges(n, []),
         W=IntMatrix.identity(n),
         det_w=det_w,
         controllable=True,
@@ -117,7 +124,8 @@ class TestLevelBounds:
             assert v // 2 <= v - 1
 
     def test_uncontrollable_rejected(self):
-        prof = WalkProfile(2, IntMatrix.identity(2), 0, False, (1, 1), None, {})
+        prof = WalkProfile(Graph.from_edges(2, []), IntMatrix.identity(2), 0, False,
+                           (1, 1), None, {})
         with pytest.raises(ValueError):
             level_bounds(prof)
 
@@ -514,3 +522,53 @@ class TestConjectureCheck:
         prof = walk_profile(load_worked_example().graph)
         rep = conjecture_check(prof, [3**5])  # impossible level, synthetic
         assert rep.any_violation  # flagged as a finding only
+
+
+class TestReportSerialization:
+    """One as_dict rule (bounds.Report) for the bound reports."""
+
+    def test_same_dicts_as_the_frozen_bodies(self, monkeypatch, tmp_path):
+        # record every report serialized while the fixture, the mates pool
+        # and 200 sweep slots are analyzed, searched and checked
+        seen = []
+        for name in FROZEN_AS_DICT:
+            cls = getattr(bounds, name)
+
+            def recorded(self, _as_dict=cls.as_dict):
+                out = _as_dict(self)
+                seen.append((self, out))
+                return out
+
+            monkeypatch.setattr(cls, "as_dict", recorded)
+        g = load_worked_example().graph
+        for g, levels in [(g, [1, 3, 9]), *pool_graphs()]:
+            prof, _ = analyze(g)
+            level_bounds(prof).as_dict()
+            check_classes(g, prof, search_mates(g, levels, profile=prof))
+        config = SweepConfig(n_min=6, n_max=12, graph_count=200, seed=42)
+        for i in range(config.graph_count):
+            sweep_one(config, i)
+        assert {type(rep).__name__ for rep, _ in seen} == set(FROZEN_AS_DICT)
+        for rep, out in seen:
+            # json.dumps without sort_keys compares key order too
+            assert json.dumps(out) == json.dumps(frozen_as_dict(rep)), rep
+
+    def test_plain_report_keys_are_its_fields(self):
+        g = load_worked_example().graph
+        prof = walk_profile(g)
+        cls = search_mates(g, [3], profile=prof)[0]
+        wit = extract_four_cong_witness(g, cls.q, 3, profile=prof)
+        lemma = verify_proof_lemmas(g, wit, profile=prof)
+        bound_rep = level_bounds(prof)
+        conj = conjecture_check(prof, [3])
+        plain = [*bound_rep.entries, dgs_certificate(prof), family_membership(prof),
+                 mate_count_bounds(prof), wit, *conj.entries]
+        assert len({type(rep) for rep in plain}) == 6
+        for rep in plain:
+            assert "as_dict" not in vars(type(rep))
+            assert list(rep.as_dict()) == [f.name for f in dataclasses.fields(rep)]
+        names = [f.name for f in dataclasses.fields(lemma)]
+        assert names[-1] == "notes"
+        assert list(lemma.as_dict()) == [*names[:-1], "all_ok", "notes"]
+        assert list(conj.as_dict()) == ["entries", "any_violation"]
+        assert list(bound_rep.as_dict()) == ["per_prime", "overall_divisor"]

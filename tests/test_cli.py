@@ -76,6 +76,37 @@ class TestExitCodes:
         assert main(["analyze", str(path)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_adjacency_error_names_the_file_line(self, tmp_path, capsys):
+        # the second matrix starts on line 6 and its short row is line 7
+        path = tmp_path / "two.adj"
+        path.write_text("3\n0 1 0\n1 0 1\n0 1 0\n# second graph\n3\n0 1\n1 0 1\n1 1 0\n")
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err == "input error: line 7: expected 3 entries, found 2\n"
+
+    def test_graph_errors_name_the_header_line(self, tmp_path, capsys):
+        path = tmp_path / "two.adj"
+        path.write_text("3\n0 1 0\n1 0 1\n0 1 0\n\n3\n1 1 0\n1 0 1\n0 1 0\n")
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err == "input error: line 6: diagonal must be zero\n"
+        path.write_text("3\n0 1 0\n1 0 1\n0 1 0\n\n3\n0 1 0\n1 0 1\n")
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err == "input error: line 6: expected 3 rows, found 2\n"
+
+    def test_sixty_three_vertex_path(self, tmp_path, capsys):
+        # graph6 needs its long size form from n = 63 on
+        n = 63
+        rows = [" ".join("1" if abs(i - j) == 1 else "0" for j in range(n)) for i in range(n)]
+        path = tmp_path / "path63.adj"
+        path.write_text(f"{n}\n" + "\n".join(rows) + "\n")
+        assert main(["analyze", str(path), "--json"]) == 0
+        rec = json.loads(capsys.readouterr().out)["graphs"][0]
+        assert rec["graph6"].startswith("~??~")
+        assert rec["profile"]["n"] == n and not rec["profile"]["controllable"]
+        g6 = tmp_path / "path63.g6"
+        g6.write_text(rec["graph6"] + "\n")
+        assert main(["analyze", str(g6), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["graphs"][0] == rec
+
     def test_mates_uncontrollable(self, tmp_path, capsys):
         path = tmp_path / "k2.g6"
         path.write_text("A_\n")

@@ -127,6 +127,45 @@ class TestGraph6:
         with pytest.raises(ParseError):
             parse_graph6("A" + chr(63 + 1))  # nonzero padding for n=2
 
+    def test_short_form_unchanged_up_to_62(self):
+        # one size byte 63 + n, then the packed upper triangle
+        for n in range(63):
+            s = emit_graph6(Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)]))
+            assert s[0] == chr(63 + n)
+            assert len(s) == 1 + (n * (n - 1) // 2 + 5) // 6
+
+    def test_long_forms_against_networkx(self):
+        # n = 62 is the last one-byte size; from n = 63 on, '~' and 3 bytes
+        rng = random.Random(101)
+        for n in (62, 63, 64, 200):
+            g = random_graph(rng, n, 0.3)
+            edges = {(i, j) for i in range(n) for j in range(i + 1, n) if g.adj[i][j]}
+            ref_graph = nx.Graph()
+            ref_graph.add_nodes_from(range(n))
+            ref_graph.add_edges_from(edges)
+            ref = nx.to_graph6_bytes(ref_graph, header=False).decode().strip()
+            assert ref.startswith("~") == (n >= 63)
+            assert emit_graph6(g) == ref
+            assert parse_graph6(ref) == g
+            back = nx.from_graph6_bytes(emit_graph6(g).encode())
+            assert back.number_of_nodes() == n
+            assert {tuple(sorted(e)) for e in back.edges()} == edges
+
+    def test_size_field_forms(self):
+        from networkx.readwrite.graph6 import n_to_data
+
+        for n in (0, 62, 63, 258047, 258048, 2**36 - 1):
+            assert [ord(c) - 63 for c in graphs._graph6_size(n)] == n_to_data(n)
+        with pytest.raises(ValueError):
+            graphs._graph6_size(2**36)
+        # the 8-byte field is read; the missing body then names its n
+        with pytest.raises(ParseError, match="n=258048"):
+            parse_graph6(graphs._graph6_size(258048))
+        with pytest.raises(ParseError, match="cut short"):
+            parse_graph6("~??")
+        with pytest.raises(ParseError, match="shortest form"):
+            parse_graph6("~??A_")  # n = 2 needs the one-byte field "A"
+
     def test_round_trip_random_corpus(self):
         rng = random.Random(99)
         for _ in range(80):

@@ -20,7 +20,7 @@ def random_graph(rng, n, p=0.5):
 class TestRatRegOrtho:
     def test_identity(self):
         q = RatRegOrtho.identity(4)
-        assert q.level == 1 and q.is_permutation()
+        assert q.level == 1
 
     def test_lowest_terms_enforced(self):
         with pytest.raises(ValueError):

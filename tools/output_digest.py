@@ -41,6 +41,11 @@ prints one line per output group, ``<group> <items> <sha256>``:
                   attempt), n = 6..18; then invariant_factors(m) on 300
                   random.Random(7) square matrices with n <= 8, singular ones
                   included
+  inputs          walklevel analyze on inputs a valid-input reader must take or
+                  name exactly: --json on the 63-vertex path as an adjacency
+                  file, a two-graph adjacency file whose second matrix has a
+                  short row on line 7, and --json on the long-form graph6 line
+                  of the edgeless 63-vertex graph
 
 A group's digest covers each item's exit code, stdout and stderr in order.
 Run it on two checkouts (say, ``--src`` pointing at a ``git archive`` copy
@@ -254,6 +259,19 @@ def factor_smith() -> list[str]:
     return out
 
 
+def input_runs(main) -> list[str]:
+    """walklevel analyze on a 63-vertex path, a faulty row and long-form graph6."""
+    n = 63
+    path = f"{n}\n" + "".join(
+        " ".join("1" if abs(i - j) == 1 else "0" for j in range(n)) + "\n" for i in range(n))
+    two = "3\n0 1 0\n1 0 1\n0 1 0\n# second graph\n3\n0 1\n1 0 1\n1 1 0\n"
+    # '~' then 3 size bytes for n = 63, then 1953 zero bits in 326 bytes
+    edgeless = "~??~" + "?" * 326 + "\n"
+    return [run_cli(main, ["analyze", "-", "--json"], path),
+            run_cli(main, ["analyze", "-"], two),
+            run_cli(main, ["analyze", "-", "--json"], edgeless)]
+
+
 def groups(src: Path) -> dict[str, list[str]]:
     sys.path.insert(0, str(src))
     import walklevel
@@ -285,6 +303,7 @@ def groups(src: Path) -> dict[str, list[str]]:
         "dn_answers": unit_kernel_answers(),
         "lemma_reports": lemma_reports(fixture, pool),
         "factor_smith": factor_smith(),
+        "inputs": input_runs(main),
     }
 
 
