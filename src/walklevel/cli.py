@@ -351,21 +351,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="walklevel",
-        description="Exact walk-matrix invariants, Smith normal forms, level "
-                    "bounds, and cospectral-mate search for graphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="profiles, bounds and certificates per graph")
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("path", nargs="?", default="-", help="graph6/adjacency file or - for stdin")
     p.add_argument("--format", choices=("auto", "g6", "adj"), default="auto")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("mates", help="exhaustive admissible-matrix search for one graph")
+
+def _mates_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("path", nargs="?", default="-")
     p.add_argument("--format", choices=("auto", "g6", "adj"), default="auto")
     p.add_argument("--levels", default="auto",
@@ -374,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_mates)
 
-    p = sub.add_parser("snf", help="Smith normal form of an integer matrix file")
+
+def _snf_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("path", nargs="?", default="-")
     p.add_argument("--prime", type=int, help="also reduce over Z/p^kZ")
     p.add_argument("--power", type=int, default=1, help="k for Z/p^kZ (default 1)")
@@ -383,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_snf)
 
-    p = sub.add_parser("sweep", help="seeded random-graph sweep with zero-violation checks")
+
+def _sweep_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--n-min", type=int, default=6)
@@ -398,12 +393,63 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
+
+# command -> (help line in the full parser's listing, function adding its arguments)
+_COMMANDS = {
+    "analyze": ("profiles, bounds and certificates per graph", _analyze_arguments),
+    "mates": ("exhaustive admissible-matrix search for one graph", _mates_arguments),
+    "snf": ("Smith normal form of an integer matrix file", _snf_arguments),
+    "sweep": ("seeded random-graph sweep with zero-violation checks", _sweep_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command of ``_COMMANDS`` as a subcommand.
+
+    It is the only source of the top-level help and usage text, and it
+    parses every argv that ``main`` does not hand to one command's parser.
+    """
+    parser = _Parser(
+        prog="walklevel",
+        description="Exact walk-matrix invariants, Smith normal forms, level "
+                    "bounds, and cospectral-mate search for graphs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the parser it needs.
+
+    The full parser hands everything after a command name to that command's
+    subparser, whose prog is "walklevel <command>", and refuses whatever the
+    subparser leaves unparsed. So when argv[0] names a command, that
+    subparser alone gives the same namespace, help, usage errors and exit
+    codes; only leftover arguments need the full parser, whose error (exit
+    1, usage listing every command) is re-raised by parsing argv with it.
+    """
+    if argv and argv[0] in _COMMANDS:
+        _, add_arguments = _COMMANDS[argv[0]]
+        parser = _Parser(prog=f"walklevel {argv[0]}")
+        add_arguments(parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one walklevel command; argv defaults to ``sys.argv[1:]``.
+
+    Returns the exit code (see the module docstring). A usage error or a
+    help request raises SystemExit from argparse, with code 1 or 0. The
+    parser is built anew on each call, from one command's arguments when
+    argv[0] names a command (``_parse_args``).
+    """
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (ValueError, ConjugationError, OSError) as exc:

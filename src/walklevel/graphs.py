@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 from .arith import factorize, is_prime
 from .errors import InvariantError, ParseError
-from .intmat import IntMatrix, char_poly
+from .intmat import IntMatrix, _int_rows, char_poly
 from .snf import _det_and_factors, _factors_over_z
 
 ISOMORPHISM_SIZE_LIMIT = 12
@@ -30,7 +30,7 @@ class Graph:
     adj: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        adj = tuple(tuple(map(int, row)) for row in self.adj)
+        adj = _int_rows(self.adj)
         n = len(adj)
         # a valid matrix passes these whole-matrix checks; the checks below
         # run only on an invalid one, to raise the error its first fault names

@@ -12,27 +12,67 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import index, mul
 from typing import Callable, Iterable, Sequence
+
+
+def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """``rows`` as a tuple of tuples of exact ints (bools become 0 and 1).
+
+    An entry that is not an integer (a float, a string, a Fraction) raises
+    ValueError naming its (row, column), where ``int()`` would have
+    truncated or parsed it.
+    """
+    out = []
+    for i, row in enumerate(rows):
+        row = tuple(row)
+        try:
+            out.append(tuple(map(index, row)))
+        except TypeError:
+            for j, x in enumerate(row):
+                try:
+                    index(x)
+                except TypeError:
+                    raise ValueError(f"entry ({i},{j}) is {x!r}, not an integer") from None
+            raise
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class IntMatrix:
+    """An immutable integer matrix; ``data`` is its tuple of row tuples.
+
+    The constructor normalizes: each row becomes a tuple of exact ints, a
+    non-integral entry raises ValueError, and rows of unequal length are
+    refused. ``map`` goes through it, since ``f`` may return anything. The
+    results of ``+``, ``-``, unary ``-``, scalar ``*``, ``@``, ``transpose``
+    and ``identity`` skip it (``_wrap``): they are built from the rows of
+    normalized matrices, or from literal ints, by int arithmetic and
+    ``zip``, so they are already tuples of equal-length tuples of exact ints.
+    """
+
     data: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(map(int, row)) for row in self.data)
+        rows = _int_rows(self.data)
         if rows:
             w = len(rows[0])
             if any(len(r) != w for r in rows):
                 raise ValueError("rows have unequal lengths")
         object.__setattr__(self, "data", rows)
 
+    @classmethod
+    def _wrap(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """A matrix on ``rows`` as given, which must already be normalized."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "data", rows)
+        return m
+
     # -- construction -----------------------------------------------------
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls._wrap(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -87,23 +127,23 @@ class IntMatrix:
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(tuple(
+        return IntMatrix._wrap(tuple(
             tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
         ))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(tuple(
+        return IntMatrix._wrap(tuple(
             tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
         ))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-a for a in row) for row in self.data))
+        return IntMatrix._wrap(tuple(tuple(-a for a in row) for row in self.data))
 
     def __mul__(self, c: int) -> "IntMatrix":
         if not isinstance(c, int):
             return NotImplemented
-        return IntMatrix(tuple(tuple(c * a for a in row) for row in self.data))
+        return IntMatrix._wrap(tuple(tuple(c * a for a in row) for row in self.data))
 
     __rmul__ = __mul__
 
@@ -113,13 +153,13 @@ class IntMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         bt = other.transpose().data
-        return IntMatrix(tuple(
+        return IntMatrix._wrap(tuple(
             tuple(sum(map(mul, row, col)) for col in bt)
             for row in self.data
         ))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.data))) if self.data else IntMatrix(())
+        return IntMatrix._wrap(tuple(zip(*self.data)) if self.data else ())
 
     @property
     def T(self) -> "IntMatrix":

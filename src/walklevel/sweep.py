@@ -24,7 +24,6 @@ conclusions, mate-count bounds, and the refined conjecture tally.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -218,6 +217,10 @@ def run_sweep(config: SweepConfig) -> dict:
     in index order."""
     indices = range(config.graph_count)
     if config.workers > 1:
+        # imported here: it loads multiprocessing, pickle, socket and logging,
+        # which nothing else needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             records = list(pool.map(sweep_one, repeat(config), indices))
     else:

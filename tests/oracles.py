@@ -795,6 +795,54 @@ def graph_error_ref(adj):
     return None
 
 
+def ratregortho_error_ref(num, den):
+    """The message of the ValueError RatRegOrtho(IntMatrix(num), den) raises,
+    or None if it accepts.
+
+    Frozen from the checks RatRegOrtho made with whole matrix products, in
+    their order: num square, den > 0, gcd of den and the entries 1,
+    num^T num = den^2 I entry by entry, then every row and column sum den.
+    """
+    n = len(num)
+    if any(len(row) != n for row in num):
+        return "matrix must be square"
+    if den <= 0:
+        return "denominator must be positive"
+    g = den
+    for row in num:
+        for x in row:
+            g = gcd(g, x)
+    if g != 1:
+        return "entries and denominator are not in lowest terms"
+    for i in range(n):
+        for j in range(n):
+            if sum(num[k][i] * num[k][j] for k in range(n)) != (den * den if i == j else 0):
+                return "matrix is not orthogonal after scaling"
+    if (any(sum(row) != den for row in num)
+            or any(sum(num[k][j] for k in range(n)) != den for j in range(n))):
+        return "matrix is not regular (row/column sums differ from den)"
+    return None
+
+
+def conjugate_ref(num, den, adj):
+    """The rows of num^T A num / den^2 for conjugate, or the message of the
+    first entry outside {0, den^2} in row-major order.
+
+    Frozen from conjugate before it read entries off Q's columns: the whole
+    product num^T A num is built with plain loops, then scanned.
+    """
+    n = len(adj)
+    an = [[sum(adj[i][k] * num[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    b = [[sum(num[k][i] * an[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    d2 = den * den
+    for i in range(n):
+        for j in range(n):
+            if b[i][j] not in (0, d2):
+                return (f"conjugated entry ({i},{j}) is {b[i][j]}, not in {{0, {d2}}}; "
+                        "the matrix does not carry this graph to a graph")
+    return tuple(tuple(x // d2 for x in row) for row in b)
+
+
 # -- frozen trial division (reference for arith.factorize) -------------------
 
 

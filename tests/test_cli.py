@@ -1,12 +1,13 @@
 """Command-line surface: formats, exit codes, JSON schema, determinism."""
 
+import argparse
 import io
 import json
 
 import networkx as nx
 import pytest
 
-from walklevel import graphs
+from walklevel import cli, graphs
 from walklevel.cli import main, read_graphs
 from walklevel.fixtures import load_worked_example
 from walklevel.graphs import emit_graph6, parse_graph6
@@ -153,6 +154,60 @@ class TestUsageErrors:
             main(["mates", "--help"])
         assert exc.value.code == 0
         assert "--level-cap" in capsys.readouterr().out
+
+
+class TestOneCommandParser:
+    """main parses with the named command's parser alone, with the same effect
+    as the full parser that build_parser() returns."""
+
+    @staticmethod
+    def run(argv, stdin, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_same_outputs_as_the_full_parser(self, adj_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+        matrix = tmp_path / "m.txt"
+        matrix.write_text("3\n2 4 4\n-6 6 12\n10 -4 -16\n")
+        cases = [
+            ["analyze", adj_file], ["analyze", "-", "--json"], ["mates", adj_file, "--json"],
+            ["mates", "-", "--levels", "3"], ["snf", str(matrix), "--prime", "3"],
+            ["sweep", "--seed", "3", "--count", "4", "--json"],
+            [], ["--help"], ["bogus"], ["mates", "--bogus"], ["mates", "-", "extra1"],
+            ["sweep", "--count", "x"], ["--bogus", "mates"], ["MATES"], ["mat"],
+            ["mates", "--", "-"], ["mates", "--he"], ["analyze", "--jso", adj_file],
+        ] + [[command, "--help"] for command in ("analyze", "mates", "snf", "sweep")]
+        ran = [self.run(argv, ADJ_TEXT, monkeypatch, capsys) for argv in cases]
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        for argv, got in zip(cases, ran):
+            assert got == self.run(argv, ADJ_TEXT, monkeypatch, capsys), argv
+        assert [code for code, _, _ in ran[:6]] == [0] * 6
+        # a leftover argument is refused by the full parser: its usage lists every command
+        assert ran[cases.index(["mates", "--bogus"])] == (
+            ("exit", 1), "", "usage: walklevel [-h] {analyze,mates,snf,sweep} ...\n"
+                             "walklevel: error: unrecognized arguments: --bogus\n")
+
+    def test_mates_builds_one_parser(self, adj_file, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["mates", adj_file, "--json"]) == 0
+        assert built == ["walklevel mates"]
+        assert json.loads(capsys.readouterr().out)["levels_searched"] == [3, 9]
+        # the full parser is one top-level parser and a subparser per command
+        built.clear()
+        cli.build_parser()
+        assert len(built) == 5
 
 
 class TestAnalyzeJson:

@@ -42,6 +42,14 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(((0, 2), (2, 0)))  # not 0/1
 
+    def test_non_integral_entries_refused(self):
+        # int() truncated 0.5 to 0, so this read as the edgeless graph
+        with pytest.raises(ValueError, match=r"entry \(0,1\) is 0\.5, not an integer"):
+            Graph(((0, 0.5), (0.5, 0)))
+        with pytest.raises(ValueError, match=r"entry \(1,0\) is '1', not an integer"):
+            Graph(((0, 1), ("1", 0)))
+        assert Graph(((False, True), (True, False))).adj == ((0, 1), (1, 0))
+
     def test_ragged_rows_are_not_square(self):
         # a short later row is named before any entry fault of an earlier row
         for adj in (((0, 0, 1), (0, 0, 0), (1,)), ((1, 0, 1), (0, 0), (1, 0, 0)),

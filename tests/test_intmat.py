@@ -1,6 +1,8 @@
 """Exact matrix layer: products, determinants, characteristic polynomials."""
 
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -188,9 +190,29 @@ class TestConstruction:
             IntMatrix.from_columns([(1, 2), (3,)])
 
     def test_rows_normalized_and_checked(self):
-        assert IntMatrix([[True, 2.0]]).data == ((1, 2),)
+        data = IntMatrix([[True, 2], [False, -3]]).data
+        assert data == ((1, 2), (0, -3))
+        assert all(type(x) is int for row in data for x in row)
         with pytest.raises(ValueError):
             IntMatrix([[1, 2], [3]])
+
+    def test_non_integral_entries_refused(self):
+        # int() would truncate 1.5 and 4.9 and parse the strings
+        for rows, name in ((((1.5, 2), (3, 4.9)), "entry (0,0) is 1.5"),
+                           ((("7", "8"),), "entry (0,0) is '7'"),
+                           (((1, 2), (3, 2.0)), "entry (1,1) is 2.0"),
+                           (((1, Fraction(2)),), "entry (0,1) is Fraction(2, 1)")):
+            with pytest.raises(ValueError, match=re.escape(name + ", not an integer")):
+                IntMatrix(rows)
+
+    def test_map_normalizes_and_algebra_keeps_exact_ints(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            IntMatrix([[1, 2]]).map(lambda x: x / 2)
+        a = IntMatrix([[True, 2], [3, False]])
+        for m in (a + a, a - a, -a, 3 * a, a * 3, a @ a, a.T, IntMatrix.identity(3)):
+            assert all(type(x) is int for row in m.data for x in row)
+            assert m == IntMatrix(m.data)
+        assert (a @ a).data == ((7, 2), (3, 6))
 
 
 class TestCharPoly:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import random_controllable
+from oracles import conjugate_ref, random_controllable, ratregortho_error_ref
 from walklevel.errors import ConjugationError
 from walklevel.fixtures import load_worked_example
 from walklevel.graphs import Graph, walk_matrix
@@ -15,6 +15,33 @@ from walklevel.ortho import RatRegOrtho, conjugate, from_pair, level
 def random_graph(rng, n, p=0.5):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def switching(n):
+    """(2/n) J - I in lowest terms: regular and orthogonal, level n or n/2."""
+    return RatRegOrtho.from_fraction(
+        IntMatrix([[2 - n * (i == j) for j in range(n)] for i in range(n)]), n)
+
+
+def relabeled(rng, q):
+    """P Q P' for random permutations P and P': still regular orthogonal."""
+    rows = rng.sample(q.num.data, q.n)
+    perm = rng.sample(range(q.n), q.n)
+    return RatRegOrtho(IntMatrix([[row[j] for j in perm] for row in rows]), q.den)
+
+
+def valid_matrices(rng):
+    ex = load_worked_example()
+    base = [ex.q_level3, ex.q_level9] + [switching(n) for n in range(3, 9)]
+    base += [RatRegOrtho.from_permutation(tuple(rng.sample(range(n), n))) for n in (1, 4, 7)]
+    return base + [relabeled(rng, q) for q in base for _ in range(3)]
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, ConjugationError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 class TestRatRegOrtho:
@@ -42,6 +69,55 @@ class TestRatRegOrtho:
         # orthogonal but row sums -1: not regular
         with pytest.raises(ValueError):
             RatRegOrtho(IntMatrix([[-1, 0], [0, -1]]), 1)
+
+    def test_each_check_names_its_failure(self):
+        cases = [
+            (IntMatrix([[1, 0, 0], [0, 1, 0]]), 1, "matrix must be square"),
+            (IntMatrix.identity(2), 0, "denominator must be positive"),
+            (3 * IntMatrix.identity(2), 3, "entries and denominator are not in lowest terms"),
+            # unit columns of norm 9 that are not orthogonal: c_0 . c_1 = 8
+            (IntMatrix.from_columns([(1, 2, 2), (2, 1, 2), (2, 2, 1)]), 3,
+             "matrix is not orthogonal after scaling"),
+            (IntMatrix([[2, 0], [0, 1]]), 1, "matrix is not orthogonal after scaling"),
+            (IntMatrix([[1, 1], [0, 1]]), 1, "matrix is not orthogonal after scaling"),
+            (IntMatrix([[-1, 0], [0, -1]]), 1,
+             "matrix is not regular (row/column sums differ from den)"),
+            (-switching(4).num, 2, "matrix is not regular (row/column sums differ from den)"),
+        ]
+        for num, den, message in cases:
+            with pytest.raises(ValueError) as exc:
+                RatRegOrtho(num, den)
+            assert str(exc.value) == message
+            assert ratregortho_error_ref(num.data, den) == message
+
+    def test_checks_match_product_reference(self):
+        # valid matrices, and the same ones with a row negated, an entry moved
+        # by 1 or by den, or num and den scaled: each check fails somewhere
+        rng = random.Random(12)
+        seen = set()
+        for q in valid_matrices(rng):
+            rows = [list(row) for row in q.num.data]
+            variants = [(rows, q.den), ([[2 * x for x in row] for row in rows], 2 * q.den)]
+            for _ in range(6):
+                bad = [row[:] for row in rows]
+                i, j = rng.randrange(q.n), rng.randrange(q.n)
+                kind = rng.randrange(3)
+                if kind == 0:
+                    bad[i] = [-x for x in bad[i]]
+                else:
+                    bad[i][j] += rng.choice((1, -1)) * (1 if kind == 1 else q.den)
+                variants.append((bad, q.den))
+            for num, den in variants:
+                got = outcome(RatRegOrtho, IntMatrix(num), den)
+                expected = ratregortho_error_ref(num, den)
+                if expected is None:
+                    assert isinstance(got, RatRegOrtho)
+                else:
+                    assert got == ("ValueError", expected)
+                seen.add(expected)
+        assert seen == {None, "entries and denominator are not in lowest terms",
+                        "matrix is not orthogonal after scaling",
+                        "matrix is not regular (row/column sums differ from den)"}
 
     def test_fixture_levels(self):
         ex = load_worked_example()
@@ -121,6 +197,50 @@ class TestConjugate:
         other = random_graph(rng, 10)
         with pytest.raises(ConjugationError):
             conjugate(ex.q_level3, other)
+
+    def test_entry_outside_zero_and_level_square(self):
+        # entry (0,1) of num^T A num is 2, between 0 and den^2 = 4
+        g = Graph.from_edges(4, [(0, 1), (1, 2)])
+        with pytest.raises(ConjugationError) as exc:
+            conjugate(switching(4), g)
+        assert str(exc.value) == (
+            "conjugated entry (0,1) is 2, not in {0, 4}; "
+            "the matrix does not carry this graph to a graph")
+
+    def test_nonzero_diagonal(self):
+        # trace(Q^T A Q) = trace(A) = 0, so a diagonal entry den^2 comes with a
+        # negative one; the first entry outside {0, den^2} in row-major order
+        # is named, which need not be on the diagonal
+        q = switching(4)
+        with pytest.raises(ConjugationError) as exc:
+            conjugate(q, Graph.from_edges(4, [(0, 1)]))
+        assert str(exc.value).startswith("conjugated entry (0,0) is -2, not in {0, 4};")
+        g = Graph.from_edges(4, [(1, 2), (1, 3)])
+        assert conjugate_ref(q.num.data, q.den, g.adj).startswith(
+            "conjugated entry (0,2) is 2,")
+        with pytest.raises(ConjugationError) as exc:
+            conjugate(q, g)
+        assert str(exc.value).startswith("conjugated entry (0,2) is 2, not in {0, 4};")
+
+    def test_matches_product_reference(self):
+        rng = random.Random(13)
+        ex = load_worked_example()
+        results = set()
+        for q in valid_matrices(rng):
+            graphs = [random_graph(rng, q.n, rng.choice((0.2, 0.5, 0.8))) for _ in range(8)]
+            if q.n == 4:
+                graphs.append(Graph.from_edges(4, [(0, 1), (2, 3)]))
+            if q.n == 10:
+                graphs.append(ex.graph)
+            for g in graphs:
+                got = outcome(conjugate, q, g)
+                expected = conjugate_ref(q.num.data, q.den, g.adj)
+                if isinstance(expected, str):
+                    assert got == ("ConjugationError", expected)
+                else:
+                    assert got == Graph(expected)
+                results.add(isinstance(expected, str))
+        assert results == {True, False}
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):

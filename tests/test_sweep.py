@@ -1,13 +1,18 @@
 """Sweep engine: RNG portability, reproducibility, worker independence."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from oracles import random_graph_below, unmix64
 from sympy.polys.domains import ZZ
 from sympy.polys.matrices import DomainMatrix
 
+import walklevel
 from walklevel import graphs, intmat
 from walklevel.graphs import walk_matrix
 from walklevel.sweep import (
@@ -119,6 +124,15 @@ class TestSweep:
         b = run_sweep(par)
         a["config"]["workers"] = b["config"]["workers"] = 0
         assert report_json(a) == report_json(b)
+
+    def test_import_leaves_out_the_process_pool(self):
+        # only run_sweep with workers > 1 needs concurrent.futures
+        src = Path(walklevel.__file__).resolve().parent.parent
+        code = ("import sys, walklevel, walklevel.cli; "
+                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert out == "[]\n"
 
     def test_no_mates_mode(self):
         cfg = SweepConfig(graph_count=5, seed=1, mates=False)

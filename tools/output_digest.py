@@ -46,6 +46,12 @@ prints one line per output group, ``<group> <items> <sha256>``:
                   file, a two-graph adjacency file whose second matrix has a
                   short row on line 7, and --json on the long-form graph6 line
                   of the edgeless 63-vertex graph
+  cli_surface     walklevel's argv handling: each command on the fixture (analyze,
+                  mates --json, snf --prime 3 on the level-3 matrix, a 4-graph
+                  sweep --json), [], --help, bogus, mates --bogus, mates - extra1,
+                  sweep --count x, --bogus mates, MATES, mat, and each command's
+                  --help, with COLUMNS=80; argparse's SystemExit code stands for
+                  the exit code
 
 A group's digest covers each item's exit code, stdout and stderr in order.
 Run it on two checkouts (say, ``--src`` pointing at a ``git archive`` copy
@@ -61,6 +67,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import sys
 import warnings
@@ -272,6 +279,36 @@ def input_runs(main) -> list[str]:
             run_cli(main, ["analyze", "-", "--json"], edgeless)]
 
 
+def cli_surface(main, fixtures: Path) -> list[str]:
+    """walklevel.cli.main on commands, usage errors and help requests."""
+
+    def guarded(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return f"SystemExit {exc.code}"
+
+    fixture = (fixtures / "g10_adjacency.txt").read_text()
+    cases = [
+        (["analyze", "-"], fixture),
+        (["mates", "-", "--json"], fixture),
+        (["snf", "-", "--prime", "3"], (fixtures / "g10_qhat_level3.txt").read_text()),
+        (["sweep", "--seed", "3", "--count", "4", "--json"], ""),
+    ] + [(argv, fixture) for argv in (
+        [], ["--help"], ["bogus"], ["mates", "--bogus"], ["mates", "-", "extra1"],
+        ["sweep", "--count", "x"], ["--bogus", "mates"], ["MATES"], ["mat"],
+        ["analyze", "--help"], ["mates", "--help"], ["snf", "--help"], ["sweep", "--help"])]
+    saved = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"  # argparse wraps help and usage to the terminal
+    try:
+        return [run_cli(guarded, argv, stdin) for argv, stdin in cases]
+    finally:
+        if saved is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved
+
+
 def groups(src: Path) -> dict[str, list[str]]:
     sys.path.insert(0, str(src))
     import walklevel
@@ -304,6 +341,7 @@ def groups(src: Path) -> dict[str, list[str]]:
         "lemma_reports": lemma_reports(fixture, pool),
         "factor_smith": factor_smith(),
         "inputs": input_runs(main),
+        "cli_surface": cli_surface(main, fixtures),
     }
 
 
