@@ -44,12 +44,12 @@ def main():
 
     print("\ncolumn candidates (exact lattice slices):")
     for lvl in (1, 3, 9):
-        cands = enumerate_columns(g, lvl)
+        cands = enumerate_columns(prof, lvl)
         print(f"  level {lvl}: {len(cands)} vectors with norm {lvl}^2, "
               f"sum {lvl}, walk congruence mod {lvl}")
 
     print("\nassembling complete matrices at levels 1, 3, 9:")
-    classes = search_mates(g, [1, 3, 9])
+    classes = search_mates(prof, [1, 3, 9])
     for cls in classes:
         kind = "permutation class" if cls.level == 1 else "mate"
         print(f"  level {cls.level}: {kind}, mate graph {emit_graph6(cls.mate)}, "
@@ -72,8 +72,8 @@ def main():
     for cls in classes:
         if cls.level == 1:
             continue
-        wit = extract_four_cong_witness(g, cls.q, 3)
-        chk = verify_proof_lemmas(g, wit)
+        wit = extract_four_cong_witness(prof, cls.q, 3)
+        chk = verify_proof_lemmas(prof, wit)
         print(f"  level {cls.level}: tau = {wit.tau}, lambda0 = {wit.lambda0}, "
               f"four congruences {all(wit.checks)}, lemma conclusions {chk.all_ok}")
 

@@ -1,6 +1,7 @@
 """The per-graph analysis shared by the analyze and mates commands and the sweep.
 
-``analyze`` builds a graph's profile record. ``check_classes`` re-verifies
+Both stages take a graph's walk profile alone and read G, W and n off it.
+``analyze`` builds the profile's record. ``check_classes`` re-verifies
 the classes a search found: at every odd prime p that divides a class's
 level with rank_p W = n - 1 it extracts the four-congruence witness,
 re-checks the proof lemmas and tests the half-valuation bound
@@ -18,36 +19,30 @@ from .bounds import (
     mate_count_bounds,
     verify_proof_lemmas,
 )
-from .graphs import Graph, WalkProfile, emit_graph6, profile_walk, walk_profile
+from .graphs import WalkProfile, emit_graph6
 from .matesearch import MateClass
 
 
-def analyze(g: Graph) -> tuple[WalkProfile, dict]:
-    """The profile of g and its record; bounds and certificates need det W != 0.
+def analyze(prof: WalkProfile) -> dict:
+    """The record of a graph's profile; bounds and certificates need det W != 0.
 
     Only walk_profile factors; the other stages read the profile's prime table.
     """
-    return _analyze(g, walk_profile(g))
-
-
-def _analyze(g: Graph, prof: WalkProfile) -> tuple[WalkProfile, dict]:
-    """analyze for a caller that already holds the automatic profile of g."""
-    rec = {"graph6": emit_graph6(g), "profile": prof.as_dict()}
+    rec = {"graph6": emit_graph6(prof.graph), "profile": prof.as_dict()}
     if prof.controllable:
         rec["bounds"] = level_bounds(prof).as_dict()
         rec["dgs"] = dgs_certificate(prof).as_dict()
         rec["family"] = family_membership(prof).as_dict()
         rec["mate_bounds"] = mate_count_bounds(prof).as_dict()
-    return prof, rec
+    return rec
 
 
-def check_classes(g: Graph, prof: WalkProfile, classes: list[MateClass]) -> dict:
+def check_classes(prof: WalkProfile, classes: list[MateClass]) -> dict:
     """Class records, witnesses, lemma checks, bound check and conjecture tally.
 
-    ``prof`` must be g's own profile (ValueError otherwise): its prime
-    table picks the witness primes and its W feeds every check.
+    The profile's prime table picks the witness primes and its W feeds
+    every check.
     """
-    profile_walk(g, prof)
     records = []
     witnesses = []
     lemma_checks = []
@@ -62,11 +57,11 @@ def check_classes(g: Graph, prof: WalkProfile, classes: list[MateClass]) -> dict
         for p in prof.odd_primes():
             if cls.level % p or prof.rank_p(p) != prof.n - 1:
                 continue
-            wit = extract_four_cong_witness(g, cls.q, p, profile=prof)
+            wit = extract_four_cong_witness(prof, cls.q, p)
             if wit.tau > prof.valuation(p) // 2:
                 violations.append({"prime": p, "level": cls.level, "tau": wit.tau})
             witnesses.append(wit.as_dict())
-            lemma_checks.append(verify_proof_lemmas(g, wit, profile=prof).as_dict())
+            lemma_checks.append(verify_proof_lemmas(prof, wit).as_dict())
     return {
         "classes": records,
         "witnesses": witnesses,

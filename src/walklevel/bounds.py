@@ -20,6 +20,8 @@ Every check reads one Smith decomposition U, S, V of A - lambda0*I over
 Z/p^tau; the shape over Z follows from it, since the local factors are
 gcd(f_i, p^tau) of the factors f_i over Z. Any failed conclusion is
 returned as a structured counterexample report, never papered over.
+Both the witness and the lemma checks take the graph's walk profile alone
+and read G, W and n off it.
 
 Every report but ``LevelBoundReport`` (entries under ``per_prime``) writes
 its JSON through ``Report.as_dict``, one key per field in field order;
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field, fields
 
 from .arith import v_p
 from .errors import InvariantError
-from .graphs import Graph, WalkProfile, profile_walk
+from .graphs import WalkProfile
 from .intmat import IntMatrix, dot
 from .ortho import RatRegOrtho
 from .snf import _augmented_factors, _kernel, _solve, snf_mod_pk
@@ -241,9 +243,7 @@ class FourCongWitness(Report):
     checks: tuple[bool, bool, bool, bool]
 
 
-def extract_four_cong_witness(
-    g: Graph, q: RatRegOrtho, p: int, *, profile: WalkProfile | None = None
-) -> FourCongWitness:
+def extract_four_cong_witness(prof: WalkProfile, q: RatRegOrtho, p: int) -> FourCongWitness:
     """Extract the witness column from a scaled orthogonal matrix.
 
     Requires tau = v_p(level) >= 1 and rank_p W = n-1. Takes the
@@ -252,15 +252,14 @@ def extract_four_cong_witness(
     (A z0)_i / z0_i mod p^tau. A failed fourth congruence then means no
     eigenvalue exists and raises ValueError; a failure of the other three
     raises InvariantError, since they are theorems under the preconditions.
-    W is read off ``profile``, g's walk profile, when the caller holds it.
     """
     if p == 2 or p < 2:
         raise ValueError("witness extraction is defined for odd primes")
     tau = v_p(q.level, p)
     if tau == 0:
         raise ValueError(f"level {q.level} has no factor {p}: tau = 0")
-    a = g.adjacency()
-    w = profile_walk(g, profile)
+    a = prof.graph.adjacency()
+    w = prof.W
 
     z0 = None
     for j in range(q.n):
@@ -350,9 +349,7 @@ def _walk_congruence_holds(
     return True
 
 
-def verify_proof_lemmas(
-    g: Graph, witness: FourCongWitness, *, profile: WalkProfile | None = None
-) -> LemmaCheckReport:
+def verify_proof_lemmas(prof: WalkProfile, witness: FourCongWitness) -> LemmaCheckReport:
     """Re-verify the structural conclusions behind the level bound.
 
     Checks that the shifted adjacency A - lambda0*I has corank <= 1 mod p
@@ -366,16 +363,15 @@ def verify_proof_lemmas(
     c < tau through U and S, and the kernel at c = tau off V, whose last two
     columns k1, k2 span it. There z0 = s k1 + t k2, and z1 is k2 when s is
     a unit mod p ({z0, k2} is then a kernel basis), else k1. A z0 outside
-    the kernel leaves z1 None with a note. W is read off ``profile``, g's
-    walk profile, when the caller holds it.
+    the kernel leaves z1 None with a note.
     """
     p, tau, z0, lam = witness.prime, witness.tau, witness.z0, witness.lambda0
-    n = g.n
+    n = prof.n
     if n < 3:
         raise ValueError("lemma verification needs n >= 3")
     q = p ** tau
-    a = g.adjacency()
-    wt = profile_walk(g, profile).T
+    a = prof.graph.adjacency()
+    wt = prof.W.T
     b = a - lam * IntMatrix.identity(n)
     notes: list[str] = []
 

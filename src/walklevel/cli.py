@@ -49,11 +49,16 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+_NO_VERTEX = "the graph on 0 vertices has no walk matrix"
+
+
 def read_graphs(text: str, fmt: str = "auto") -> list[Graph]:
     """Graphs from graph6 lines or the adjacency text format.
 
     auto mode treats input whose first non-comment line is a bare integer
     as an adjacency file, anything else as one graph6 string per line.
+    The graph on 0 vertices has no walk matrix, so either format refuses it
+    with a ParseError naming its line.
     """
     stripped = [
         (i, line.strip())
@@ -75,6 +80,8 @@ def read_graphs(text: str, fmt: str = "auto") -> list[Graph]:
                 n = int(header)
             except ValueError:
                 raise ParseError(f"expected a vertex count, found {header!r}", line=lineno)
+            if n == 0:
+                raise ParseError(_NO_VERTEX, line=lineno)
             try:
                 m = _parse_numbered_lines(lines[pos: pos + n + 1])
                 graphs.append(Graph(m.data))
@@ -87,9 +94,12 @@ def read_graphs(text: str, fmt: str = "auto") -> list[Graph]:
     graphs = []
     for lineno, line in stripped:
         try:
-            graphs.append(parse_graph6(line))
+            g = parse_graph6(line)
         except ParseError as exc:
             raise ParseError(f"bad graph6: {exc}", line=lineno) from exc
+        if g.n == 0:
+            raise ParseError(_NO_VERTEX, line=lineno)
+        graphs.append(g)
     return graphs
 
 
@@ -130,7 +140,7 @@ def _print_analysis(rec: dict, out) -> None:
 def cmd_analyze(args) -> int:
     text = _read_text(args.path)
     graphs = read_graphs(text, args.format)
-    records = [analyze(g)[1] for g in graphs]
+    records = [analyze(walk_profile(g)) for g in graphs]
     if args.json:
         _emit_json({"graphs": records})
     else:
@@ -176,7 +186,7 @@ def cmd_mates(args) -> int:
         levels, notes = _auto_levels(prof, bounds_rep, args.level_cap)
     else:
         levels = sorted({int(tok) for tok in args.levels.split(",")})
-    checked = check_classes(g, prof, search_mates(g, levels, profile=prof))
+    checked = check_classes(prof, search_mates(prof, levels))
     invariant_failed = not all(chk["all_ok"] for chk in checked["lemma_checks"])
     violations = checked["bound_check"]["violations"]
 

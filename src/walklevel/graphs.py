@@ -6,9 +6,8 @@ any order below 2^36 round-trips. The walk matrix stacks e, Ae, ...,
 A^(n-1)e as columns; a graph is controllable when that matrix is
 nonsingular. Profiles collect the exact invariants the bound rules consume:
 det W, its Smith normal form, and per-prime valuations and ranks read off
-that Smith form. A profile records its graph, and ``profile_walk`` is the
-one place a later stage takes W from: the profile's W when it is g's own,
-else a W built from g.
+that Smith form. A profile records its graph, so every later stage takes
+the profile alone and reads G, W and n off it.
 """
 
 from __future__ import annotations
@@ -56,6 +55,8 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj = [[0] * n for _ in range(n)]
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
             if u == v:
                 raise ValueError("loops are not allowed")
             adj[u][v] = adj[v][u] = 1
@@ -202,8 +203,8 @@ def _walk_rows(adj: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
 class WalkProfile:
     """Exact walk-matrix invariants of one graph.
 
-    ``graph`` is the graph the profile was built from; ``profile_walk``
-    refuses to lend the profile to any other. ``primes`` maps p to
+    ``graph`` is the graph the profile was built from, and the stages after
+    ``walk_profile`` read it from here. ``primes`` maps p to
     (v_p(|det W|), rank of W mod p), both read off ``invariant_factors``
     (the sum of v_p(d_i) and the count of d_i prime to p); it is empty for
     non-controllable graphs. ``normalized_det`` is det W divided by
@@ -275,7 +276,8 @@ def walk_profile(g: Graph, primes: str | Iterable[int] = "auto") -> WalkProfile:
     FactorizationError naming the unfactored part). This is the only
     factoring of the per-graph analysis: every later stage reads the
     table through ``WalkProfile.factor``. An explicit prime list is checked
-    for primality (ValueError otherwise) but not factored.
+    for primality (ValueError otherwise) but not factored; ``walk_profile(g, ())``
+    factors nothing, for a caller that runs the later stages on g alone.
 
     The table is read off the invariant factors d_1 | ... | d_n: U W V = S
     with U, V unimodular, so v_p(det W) = sum of v_p(d_i) and
@@ -322,17 +324,6 @@ def _controllable_profile(g: Graph, primes: str | Iterable[int] = "auto") -> Wal
                 raise ValueError(f"{p} is not prime")
     return WalkProfile(g, IntMatrix(rows), d, True, factors, nd,
                        {p: _row(factors, p) for p in plist})
-
-
-def profile_walk(g: Graph, profile: WalkProfile | None) -> IntMatrix:
-    """W of g: read off ``profile``, g's walk profile, when one is given, else
-    built here. A profile of another graph raises ValueError: its W and its
-    prime table describe that graph, not g."""
-    if profile is None:
-        return walk_matrix(g)
-    if profile.graph != g:
-        raise ValueError("the walk profile belongs to another graph")
-    return profile.W
 
 
 def _row(factors: tuple[int, ...], p: int) -> tuple[int, int]:

@@ -202,16 +202,22 @@ class IntPoly:
     """Integer polynomial, coefficients lowest degree first.
 
     The zero polynomial is the empty tuple; otherwise the leading coefficient
-    is nonzero.
+    is nonzero. A coefficient that is not an integer raises ValueError
+    naming its index; bools read as 0 and 1.
     """
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        cs = tuple(int(c) for c in self.coeffs)
+        cs = []
+        for i, c in enumerate(self.coeffs):
+            try:
+                cs.append(index(c))
+            except TypeError:
+                raise ValueError(f"coefficient {i} is {c!r}, not an integer") from None
         while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     @property
     def degree(self) -> int:

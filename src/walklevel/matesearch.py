@@ -18,7 +18,8 @@ exactly one representative from each right-permutation class {Q P}. The
 assembly enumerates n-cliques of the precomputed compatibility graph with
 bitsets; the tests cross-check it against plain backtracking.
 
-A class is its Q and the mate Q^T A Q. For a controllable graph Q is
+Both stages take the graph's walk profile alone and read G, W and n off
+it. A class is its Q and the mate Q^T A Q. For a controllable graph Q is
 unique, so everything else a class states is read off Q: its level is Q's
 denominator, and the mate is isomorphic to the input exactly when that
 level is 1.
@@ -31,7 +32,7 @@ from math import gcd
 from operator import mul
 
 from .errors import SearchCapExceeded
-from .graphs import Graph, WalkProfile, _controllable_profile, profile_walk
+from .graphs import Graph, WalkProfile
 from .intmat import IntMatrix, dot
 from .ortho import RatRegOrtho, conjugate
 from .snf import _diagonal_mod, _identity
@@ -59,11 +60,7 @@ class MateClass:
 
 
 def enumerate_columns(
-    g: Graph,
-    level: int,
-    *,
-    profile: WalkProfile | None = None,
-    cap: int = CANDIDATE_CAP,
+    prof: WalkProfile, level: int, *, cap: int = CANDIDATE_CAP
 ) -> list[tuple[int, ...]]:
     """All integer vectors v with v.v = level^2, e.v = level, W^T v = 0 mod level.
 
@@ -74,13 +71,12 @@ def enumerate_columns(
     with each y_i a multiple of level/g_i. Each residue class is then
     walked coordinate by coordinate with exact norm/sum pruning (every
     entry satisfies |v_i| <= level). The result is lexicographically
-    sorted and complete, for singular W too. W is read off ``profile``,
-    g's walk profile, when the caller holds it.
+    sorted and complete, for singular W too.
     """
     if level < 1:
         raise ValueError("level must be positive")
-    w = profile_walk(g, profile)
-    n = g.n
+    w = prof.W
+    n = prof.n
 
     # product of the g_i = product of gcd(d_i, level) over W's invariant factors
     v = _identity(n)
@@ -187,36 +183,31 @@ def _assemble_clique(cands, a_cands, n, lvl2, node_cap):
 
 
 def search_mates(
-    g: Graph,
+    prof: WalkProfile,
     levels: list[int] | tuple[int, ...],
     *,
-    profile: WalkProfile | None = None,
     node_cap: int = NODE_CAP,
 ) -> list[MateClass]:
-    """All admissible matrices of g with level in ``levels``, one per
-    right-permutation class, each verified and paired with its mate graph.
+    """All admissible matrices of the profile's graph g with level in
+    ``levels``, one per right-permutation class, each verified and paired
+    with its mate graph.
 
     A matrix assembled at level l whose entries share a factor with l is a
     lower-level matrix in disguise and is skipped; it shows up (exactly
-    once) when its true level is searched. ``profile`` is g's walk profile
-    when the caller already holds it; W and controllability are read off
-    it, and without it a profile with an empty prime table is built here.
-    An uncontrollable g (det W = 0) raises ValueError: the uniqueness of Q,
-    which ``MateClass`` relies on, needs W nonsingular.
+    once) when its true level is searched. An uncontrollable g (det W = 0)
+    raises ValueError: the uniqueness of Q, which ``MateClass`` relies on,
+    needs W nonsingular.
     """
-    if profile is None:
-        profile = _controllable_profile(g, ())
-    else:
-        profile_walk(g, profile)  # refuses a profile of another graph
-    if profile is None or not profile.controllable:
+    if not prof.controllable:
         raise ValueError("graph is not controllable")
+    g = prof.graph
     a = g.adjacency()
     n = g.n
     classes: list[MateClass] = []
     for level in sorted(set(int(x) for x in levels)):
         lvl2 = level * level
         cands, a_cands = [], []
-        for v in enumerate_columns(g, level, profile=profile):
+        for v in enumerate_columns(prof, level):
             av = a.mat_vec(v)
             if dot(av, v) == 0:
                 cands.append(v)

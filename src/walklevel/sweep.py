@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from itertools import repeat
 
-from .analysis import _analyze, check_classes
+from .analysis import analyze, check_classes
 from .arith import is_prime
 from .errors import SearchCapExceeded
 from .graphs import Graph, _controllable_profile
@@ -167,8 +167,7 @@ def sweep_one(config: SweepConfig, index: int) -> dict:
     else:
         return {"index": index, "n": n, "attempts": max_attempts, "exhausted": True}
 
-    _, rec = _analyze(graph, prof)
-    record: dict = {"index": index, "n": n, "attempts": attempt + 1, **rec}
+    record: dict = {"index": index, "n": n, "attempts": attempt + 1, **analyze(prof)}
     if not config.mates:
         return record
 
@@ -187,14 +186,14 @@ def sweep_one(config: SweepConfig, index: int) -> dict:
         return record
 
     try:
-        classes = search_mates(graph, levels, profile=prof)
+        classes = search_mates(prof, levels)
     except SearchCapExceeded as exc:
         record["search"]["cap_exceeded"] = str(exc)
         return record
 
     # every class has level p^j for one target prime p, so the witness
     # primes of check_classes are exactly the target primes dividing it
-    checked = check_classes(graph, prof, classes)
+    checked = check_classes(prof, classes)
     record["search"]["classes"] = checked.pop("classes")
     record.update(checked)
 

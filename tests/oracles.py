@@ -485,7 +485,7 @@ def backtrack_search_mates(g, levels, node_cap=10**8):
     seen = set()
     for level in sorted(set(int(x) for x in levels)):
         lvl2 = level * level
-        cands = [v for v in enumerate_columns(g, level, profile=profile) if dot(a.mat_vec(v), v) == 0]
+        cands = [v for v in enumerate_columns(profile, level) if dot(a.mat_vec(v), v) == 0]
         if len(cands) < n:
             continue
         a_cands = [a.mat_vec(v) for v in cands]

@@ -89,7 +89,7 @@ class TestWorkedExampleReproduction:
 
     def test_a4_search_finds_exactly_two(self, worked):
         t0 = time.monotonic()
-        classes = search_mates(worked.graph, [1, 3, 9])
+        classes = search_mates(walk_profile(worked.graph), [1, 3, 9])
         nontrivial = {c.q.canonical_key() for c in classes if c.level > 1}
         expected = {worked.q_level3.canonical_key(), worked.q_level9.canonical_key()}
         report(
@@ -99,7 +99,7 @@ class TestWorkedExampleReproduction:
         )
 
     def test_a5_witness_congruences(self, worked):
-        wit = extract_four_cong_witness(worked.graph, worked.q_level9, 3)
+        wit = extract_four_cong_witness(walk_profile(worked.graph), worked.q_level9, 3)
         ok = wit.tau == 2 and all(wit.checks)
         report(
             "A5 witness at level 9, p = 3: tau = 2, congruences mod 81/81/9/9",
@@ -224,7 +224,7 @@ class TestMateSearchCompleteness:
             index += 1
             prof = walk_profile(rng_graph)
             levels = divisors(prof.factor(prof.d_n))
-            ours = {c.q.canonical_key() for c in search_mates(rng_graph, levels)}
+            ours = {c.q.canonical_key() for c in search_mates(prof, levels)}
             truth, _ = bruteforce_mate_classes(rng_graph)
             assert ours == truth, f"graph {index - 1} (n={n}): {ours} != {truth}"
             count += 1

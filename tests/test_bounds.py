@@ -187,7 +187,7 @@ class TestFamilyMembership:
         prof = walk_profile(g)
         fam = family_membership(prof)
         assert fam.in_square_family and fam.prime == 3
-        classes = search_mates(g, divisors(prof.factor(prof.d_n)))
+        classes = search_mates(prof, divisors(prof.factor(prof.d_n)))
         assert len(distinct_mate_graphs(classes)) == 1
 
 
@@ -230,20 +230,20 @@ class TestMateCountBounds:
 class TestWitnessExtraction:
     def test_level9_prime3(self):
         ex = load_worked_example()
-        wit = extract_four_cong_witness(ex.graph, ex.q_level9, 3)
+        wit = extract_four_cong_witness(walk_profile(ex.graph), ex.q_level9, 3)
         assert wit.tau == 2
         assert all(wit.checks)
         assert any(x % 3 for x in wit.z0)
 
     def test_level3_prime3(self):
         ex = load_worked_example()
-        wit = extract_four_cong_witness(ex.graph, ex.q_level3, 3)
+        wit = extract_four_cong_witness(walk_profile(ex.graph), ex.q_level3, 3)
         assert wit.tau == 1
         assert all(wit.checks)
 
     def test_lowest_index_column_deterministic(self):
         ex = load_worked_example()
-        wit = extract_four_cong_witness(ex.graph, ex.q_level9, 3)
+        wit = extract_four_cong_witness(walk_profile(ex.graph), ex.q_level9, 3)
         cols = ex.q_level9.num.columns()
         first = next(c for c in cols if any(x % 3 for x in c))
         assert wit.z0 == first
@@ -251,12 +251,12 @@ class TestWitnessExtraction:
     def test_permutation_rejected(self):
         ex = load_worked_example()
         with pytest.raises(ValueError, match="tau = 0"):
-            extract_four_cong_witness(ex.graph, RatRegOrtho.identity(10), 3)
+            extract_four_cong_witness(walk_profile(ex.graph), RatRegOrtho.identity(10), 3)
 
     def test_even_prime_rejected(self):
         ex = load_worked_example()
         with pytest.raises(ValueError):
-            extract_four_cong_witness(ex.graph, ex.q_level9, 2)
+            extract_four_cong_witness(walk_profile(ex.graph), ex.q_level9, 2)
 
     def test_eigenvalue_needs_the_inverse_mod_p_tau(self):
         # relabelings of the fixture move other unit entries of the level-9
@@ -269,7 +269,7 @@ class TestWitnessExtraction:
             perm = [(i + shift) % 10 for i in range(10)]
             g = Graph(tuple(tuple(adj[i][j] for j in perm) for i in perm))
             q = RatRegOrtho(IntMatrix([[num[i][j] for j in perm] for i in perm]), 9)
-            wit = extract_four_cong_witness(g, q, 3)
+            wit = extract_four_cong_witness(walk_profile(g, ()), q, 3)
             assert wit.lambda0 == solve_eigenvalue_mod_ref(g.adjacency(), wit.z0, 3, 2)
             pivots.add(next(x for x in wit.z0 if x % 3) % 9)
         assert pivots - {1, 8}
@@ -282,7 +282,7 @@ class TestWitnessExtraction:
         for i in range(40):
             g = random_graph(derive_stream(1, i, 0), 10, 1, 2)
             with pytest.raises(ValueError, match=r"no solution mod 3\^2; hypotheses"):
-                extract_four_cong_witness(g, q, 3)
+                extract_four_cong_witness(walk_profile(g, ()), q, 3)
             with pytest.raises(ValueError, match="hypotheses are violated"):
                 solve_eigenvalue_mod_ref(g.adjacency(), z0, 3, 2)
 
@@ -290,9 +290,10 @@ class TestWitnessExtraction:
 class TestVerifyProofLemmas:
     def test_worked_example_both_witnesses(self):
         ex = load_worked_example()
+        prof = walk_profile(ex.graph)
         for q in (ex.q_level3, ex.q_level9):
-            wit = extract_four_cong_witness(ex.graph, q, 3)
-            rep = verify_proof_lemmas(ex.graph, wit)
+            wit = extract_four_cong_witness(prof, q, 3)
+            rep = verify_proof_lemmas(prof, wit)
             assert rep.all_ok, rep
             assert rep.z1 is not None
             assert sum(rep.z1) % 3 != 0
@@ -301,8 +302,9 @@ class TestVerifyProofLemmas:
         import json
 
         ex = load_worked_example()
-        wit = extract_four_cong_witness(ex.graph, ex.q_level9, 3)
-        rep = verify_proof_lemmas(ex.graph, wit)
+        prof = walk_profile(ex.graph)
+        wit = extract_four_cong_witness(prof, ex.q_level9, 3)
+        rep = verify_proof_lemmas(prof, wit)
         json.dumps(rep.as_dict())
 
 
@@ -313,15 +315,15 @@ class TestLemmaBranchInstances:
         from walklevel.graphs import parse_graph6
         from walklevel.matesearch import search_mates
 
-        g = parse_graph6(g6)
-        classes = [c for c in search_mates(g, [p]) if c.level == p]
+        prof = walk_profile(parse_graph6(g6))
+        classes = [c for c in search_mates(prof, [p]) if c.level == p]
         assert classes, "instance lost its mate"
-        wit = extract_four_cong_witness(g, classes[0].q, p)
-        rep = verify_proof_lemmas(g, wit)
+        wit = extract_four_cong_witness(prof, classes[0].q, p)
+        rep = verify_proof_lemmas(prof, wit)
         assert wit.tau == 1
         assert rep.c == expected_c
         assert rep.all_ok, rep
-        return g, wit
+        return prof, wit
 
     def test_direct_solvable_route(self):
         # shifted adjacency has a unit (n-1)-st factor: z1 solves directly
@@ -340,14 +342,14 @@ class TestLemmaBranchInstances:
         (r"IWag\fxZG", 5, 1, 3),
     ])
     def test_one_local_form_of_the_shifted_matrix(self, g6, p, c, reads, count_calls):
-        g, wit = self._check(g6, p, expected_c=c)
+        prof, wit = self._check(g6, p, expected_c=c)
         local = count_calls(snf.snf_mod_pk)
         solves = count_calls(snf.solvable_mod_pk)
         kernels = count_calls(snf.kernel_shape)
         extends = count_calls(snf.extend_basis)
         over_z = [count_calls(f) for f in (snf._smith_int, snf.invariant_factors)]
         readers = [count_calls(f) for f in (snf._augmented_factors, snf._solve, snf._kernel)]
-        verify_proof_lemmas(g, wit)
+        verify_proof_lemmas(prof, wit)
         assert len(local) == 1
         assert solves == kernels == extends == []
         assert over_z == [[], []]
@@ -358,12 +360,12 @@ class TestLemmaBranchInstances:
 
     def test_z0_outside_the_kernel_is_a_failed_conclusion(self):
         # at c = tau the kernel basis cannot hold a z0 with (A - lambda0 I) z0 != 0
-        g, wit = self._check("Hh}boM{", 3, expected_c=1)
+        prof, wit = self._check("Hh}boM{", 3, expected_c=1)
         z0 = (wit.z0[0] + 1, *wit.z0[1:])
         bad = dataclasses.replace(wit, z0=z0)
         with pytest.raises(ValueError):
-            verify_proof_lemmas_ref(g, bad)
-        rep = verify_proof_lemmas(g, bad)
+            verify_proof_lemmas_ref(prof.graph, bad)
+        rep = verify_proof_lemmas(prof, bad)
         assert not rep.all_ok
         assert rep.z1 is None and rep.c is None
         assert "z0 is not in the kernel of A - lambda0 I mod 3^1" in rep.notes
@@ -371,25 +373,26 @@ class TestLemmaBranchInstances:
 
 @pytest.fixture(scope="module")
 def pipeline_witnesses():
-    """(graph, witness) of every lemma check on the fixture, on each
+    """(profile, witness) of every lemma check on the fixture, on each
     perfbench pool graph at its listed levels and in the seed-42 n 6-12 sweep."""
     from walklevel import analysis
     from walklevel.sweep import SweepConfig, run_sweep
 
     ex = load_worked_example()
-    seen = [(ex.graph, extract_four_cong_witness(ex.graph, q, 3))
+    prof = walk_profile(ex.graph)
+    seen = [(prof, extract_four_cong_witness(prof, q, 3))
             for q in (ex.q_level3, ex.q_level9)]
     real = analysis.verify_proof_lemmas
 
-    def record(g, wit, **kwargs):
-        seen.append((g, wit))
-        return real(g, wit, **kwargs)
+    def record(prof, wit):
+        seen.append((prof, wit))
+        return real(prof, wit)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "verify_proof_lemmas", record)
         for g, levels in pool_graphs():
             prof = walk_profile(g)
-            check_classes(g, prof, search_mates(g, levels, profile=prof))
+            check_classes(prof, search_mates(prof, levels))
         run_sweep(SweepConfig(n_min=6, n_max=12, graph_count=500, seed=42))
     return seen
 
@@ -398,12 +401,12 @@ class TestLemmaChecksAgainstReference:
     """verify_proof_lemmas against the frozen one with a Smith form per matrix."""
 
     @staticmethod
-    def _compare(g, wit):
+    def _compare(prof, wit):
         """The new report as a dict, and the route the reference took: "solve",
         "kernel", "none" (no z1) or "raised"."""
-        got = verify_proof_lemmas(g, wit).as_dict()
+        got = verify_proof_lemmas(prof, wit).as_dict()
         try:
-            want = verify_proof_lemmas_ref(g, wit).as_dict()
+            want = verify_proof_lemmas_ref(prof.graph, wit).as_dict()
         except ValueError:
             assert not got["all_ok"], got
             assert f"z0 is not in the kernel of A - lambda0 I mod {wit.prime}^{wit.tau}" \
@@ -415,7 +418,7 @@ class TestLemmaChecksAgainstReference:
         return got, "kernel" if got["c"] == wit.tau else "solve"
 
     def test_pipeline_witnesses(self, pipeline_witnesses):
-        routes = [self._compare(g, wit)[1] for g, wit in pipeline_witnesses]
+        routes = [self._compare(prof, wit)[1] for prof, wit in pipeline_witnesses]
         assert len(routes) >= 100
         assert set(routes) == {"solve", "kernel"}
 
@@ -424,13 +427,13 @@ class TestLemmaChecksAgainstReference:
         routes = []
         shapes_failed = 0
         for _ in range(300):
-            g, wit = rng.choice(pipeline_witnesses)
+            prof, wit = rng.choice(pipeline_witnesses)
             p, tau = wit.prime, wit.tau
             kind = rng.randrange(3)
             if kind == 0:  # random lambda0 and z0 at a random prime power
                 p, tau = rng.choice((3, 5, 7)), rng.randint(1, 2)
                 q = p ** tau
-                z0 = tuple(rng.randrange(q) for _ in range(g.n))
+                z0 = tuple(rng.randrange(q) for _ in range(prof.n))
                 wit = FourCongWitness(p, tau, z0, rng.randrange(q), wit.checks)
             elif kind == 1:  # the true lambda0, z0 moved by a random vector
                 q = p ** tau
@@ -439,7 +442,7 @@ class TestLemmaChecksAgainstReference:
                 wit = dataclasses.replace(wit, z0=z0)
             else:  # the true z0, a random lambda0
                 wit = dataclasses.replace(wit, lambda0=rng.randrange(p ** tau))
-            got, route = self._compare(g, wit)
+            got, route = self._compare(prof, wit)
             routes.append(route)
             shapes_failed += not (got["augmented_snf_ok"] or got["shifted_snf_mod_ok"])
         assert {"solve", "kernel", "raised"} <= set(routes)
@@ -447,8 +450,9 @@ class TestLemmaChecksAgainstReference:
 
 
 def test_eigenvalue_matches_the_lift(pipeline_witnesses):
-    for g, wit in pipeline_witnesses:
-        assert wit.lambda0 == solve_eigenvalue_mod_ref(g.adjacency(), wit.z0, wit.prime, wit.tau)
+    for prof, wit in pipeline_witnesses:
+        assert wit.lambda0 == solve_eigenvalue_mod_ref(prof.graph.adjacency(), wit.z0,
+                                                       wit.prime, wit.tau)
 
 
 class TestOverZShape:
@@ -471,7 +475,8 @@ class TestOverZShape:
             fac = snf.snf_mod_pk(b, p, tau).invariant_factors
             local = n - 2 <= len(fac) <= n - 1 and all(x == 1 for x in fac[: n - 2])
             z0 = tuple(rng.randrange(q) for _ in range(n))
-            rep = verify_proof_lemmas(g, FourCongWitness(p, tau, z0, lam, (True,) * 4))
+            rep = verify_proof_lemmas(walk_profile(g, ()),
+                                      FourCongWitness(p, tau, z0, lam, (True,) * 4))
             assert over_z == local == rep.shifted_snf_over_z_ok, (emit_graph6(g), p, tau, lam)
             singular += f[n - 1] == 0
             flags += over_z
@@ -496,7 +501,7 @@ class TestNoIntegerElimination:
         checked = 0
         for g, levels in pool_graphs():
             prof = walk_profile(g)
-            rec = check_classes(g, prof, search_mates(g, levels, profile=prof))
+            rec = check_classes(prof, search_mates(prof, levels))
             checked += len(rec["lemma_checks"])
         assert checked == 100
         assert calls == []
@@ -542,9 +547,10 @@ class TestReportSerialization:
             monkeypatch.setattr(cls, "as_dict", recorded)
         g = load_worked_example().graph
         for g, levels in [(g, [1, 3, 9]), *pool_graphs()]:
-            prof, _ = analyze(g)
+            prof = walk_profile(g)
+            analyze(prof)
             level_bounds(prof).as_dict()
-            check_classes(g, prof, search_mates(g, levels, profile=prof))
+            check_classes(prof, search_mates(prof, levels))
         config = SweepConfig(n_min=6, n_max=12, graph_count=200, seed=42)
         for i in range(config.graph_count):
             sweep_one(config, i)
@@ -556,9 +562,9 @@ class TestReportSerialization:
     def test_plain_report_keys_are_its_fields(self):
         g = load_worked_example().graph
         prof = walk_profile(g)
-        cls = search_mates(g, [3], profile=prof)[0]
-        wit = extract_four_cong_witness(g, cls.q, 3, profile=prof)
-        lemma = verify_proof_lemmas(g, wit, profile=prof)
+        cls = search_mates(prof, [3])[0]
+        wit = extract_four_cong_witness(prof, cls.q, 3)
+        lemma = verify_proof_lemmas(prof, wit)
         bound_rep = level_bounds(prof)
         conj = conjecture_check(prof, [3])
         plain = [*bound_rep.entries, dgs_certificate(prof), family_membership(prof),

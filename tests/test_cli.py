@@ -71,6 +71,14 @@ class TestExitCodes:
         assert main(["analyze", str(path)]) == 0
         assert "0 graph(s)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", ["?\n", "0\n"])
+    def test_zero_vertex_graph_names_its_line(self, text, monkeypatch, capsys):
+        # graph6 "?" and the adjacency header 0 both give the graph on 0 vertices
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["analyze", "-"]) == 1
+        assert capsys.readouterr().err == (
+            "input error: line 1: the graph on 0 vertices has no walk matrix\n")
+
     def test_malformed_line_number(self, tmp_path, capsys):
         path = tmp_path / "bad.g6"
         path.write_text("A_\n!!!notgraph6!!!\n")

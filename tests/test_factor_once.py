@@ -59,7 +59,8 @@ class TestFactorOnce:
     ranks are read off the invariant factors."""
 
     def test_analyze_factors_once_on_the_fixture(self, factorize_calls, rank_mod_p_calls):
-        prof, rec = analyze(load_worked_example().graph)
+        prof = walk_profile(load_worked_example().graph)
+        rec = analyze(prof)
         assert factorize_calls == [prof.normalized_det]
         assert rec["dgs"]["status"] == "Unknown"
         assert prof.rank_p(3) == 9
@@ -70,7 +71,7 @@ class TestFactorOnce:
         graphs = sweep_graphs(14, 16, 6)
         factorize_calls.clear()  # drawing them ran the sweep's own analysis
         for count, g in enumerate(graphs, start=1):
-            analyze(g)
+            analyze(walk_profile(g))
             assert len(factorize_calls) == count
         assert rank_mod_p_calls == []
 

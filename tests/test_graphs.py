@@ -50,6 +50,14 @@ class TestGraphType:
             Graph(((0, 1), ("1", 0)))
         assert Graph(((False, True), (True, False))).adj == ((0, 1), (1, 0))
 
+    def test_from_edges_checks_vertex_indices(self):
+        # a negative index used to wrap around: (0, -1) read as the edge 0-2
+        with pytest.raises(ValueError, match=r"edge \(0, -1\) has a vertex outside 0\.\.2"):
+            Graph.from_edges(3, [(0, -1)])
+        with pytest.raises(ValueError, match=r"edge \(0, 3\) has a vertex outside 0\.\.2"):
+            Graph.from_edges(3, [(0, 3)])
+        assert Graph.from_edges(3, [(0, 2)]).adj == ((0, 0, 1), (0, 0, 0), (1, 0, 0))
+
     def test_ragged_rows_are_not_square(self):
         # a short later row is named before any entry fault of an earlier row
         for adj in (((0, 0, 1), (0, 0, 0), (1,)), ((1, 0, 1), (0, 0), (1, 0, 0)),
@@ -121,6 +129,7 @@ class TestGraph6:
         # cross-checked against the reference implementation below as well
         assert parse_graph6("A?") == Graph.from_edges(2, [])
         assert parse_graph6("A_") == Graph.from_edges(2, [(0, 1)])
+        assert parse_graph6("?") == Graph(())  # the CLI reader refuses it by line
 
     def test_header_allowed(self):
         assert parse_graph6(">>graph6<<A_") == Graph.from_edges(2, [(0, 1)])

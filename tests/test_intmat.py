@@ -296,6 +296,15 @@ class TestIntPoly:
         assert IntPoly((0, 0)).coeffs == ()
         assert IntPoly(()).degree == -1
 
+    def test_non_integral_coefficients_refused(self):
+        # int() truncated these to (1, 2)
+        with pytest.raises(ValueError, match=r"coefficient 0 is 1\.5, not an integer"):
+            IntPoly((1.5, 2.7))
+        with pytest.raises(ValueError, match=r"coefficient 2 is '3', not an integer"):
+            IntPoly((1, 2, "3"))
+        assert IntPoly((True, False, True)).coeffs == (1, 0, 1)
+        assert all(type(c) is int for c in IntPoly((True, 2)).coeffs)
+
     def test_eval(self):
         p = IntPoly((-1, 0, 1))  # x^2 - 1
         assert p(3) == 8

@@ -68,7 +68,7 @@ def pool_searches():
 
 def columns_or_cap(g, level):
     try:
-        return enumerate_columns(g, level)
+        return enumerate_columns(walk_profile(g, ()), level)
     except SearchCapExceeded as exc:
         return str(exc)
 
@@ -86,15 +86,16 @@ class TestEnumerateColumns:
     def test_level_one_is_standard_basis(self):
         rng = random.Random(1)
         g = random_controllable(rng, 6)
-        cols = enumerate_columns(g, 1)
+        cols = enumerate_columns(walk_profile(g, ()), 1)
         expected = sorted(tuple(1 if i == j else 0 for i in range(6)) for j in range(6))
         assert cols == expected
 
     def test_candidate_invariants(self):
         ex = load_worked_example()
+        prof = walk_profile(ex.graph)
         w = walk_matrix(ex.graph)
         for lvl in (3, 9):
-            for v in enumerate_columns(ex.graph, lvl):
+            for v in enumerate_columns(prof, lvl):
                 assert dot(v, v) == lvl * lvl
                 assert sum(v) == lvl
                 assert all(x % lvl == 0 for x in w.T.mat_vec(v))
@@ -102,9 +103,10 @@ class TestEnumerateColumns:
 
     def test_worked_example_supersets(self):
         ex = load_worked_example()
-        c3 = set(enumerate_columns(ex.graph, 3))
+        prof = walk_profile(ex.graph)
+        c3 = set(enumerate_columns(prof, 3))
         assert set(ex.q_level3.num.columns()) <= c3
-        c9 = set(enumerate_columns(ex.graph, 9))
+        c9 = set(enumerate_columns(prof, 9))
         assert set(ex.q_level9.num.columns()) <= c9
 
     def test_uncontrollable_matches_box(self):
@@ -117,13 +119,14 @@ class TestEnumerateColumns:
         for mask in range(1 << len(pairs)):
             g = Graph.from_edges(4, [e for i, e in enumerate(pairs) if mask >> i & 1])
             assert not det(walk_matrix(g))
+            prof = walk_profile(g, ())
             for level in (1, 2, 3):
-                assert enumerate_columns(g, level) == box_columns(g, level)
+                assert enumerate_columns(prof, level) == box_columns(g, level)
 
     def test_cap_enforced(self):
         ex = load_worked_example()
         with pytest.raises(SearchCapExceeded):
-            enumerate_columns(ex.graph, 9, cap=4)
+            enumerate_columns(walk_profile(ex.graph), 9, cap=4)
 
     def test_matches_frozen_integer_smith_version(self):
         # kernel residues from the modular elimination of W^T against those
@@ -144,33 +147,29 @@ class TestEnumerateColumns:
         # the kernel-residue + box walk must equal the defining conditions
         # applied to every vector in the box, including a composite level
         g = random_controllable(random.Random(9), 6)
+        prof = walk_profile(g, ())
         for lvl in (2, 3, 4):
-            assert enumerate_columns(g, lvl) == box_columns(g, lvl)
+            assert enumerate_columns(prof, lvl) == box_columns(g, lvl)
 
 
 class TestSearchMates:
     def test_uncontrollable_rejected(self):
         g = Graph.from_edges(2, [(0, 1)])
-        with pytest.raises(ValueError):
-            search_mates(g, [1])
-        with pytest.raises(ValueError):
-            search_mates(g, [1], profile=walk_profile(g))
+        with pytest.raises(ValueError, match="not controllable"):
+            search_mates(walk_profile(g), [1])
 
     def test_profile_saves_the_det(self, count_calls):
-        # with the caller's profile the search reads W and det W != 0 off
-        # it; without one it builds W and runs one Bareiss pass
+        # the search reads W and det W != 0 off the profile
         ex = load_worked_example()
         prof = walk_profile(ex.graph)
         dets = count_calls(intmat._bareiss)
         walks = count_calls(graphs._walk_rows)
-        with_profile = search_mates(ex.graph, [1, 3, 9], profile=prof)
+        assert [c.level for c in search_mates(prof, [1, 3, 9])] == [1, 3, 9]
         assert (dets, walks) == ([], [])
-        assert search_mates(ex.graph, [1, 3, 9]) == with_profile
-        assert (len(dets), len(walks)) == (1, 1)
 
     def test_worked_example_exactly_two(self):
         ex = load_worked_example()
-        classes = search_mates(ex.graph, [1, 3, 9])
+        classes = search_mates(walk_profile(ex.graph), [1, 3, 9])
         nontrivial = [c for c in classes if c.level > 1]
         assert len(nontrivial) == 2
         keys = {c.q.canonical_key() for c in nontrivial}
@@ -181,7 +180,7 @@ class TestSearchMates:
 
         rng = random.Random(2)
         g = random_controllable(rng, 7)
-        classes = search_mates(g, [1])
+        classes = search_mates(walk_profile(g, ()), [1])
         assert len(classes) == 1
         assert classes[0].level == 1
         assert classes[0].q.canonical_key() == RatRegOrtho.identity(7).canonical_key()
@@ -189,19 +188,19 @@ class TestSearchMates:
 
     def test_soundness_invariants(self):
         ex = load_worked_example()
-        d_n = walk_profile(ex.graph).d_n
-        for cls in search_mates(ex.graph, [1, 3, 9]):
+        prof = walk_profile(ex.graph)
+        for cls in search_mates(prof, [1, 3, 9]):
             q = cls.q
             assert q.num.T @ q.num == (q.den * q.den) * IntMatrix.identity(10)
             assert generalized_cospectral(ex.graph, cls.mate)
             assert from_pair(ex.graph, cls.mate) == q
-            assert d_n % cls.level == 0
+            assert prof.d_n % cls.level == 0
 
     def test_backends_agree(self):
         # the clique assembly against the backtracking oracle
         ex = load_worked_example()
         a = backtrack_search_mates(ex.graph, [1, 3, 9])
-        b = search_mates(ex.graph, [1, 3, 9])
+        b = search_mates(walk_profile(ex.graph), [1, 3, 9])
         assert [c.q.canonical_key() for c in a] == [c.q.canonical_key() for c in b]
 
     def test_backends_agree_random(self):
@@ -211,7 +210,7 @@ class TestSearchMates:
             prof = walk_profile(g)
             levels = [d for d in divisors(prof.factor(prof.d_n)) if d <= 50]
             a = backtrack_search_mates(g, levels)
-            b = search_mates(g, levels)
+            b = search_mates(prof, levels)
             assert [c.q.canonical_key() for c in a] == [c.q.canonical_key() for c in b]
 
     def test_node_cap_enforced(self):
@@ -219,7 +218,7 @@ class TestSearchMates:
         with pytest.raises(SearchCapExceeded):
             backtrack_search_mates(ex.graph, [3], node_cap=2)
         with pytest.raises(SearchCapExceeded):
-            search_mates(ex.graph, [3], node_cap=2)
+            search_mates(walk_profile(ex.graph), [3], node_cap=2)
 
 
 class TestCompositeLevels:
@@ -231,7 +230,7 @@ class TestCompositeLevels:
         g = parse_graph6(r"IWag\fxZG")
         prof = walk_profile(g)
         levels = [d for d in divisors(prof.factor(prof.d_n)) if d <= 100]
-        classes = search_mates(g, levels)
+        classes = search_mates(prof, levels)
         assert sorted(c.level for c in classes) == [1, 2, 5, 10]
         for cls in classes:
             assert from_pair(g, cls.mate) == cls.q
@@ -245,7 +244,7 @@ class TestDedupe:
     def test_right_permutation_collapses(self):
         # the same matrix with shuffled columns is the same class
         ex = load_worked_example()
-        classes = search_mates(ex.graph, [3])
+        classes = search_mates(walk_profile(ex.graph), [3])
         cls = classes[0]
         rng = random.Random(4)
         cols = list(cls.q.num.columns())
@@ -269,24 +268,24 @@ class TestCompletenessOracle:
             g = random_controllable(rng, n)
             prof = walk_profile(g)
             levels = divisors(prof.factor(prof.d_n))
-            ours = {c.q.canonical_key() for c in search_mates(g, levels)}
+            ours = {c.q.canonical_key() for c in search_mates(prof, levels)}
             truth, _ = bruteforce_mate_classes(g)
             assert ours == truth
 
     def test_mate_graph_grouping(self):
         ex = load_worked_example()
-        classes = search_mates(ex.graph, [1, 3, 9])
+        classes = search_mates(walk_profile(ex.graph), [1, 3, 9])
         assert len(distinct_mate_graphs(classes)) == 2
 
     def test_mates_stay_controllable(self):
         # controllability is preserved by generalized cospectrality
         ex = load_worked_example()
-        for cls in search_mates(ex.graph, [1, 3, 9]):
+        for cls in search_mates(walk_profile(ex.graph), [1, 3, 9]):
             assert walk_profile(cls.mate).controllable
 
     def test_level_one_iff_permutation(self):
         ex = load_worked_example()
-        for cls in search_mates(ex.graph, [1, 3, 9]):
+        for cls in search_mates(walk_profile(ex.graph), [1, 3, 9]):
             is_perm = sorted(cls.q.num.T.data) == sorted(
                 IntMatrix.identity(10).data
             )
@@ -298,7 +297,7 @@ class TestIsomorphismFlag:
 
     def test_fixture_matches_networkx(self):
         ex = load_worked_example()
-        classes = search_mates(ex.graph, [1, 3, 9])
+        classes = search_mates(walk_profile(ex.graph), [1, 3, 9])
         assert [c.level for c in classes] == [1, 3, 9]
         check_flags_against_networkx(ex.graph, classes)
 
@@ -311,7 +310,7 @@ class TestIsomorphismFlag:
             if not rec.get("search", {}).get("classes"):
                 continue
             g = parse_graph6(rec["graph6"])
-            classes = search_mates(g, [1, *rec["search"]["levels"]])
+            classes = search_mates(walk_profile(g), [1, *rec["search"]["levels"]])
             assert any(c.level > 1 for c in classes)
             check_flags_against_networkx(g, classes)
             searched += 1
@@ -323,10 +322,10 @@ class TestIsomorphismFlag:
         ex = load_worked_example()
         searches = [(ex.graph, [1, 3, 9]), *pool_searches()]
         for g, levels in searches:
-            keys = [c.q.canonical_key() for c in search_mates(g, levels)]
+            keys = [c.q.canonical_key() for c in search_mates(walk_profile(g, ()), levels)]
             assert len(set(keys)) == len(keys)
 
     def test_duplicate_classes_counted_once(self):
         ex = load_worked_example()
-        classes = search_mates(ex.graph, [1, 3, 9])
+        classes = search_mates(walk_profile(ex.graph), [1, 3, 9])
         assert len(distinct_mate_graphs(classes + classes)) == 2

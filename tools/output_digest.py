@@ -30,7 +30,7 @@ prints one line per output group, ``<group> <items> <sha256>``:
   dn_answers      the answer of dn_test(m, p, k), without its witness, on
                   random.Random(7) matrices with n <= 4 columns and n to 4 rows,
                   over p^k in 3, 9, 27, 25, 49
-  lemma_reports   verify_proof_lemmas(g, wit).as_dict() on 300 random.Random(7)
+  lemma_reports   verify_proof_lemmas(prof, wit).as_dict() on 300 random.Random(7)
                   witnesses over the fixture and the first 20 pool graphs: p in
                   3, 5, 7, tau <= 2, z0 and lambda0 drawn in [0, p^tau); how many
                   of the shifted matrices A - lambda0*I are singular goes to stderr
@@ -55,7 +55,10 @@ prints one line per output group, ``<group> <items> <sha256>``:
 
 A group's digest covers each item's exit code, stdout and stderr in order.
 Run it on two checkouts (say, ``--src`` pointing at a ``git archive`` copy
-of the parent commit) and compare the lines. The pool file is always read
+of the parent commit) and compare the lines. When a change alters a call
+shape this tool uses, compare each checkout's own tool instead: the
+parent's tool run in a ``git archive`` copy of the parent, and this tool on
+the change. The pool file is always read
 from this script's checkout. Standard library only; it takes about ten seconds.
 The path of the imported package goes to stderr.
 """
@@ -124,15 +127,16 @@ def column_lists(fixture: str, pool: list[tuple[str, str]]) -> list[str]:
     """enumerate_columns at levels 1-12 on the fixture and 20 pool graphs."""
     from walklevel.cli import read_graphs
     from walklevel.errors import SearchCapExceeded
-    from walklevel.graphs import parse_graph6
+    from walklevel.graphs import parse_graph6, walk_profile
     from walklevel.matesearch import enumerate_columns
 
     graphs = read_graphs(fixture) + [parse_graph6(g6) for g6, _ in pool[:20]]
     out = []
     for g in graphs:
+        prof = walk_profile(g, ())
         for level in range(1, 13):
             try:
-                item = enumerate_columns(g, level)
+                item = enumerate_columns(prof, level)
             except SearchCapExceeded as exc:
                 item = str(exc)
             out.append(json.dumps(item) + "\n")
@@ -217,7 +221,7 @@ def lemma_reports(fixture: str, pool: list[tuple[str, str]]) -> list[str]:
     """verify_proof_lemmas on seeded hand-built witnesses."""
     from walklevel.bounds import FourCongWitness, verify_proof_lemmas
     from walklevel.cli import read_graphs
-    from walklevel.graphs import parse_graph6
+    from walklevel.graphs import parse_graph6, walk_profile
     from walklevel.intmat import IntMatrix, det
 
     graphs = read_graphs(fixture) + [parse_graph6(g6) for g6, _ in pool[:20]]
@@ -232,7 +236,7 @@ def lemma_reports(fixture: str, pool: list[tuple[str, str]]) -> list[str]:
         lam = rng.randrange(q)
         singular += det(g.adjacency() - lam * IntMatrix.identity(g.n)) == 0
         wit = FourCongWitness(p, tau, z0, lam, (True,) * 4)
-        out.append(json.dumps(verify_proof_lemmas(g, wit).as_dict()) + "\n")
+        out.append(json.dumps(verify_proof_lemmas(walk_profile(g, ()), wit).as_dict()) + "\n")
     print(f"lemma_reports: {singular} of {len(out)} shifted matrices are singular",
           file=sys.stderr)
     return out
