@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
+from operator import index
 from typing import Iterable, Mapping
 
 from .arith import factorize, is_prime
@@ -55,6 +56,11 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj = [[0] * n for _ in range(n)]
         for u, v in edges:
+            try:
+                u, v = index(u), index(v)
+            except TypeError:
+                raise ValueError(
+                    f"edge ({u!r}, {v!r}) has a vertex that is not an integer") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
             if u == v:
@@ -283,9 +289,11 @@ def walk_profile(g: Graph, primes: str | Iterable[int] = "auto") -> WalkProfile:
     with U, V unimodular, so v_p(det W) = sum of v_p(d_i) and
     rank_p W = #{i : p does not divide d_i}. No elimination mod p runs.
     A controllable graph takes the one path of ``invariant_factors``: one
-    Bareiss pass gives det W and a trailing block T_k, and only T_k is
-    eliminated, modulo M = gcd(|det W|, h) (see ``snf``). A graph whose
-    Bareiss pass finds det W = 0 gets the integer elimination alone.
+    Bareiss pass gives det W, the 2-parts of d_1, ..., d_{n-1} off its
+    pivots, and a trailing block T_k; only T_k is eliminated, modulo the odd
+    part m of M = gcd(|det W|, h), and only when m > 1 (see ``snf``). A
+    graph whose Bareiss pass finds det W = 0 gets the integer elimination
+    alone.
     """
     prof = _controllable_profile(g, primes)
     if prof is not None:

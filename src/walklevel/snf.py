@@ -12,10 +12,13 @@ integer elimination runs only in ``snf_int``, for ``walklevel snf``, and
 in ``_factors_over_z``, the invariant factors of a singular, non-square or
 empty matrix. A nonempty square matrix takes one path,
 ``_det_and_factors``, shared by ``invariant_factors`` and ``walk_profile``:
-one ``intmat._bareiss`` pass gives det, a modulus M = gcd(|det|, h) with h
-a gcd of (n-1)-minors, and a trailing block T_k such that the matrix is
-I_k (+) T_k over Z/MZ (k >= 1 on walk matrices, whose first pivot is 1).
-``_factors_from_block`` eliminates T_k alone modulo M. M is a multiple of
+one ``intmat._bareiss`` pass pivots on entries of least 2-adic valuation
+and gives det, v_2(d_1), ..., v_2(d_{n-1}) off its pivots, a modulus
+M = gcd(|det|, h) with h a gcd of (n-1)-minors, and a trailing block T_k
+such that the matrix is I_k (+) T_k over Z/mZ, m the odd part of M (k >= 1
+on walk matrices, whose first pivot is 1). ``_factors_from_block``
+eliminates T_k alone modulo m, and only when m > 1, which on walk matrices
+is rare: 2 carries most of d_1...d_{n-1}. M is a multiple of
 d_1...d_{n-1}, so this gives d_1, ..., d_{n-1} exactly, and d_n is
 recomputed as |det| / (d_1...d_{n-1}). Since U and V are unimodular, the
 rank of a matrix mod p is the number of its invariant factors prime to p,
@@ -42,7 +45,7 @@ from math import gcd, prod
 
 from .arith import is_prime, v_p
 from .errors import InvariantError
-from .intmat import IntMatrix, _bareiss
+from .intmat import IntMatrix, _bareiss, _odd_part
 
 
 @dataclass(frozen=True)
@@ -435,8 +438,10 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     """The nonzero invariant factors of m over Z, without transforms.
 
     A nonempty square m gets one Bareiss pass (``_det_and_factors``). When
-    det m is nonzero only a trailing block is eliminated, over Z/MZ, so no
-    entry ever exceeds M (Domich-Kannan-Trotter 1987, Hafner-McCurley 1991).
+    det m is nonzero the pass's pivots give the 2-parts of d_1, ..., d_{n-1},
+    and at most a trailing block is eliminated, over Z/mZ with m the odd
+    part of M, so no entry ever exceeds M (Domich-Kannan-Trotter 1987,
+    Hafner-McCurley 1991).
     Otherwise, and for a non-square or empty m, the integer elimination of
     ``snf_int`` runs on S alone (``_factors_over_z``).
     """
@@ -450,11 +455,13 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
 def _det_and_factors(rows) -> tuple[int, tuple[int, ...]]:
     """(det a, invariant factors of a) for the rows of a nonempty square
     matrix a, from one ``intmat._bareiss`` pass; the factors are () when
-    det a = 0, and no Smith elimination runs then."""
-    d, modulus, k, block = _bareiss(rows)
+    det a = 0, and no Smith elimination runs then. The 2-parts of
+    d_1, ..., d_{n-1} come from the pass's pivots, and only a nontrivial
+    odd part of its modulus M has a trailing block eliminated."""
+    d, modulus, k, block, twos = _bareiss(rows)
     if not d:
         return 0, ()
-    return d, _factors_from_block(d, modulus, k, block)
+    return d, _factors_from_block(d, modulus, k, block, twos)
 
 
 def _factors_over_z(rows) -> tuple[int, ...]:
@@ -465,28 +472,35 @@ def _factors_over_z(rows) -> tuple[int, ...]:
     return tuple(s[i][i] for i in range(r))
 
 
-def _factors_from_block(det: int, modulus: int, k: int, block) -> tuple[int, ...]:
-    """The invariant factors of a nonsingular n x n matrix a that is
-    equivalent to I_k (+) ``block`` over Z/MZ, M = ``modulus``, a multiple
-    of d_1...d_{n-1} dividing det a: the tuple ``intmat._bareiss`` returns.
+def _factors_from_block(det: int, modulus: int, k: int, block, twos) -> tuple[int, ...]:
+    """The invariant factors of a nonsingular n x n matrix a from the tuple
+    ``intmat._bareiss`` returns: M = ``modulus`` is a multiple of
+    d_1...d_{n-1} dividing det a, ``twos`` holds v_2(d_1), ..., v_2(d_{n-1}),
+    and a is equivalent to I_k (+) ``block`` over Z/mZ, m the odd part of M.
 
-    The Smith form of a over Z/MZ is diag(gcd(d_i, M)), so k ones followed
-    by the diagonal of the block over Z/MZ give d_1, ..., d_{n-1} exactly.
-    The block's diagonal is put in divisor-chain order by gcd/lcm swaps,
-    which keep the Smith form (the ones already lead). The last factor,
-    which Z/MZ sees only as gcd(d_n, M), is recomputed as
+    d_i = 2^v_2(d_i) * o_i for i < n, o_i the odd part of d_i. The Smith
+    form of a over Z/mZ is diag(gcd(d_i, m)), and gcd(d_i, m) = o_i for
+    i < n, so k ones followed by the diagonal of the block over Z/mZ give
+    o_1, ..., o_{n-1} exactly. The block's diagonal is put in divisor-chain
+    order by gcd/lcm swaps, which keep the Smith form (the ones already
+    lead). When m = 1 every o_i is 1 and nothing is eliminated. The last
+    factor, which neither part fixes, is recomputed as
     d_n = |det| / (d_1...d_{n-1}); a remainder, or a d_n that d_{n-1} does
     not divide, raises InvariantError. On walk matrices d_1...d_{n-1} is
-    tiny next to |det|, so M is too.
+    tiny next to |det|, so M is too, and m is mostly 1.
     """
     d = abs(det)
-    tail = _diagonal_mod([[x % modulus for x in row] for row in block], modulus)
-    for i in range(len(tail)):
-        for j in range(i + 1, len(tail)):
-            a, b = tail[i], tail[j]
-            g = gcd(a, b)
-            tail[i], tail[j] = g, a // g * b
-    head = [1] * k + tail[:-1]
+    odd = _odd_part(modulus)
+    odds = [1] * len(twos)
+    if odd > 1:
+        tail = _diagonal_mod([[x % odd for x in row] for row in block], odd)
+        for i in range(len(tail)):
+            for j in range(i + 1, len(tail)):
+                a, b = tail[i], tail[j]
+                g = gcd(a, b)
+                tail[i], tail[j] = g, a // g * b
+        odds[k:] = tail[:-1]
+    head = [o << v for o, v in zip(odds, twos)]
     d_n, rest = divmod(d, prod(head))
     if rest or (head and d_n % head[-1]):
         raise InvariantError(

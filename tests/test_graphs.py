@@ -58,6 +58,15 @@ class TestGraphType:
             Graph.from_edges(3, [(0, 3)])
         assert Graph.from_edges(3, [(0, 2)]).adj == ((0, 0, 1), (0, 0, 0), (1, 0, 0))
 
+    def test_from_edges_refuses_non_integral_vertices(self):
+        # a float vertex used to fail as a bare TypeError from list indexing
+        with pytest.raises(ValueError, match=r"edge \(0, 1\.0\) has a vertex that is not an"):
+            Graph.from_edges(3, [(0, 1.0)])
+        with pytest.raises(ValueError, match=r"edge \('2', 0\) has a vertex that is not an"):
+            Graph.from_edges(3, [("2", 0)])
+        assert Graph.from_edges(3, [(True, 2)]) == Graph.from_edges(3, [(1, 2)])
+        assert all(type(x) is int for row in Graph.from_edges(2, [(False, True)]).adj for x in row)
+
     def test_ragged_rows_are_not_square(self):
         # a short later row is named before any entry fault of an earlier row
         for adj in (((0, 0, 1), (0, 0, 0), (1,)), ((1, 0, 1), (0, 0), (1, 0, 0)),
@@ -275,8 +284,9 @@ class TestWalkMatrix:
 
 
 class TestOneBareissPass:
-    """A profile runs at most one Bareiss pass and one modular elimination,
-    and none for a graph with two equal walk rows."""
+    """A profile runs at most one Bareiss pass, and one modular elimination
+    only when the odd part of the pass's modulus M is not 1; none for a
+    graph with two equal walk rows."""
 
     def test_counts_per_profile(self, count_calls):
         passes = count_calls(intmat._bareiss)
@@ -285,14 +295,17 @@ class TestOneBareissPass:
         integer = count_calls(snf._factors_over_z)
         rng = random.Random(23)
         kinds = {"controllable": 0, "equal rows": 0, "distinct rows, singular": 0}
+        odd_moduli = 0
         for _ in range(200):
             g = random_graph(rng, rng.randint(6, 10))
             rows = walk_matrix(g).data
+            odd = intmat._odd_part(intmat._bareiss(rows)[1] or 1) > 1
             del passes[:], eliminations[:], walks[:], integer[:]
             prof = walk_profile(g, primes=(3,))
             if prof.controllable:
                 kinds["controllable"] += 1
-                assert (len(walks), len(passes), len(eliminations), len(integer)) == (1, 1, 1, 0)
+                odd_moduli += odd
+                assert (len(walks), len(passes), len(eliminations), len(integer)) == (1, 1, odd, 0)
             elif len(set(rows)) < g.n:
                 kinds["equal rows"] += 1
                 assert (len(passes), len(eliminations), len(integer)) == (0, 0, 1)
@@ -300,6 +313,7 @@ class TestOneBareissPass:
                 kinds["distinct rows, singular"] += 1
                 assert (len(passes), len(eliminations), len(integer)) == (1, 0, 1)
         assert all(kinds.values()), kinds
+        assert 0 < odd_moduli < kinds["controllable"]
 
 
 def seeded_controllable(n_values, seed):

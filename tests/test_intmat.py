@@ -114,22 +114,25 @@ def chain_product(a, steps, b):
 
 
 class TestBareiss:
-    """_bareiss(a) = (det a, M, k, T_k): M = gcd(|det a|, h), with h the gcd
-    of the four (n-1)-minors in the trailing 2x2 block one step before the
-    end, is a multiple of the gcd of all (n-1)-minors; checked against
-    cofactors."""
+    """_bareiss(a) = (det a, M, k, T_k, v): M = gcd(|det a|, h), with h the
+    gcd of the four (n-1)-minors in the trailing 2x2 block one step before
+    the end, is a multiple of the gcd of all (n-1)-minors, and v holds the
+    2-adic valuations of d_1, ..., d_(n-1), which never decrease and add up
+    to that of the gcd of the (n-1)-minors; checked against cofactors."""
 
     def check(self, rows):
         n = len(rows)
-        d, modulus, k, block = _bareiss(rows)
+        d, modulus, k, block, twos = _bareiss(rows)
         assert d == det_cofactor([list(r) for r in rows])
         if d == 0:
-            assert (modulus, k) == (0, 0) and block is rows
+            assert (modulus, k, twos) == (0, 0, ()) and block is rows
         else:
-            assert modulus > 0 and d % modulus == 0
-            assert modulus % minor_gcd([list(r) for r in rows], n - 1) == 0
+            g = minor_gcd([list(r) for r in rows], n - 1)
+            assert modulus > 0 and d % modulus == 0 and modulus % g == 0
             assert 0 <= k < n and len(block) == n - k
-        return d, modulus
+            assert len(twos) == n - 1 and list(twos) == sorted(twos)
+            assert sum(twos) == v_p(g, 2)
+        return d, modulus, twos
 
     @given(sparse_square)
     @settings(max_examples=40, deadline=None)
@@ -142,21 +145,24 @@ class TestBareiss:
         self.check(chain_product(*abc))
 
     def test_zero_pivot_swaps(self):
-        # zero pivots at steps 0 and 2, before h is read at step 3 (h = 36)
+        # column 0 has its odd entry in row 1 (a row swap); column 1 then
+        # holds only 3 * 2, so step 1 swaps in the column of 3 * 5 (a column
+        # swap); h = 180 is read at step 3
         rows = [[0, 2, 0, 0, 0], [3, 0, 0, 0, 0], [0, 0, 0, 4, 0],
                 [0, 0, 6, 0, 0], [0, 0, 0, 0, 5]]
-        assert self.check(rows) == (720, 36)
-        # zero pivot at the last step, after h = 2 is read
-        assert self.check([[1, 0, 0], [0, 0, 4], [0, 6, 0]]) == (-24, 2)
+        assert self.check(rows) == (720, 180, (0, 0, 1, 1))
+        # column 1 holds no odd entry, so its row swap comes at the last
+        # step, after h = 2 is read
+        assert self.check([[1, 0, 0], [0, 0, 4], [0, 6, 0]]) == (-24, 2, (0, 1))
 
     def test_one_by_one(self):
         # the only (n-1)-minor of a 1x1 matrix is the empty one, 1
-        assert _bareiss([[-5]]) == (-5, 1, 0, [[-5]])
-        assert _bareiss([[0]]) == (0, 0, 0, [[0]])
+        assert _bareiss([[-5]]) == (-5, 1, 0, [[-5]], ())
+        assert _bareiss([[0]]) == (0, 0, 0, [[0]], ())
 
     def test_two_by_two_is_content(self):
-        assert self.check([[4, 6], [10, 8]]) == (-28, 2)
-        assert self.check([[0, 6], [9, 3]]) == (-54, 3)
+        assert self.check([[4, 6], [10, 8]]) == (-28, 2, (1,))
+        assert self.check([[0, 6], [9, 3]]) == (-54, 3, (0,))
 
     def test_negative_det(self):
         m = IntMatrix([[0, 2, 0], [3, 0, 0], [0, 0, 5]])
@@ -167,7 +173,7 @@ class TestBareiss:
         assert self.check(IntMatrix.zeros(3, 3).data)[0] == 0
 
     def test_empty_and_non_square(self):
-        assert _bareiss(()) == (1, 1, 0, ())
+        assert _bareiss(()) == (1, 1, 0, (), ())
         assert det(IntMatrix(())) == 1
         with pytest.raises(ValueError):
             det(IntMatrix([[1, 2]]))

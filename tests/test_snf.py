@@ -24,11 +24,11 @@ from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 from sympy.polys.domains import ZZ
 from sympy.polys.matrices import DomainMatrix
-from walklevel import snf
+from walklevel import intmat, snf
 from walklevel.arith import v_p
 from walklevel.errors import InvariantError
 from walklevel.graphs import parse_graph6, walk_matrix, walk_profile
-from walklevel.intmat import IntMatrix, _bareiss, det
+from walklevel.intmat import IntMatrix, _bareiss, _odd_part, det
 from walklevel.snf import (
     _augmented_factors,
     _diagonal_mod,
@@ -90,6 +90,11 @@ def sympy_factors(m):
     """Nonzero invariant factors from sympy, made positive."""
     out = sympy_invariant_factors(Matrix([list(r) for r in m.data]), domain=ZZ)
     return tuple(abs(int(x)) for x in out if x)
+
+
+def twos_of(factors, n):
+    """v_2 of the first n - 1 invariant factors."""
+    return tuple(v_p(f, 2) for f in factors[:n - 1])
 
 
 def check_int_snf_invariants(m, res):
@@ -227,8 +232,9 @@ def sympy_det(m):
 
 
 class TestMinorGcdModulus:
-    """invariant_factors(m) of a nonsingular m eliminates modulo
-    M = gcd(|det|, h), which _bareiss returns, and recomputes d_n from det."""
+    """invariant_factors(m) of a nonsingular m eliminates modulo the odd
+    part of M = gcd(|det|, h), which _bareiss returns, and recomputes d_n
+    from det."""
 
     def test_matches_det_modulus_snf_int_and_sympy_on_walk_matrices(self):
         for n in (6, 12, 16, 24, 32, 40):
@@ -247,17 +253,25 @@ class TestMinorGcdModulus:
                     # the modulus is a small fraction of |det W|
                     assert 4 * _bareiss(w.data)[1].bit_length() < abs(d).bit_length()
 
-    def test_last_factor_recomputed_from_det(self):
-        # modulo M = 600 the last factor reads gcd(270, 600) = 30
-        assert _bareiss(DIAG_FIXTURE.data)[1] == 600
+    def test_last_factor_recomputed_from_det(self, count_calls):
+        # M = 600 = 2^3 * 3 * 5^2: the pivots give v_2 of d_1..d_3 alone, and
+        # the one elimination, modulo the odd part 75, reads the odd parts;
+        # there the last factor reads gcd(270, 75) = 15, not 135
+        calls = count_calls(snf._diagonal_mod)
+        d, modulus, _, _, twos = _bareiss(DIAG_FIXTURE.data)
+        assert (d, modulus, twos) == (2 * 10 * 30 * 270, 600, (1, 1, 1))
         assert invariant_factors(DIAG_FIXTURE) == (2, 10, 30, 270)
+        assert [max(map(max, rows)) < 75 for rows in calls] == [True]
 
     def test_negative_det_and_small_orders(self):
         cases = [
             ([[0, 2, 0], [3, 0, 0], [0, 0, 5]], (1, 1, 30)),
+            ([[0, 4, 0], [6, 0, 0], [0, 0, -10]], (2, 2, 60)),
             ([[-5]], (5,)),
+            ([[6]], (6,)),
             ([[4, 6], [10, 8]], (2, 14)),
             ([[0, -1], [-1, 0]], (1, 1)),
+            ([[2, 1], [1, 1]], (1, 1)),
             ([], ()),
         ]
         for rows, factors in cases:
@@ -265,6 +279,7 @@ class TestMinorGcdModulus:
             assert invariant_factors(m) == factors
             if rows:
                 assert factors == sympy_factors(m)
+                assert _bareiss(rows)[4] == twos_of(factors, len(rows))
 
     def test_singular_takes_the_integer_path(self, count_calls):
         blocks = count_calls(snf._factors_from_block)
@@ -274,12 +289,18 @@ class TestMinorGcdModulus:
         assert blocks == []
 
     def test_inconsistent_det_raises(self):
-        # a det that does not belong to the block
+        # a det that does not belong to the valuations and the block
         rows = IntMatrix.diag([2, 2, 2]).data
         with pytest.raises(InvariantError):  # 6 / (2 * 2) leaves a remainder
-            _factors_from_block(6, 2, 0, rows)
+            _factors_from_block(6, 2, 0, rows, (1, 1))
         with pytest.raises(InvariantError):  # d_n = 4 / (2 * 2) = 1 is not a multiple of 2
-            _factors_from_block(4, 4, 0, rows)
+            _factors_from_block(4, 4, 0, rows, (1, 1))
+        # the same two faults when the odd part of M carries the factors
+        rows = IntMatrix.diag([3, 3, 3]).data
+        with pytest.raises(InvariantError):  # 15 / (3 * 3) leaves a remainder
+            _factors_from_block(15, 3, 0, rows, (0, 0))
+        with pytest.raises(InvariantError):  # d_n = 18 / (3 * 3) = 2 is not a multiple of 3
+            _factors_from_block(18, 9, 0, rows, (0, 0))
 
 
 def leading_minor(rows, k, extra_row=None, extra_col=None):
@@ -289,40 +310,56 @@ def leading_minor(rows, k, extra_row=None, extra_col=None):
     return det_cofactor([[rows[i][j] for j in ci] for i in ri])
 
 
+def odd_leading_minors(rng, n):
+    """L * diag(c) * U with L, U unit triangular and c_1, ..., c_(n-1) odd:
+    every leading minor D_1, ..., D_(n-1) is odd, so the least 2-adic
+    valuation of each trailing block sits at (k, k) and no swap is taken."""
+    lo = [[1 if i == j else rng.randint(-3, 3) if j < i else 0 for j in range(n)]
+          for i in range(n)]
+    up = [[1 if i == j else rng.randint(-3, 3) if j > i else 0 for j in range(n)]
+          for i in range(n)]
+    c = [rng.choice((1, 1, 3, 5, 9, 15, -3)) for _ in range(n - 1)]
+    c.append(rng.choice((1, 2, 3, 4, 6, 12, 30)))
+    return (IntMatrix(lo) @ IntMatrix.diag(c) @ IntMatrix(up)).data
+
+
 class TestBareissTrailingBlock:
-    """intmat._bareiss returns (det, M, k, T_k): W is I_k (+) T_k modulo
-    M = gcd(|det|, h), and snf._factors_from_block reads the invariant
-    factors off T_k alone."""
+    """intmat._bareiss returns (det, M, k, T_k, v): v holds v_2 of d_1, ...,
+    d_(n-1), W is I_k (+) T_k modulo the odd part m of M = gcd(|det|, h),
+    and snf._factors_from_block reads the invariant factors off v and T_k."""
 
     def test_walk_matrices_match_snf_int_and_sympy(self):
         for n in (6, 9, 12, 16, 20, 24):
             for seed in (1, 2):
                 w = seeded_walk_matrix(seed, n)
-                d, modulus, k, block = _bareiss(w.data)
+                d, modulus, k, block, twos = _bareiss(w.data)
                 assert d == det(w) and d % modulus == 0
                 assert 1 <= k < n and len(block) == len(block[0]) == n - k
-                got = _factors_from_block(d, modulus, k, block)
+                got = _factors_from_block(d, modulus, k, block, twos)
                 assert got == snf_int(w).invariant_factors == invariant_factors(w)
+                assert twos == twos_of(got, n)
                 if n <= 16:
                     assert got == sympy_factors(w)
 
     def test_block_is_the_bordered_minors_and_k_is_largest(self):
-        # walk matrices whose leading minors are all nonzero take no row swap,
-        # so T_k holds the (k+1)-minors of W itself (Sylvester's identity)
-        seen = 0
-        for seed in range(12):
-            for n in (6, 7, 8):
-                rows = seeded_walk_matrix(seed, n).data
-                minors = [leading_minor(rows, j) for j in range(1, n)]
-                if not all(minors):
-                    continue
-                d, modulus, k, block = _bareiss(rows)
-                assert gcd(minors[k - 1], modulus) == 1
-                assert all(gcd(m, modulus) > 1 for m in minors[k:])
-                assert block == [[leading_minor(rows, k, k + a, k + b) for b in range(n - k)]
-                                 for a in range(n - k)]
-                seen += 1
-        assert seen >= 15
+        # with D_1, ..., D_(n-1) odd no row or column swap is taken, so T_k
+        # holds the (k+1)-minors of the matrix itself (Sylvester's identity)
+        rng = random.Random(19)
+        seen = set()
+        for _ in range(60):
+            n = rng.randint(2, 6)
+            rows = odd_leading_minors(rng, n)
+            minors = [leading_minor(rows, j) for j in range(1, n)]
+            d, modulus, k, block, twos = _bareiss(rows)
+            odd = _odd_part(modulus)
+            assert twos == (0,) * (n - 1)
+            assert k == 0 or gcd(minors[k - 1], odd) == 1
+            assert all(gcd(m, odd) > 1 for m in minors[k:])
+            assert [list(r) for r in block] == [
+                [leading_minor(rows, k, k + a, k + b) for b in range(n - k)] for a in range(n - k)]
+            assert _factors_from_block(d, modulus, k, block, twos) == sympy_factors(IntMatrix(rows))
+            seen.add((k == 0, k == n - 1))
+        assert seen == {(True, False), (False, False), (False, True)}
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -331,34 +368,41 @@ class TestBareissTrailingBlock:
     )
     def test_zero_pivots_match_sympy(self, n, pool):
         rows = [pool[i * 6:i * 6 + n] for i in range(n)]
-        d, modulus, k, block = _bareiss(rows)
+        d, modulus, k, block, twos = _bareiss(rows)
         if not d:
             return
         assert len(block) == n - k
-        assert _factors_from_block(d, modulus, k, block) == sympy_factors(IntMatrix(rows))
+        factors = sympy_factors(IntMatrix(rows))
+        assert _factors_from_block(d, modulus, k, block, twos) == factors
+        assert twos == twos_of(factors, n)
 
     def test_no_pivot_prime_to_the_modulus(self):
-        # every entry of 2I + 2P is even, so every pivot and M are, and k = 0
+        # every entry of 3I + 3P is a multiple of 3, so every pivot and, from
+        # n = 2 on, the odd part of M are too, and k = 0
         rng = random.Random(31)
+        seen = 0
         for _ in range(30):
             n = rng.randint(2, 6)
-            m = IntMatrix([[2 * (i == j) + 2 * rng.randint(-3, 3) for j in range(n)]
+            m = IntMatrix([[3 * (i == j) + 3 * rng.randint(-3, 3) for j in range(n)]
                            for i in range(n)])
-            d, modulus, k, block = _bareiss(m.data)
+            d, modulus, k, block, twos = _bareiss(m.data)
             if not d:
                 continue
-            assert k == 0 and block is m.data
-            got = _factors_from_block(d, modulus, k, block)
+            assert k == 0 and block is m.data and modulus % 3 == 0
+            got = _factors_from_block(d, modulus, k, block, twos)
             assert got == snf_int(m).invariant_factors == sympy_factors(m)
+            seen += 1
+        assert seen >= 20
 
     def test_small_orders_and_unit_det(self):
         cases = [
             ([[-5]], 0, (5,)),
-            ([[4, 6], [10, 8]], 0, (2, 14)),  # M = 2 and the pivot 4 is even
+            ([[4, 6], [10, 8]], 1, (2, 14)),  # M = 2: its odd part 1 leaves no block
             ([[1, 2], [3, 4]], 1, (1, 2)),
             ([[2, 1], [1, 1]], 1, (1, 1)),  # det 1: M = 1, every pivot is a unit
             ([[0, 1, 0], [1, 0, 0], [0, 0, -1]], 2, (1, 1, 1)),
-            ([[0, 2, 0], [3, 0, 0], [0, 0, 5]], 0, (1, 1, 30)),
+            ([[0, 2, 0], [3, 0, 0], [0, 0, 5]], 0, (1, 1, 30)),  # M = 3 and D_1 = 3
+            ([[2, 1], [4, 3]], 1, (1, 2)),  # a column swap; M = 1
         ]
         for rows, k, factors in cases:
             el = _bareiss(rows)
@@ -366,21 +410,101 @@ class TestBareissTrailingBlock:
             assert _factors_from_block(*el) == factors == invariant_factors(IntMatrix(rows))
 
     def test_leading_block_is_not_eliminated_twice(self, count_calls):
-        # the one modular elimination of a profile sees the n - k rows of T_k
+        # a profile runs the modular elimination on the n - k rows of T_k
+        # exactly when the odd part m of M is not 1, and otherwise not at all
         calls = count_calls(snf._diagonal_mod)
         config = SweepConfig(n_min=6, n_max=16, seed=42, mates=False)
         graphs = [parse_graph6(sweep_one(config, i)["graph6"]) for i in range(22)]
         for seed in range(4):
             graphs.append(seeded_graph(seed, 24))
             walk_profile(graphs[-1], primes=(3,))
-        assert len(calls) == len(graphs)
-        ks = []
-        for rows, g in zip(calls, graphs):
-            k = _bareiss(walk_matrix(g).data)[2]
-            assert len(rows) == len(rows[0]) == g.n - k
-            ks.append(k)
-        assert min(ks) >= 1
-        assert sum(k > 1 for k in ks) > len(ks) // 2
+        sizes = []
+        for g in graphs:
+            _, modulus, k, _, _ = _bareiss(walk_matrix(g).data)
+            assert k >= 1
+            if _odd_part(modulus) > 1:
+                sizes.append(g.n - k)
+        assert [(len(rows), len(rows[0])) for rows in calls] == [(s, s) for s in sizes]
+        assert 0 < len(sizes) < len(graphs)
+
+
+class TestTwoAdicPivots:
+    """intmat._bareiss pivots on an entry of least 2-adic valuation, so its
+    pivots give v_2(d_1), ..., v_2(d_(n-1)); snf._factors_from_block
+    multiplies them into the odd parts from the block modulo M's odd part."""
+
+    def test_valuations_on_walk_matrices(self):
+        for n in (6, 7, 8, 10, 12, 16, 20, 24, 28, 32, 36, 40):
+            for seed in (1, 2, 3):
+                w = seeded_walk_matrix(seed, n)
+                twos = _bareiss(w.data)[4]
+                # sympy takes seconds to minutes from n = 36 on; there the
+                # mod-|det| oracle stands alone
+                if n <= 32 and seed == 1:
+                    assert twos == twos_of(sympy_factors(w), n)
+                assert twos == twos_of(invariant_factors_mod_det(w.data, sympy_det(w)), n)
+
+    def test_whole_block_scan_only_where_the_valuation_rises(self, count_calls):
+        # the least valuation of a block is at least the previous pivot's, so
+        # when the valuation rises no entry of column k meets the old bound
+        # and the whole block is scanned; when it does not rise, column k
+        # (almost) always holds such an entry on walk matrices
+        scans = count_calls(intmat._least_valuation)
+        ws = [seeded_walk_matrix(seed, n) for n in (8, 12, 16, 24, 32) for seed in (1, 2, 3)]
+        del scans[:]
+        rises = 0
+        for w in ws:
+            twos = _bareiss(w.data)[4]
+            rises += sum(b > a for a, b in zip((0, *twos), twos))
+        assert rises <= len(scans) <= rises + len(ws)
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                         min_size=n, max_size=n),
+                st.lists(st.sampled_from([2 ** a * b for a in range(4) for b in (1, 3, 5)]),
+                         min_size=n, max_size=n),
+                st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                         min_size=n, max_size=n),
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_valuations_on_chained_matrices(self, abc):
+        # A diag(c) B with each c_(i+1) / c_i a power of 2 times 1, 3 or 5
+        a, steps, b = abc
+        c, acc = [], 1
+        for x in steps:
+            acc *= x
+            c.append(acc)
+        m = IntMatrix(a) @ IntMatrix.diag(c) @ IntMatrix(b)
+        d, factors = snf._det_and_factors(m.data)
+        if not d:
+            return
+        n = m.rows
+        assert factors == sympy_factors(m)
+        assert _bareiss(m.data)[4] == twos_of(factors, n)
+
+    def test_column_swap(self):
+        # column 0 holds no odd entry, so column 1 is swapped in, with its sign
+        for rows, factors in (([[2, 1], [4, 3]], (1, 2)),
+                              ([[2, 1, 0], [4, 3, 0], [0, 0, 6]], (1, 2, 6)),
+                              ([[4, 6, 1], [2, 0, 3], [8, 2, 5]], (1, 2, 32))):
+            d, modulus, k, block, twos = _bareiss(rows)
+            assert d == det_cofactor(rows) == det(IntMatrix(rows))
+            assert twos == twos_of(factors, len(rows))
+            assert _factors_from_block(d, modulus, k, block, twos) == factors
+            assert factors == sympy_factors(IntMatrix(rows))
+
+    def test_odd_modulus_block_carries_everything(self, count_calls):
+        # odd det: every valuation is 0, and the factors come from the block
+        calls = count_calls(snf._diagonal_mod)
+        m = IntMatrix([[0, 3, 0, 0], [9, 0, 0, 0], [0, 0, 0, 45], [0, 0, 15, 0]])
+        d, modulus, k, block, twos = _bareiss(m.data)
+        assert modulus % 2 == 1 and twos == (0, 0, 0)
+        assert invariant_factors(m) == (3, 3, 45, 45) == sympy_factors(m)
+        assert len(calls) == 1
 
 
 def divisor_chain(diag):
@@ -653,7 +777,7 @@ class TestDnTest:
             dn_test(IntMatrix.diag([1, 3]), p, k)
 
     def test_tall_matrices(self, count_calls):
-        from walklevel import snf
+        from walklevel import intmat, snf
 
         integer_forms = count_calls(snf.snf_int)
         rng = random.Random(31)

@@ -41,6 +41,11 @@ prints one line per output group, ``<group> <items> <sha256>``:
                   attempt), n = 6..18; then invariant_factors(m) on 300
                   random.Random(7) square matrices with n <= 8, singular ones
                   included
+  smith_random    det(m) and invariant_factors(m) on 400 random.Random(7) square
+                  matrices with n 1-10, each row scaled by 1, 2, 4, 8, 3, 5, 7, 6
+                  or 10, a tenth of them made singular by a repeated row; this is
+                  where the Bareiss pass swaps columns and eliminates a block
+                  modulo an odd part
   inputs          walklevel analyze on inputs a valid-input reader must take or
                   name exactly: --json on the 63-vertex path as an adjacency
                   file, a two-graph adjacency file whose second matrix has a
@@ -270,6 +275,25 @@ def factor_smith() -> list[str]:
     return out
 
 
+def smith_random() -> list[str]:
+    """det and invariant_factors on seeded square matrices with scaled rows."""
+    from walklevel.intmat import IntMatrix, det
+    from walklevel.snf import invariant_factors
+
+    rng = random.Random(7)
+    out = []
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        pool = rng.choice(((0, 1, -1, 2), (0, 2, 4, 6, 3), tuple(range(-9, 10))))
+        rows = [[rng.choice(pool) * scale for _ in range(n)]
+                for scale in rng.choices((1, 2, 4, 8, 3, 5, 7, 6, 10), k=n)]
+        if n > 1 and rng.random() < 0.1:
+            rows[-1] = rows[0]
+        m = IntMatrix(rows)
+        out.append(json.dumps([m.data, det(m), invariant_factors(m)]) + "\n")
+    return out
+
+
 def input_runs(main) -> list[str]:
     """walklevel analyze on a 63-vertex path, a faulty row and long-form graph6."""
     n = 63
@@ -344,6 +368,7 @@ def groups(src: Path) -> dict[str, list[str]]:
         "dn_answers": unit_kernel_answers(),
         "lemma_reports": lemma_reports(fixture, pool),
         "factor_smith": factor_smith(),
+        "smith_random": smith_random(),
         "inputs": input_runs(main),
         "cli_surface": cli_surface(main, fixtures),
     }
