@@ -173,6 +173,8 @@ def _auto_levels(profile, bounds_rep, cap: int) -> tuple[list[int], list[str]]:
 
 
 def cmd_mates(args) -> int:
+    if args.level_cap < 1:
+        raise ValueError(f"level cap must be at least 1, got {args.level_cap}")
     graphs = read_graphs(_read_text(args.path), args.format)
     if len(graphs) != 1:
         raise ParseError(f"expected exactly one graph, found {len(graphs)}")
@@ -264,7 +266,7 @@ def cmd_snf(args) -> int:
             sys.stderr.write("invariant violation: minor-gcd oracle disagrees\n")
             _emit_json(payload)
             return 3
-    if args.prime:
+    if args.prime is not None:
         resm = snf_mod_pk(m, args.prime, args.power)
         payload["mod"] = {
             "p": args.prime,

@@ -5,18 +5,32 @@ lattice conditions
 
     v.v = l^2,   e.v = l,   W^T v = 0 (mod l),
 
-so the search first enumerates that finite candidate set exactly (kernel
-residues of W^T mod l from the modular Smith elimination over Z/lZ that
-``snf`` shares with ``invariant_factors`` and ``snf_mod_pk``, then a
-bounded box walk per residue with norm pruning), and then assembles full
-matrices column by column under the running compatibility checks
+so the search first enumerates that finite candidate set exactly, and then
+assembles full matrices from pairwise compatible columns
 
     v_i . v_j = 0,   v_i^T A v_j in {0, l^2},   v_i^T A v_i = 0.
 
-Columns are chosen in strictly increasing lexicographic order, which picks
-exactly one representative from each right-permutation class {Q P}. The
-assembly enumerates n-cliques of the precomputed compatibility graph with
-bitsets; the tests cross-check it against plain backtracking.
+Columns. The congruence confines v mod l to the kernel of W^T over Z/lZ,
+read off the modular Smith elimination that ``snf`` shares with
+``invariant_factors`` and ``snf_mod_pk``. The two equations then fix the
+shape of v given its residue r (entries in [0, l)). v.v = l^2 bounds every
+|v_i| by l, and an entry +-l forces v = l e_i, so residue 0 gives exactly
+the n units l e_i. For r != 0, v = r - l 1_S with S a subset of supp(r);
+e.v = l gives |S| = k = e.r/l - 1, and v.v = l^2 gives the sum of r over S
+as T = (r.r + l^2 (k - 1)) / (2l). A residue with k > |supp r| or with 2l
+not dividing r.r + l^2 (k - 1) has no column and costs O(n); the others run
+a subset sum of fixed size k over supp(r).
+
+Assembly. The units are pairwise compatible, so the search runs over the
+non-unit candidates only, as bitset cliques, and completes each clique C
+with the units it forces: with K(C) the units compatible with all of C,
+C's columns are nonzero, pairwise orthogonal and vanish on K(C), so
+|C| + |K(C)| <= n, and C extends to a matrix exactly when equality holds,
+by the units K(C). Each matrix comes out as the increasing index tuple of
+its columns in the sorted candidate list, which picks exactly one
+representative from each right-permutation class {Q P}; the tests
+cross-check the assembly against the full compatibility graph's n-cliques
+and against plain backtracking.
 
 Both stages take the graph's walk profile alone and read G, W and n off
 it. A class is its Q and the mate Q^T A Q. For a controllable graph Q is
@@ -28,12 +42,13 @@ level is 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, compress
 from math import gcd
 from operator import mul
 
 from .errors import SearchCapExceeded
 from .graphs import Graph, WalkProfile
-from .intmat import IntMatrix, dot
+from .intmat import IntMatrix
 from .ortho import RatRegOrtho, conjugate
 from .snf import _diagonal_mod, _identity
 
@@ -68,10 +83,14 @@ def enumerate_columns(
     The modular Smith elimination of W^T (``snf._diagonal_mod``) carries
     its column transform V, whose entries stay below the level: with
     U W^T V = diag(g_i) mod level and U, V invertible, the kernel is V y
-    with each y_i a multiple of level/g_i. Each residue class is then
-    walked coordinate by coordinate with exact norm/sum pruning (every
-    entry satisfies |v_i| <= level). The result is lexicographically
-    sorted and complete, for singular W too.
+    with each y_i a multiple of level/g_i. The residues are stepped by
+    adding one generator (level/g_j) V_j mod level at a time.
+
+    Residue 0 gives exactly the n units level * e_i, and each other residue
+    r gives the columns r - level * 1_S with |S| = k and sum of r over S
+    equal to T (``_residue_columns``); a residue whose k or T is impossible
+    is dropped after O(n) work. The result is lexicographically sorted and
+    complete, for singular W too.
     """
     if level < 1:
         raise ValueError("level must be positive")
@@ -89,97 +108,85 @@ def enumerate_columns(
                 f"kernel of W^T mod {level} has more than {cap} residue classes"
             )
 
-    lvl2 = level * level
-    out: list[tuple[int, ...]] = []
-
-    def box_walk(residue: tuple[int, ...]):
-        # options per coordinate: all x = residue_i (mod level), |x| <= level
-        options = []
-        for r in residue:
-            opts = [r, r - level] if r else [0, -level, level]
-            options.append(sorted(opts))
-        chosen = [0] * n
-
-        def rec(idx: int, norm_left: int, sum_left: int):
-            if idx == n:
-                if norm_left == 0 and sum_left == 0:
-                    out.append(tuple(chosen))
-                    if len(out) > cap:
-                        raise SearchCapExceeded(
-                            f"more than {cap} column candidates at level {level}"
-                        )
-                return
-            k = n - idx - 1  # coordinates after this one
-            for x in options[idx]:
-                nl = norm_left - x * x
-                if nl < 0:
-                    continue
-                sl = sum_left - x
-                # Cauchy-Schwarz: remaining sum needs sl^2 <= k * remaining norm
-                if sl * sl > k * nl:
-                    continue
-                chosen[idx] = x
-                rec(idx + 1, nl, sl)
-
-        rec(0, lvl2, level)
-
-    # iterate kernel residues y, map to v = V y mod level
-    idx = [0] * n
+    out = [tuple(level if i == j else 0 for i in range(n)) for j in range(n)]
+    if len(out) > cap:
+        raise SearchCapExceeded(f"more than {cap} column candidates at level {level}")
+    # odometer over y, one digit per g_j > 1, the largest radix turning
+    # fastest so that most steps stop at digit 0. Advancing digit d adds its
+    # generator and wraps the digits before it, each wrap adding one more
+    # generator (g of them are 0 mod level), so every step adds the
+    # precomputed sum of the generators of digits 0..d.
+    radices, steps = [], []
+    acc = [0] * n
+    for gj, j in sorted(((gj, j) for j, gj in enumerate(gcds) if gj > 1), reverse=True):
+        acc = [(a + (level // gj) * row[j]) % level for a, row in zip(acc, v)]
+        radices.append(gj)
+        steps.append(acc)
+    digits = [0] * len(radices)
+    residue = [0] * n
     while True:
-        y = [(j, idx[j] * (level // gcds[j])) for j in range(n) if idx[j]]
-        residue = tuple(sum(row[j] * yj for j, yj in y) % level for row in v)
-        box_walk(residue)
-        for i in range(n):
-            idx[i] += 1
-            if idx[i] < gcds[i]:
+        for j, gj in enumerate(radices):
+            digits[j] += 1
+            if digits[j] < gj:
                 break
-            idx[i] = 0
+            digits[j] = 0
         else:
             break
-
+        residue = [(a + b) % level for a, b in zip(residue, steps[j])]
+        _residue_columns(residue, level, out, cap)
     out.sort()
     return out
 
 
-def _assemble_clique(cands, a_cands, n, lvl2, node_cap):
-    """Bitset n-clique enumeration over the precomputed compatibility graph.
+def _residue_columns(residue: list[int], level: int, out: list, cap: int) -> None:
+    """Append to ``out`` every column with the nonzero residue r mod level.
 
-    Columns i < j are compatible when u.v = 0 and (A u).v is 0 or l^2.
+    v.v = l^2 gives |v_i| <= l, and an entry +-l would force v = l e_i,
+    whose residue is 0. So each v_i is r_i or r_i - l, v_i = 0 where
+    r_i = 0, and v = r - l 1_S for some S in supp(r). Then e.v = l gives
+    |S| = k = e.r/l - 1 (k >= 0, as e.r > 0), and v.v = l^2 gives the sum
+    of r over S as T = (r.r + l^2 (k - 1)) / (2l). A residue with l not
+    dividing e.r, k > |supp r| or 2l not dividing r.r + l^2 (k - 1) has no
+    column. Otherwise S runs over the k-subsets of supp(r) with sum T,
+    values sorted ascending: the sums of the ``need`` smallest and largest
+    values left bound what a branch can still reach. Raises
+    SearchCapExceeded once ``out`` holds more than ``cap`` columns.
     """
-    m = len(cands)
-    masks = [0] * m
-    for i in range(m):
-        u, au = cands[i], a_cands[i]
-        mask = 0
-        for j in range(i + 1, m):
-            v = cands[j]
-            if sum(map(mul, u, v)) == 0 and sum(map(mul, au, v)) in (0, lvl2):
-                mask |= 1 << j
-        masks[i] = mask
-    results = []
-    nodes = 0
+    total = sum(residue)
+    if total % level:
+        return
+    k = total // level - 1
+    m = len(residue) - residue.count(0)
+    two_l_t = sum(map(mul, residue, residue)) + level * level * (k - 1)
+    if k > m or two_l_t % (2 * level):
+        return
+    support = sorted((x, i) for i, x in enumerate(residue) if x)
+    vals = [x for x, _ in support]
+    prefix = [0, *accumulate(vals)]
+    chosen: list[int] = []
 
-    def rec(chosen: list[int], allowed: int):
-        nonlocal nodes
-        if len(chosen) == n:
-            results.append(tuple(chosen))
+    def rec(start: int, need: int, target: int) -> None:
+        if need == 0:
+            if target == 0:
+                col = list(residue)
+                for a in chosen:
+                    col[support[a][1]] -= level
+                out.append(tuple(col))
+                if len(out) > cap:
+                    raise SearchCapExceeded(
+                        f"more than {cap} column candidates at level {level}"
+                    )
             return
-        if len(chosen) + allowed.bit_count() < n:
-            return
-        rest = allowed
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            rest ^= low
-            nodes += 1
-            if nodes > node_cap:
-                raise SearchCapExceeded(f"assembly explored more than {node_cap} nodes")
-            chosen.append(j)
-            rec(chosen, allowed & masks[j] & ~((1 << (j + 1)) - 1))
+        if prefix[m] - prefix[m - need] < target:
+            return  # even the largest values left fall short
+        for a in range(start, m - need + 1):
+            if prefix[a + need] - prefix[a] > target:
+                break  # the smallest values from a on already overshoot
+            chosen.append(a)
+            rec(a + 1, need - 1, target - vals[a])
             chosen.pop()
 
-    rec([], (1 << m) - 1)
-    return results
+    rec(0, k, two_l_t // (2 * level))
 
 
 def search_mates(
@@ -192,6 +199,17 @@ def search_mates(
     ``levels``, one per right-permutation class, each verified and paired
     with its mate graph.
 
+    Columns u, v are compatible when u.v = 0 and (A u).v is 0 or l^2, and
+    a class is n pairwise compatible candidates. The units l e_a are always
+    candidates and pairwise compatible, so the search runs over the
+    non-unit candidates only: each non-unit v carries the mask of units it
+    is compatible with (v_a = 0 and (A v)_a in {0, l}), and a clique C of
+    non-units has K(C), the AND of its masks. C's columns are nonzero,
+    pairwise orthogonal and vanish on K(C), so |C| + |K(C)| <= n: C gives
+    a class exactly when |C| + |K(C)| = n, with the units K(C) forced.
+    Each class is the sorted index tuple of its columns in the sorted
+    candidate list, and the classes come out in the order of those tuples.
+
     A matrix assembled at level l whose entries share a factor with l is a
     lower-level matrix in disguise and is skipped; it shows up (exactly
     once) when its true level is searched. An uncontrollable g (det W = 0)
@@ -201,22 +219,12 @@ def search_mates(
     if not prof.controllable:
         raise ValueError("graph is not controllable")
     g = prof.graph
-    a = g.adjacency()
-    n = g.n
     classes: list[MateClass] = []
     for level in sorted(set(int(x) for x in levels)):
-        lvl2 = level * level
-        cands, a_cands = [], []
-        for v in enumerate_columns(prof, level):
-            av = a.mat_vec(v)
-            if dot(av, v) == 0:
-                cands.append(v)
-                a_cands.append(av)
-        if len(cands) < n:
-            continue
-        # cliques are increasing index tuples over distinct columns, so no
+        # picks are increasing index tuples over distinct columns, so no
         # two of one level share a canonical key and none needs a dedupe
-        for pick in _assemble_clique(cands, a_cands, n, lvl2, node_cap):
+        cands, picks = _picks(prof, level, node_cap)
+        for pick in picks:
             num = IntMatrix.from_columns([cands[j] for j in pick])
             shared = gcd(level, *(x for x in num.entries))
             if shared != 1:
@@ -224,6 +232,72 @@ def search_mates(
             q = RatRegOrtho(num, level)
             classes.append(MateClass(q, conjugate(q, g)))
     return classes
+
+
+def _picks(
+    prof: WalkProfile, level: int, node_cap: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The candidates at one level (the columns v with v^T A v = 0), and the
+    sorted index tuples into them of every class, in sorted order.
+
+    Bitset cliques C over the non-unit candidates are searched in
+    increasing index order, and each C with |C| + |K(C)| = n is completed
+    by the units K(C).
+    """
+    g = prof.graph
+    n = g.n
+    lvl2 = level * level
+    cands, unit_at, others, a_others = [], [0] * n, [], []
+    for v in enumerate_columns(prof, level):
+        if level in v:  # the unit level * e_a
+            unit_at[v.index(level)] = len(cands)
+            cands.append(v)
+            continue
+        av = [sum(compress(v, row)) for row in g.adj]
+        if sum(map(mul, av, v)) == 0:
+            others.append(len(cands))
+            a_others.append(av)
+            cands.append(v)
+    if len(cands) < n:
+        return cands, []
+    cols = [cands[i] for i in others]
+    m = len(cols)
+    masks, units = [0] * m, [0] * m
+    for i, (u, au) in enumerate(zip(cols, a_others)):
+        mask = 0
+        for j in range(i + 1, m):
+            v = cols[j]
+            if sum(map(mul, u, v)) == 0 and sum(map(mul, au, v)) in (0, lvl2):
+                mask |= 1 << j
+        masks[i] = mask
+        units[i] = sum(1 << a for a in range(n) if u[a] == 0 and au[a] in (0, level))
+    picks = []
+    nodes = 0
+
+    def rec(chosen: list[int], allowed: int, free: int):
+        nonlocal nodes
+        size = len(chosen) + free.bit_count()
+        if size == n:
+            picks.append(tuple(sorted(
+                [others[i] for i in chosen]
+                + [unit_at[a] for a in range(n) if free >> a & 1])))
+        if size + allowed.bit_count() < n:
+            return  # no extension reaches n: K only shrinks
+        rest = allowed
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            rest ^= low
+            nodes += 1
+            if nodes > node_cap:
+                raise SearchCapExceeded(f"assembly explored more than {node_cap} nodes")
+            chosen.append(j)
+            rec(chosen, allowed & masks[j] & ~((1 << (j + 1)) - 1), free & units[j])
+            chosen.pop()
+
+    rec([], (1 << m) - 1, (1 << n) - 1)
+    picks.sort()
+    return cands, picks
 
 
 def distinct_mate_graphs(classes: list[MateClass]) -> list[Graph]:

@@ -130,6 +130,12 @@ class SweepConfig:
             raise ValueError("bad vertex range")
         if not 0 <= self.edge_prob_num <= self.edge_prob_den or self.edge_prob_den < 1:
             raise ValueError("edge probability must be a rational in [0, 1]")
+        if self.graph_count < 0:
+            raise ValueError(f"graph count must be at least 0, got {self.graph_count}")
+        if self.level_cap < 1:
+            raise ValueError(f"level cap must be at least 1, got {self.level_cap}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.primes is not None:
             if any(p < 3 or not is_prime(p) for p in self.primes):
                 raise ValueError(f"sweep primes must be odd primes, got {list(self.primes)}")

@@ -501,6 +501,116 @@ def backtrack_search_mates(g, levels, node_cap=10**8):
     return classes
 
 
+# -- frozen box walk and clique assembly (cross-checks for matesearch) -------
+
+
+def enumerate_columns_box_walk(prof, level, cap=10**6):
+    """enumerate_columns as it was before the per-residue subset sums.
+
+    Kernel residues come from the same modular elimination of W^T, each
+    recomputed as V y; every residue is then walked coordinate by
+    coordinate over the box |v_i| <= level, with the options
+    {r_i, r_i - level} (or {0, -level, level} where r_i = 0), exact norm
+    and sum bookkeeping and Cauchy-Schwarz pruning. Caps raise as the
+    library does.
+    """
+    from walklevel.errors import SearchCapExceeded
+    from walklevel.snf import _diagonal_mod, _identity
+
+    if level < 1:
+        raise ValueError("level must be positive")
+    n = prof.n
+    v = _identity(n)
+    gcds = _diagonal_mod([[x % level for x in row] for row in prof.W.T.data], level, v=v)
+    total = 1
+    for gi in gcds:
+        total *= gi
+        if total > cap:
+            raise SearchCapExceeded(
+                f"kernel of W^T mod {level} has more than {cap} residue classes"
+            )
+
+    lvl2 = level * level
+    out = []
+
+    def box_walk(residue):
+        options = [sorted([r, r - level] if r else [0, -level, level]) for r in residue]
+        chosen = [0] * n
+
+        def rec(idx, norm_left, sum_left):
+            if idx == n:
+                if norm_left == 0 and sum_left == 0:
+                    out.append(tuple(chosen))
+                    if len(out) > cap:
+                        raise SearchCapExceeded(
+                            f"more than {cap} column candidates at level {level}"
+                        )
+                return
+            k = n - idx - 1  # coordinates after this one
+            for x in options[idx]:
+                nl = norm_left - x * x
+                if nl < 0:
+                    continue
+                sl = sum_left - x
+                if sl * sl > k * nl:  # Cauchy-Schwarz on the rest
+                    continue
+                chosen[idx] = x
+                rec(idx + 1, nl, sl)
+
+        rec(0, lvl2, level)
+
+    for idx in product(*(range(gi) for gi in gcds)):
+        y = [(j, i * (level // gcds[j])) for j, i in enumerate(idx) if i]
+        box_walk(tuple(sum(row[j] * yj for j, yj in y) % level for row in v))
+    out.sort()
+    return out
+
+
+def assemble_clique(cands, a_cands, n, lvl2, node_cap=10**8):
+    """Every n-clique of the full compatibility graph, as sorted index tuples.
+
+    Frozen from the assembly that built the whole m x m graph over all
+    candidates, units included: columns i < j are compatible when
+    u.v = 0 and (A u).v is 0 or l^2. The cliques come out in increasing
+    lexicographic order.
+    """
+    from walklevel.errors import SearchCapExceeded
+
+    m = len(cands)
+    masks = [0] * m
+    for i in range(m):
+        u, au = cands[i], a_cands[i]
+        for j in range(i + 1, m):
+            v = cands[j]
+            if sum(x * y for x, y in zip(u, v)) == 0 and \
+                    sum(x * y for x, y in zip(au, v)) in (0, lvl2):
+                masks[i] |= 1 << j
+    results = []
+    nodes = 0
+
+    def rec(chosen, allowed):
+        nonlocal nodes
+        if len(chosen) == n:
+            results.append(tuple(chosen))
+            return
+        if len(chosen) + allowed.bit_count() < n:
+            return
+        rest = allowed
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            rest ^= low
+            nodes += 1
+            if nodes > node_cap:
+                raise SearchCapExceeded(f"assembly explored more than {node_cap} nodes")
+            chosen.append(j)
+            rec(chosen, allowed & masks[j] & ~((1 << (j + 1)) - 1))
+            chosen.pop()
+
+    rec([], (1 << m) - 1)
+    return results
+
+
 # -- frozen modular eliminations (cross-checks for snf._diagonal_mod) --------
 
 

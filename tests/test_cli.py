@@ -157,6 +157,23 @@ class TestUsageErrors:
         assert exc.value.code == 1
         assert "invalid int value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--count", "-1"], "graph count must be at least 0, got -1"),
+        (["sweep", "--workers", "0"], "workers must be at least 1, got 0"),
+        (["sweep", "--workers", "-2"], "workers must be at least 1, got -2"),
+        (["sweep", "--level-cap", "-1"], "level cap must be at least 1, got -1"),
+        (["mates", "-", "--level-cap", "-5"], "level cap must be at least 1, got -5"),
+        (["mates", "-", "--level-cap", "0", "--levels", "3"],
+         "level cap must be at least 1, got 0"),
+        (["snf", "-", "--prime", "0"], "0 is not prime"),
+    ])
+    def test_bad_value_exits_1(self, argv, message, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(ADJ_TEXT))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["mates", "--help"])

@@ -1,15 +1,18 @@
 """Column enumeration and matrix assembly, checked against brute force."""
 
 import random
+from itertools import product
 from pathlib import Path
 
 import networkx as nx
 import pytest
 
 from oracles import (
+    assemble_clique,
     backtrack_search_mates,
     box_columns,
     bruteforce_mate_classes,
+    enumerate_columns_box_walk,
     enumerate_columns_snf_int,
     random_controllable,
 )
@@ -26,6 +29,9 @@ from walklevel.graphs import (
 )
 from walklevel.intmat import IntMatrix, dot
 from walklevel.matesearch import (
+    NODE_CAP,
+    _picks,
+    _residue_columns,
     distinct_mate_graphs,
     enumerate_columns,
     search_mates,
@@ -66,11 +72,52 @@ def pool_searches():
     return out
 
 
-def columns_or_cap(g, level):
+# graphs whose kernels mod a power of 2 have hundreds of thousands of residues
+DEEP = {r"M{~`UOFxUIeuiq`G_": (8, 12), r"KfAGea\UCmvi": (4, 6)}
+
+
+def seeded_searches():
+    """(graph, levels) for every search of the fixture, the pool, seeded
+    sweep slots (seed 42, n 6-12) and random n 6-12 graphs."""
+    ex = load_worked_example()
+    out = [(ex.graph, [1, 3, 9]), *pool_searches()]
+    config = SweepConfig(n_min=6, n_max=12, seed=42)
+    for index in range(300):
+        rec = sweep_one(config, index)
+        if rec.get("search", {}).get("levels"):
+            out.append((parse_graph6(rec["graph6"]), [1, *rec["search"]["levels"]]))
+    rng = random.Random(12)
+    for n in range(6, 13):
+        g = random_controllable(rng, n)
+        prof = walk_profile(g)
+        out.append((g, [d for d in divisors(prof.factor(prof.d_n)) if d <= 60]))
+    return out
+
+
+def box_residue_columns(residue, level):
+    """Every v with v = residue (mod level), |v_i| <= level, v.v = level^2
+    and e.v = level, by scanning the box."""
+    options = [[x for x in range(-level, level + 1) if (x - r) % level == 0] for r in residue]
+    return sorted(v for v in product(*options)
+                  if sum(v) == level and sum(x * x for x in v) == level * level)
+
+
+def rule_columns(residue, level):
+    out = []
+    _residue_columns(list(residue), level, out, 10**6)
+    return sorted(out)
+
+
+def or_cap(enumerate, prof, level, **kwargs):
+    """The column list, or the SearchCapExceeded message in its place."""
     try:
-        return enumerate_columns(walk_profile(g, ()), level)
+        return enumerate(prof, level, **kwargs)
     except SearchCapExceeded as exc:
         return str(exc)
+
+
+def columns_or_cap(g, level):
+    return or_cap(enumerate_columns, walk_profile(g, ()), level)
 
 
 class TestRandomControllable:
@@ -143,13 +190,74 @@ class TestEnumerateColumns:
             for level in range(1, 13):
                 assert columns_or_cap(g, level) == enumerate_columns_snf_int(g, level)
 
+    def test_deep_levels_match_box_walk_and_snf_int(self):
+        # the levels where the subset sums and the box walk differ most
+        for g6, levels in DEEP.items():
+            g = parse_graph6(g6)
+            prof = walk_profile(g, ())
+            for level in levels:
+                cols = enumerate_columns(prof, level)
+                assert cols == enumerate_columns_box_walk(prof, level)
+                assert cols == enumerate_columns_snf_int(g, level)
+
+    def test_matches_box_walk_with_caps(self):
+        ex = load_worked_example()
+        prof = walk_profile(ex.graph)
+        for level in range(1, 13):
+            for cap in (4, 9, 10, 11, 40, 10**6):
+                assert or_cap(enumerate_columns, prof, level, cap=cap) == \
+                    or_cap(enumerate_columns_box_walk, prof, level, cap=cap)
+
     def test_matches_naive_enumeration(self):
-        # the kernel-residue + box walk must equal the defining conditions
+        # the kernel residues and subset sums must equal the defining conditions
         # applied to every vector in the box, including a composite level
         g = random_controllable(random.Random(9), 6)
         prof = walk_profile(g, ())
         for lvl in (2, 3, 4):
             assert enumerate_columns(prof, lvl) == box_columns(g, lvl)
+
+
+class TestResidueRule:
+    """The k/T rule against every vector of the box with a given residue."""
+
+    def test_exhaustive_small(self):
+        kept = rejected = 0
+        for n, level in ((3, 5), (4, 6), (4, 7), (5, 3), (5, 4), (5, 5), (6, 2), (6, 3),
+                         (6, 4), (7, 2), (7, 3)):
+            for residue in product(range(level), repeat=n):
+                if not any(residue):
+                    continue
+                want = box_residue_columns(residue, level)
+                assert rule_columns(residue, level) == want
+                kept += bool(want)
+                rejected += not want
+        assert (kept, rejected) == (737, 14670)
+
+    def test_random_residues(self):
+        rng = random.Random(13)
+        kept = rejected = 0
+        for _ in range(1500):
+            n, level = rng.randint(1, 7), rng.randint(2, 12)
+            if rng.random() < 0.5:
+                # mostly nonzero entries, where columns are likelier
+                residue = [rng.randrange(1, level) if rng.random() < 0.8 else 0
+                           for _ in range(n)]
+            else:
+                residue = [rng.randrange(level) for _ in range(n)]
+            if not any(residue):
+                continue
+            want = box_residue_columns(residue, level)
+            assert rule_columns(residue, level) == want
+            kept += bool(want)
+            rejected += not want
+        assert kept > 20 and rejected > 20
+
+    def test_cap_counts_columns(self):
+        # (1, 1, 1, 1) mod 2 has the four columns with one entry -1
+        assert len(rule_columns((1, 1, 1, 1), 2)) == 4
+        out = []
+        with pytest.raises(SearchCapExceeded, match="more than 3 column candidates at level 2"):
+            _residue_columns([1, 1, 1, 1], 2, out, 3)
 
 
 class TestSearchMates:
@@ -212,6 +320,19 @@ class TestSearchMates:
             a = backtrack_search_mates(g, levels)
             b = search_mates(prof, levels)
             assert [c.q.canonical_key() for c in a] == [c.q.canonical_key() for c in b]
+
+    def test_picks_match_frozen_clique_assembly(self):
+        # unit completion against n-cliques of the full compatibility graph
+        searched = 0
+        for g, levels in seeded_searches():
+            prof = walk_profile(g, ())
+            a = g.adjacency()
+            for level in levels:
+                cands, picks = _picks(prof, level, NODE_CAP)
+                a_cands = [a.mat_vec(v) for v in cands]
+                assert picks == assemble_clique(cands, a_cands, g.n, level * level)
+                searched += bool(picks)
+        assert searched > 50
 
     def test_node_cap_enforced(self):
         ex = load_worked_example()

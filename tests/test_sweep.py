@@ -152,6 +152,21 @@ class TestSweep:
         with pytest.raises(ValueError, match="odd primes"):
             SweepConfig(primes=primes)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("graph_count", -1, "graph count must be at least 0, got -1"),
+        ("level_cap", 0, "level cap must be at least 1, got 0"),
+        ("level_cap", -1, "level cap must be at least 1, got -1"),
+        ("workers", 0, "workers must be at least 1, got 0"),
+        ("workers", -2, "workers must be at least 1, got -2"),
+    ])
+    def test_bad_counts_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(**{field: value})
+
+    def test_smallest_counts_accepted(self):
+        cfg = SweepConfig(graph_count=0, level_cap=1, workers=1)
+        assert run_sweep(cfg)["graphs"] == []
+
     def test_aggregate_consistency(self):
         cfg = SweepConfig(graph_count=30, seed=42, n_min=6, n_max=10)
         rep = run_sweep(cfg)

@@ -21,6 +21,9 @@ prints one line per output group, ``<group> <items> <sha256>``:
                   attempt), i = 0..3, at n = 24, 32 and 40
   columns_l1_12   enumerate_columns on the fixture and the first 20 pool graphs at
                   levels 1-12, a SearchCapExceeded message standing for its list
+  columns_deep    enumerate_columns on M{~`UOFxUIeuiq`G_ at levels 8, 12 and 40
+                  and on KfAGea\\UCmvi at levels 4, 6 and 8, where the kernel
+                  mod a power of 2 has up to 524,288 residues
   snf_local       walklevel snf --prime p --power k --json on the three fixture
                   matrices, (p, k) in (3,1), (3,2), (3,3), (5,2), (2,3); warning
                   messages go in by text, without the file and line they name
@@ -64,7 +67,10 @@ of the parent commit) and compare the lines. When a change alters a call
 shape this tool uses, compare each checkout's own tool instead: the
 parent's tool run in a ``git archive`` copy of the parent, and this tool on
 the change. The pool file is always read
-from this script's checkout. Standard library only; it takes about ten seconds.
+from this script's checkout. Standard library only; it takes a few seconds,
+more than half of them in columns_deep. On a checkout whose enumerate_columns
+walks each residue's box coordinate by coordinate, columns_deep takes about
+seven times as long.
 The path of the imported package goes to stderr.
 """
 
@@ -145,6 +151,18 @@ def column_lists(fixture: str, pool: list[tuple[str, str]]) -> list[str]:
             except SearchCapExceeded as exc:
                 item = str(exc)
             out.append(json.dumps(item) + "\n")
+    return out
+
+
+def deep_columns() -> list[str]:
+    """enumerate_columns at high powers of 2 on two graphs with large kernels."""
+    from walklevel.graphs import parse_graph6, walk_profile
+    from walklevel.matesearch import enumerate_columns
+
+    out = []
+    for g6, levels in (("M{~`UOFxUIeuiq`G_", (8, 12, 40)), ("KfAGea\\UCmvi", (4, 6, 8))):
+        prof = walk_profile(parse_graph6(g6), ())
+        out.extend(json.dumps(enumerate_columns(prof, level)) + "\n" for level in levels)
     return out
 
 
@@ -363,6 +381,7 @@ def groups(src: Path) -> dict[str, list[str]]:
                        for g6, levels in pool],
         "profile_n24_40": large_profiles(),
         "columns_l1_12": column_lists(fixture, pool),
+        "columns_deep": deep_columns(),
         "snf_local": local_forms(main, fixtures),
         "snf_helpers": local_helpers(),
         "dn_answers": unit_kernel_answers(),
