@@ -241,6 +241,8 @@ def _minor_gcd_products(m: IntMatrix, upto: int) -> list[int]:
 
 
 def cmd_snf(args) -> int:
+    if args.power < 1:
+        raise ValueError(f"power must be at least 1, got {args.power}")
     m = parse_int_matrix_text(_read_text(args.path))
     res = snf_int(m)
     payload: dict = {

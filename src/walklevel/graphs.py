@@ -295,27 +295,32 @@ def walk_profile(g: Graph, primes: str | Iterable[int] = "auto") -> WalkProfile:
     graph whose Bareiss pass finds det W = 0 gets the integer elimination
     alone.
     """
-    prof = _controllable_profile(g, primes)
+    prof = _controllable_profile(g.adj, primes, g)
     if prof is not None:
         return prof
     w = walk_matrix(g)
     return WalkProfile(g, w, 0, False, _factors_over_z(w.data), None, {})
 
 
-def _controllable_profile(g: Graph, primes: str | Iterable[int] = "auto") -> WalkProfile | None:
-    """walk_profile of a controllable graph, or None when det W = 0.
+def _controllable_profile(adj, primes: str | Iterable[int] = "auto",
+                          g: Graph | None = None) -> WalkProfile | None:
+    """walk_profile of the graph on the 0-1 rows ``adj``, or None when det W = 0.
 
     Two equal walk rows make det W = 0, so such a graph is turned away
-    before any Bareiss pass; otherwise one pass decides.
+    before any Bareiss pass; otherwise one pass decides. ``g`` is that
+    graph when the caller has one; otherwise ``Graph(adj)`` is built and
+    validated only once det W != 0, so the sweep makes no Graph of a draw
+    it rejects.
     """
-    rows = _walk_rows(g.adj)
-    if len(set(rows)) < g.n:
+    rows = _walk_rows(adj)
+    n = len(rows)
+    if len(set(rows)) < n:
         return None
     d, factors = _det_and_factors(rows)
     if not d:
         return None
 
-    half = g.n // 2
+    half = n // 2
     if d % (1 << half):
         raise InvariantError(
             "2^floor(n/2) does not divide det W; this contradicts a known "
@@ -330,7 +335,7 @@ def _controllable_profile(g: Graph, primes: str | Iterable[int] = "auto") -> Wal
         for p in plist:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
-    return WalkProfile(g, IntMatrix(rows), d, True, factors, nd,
+    return WalkProfile(Graph(adj) if g is None else g, IntMatrix(rows), d, True, factors, nd,
                        {p: _row(factors, p) for p in plist})
 
 

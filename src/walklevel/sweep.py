@@ -6,12 +6,26 @@ drawn pair by pair in lexicographic (i, j) order and the edge probability
 handled as an exact rational a/b (a draw below b compared against a). The
 same seed and config therefore give byte-identical records and aggregate
 on any platform and for any worker count (the config echo records the
-count), because records are keyed by index and assembled in order.
+count), because records are keyed by index and assembled in order. The
+denominator b may be at most 2^64: above it the rejection limit
+2^64 - (2^64 mod b) is 0 and no output would ever be accepted, so
+``SweepConfig``, ``SplitMix64.below`` and the draw refuse it with ValueError.
+
+A draw is computed in one pass (``_draw_rows``): the k-th output from a
+state s is SplitMix64's finalizer applied to s + k*gamma, so the outputs of
+all n(n-1)/2 pairs are mixed at once, one per 128-bit lane of a single
+int. For a power-of-two b no output is rejected and each pair's test is a
+carry inside its lane; for any other b the lanes are read one by one,
+skipping rejected outputs as ``below`` does. Either way a draw uses exactly
+the outputs that one ``below`` call per pair would, and the sweep computes
+mix(mix(seed) ^ mix(index)) once per slot.
 
 A slot keeps drawing until W(G) is nonsingular; ``graphs._controllable_profile``
-rejects a draw with two equal walk rows (det W = 0) before any Bareiss pass.
-No graph on 2-5 vertices is controllable (the tests enumerate all 1,098), so
-a slot of such an order is exhausted after zero attempts.
+takes the draw's 0-1 rows, rejects a draw with two equal walk rows
+(det W = 0) before any Bareiss pass, and builds and validates a ``Graph``
+only for the draw it accepts. No graph on 2-5 vertices is controllable (the
+tests enumerate all 1,098), so a slot of such an order is exhausted after
+zero attempts.
 
 Per controllable graph the sweep computes the profile and bound report,
 then (optionally) searches all prime-power levels p^j up to one less than
@@ -25,7 +39,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
+from operator import itemgetter
+from struct import iter_unpack
 
 from .analysis import analyze, check_classes
 from .arith import is_prime
@@ -64,6 +81,8 @@ class SplitMix64:
         """Uniform integer in [0, bound) by rejection (no modulo bias)."""
         if bound <= 0:
             raise ValueError("bound must be positive")
+        if bound > 1 << 64:  # the limit below would be 0: every output rejected
+            raise ValueError(f"bound must be at most 2^64, got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             w = self.next_u64()
@@ -75,34 +94,97 @@ def derive_stream(seed: int, index: int, attempt: int) -> SplitMix64:
     return SplitMix64(mix64(mix64(mix64(seed) ^ mix64(index)) ^ mix64(attempt)))
 
 
+@lru_cache(maxsize=128)
+def _lane_plan(n: int) -> tuple[int, int, int, tuple[itemgetter, ...]]:
+    """Constants for one draw on n >= 2 vertices, built in O(n^2) time.
+
+    With c = n(n-1)/2 pairs and lane k holding bits 128(k-1) to 128k - 1
+    of one int: ``ones`` has 1 in every lane, ``steps`` has k*gamma in lane
+    k, and ``low`` has 2^64 - 1 in every lane. ``rows`` holds one getter per
+    vertex i that reads row i of the adjacency matrix off the c pair bits
+    (in lexicographic pair order) followed by one 0 byte for the diagonal.
+    """
+    pairs = n * (n - 1) // 2
+    lane = 1 << 128
+    top = 1 << 128 * pairs
+    ones = (top - 1) // (lane - 1)
+    # sum of k x^(k-1) for k = 1..c at x = 2^128, in closed form
+    ramp = (pairs * top * lane - (pairs + 1) * top + 1) // (lane - 1) ** 2
+    offset = [i * (2 * n - i - 1) // 2 - i - 1 for i in range(n)]  # pair (i, j) is offset[i] + j
+    rows = tuple(
+        itemgetter(*[offset[min(i, j)] + max(i, j) if i != j else pairs for j in range(n)])
+        for i in range(n))
+    return ones, _GAMMA * ramp, ones * _MASK, rows
+
+
+def _mix_lanes(state: int, ones: int, steps: int, low: int) -> int:
+    """The k-th SplitMix64 output from ``state`` in lane k: the finalizer of state + k*gamma.
+
+    Each lane holds a value below 2^64 between steps, so a product by a
+    64-bit multiplier stays inside its 128-bit lane, and masking each
+    shifted copy with ``low`` drops the bits it took from the lane above.
+    """
+    z = (state * ones + steps) & low
+    z = ((z ^ (z >> 30 & low)) * _MUL1) & low
+    z = ((z ^ (z >> 27 & low)) * _MUL2) & low
+    return z ^ (z >> 31 & low)
+
+
+def _draw_rows(state: int, n: int, prob_num: int, prob_den: int) -> tuple[tuple, int]:
+    """The 0-1 adjacency rows of one draw from ``state``, and the state after it.
+
+    Pair (i, j), i < j, taken in lexicographic order, is an edge when the
+    next SplitMix64 output w below the rejection limit L = 2^64 - (2^64 mod
+    den) has w mod den < num; an output at or above L is skipped, exactly as
+    ``SplitMix64.below`` skips it. All pairs' outputs are mixed at once, one
+    per 128-bit lane of a single int. For a power-of-two den, L = 2^64 and
+    the test is a carry in each lane: (2^e - 1 - (w mod 2^e)) + num reaches
+    2^e exactly when w mod 2^e < num, for den = 2^e. For any other den the
+    lanes are read one by one and the outputs of further batches fill the
+    pairs left by skipped ones, so the stream ends where one ``below`` call
+    per pair leaves it.
+    """
+    if not 0 < prob_den <= 1 << 64:
+        raise ValueError(f"edge probability denominator must be in 1..2^64, got {prob_den}")
+    if n < 2:
+        return ((0,),) * n, state
+    ones, steps, low, getters = _lane_plan(n)
+    pairs = n * (n - 1) // 2
+    if prob_den & (prob_den - 1) == 0:
+        if prob_num <= 0 or prob_num >= prob_den:
+            bits = bytes([prob_num > 0]) * pairs
+        else:
+            e = prob_den.bit_length() - 1
+            cut = ones * (prob_den - 1)
+            z = _mix_lanes(state, ones, steps, low)
+            z = (((z & cut) ^ cut) + prob_num * ones) >> e & ones
+            bits = z.to_bytes(16 * pairs, "little")[::16]
+        state = (state + pairs * _GAMMA) & _MASK
+    else:
+        limit = (1 << 64) - (1 << 64) % prob_den
+        bits = bytearray()
+        while len(bits) < pairs:
+            z = _mix_lanes(state, ones, steps, low)
+            # "<Q8x" reads each 16-byte lane's low 8 bytes: its output w
+            for used, (w,) in enumerate(iter_unpack("<Q8x", z.to_bytes(16 * pairs, "little")), 1):
+                if w < limit:
+                    bits.append(w % prob_den < prob_num)
+                    if len(bits) == pairs:
+                        break
+            state = (state + used * _GAMMA) & _MASK
+    bits += b"\0"
+    return tuple([row(bits) for row in getters]), state
+
+
 def random_graph(rng: SplitMix64, n: int, prob_num: int, prob_den: int) -> Graph:
     """One draw of the binomial random graph with exact edge probability.
 
     Pair (i, j), i < j, taken in lexicographic order, is an edge when
-    ``rng.below(prob_den) < prob_num``. The SplitMix64 steps and the
-    rejection rule of ``below`` run inline, so a draw consumes exactly the
-    outputs that calling ``below`` would.
+    ``rng.below(prob_den) < prob_num``; ``_draw_rows`` makes the draw and
+    consumes exactly the outputs that calling ``below`` would.
     """
-    adj = [[0] * n for _ in range(n)]
-    if n > 1:
-        if prob_den <= 0:
-            raise ValueError("bound must be positive")
-        limit = (1 << 64) - ((1 << 64) % prob_den)
-        state = rng.state
-        for i in range(n):
-            row = adj[i]
-            for j in range(i + 1, n):
-                while True:
-                    state = (state + _GAMMA) & _MASK
-                    z = ((state ^ (state >> 30)) * _MUL1) & _MASK
-                    z = ((z ^ (z >> 27)) * _MUL2) & _MASK
-                    z ^= z >> 31
-                    if z < limit:
-                        break
-                if z % prob_den < prob_num:
-                    row[j] = adj[j][i] = 1
-        rng.state = state
-    return Graph(tuple(map(tuple, adj)))
+    rows, rng.state = _draw_rows(rng.state, n, prob_num, prob_den)
+    return Graph(rows)
 
 
 @dataclass(frozen=True)
@@ -130,6 +212,9 @@ class SweepConfig:
             raise ValueError("bad vertex range")
         if not 0 <= self.edge_prob_num <= self.edge_prob_den or self.edge_prob_den < 1:
             raise ValueError("edge probability must be a rational in [0, 1]")
+        if self.edge_prob_den > 1 << 64:
+            raise ValueError("edge probability denominator must be at most 2^64, "
+                             f"got {self.edge_prob_den}")
         if self.graph_count < 0:
             raise ValueError(f"graph count must be at least 0, got {self.graph_count}")
         if self.level_cap < 1:
@@ -164,10 +249,11 @@ def sweep_one(config: SweepConfig, index: int) -> dict:
         max_attempts = 0
     else:  # at edge probability 0 or 1 every draw is the same graph
         max_attempts = 1 if config.edge_prob_num in (0, config.edge_prob_den) else MAX_ATTEMPTS
+    slot = mix64(mix64(config.seed) ^ mix64(index))  # derive_stream's state, less the attempt
     for attempt in range(max_attempts):
-        rng = derive_stream(config.seed, index, attempt)
-        graph = random_graph(rng, n, config.edge_prob_num, config.edge_prob_den)
-        prof = _controllable_profile(graph)
+        adj, _ = _draw_rows(mix64(slot ^ mix64(attempt)), n, config.edge_prob_num,
+                            config.edge_prob_den)
+        prof = _controllable_profile(adj)
         if prof is not None:
             break
     else:

@@ -166,6 +166,12 @@ class TestUsageErrors:
         (["mates", "-", "--level-cap", "0", "--levels", "3"],
          "level cap must be at least 1, got 0"),
         (["snf", "-", "--prime", "0"], "0 is not prime"),
+        (["snf", "-", "--power", "-3"], "power must be at least 1, got -3"),
+        (["snf", "-", "--power", "0"], "power must be at least 1, got 0"),
+        (["snf", "-", "--prime", "3", "--power", "0"], "power must be at least 1, got 0"),
+        (["sweep", "--count", "1", "--n-min", "6", "--n-max", "6", "--no-mates",
+          "--edge-prob", "1/36893488147419103233"],
+         "edge probability denominator must be at most 2^64, got 36893488147419103233"),
     ])
     def test_bad_value_exits_1(self, argv, message, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO(ADJ_TEXT))

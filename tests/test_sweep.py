@@ -1,6 +1,7 @@
 """Sweep engine: RNG portability, reproducibility, worker independence."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,8 +14,8 @@ from sympy.polys.domains import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 import walklevel
-from walklevel import graphs, intmat
-from walklevel.graphs import walk_matrix
+from walklevel import graphs, intmat, sweep
+from walklevel.graphs import Graph, walk_matrix
 from walklevel.sweep import (
     _GAMMA,
     SplitMix64,
@@ -94,13 +95,90 @@ class TestRandomGraph:
     @pytest.mark.parametrize("den", [3, 7])
     def test_rejected_output_is_skipped(self, den):
         # 2^64 - 1 lies at or above the rejection limit 2^64 - (2^64 mod den)
-        # for den 3 and 7, so the first pair's edge comes from the next output
-        start = unmix64((1 << 64) - 1)
-        for n in (2, 3, 5):
-            ours, ref = SplitMix64(start), SplitMix64(start)
-            assert random_graph(ours, n, 1, den).adj == random_graph_below(ref, n, 1, den)
-            assert ours.state == ref.state
-            assert outputs_between(start, ours.state) == n * (n - 1) // 2 + 1
+        # for den 3 and 7; planted as the k-th output (the first, a middle and
+        # the last pair), pair k's edge comes from output k + 1 and every later
+        # pair's from the output after its own
+        for n in (2, 3, 5, 9, 16):
+            pairs = n * (n - 1) // 2
+            for k in sorted({1, (pairs + 1) // 2, pairs}):
+                start = (unmix64((1 << 64) - 1) - (k - 1) * _GAMMA) % (1 << 64)
+                ours, ref = SplitMix64(start), SplitMix64(start)
+                assert random_graph(ours, n, 1, den).adj == random_graph_below(ref, n, 1, den)
+                assert ours.state == ref.state
+                assert outputs_between(start, ours.state) == pairs + 1
+
+
+def same_as_below(state, n, num, den):
+    """The kernel's rows and end state equal one below() per pair from ``state``;
+    returns how many outputs the draw used."""
+    rows, end = sweep._draw_rows(state, n, num, den)
+    ref = SplitMix64(state)
+    assert rows == random_graph_below(ref, n, num, den)
+    assert end == ref.state
+    return outputs_between(state, end)
+
+
+class TestDrawKernel:
+    """sweep._draw_rows against the frozen one-below()-per-pair draw."""
+
+    @pytest.mark.parametrize("num, den", [(1, 2), (1, 3), (3, 8), (2, 7)])
+    def test_random_states_up_to_780_lanes(self, num, den):
+        rng = random.Random(den)
+        for n in range(41):
+            for _ in range(3):
+                same_as_below(rng.getrandbits(64), n, num, den)
+
+    @pytest.mark.parametrize("den", [1, 2, 8, 1 << 64])
+    def test_power_of_two_denominators(self, den):
+        # no output is rejected: each draw uses exactly one output per pair
+        rng = random.Random(den)
+        for num in sorted({0, 1, den - 1, den, den + 1, 3 * den}):
+            for n in (0, 1, 2, 7, 12, 23):
+                state = rng.getrandbits(64)
+                assert same_as_below(state, n, num, den) == n * (n - 1) // 2
+
+    @pytest.mark.parametrize("num, den", [
+        (1, 3), (4, 7), (1 << 62, 3 << 62), (5, (1 << 63) + 1), (1, (1 << 64) - 1),
+        (0, 3), (3, 3), (9, 7), (0, 3 << 62), (3 << 62, 3 << 62),
+    ])
+    def test_other_denominators(self, num, den):
+        # (2^62, 3 * 2^62) rejects a quarter of all outputs (2^64 mod den is
+        # 2^62), (5, 2^63 + 1) about half, so most of their draws take more
+        # than one batch; the others reject one output in 2^61 or fewer
+        rng = random.Random(num ^ den)
+        used = pairs = 0
+        for n in (0, 1, 2, 5, 12, 20, 33):
+            for _ in range(3):
+                used += same_as_below(rng.getrandbits(64), n, num, den)
+                pairs += n * (n - 1) // 2
+        assert used > pairs if (1 << 64) % den >= 1 << 62 else used == pairs
+
+
+class TestDenominatorRange:
+    """A denominator above 2^64 makes the rejection limit 0, so no output would
+    ever be accepted; each entry point refuses it before drawing."""
+
+    def test_below(self):
+        with pytest.raises(ValueError, match="at most 2\\^64"):
+            SplitMix64(1).below((1 << 64) + 1)
+        assert SplitMix64(1).below(1 << 64) == SplitMix64(1).next_u64()
+
+    @pytest.mark.parametrize("den", [(1 << 65) + 1, (1 << 64) + 1, 0, -2])
+    def test_random_graph(self, den):
+        rng = SplitMix64(1)
+        with pytest.raises(ValueError, match="denominator must be in 1..2\\^64"):
+            random_graph(rng, 3, 1, den)
+        assert rng.state == 1
+
+    def test_sweep_config(self):
+        with pytest.raises(ValueError, match="denominator must be at most 2\\^64"):
+            SweepConfig(edge_prob_num=1, edge_prob_den=(1 << 64) + 1)
+        # 2^64 itself is allowed: the edge test reads a whole output
+        num, den = 1 << 63, 1 << 64
+        rec = sweep_one(SweepConfig(n_min=6, n_max=6, edge_prob_num=num, edge_prob_den=den,
+                                    mates=False), 0)
+        adj = random_graph_below(derive_stream(0, 0, rec["attempts"] - 1), 6, num, den)
+        assert rec["profile"]["det_w"] == intmat.det(walk_matrix(Graph(adj)))
 
 
 def outputs_between(start: int, end: int) -> int:
@@ -241,29 +319,42 @@ def test_no_graph_on_two_to_five_vertices_is_controllable():
     assert count == 1098
 
 
-def test_bareiss_runs_only_on_draws_with_distinct_walk_rows(count_calls):
-    # random_graph runs once per draw; a draw whose walk matrix has two
-    # equal rows is rejected without a Bareiss pass; the accepted draw's W
-    # rows and its one Bareiss pass feed its profile and the search, which
-    # rebuild neither
-    draws = count_calls(random_graph)
+def test_bareiss_runs_only_on_draws_with_distinct_walk_rows(count_calls, monkeypatch):
+    # the row kernel runs once per draw, and only the accepted draw becomes
+    # a Graph; a draw whose walk matrix has two equal rows is rejected
+    # without a Bareiss pass; the accepted draw's W rows and its one Bareiss
+    # pass feed its profile and the search, which rebuild neither
+    draws = count_calls(sweep._draw_rows)
     walks = count_calls(graphs.walk_matrix)
     passes = count_calls(intmat._bareiss)
+    built = []
+    validate = Graph.__post_init__
+
+    def counted(self):
+        validate(self)
+        built.append(self.adj)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
     cfg = SweepConfig(n_min=6, n_max=12, seed=3)
     records = [sweep_one(cfg, i) for i in range(20)]
+    monkeypatch.setattr(Graph, "__post_init__", validate)
     assert any(rec["search"]["levels"] for rec in records)
+    assert len(draws) == sum(rec["attempts"] for rec in records)
 
     distinct_rows = []
     equal_rows = 0
+    accepted, rejected = [], set()
     for rec in records:
         for attempt in range(rec["attempts"]):
             g = random_graph(derive_stream(cfg.seed, rec["index"], attempt), rec["n"], 1, 2)
+            (accepted.append if attempt == rec["attempts"] - 1 else rejected.add)(g.adj)
             rows = list(walk_matrix(g).data)
             if len(set(rows)) == g.n:
                 distinct_rows.append(rows)
             else:
                 equal_rows += 1
-    assert len(draws) == sum(rec["attempts"] for rec in records)
+    # the search builds the mates too, none of them a draw of these slots
+    assert [adj for adj in built if adj in rejected or adj in accepted] == accepted
     assert equal_rows > 0
     assert len(distinct_rows) > len(records)  # some distinct-row draws are singular too
     assert passes == distinct_rows

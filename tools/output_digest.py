@@ -49,6 +49,14 @@ prints one line per output group, ``<group> <items> <sha256>``:
                   or 10, a tenth of them made singular by a repeated row; this is
                   where the Bareiss pass swaps columns and eliminates a block
                   modulo an odd part
+  draws           random_graph(SplitMix64(state), n, num, den): its rows and the
+                  end state, on random.Random(7) states at n 0-40 for 1/2, 1/3,
+                  3/8 and 2/7; on den 1, 2, 8 and 2^64 with num 0, 1, den - 1,
+                  den and den + 1; on other denominators, among them 2^62/(3*2^62)
+                  and 5/(2^63 + 1), which reject a quarter and a half of all
+                  outputs; and with the rejected output 2^64 - 1 planted at the
+                  first, a middle and the last pair (den 3 and 7), the state
+                  found by tests/oracles.py's unmix64 from this checkout
   inputs          walklevel analyze on inputs a valid-input reader must take or
                   name exactly: --json on the 63-vertex path as an adjacency
                   file, a two-graph adjacency file whose second matrix has a
@@ -312,6 +320,36 @@ def smith_random() -> list[str]:
     return out
 
 
+def draws() -> list[str]:
+    """random_graph's rows and end state on seeded states, across the kinds of denominator."""
+    from walklevel.sweep import _GAMMA, SplitMix64, random_graph
+
+    sys.path.insert(0, str(ROOT / "tests"))
+    from oracles import unmix64
+
+    rng = random.Random(7)
+    cases = [(rng.getrandbits(64), n, num, den)
+             for num, den in ((1, 2), (1, 3), (3, 8), (2, 7)) for n in range(41)]
+    for den in (1, 2, 8, 1 << 64):
+        cases += [(rng.getrandbits(64), n, num, den)
+                  for num in sorted({0, 1, den - 1, den, den + 1}) for n in (0, 1, 2, 7, 12, 23)]
+    for num, den in ((1, 3), (4, 7), (1 << 62, 3 << 62), (5, (1 << 63) + 1), (1, (1 << 64) - 1),
+                     (0, 3), (3, 3), (9, 7)):
+        cases += [(rng.getrandbits(64), n, num, den) for n in (0, 1, 2, 5, 12, 20, 33)]
+    # 2^64 - 1 is rejected for den 3 and 7: plant it at the first, a middle and the last pair
+    for den in (3, 7):
+        for n in (2, 3, 9, 16):
+            pairs = n * (n - 1) // 2
+            cases += [((unmix64((1 << 64) - 1) - (k - 1) * _GAMMA) % (1 << 64), n, 1, den)
+                      for k in sorted({1, (pairs + 1) // 2, pairs})]
+    out = []
+    for state, n, num, den in cases:
+        stream = SplitMix64(state)
+        adj = random_graph(stream, n, num, den).adj
+        out.append(json.dumps([state, n, num, den, adj, stream.state]) + "\n")
+    return out
+
+
 def input_runs(main) -> list[str]:
     """walklevel analyze on a 63-vertex path, a faulty row and long-form graph6."""
     n = 63
@@ -388,6 +426,7 @@ def groups(src: Path) -> dict[str, list[str]]:
         "lemma_reports": lemma_reports(fixture, pool),
         "factor_smith": factor_smith(),
         "smith_random": smith_random(),
+        "draws": draws(),
         "inputs": input_runs(main),
         "cli_surface": cli_surface(main, fixtures),
     }
