@@ -28,9 +28,7 @@ from .graphs import Graph, emit_graph6, parse_graph6, walk_profile
 from .intmat import IntMatrix, det
 from .matesearch import search_mates
 from .snf import snf_int, snf_mod_pk
-from .sweep import SweepConfig, report_json, run_sweep
-
-SCHEMA = 1
+from .sweep import SCHEMA, SweepConfig, report_json, run_sweep
 
 
 def _emit_json(payload: dict) -> None:

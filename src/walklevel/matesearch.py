@@ -10,9 +10,8 @@ assembles full matrices from pairwise compatible columns
 
     v_i . v_j = 0,   v_i^T A v_j in {0, l^2},   v_i^T A v_i = 0.
 
-Columns. The congruence confines v mod l to the kernel of W^T over Z/lZ,
-read off the modular Smith elimination that ``snf`` shares with
-``invariant_factors`` and ``snf_mod_pk``. The two equations then fix the
+Columns. The congruence confines v mod l to ker(W^T mod l), whose
+generators ``snf._kernel_generators`` gives. The two equations then fix the
 shape of v given its residue r (entries in [0, l)). v.v = l^2 bounds every
 |v_i| by l, and an entry +-l forces v = l e_i, so residue 0 gives exactly
 the n units l e_i. For r != 0, v = r - l 1_S with S a subset of supp(r);
@@ -43,14 +42,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from .errors import SearchCapExceeded
 from .graphs import Graph, WalkProfile
 from .intmat import IntMatrix
 from .ortho import RatRegOrtho, conjugate
-from .snf import _diagonal_mod, _identity
+from .snf import _diagonal_mod, _identity, _kernel_generators
 
 CANDIDATE_CAP = 10**6
 NODE_CAP = 10**8
@@ -79,12 +78,8 @@ def enumerate_columns(
 ) -> list[tuple[int, ...]]:
     """All integer vectors v with v.v = level^2, e.v = level, W^T v = 0 mod level.
 
-    The congruence confines v mod level to the kernel of W^T over Z/lZ.
-    The modular Smith elimination of W^T (``snf._diagonal_mod``) carries
-    its column transform V, whose entries stay below the level: with
-    U W^T V = diag(g_i) mod level and U, V invertible, the kernel is V y
-    with each y_i a multiple of level/g_i. The residues are stepped by
-    adding one generator (level/g_j) V_j mod level at a time.
+    Residues mod level run over ker(W^T mod level), one generator
+    (``snf._kernel_generators``) added per step.
 
     Residue 0 gives exactly the n units level * e_i, and each other residue
     r gives the columns r - level * 1_S with |S| = k and sum of r over S
@@ -94,34 +89,27 @@ def enumerate_columns(
     """
     if level < 1:
         raise ValueError("level must be positive")
-    w = prof.W
     n = prof.n
 
-    # product of the g_i = product of gcd(d_i, level) over W's invariant factors
+    # the orders multiply to the product of gcd(d_i, level) over W's factors
     v = _identity(n)
-    gcds = _diagonal_mod([[x % level for x in row] for row in w.T.data], level, v=v)
-    total = 1
-    for gi in gcds:
-        total *= gi
-        if total > cap:
-            raise SearchCapExceeded(
-                f"kernel of W^T mod {level} has more than {cap} residue classes"
-            )
+    diag = _diagonal_mod([[x % level for x in row] for row in prof.W.T.data], level, v=v)
+    gens = sorted(_kernel_generators(diag, v, level), reverse=True)
+    radices = [order for order, _ in gens]
+    if prod(radices) > cap:
+        raise SearchCapExceeded(
+            f"kernel of W^T mod {level} has more than {cap} residue classes")
 
     out = [tuple(level if i == j else 0 for i in range(n)) for j in range(n)]
     if len(out) > cap:
         raise SearchCapExceeded(f"more than {cap} column candidates at level {level}")
-    # odometer over y, one digit per g_j > 1, the largest radix turning
-    # fastest so that most steps stop at digit 0. Advancing digit d adds its
+    # odometer, one digit per generator, the largest order turning fastest
+    # so that most steps stop at digit 0. Advancing digit d adds its
     # generator and wraps the digits before it, each wrap adding one more
     # generator (g of them are 0 mod level), so every step adds the
     # precomputed sum of the generators of digits 0..d.
-    radices, steps = [], []
-    acc = [0] * n
-    for gj, j in sorted(((gj, j) for j, gj in enumerate(gcds) if gj > 1), reverse=True):
-        acc = [(a + (level // gj) * row[j]) % level for a, row in zip(acc, v)]
-        radices.append(gj)
-        steps.append(acc)
+    steps = list(accumulate((gen for _, gen in gens),
+                            lambda acc, gen: [(a + b) % level for a, b in zip(acc, gen)]))
     digits = [0] * len(radices)
     residue = [0] * n
     while True:

@@ -7,7 +7,8 @@ normalized to a pure prime power p^c with 0 <= c < k.
 
 One modular elimination, ``_diagonal_mod`` over Z/dZ, serves
 ``snf_mod_pk`` (with U and V), the invariant factors (without), and
-``dn_test`` and ``matesearch.enumerate_columns`` (with V alone). The
+``dn_test`` and ``matesearch.enumerate_columns`` (with V alone); these two
+and ``_kernel`` read ker(M mod d) off it through ``_kernel_generators``. The
 integer elimination runs only in ``snf_int``, for ``walklevel snf``, and
 in ``_factors_over_z``, the invariant factors of a singular, non-square or
 empty matrix. A nonempty square matrix takes one path,
@@ -31,7 +32,7 @@ On top of the forms sit the module-theoretic helpers: solvability of
 M x = b over Z/p^kZ, kernel structure, the "does M z = 0 have a unit-entry
 solution mod p^k" test, and basis extension inside free submodules. Three
 private readers take one decomposition U M V = S over Z/p^kZ: ``_solve``
-(M x = b through U and S), ``_kernel`` (ker M off S and V) and
+(M x = b through U and S), ``_kernel`` (ker M off ``_kernel_generators``) and
 ``_augmented_factors`` (the factors of [M | b] as those of [S | U b]).
 ``verify_proof_lemmas`` makes one such decomposition per witness; its
 factors gcd(f_i, p^k) of the factors f_i over Z also decide the shape over Z.
@@ -84,12 +85,8 @@ class SnfResult:
 
 @dataclass(frozen=True)
 class KernelShape:
-    """Kernel of M over Z/p^kZ as a direct sum of cyclic modules.
-
-    ker(M) decomposes as  (+)_i Z/p^{c_i}Z  (+)  (Z/p^kZ)^{free_rank},
-    with c_i the nonzero exponents among the invariant factors. When the
-    kernel is free (no torsion), ``free_basis`` holds an explicit basis.
-    """
+    """ker(M) over Z/p^kZ as  (+)_i Z/p^{c_i}Z  (+)  (Z/p^kZ)^{free_rank}
+    (``_kernel_generators``), with ``free_basis`` a basis when it is free."""
 
     torsion_exponents: tuple[int, ...]
     free_rank: int
@@ -99,17 +96,22 @@ class KernelShape:
     @property
     def size(self) -> int:
         total = self.modulus ** self.free_rank
-        p = _prime_of_modulus(self.modulus)
-        for c in self.torsion_exponents:
-            total *= p ** c
+        if self.torsion_exponents:
+            total *= _prime_of_modulus(self.modulus) ** sum(self.torsion_exponents)
         return total
 
 
 def _prime_of_modulus(q: int) -> int:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            return p
-    raise ValueError("modulus must be a prime power > 1")
+    """p for q = p^k: the exact integer k-th root of q for the largest k."""
+    if q < 2:
+        raise ValueError("modulus must be a prime power > 1")
+    for k in range(q.bit_length() - 1, 1, -1):
+        r = 1 << -(-q.bit_length() // k)  # r^k > q; Newton steps fall to the root
+        while (s := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
+            r = s
+        if r ** k == q:
+            return r
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -589,15 +591,30 @@ def _solve(res: SnfResult, b) -> tuple[int, ...] | None:
     return tuple(val % q for val in res.V.mat_vec(y))
 
 
+def _kernel_generators(diag, v, m: int) -> list[tuple[int, tuple[int, ...]]]:
+    """ker(M) over Z/mZ as (order, generator) pairs in column order, from a
+    diagonal of M by ``_diagonal_mod`` (trailing entries m may be left off)
+    and the rows ``v`` of its column transform V.
+
+    U M V = diag(g_1, ..., g_r) mod m with U, V invertible and g_j | m, so
+    M x = 0 exactly when y = V^-1 x has y_j a multiple of m/g_j for j <= r.
+    A column of V has order m, so ker(M) is the direct sum of the cyclic
+    groups generated by (m/g_j) V_j, of order g_j, for each g_j > 1, and by
+    the columns V_j past the diagonal, of order m. This holds for composite
+    m and for more columns than rows.
+    """
+    gs = [*diag, *[m] * (len(v) - len(diag))]
+    return [(g, tuple(m // g * row[j] % m for row in v))
+            for j, g in enumerate(gs) if g > 1]
+
+
 def _kernel(res: SnfResult) -> KernelShape:
     """Structure of ker(M) over Z/p^kZ, read off res = (U, S, V) of M."""
     p, q = res.ring.p, res.ring.modulus
-    cols = res.V.rows
-    torsion = tuple(v_p(d, p) for d in res.invariant_factors if d != 1)
-    basis = None if torsion else tuple(
-        tuple(x % q for x in res.V.column(j)) for j in range(res.rank, cols)
-    )
-    return KernelShape(torsion, cols - res.rank, q, basis)
+    pairs = _kernel_generators(res.invariant_factors, res.V.data, q)
+    torsion = tuple(v_p(g, p) for g, _ in pairs if g < q)
+    basis = None if torsion else tuple(z for _, z in pairs)
+    return KernelShape(torsion, len(pairs) - len(torsion), q, basis)
 
 
 def _augmented_factors(res: SnfResult, b) -> tuple[int, ...]:
@@ -632,12 +649,7 @@ def solvable_mod_pk(
 
 
 def kernel_shape(m: IntMatrix, p: int, k: int) -> KernelShape:
-    """Structure of ker(M) over Z/p^kZ from the invariant factors.
-
-    Torsion exponents are the nonzero c_i; the free rank is n - r. When the
-    kernel is free, an explicit basis (columns of V past the rank) is
-    attached.
-    """
+    """The ``KernelShape`` of ker(M) over Z/p^kZ, off one ``snf_mod_pk``."""
     return _kernel(snf_mod_pk(m, p, k))
 
 
@@ -645,10 +657,9 @@ def dn_test(m: IntMatrix, p: int, k: int) -> tuple[bool, tuple[int, ...] | None]
     """Does M z = 0 (mod p^k) admit a solution with z != 0 (mod p)?
 
     For an m x n integral matrix with m >= n this holds exactly when p^k
-    divides the n-th invariant factor over Z, that is when the n-th factor
-    over Z/p^kZ is 0. The elimination over Z/p^kZ carries V alone; with
-    U M V = diag (mod p^k) the witness is V's last column, nonzero mod p
-    since det V is a unit.
+    divides the n-th invariant factor over Z, that is when a generator of
+    ker(M) over Z/p^kZ has order p^k (the others are 0 mod p); the witness
+    is the last such generator (``_kernel_generators``).
     """
     if not is_prime(p) or k < 1:
         raise ValueError(f"need a prime p and k >= 1, got p = {p}, k = {k}")
@@ -656,9 +667,10 @@ def dn_test(m: IntMatrix, p: int, k: int) -> tuple[bool, tuple[int, ...] | None]
         raise ValueError("matrix must have at least as many rows as columns")
     q = p ** k
     v = _identity(m.cols)
-    if _diagonal_mod([[x % q for x in row] for row in m.data], q, v=v)[-1] != q:
+    diag = _diagonal_mod([[x % q for x in row] for row in m.data], q, v=v)
+    z = next((z for g, z in reversed(_kernel_generators(diag, v, q)) if g == q), None)
+    if z is None:
         return False, None
-    z = tuple(row[-1] for row in v)
     if all(x % p == 0 for x in z):
         raise InvariantError("invertible transform produced a column divisible by p")
     if any(x % q for x in m.mat_vec(z)):

@@ -56,6 +56,7 @@ _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
 # draws per slot before the slot is reported as exhausted
 MAX_ATTEMPTS = 10000
+SCHEMA = 1  # version of every JSON report, the sweep's and the CLI's
 
 
 def mix64(z: int) -> int:
@@ -367,7 +368,7 @@ def run_sweep(config: SweepConfig) -> dict:
         str(n): {"accepted": a, "attempts": t} for n, (a, t) in sorted(acceptance.items())
     }
     agg["rules_fired"] = dict(sorted(rules.items()))
-    return {"schema": 1, "config": config.as_dict(), "graphs": records, "aggregate": agg}
+    return {"schema": SCHEMA, "config": config.as_dict(), "graphs": records, "aggregate": agg}
 
 
 def report_json(report: dict) -> str:

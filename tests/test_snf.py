@@ -1,8 +1,9 @@
 """Smith forms over Z and Z/p^kZ against gcd-of-minors and exhaustive oracles."""
 
 import random
+import time
 import warnings
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,8 @@ from walklevel.snf import (
     _diagonal_mod,
     _factors_from_block,
     _identity,
+    _kernel_generators,
+    _prime_of_modulus,
     _solve,
     dn_test,
     extend_basis,
@@ -748,6 +751,93 @@ class TestKernelShape:
         ks = kernel_shape(m, 3, 1)
         count = exhaustive_kernel_count([list(r) for r in m.data], 3, 1)
         assert ks.size == count
+
+    def test_size_with_torsion_at_a_large_prime(self):
+        # p is the exact square root of the modulus, not found by trial division
+        p = 2**31 - 1
+        start = time.perf_counter()
+        ks = kernel_shape(IntMatrix([[p, 0], [0, 1]]), p, 2)
+        assert ks.torsion_exponents == (1,) and ks.free_rank == 0
+        assert ks.size == p
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("p", [2, 3, 9973, 2**31 - 1, 2**61 - 1])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 13])
+    def test_prime_of_modulus(self, p, k):
+        assert _prime_of_modulus(p**k) == p
+
+    @pytest.mark.parametrize("q", [1, 0, -4])
+    def test_prime_of_modulus_rejects_no_prime_power(self, q):
+        with pytest.raises(ValueError):
+            _prime_of_modulus(q)
+
+
+class TestKernelGenerators:
+    """_kernel_generators against all of (Z/mZ)^n, composite m and wide M included."""
+
+    @staticmethod
+    def check(rows, m):
+        cols = len(rows[0])
+        v = _identity(cols)
+        diag = _diagonal_mod([[x % m for x in row] for row in rows], m, v=v)
+        pairs = _kernel_generators(diag, v, m)
+        kernel = {z for z in all_vectors_mod(m, cols) if not any(matvec_mod(rows, z, m))}
+        for order, z in pairs:
+            assert order > 1 and m % order == 0
+            assert not any(matvec_mod(rows, z, m))
+            # exactly of its order: order * z = 0, and (order / r) * z != 0
+            # for every prime r dividing the order
+            assert all(order * x % m == 0 for x in z)
+            for r in range(2, order + 1):
+                if order % r == 0 and all(r % s for s in range(2, r)):
+                    assert any(order // r * x % m for x in z)
+        assert prod(order for order, _ in pairs) == len(kernel)
+        span = {(0,) * cols}
+        for order, z in pairs:
+            span = {tuple((a + c * b) % m for a, b in zip(y, z))
+                    for y in span for c in range(order)}
+        assert span == kernel
+        return pairs
+
+    @pytest.mark.parametrize("m", range(2, 37))
+    def test_against_exhaustive_kernel(self, m):
+        rng = random.Random(m)
+        divisors = [d for d in range(1, m + 1) if m % d == 0]
+        for _ in range(15):
+            nr = rng.randint(1, 3)
+            nc = rng.randint(1, 3 if m <= 15 else 2)
+            rows = [[rng.choice((0, rng.randrange(m), rng.choice(divisors) * rng.randrange(m)))
+                     for _ in range(nc)] for _ in range(nr)]
+            self.check(rows, m)
+
+    @pytest.mark.parametrize("m", [6, 12, 36])
+    def test_more_columns_than_rows(self, m):
+        rng = random.Random(100 + m)
+        for _ in range(20):
+            nc = rng.randint(2, 3 if m <= 12 else 2)
+            rows = [[rng.randrange(m) for _ in range(nc)] for _ in range(rng.randint(1, nc - 1))]
+            pairs = self.check(rows, m)
+            # one free cyclic summand of order m at least per surplus column
+            assert sum(order == m for order, _ in pairs) >= nc - len(rows)
+
+    def test_trivial_modulus_and_zero_matrix(self):
+        assert self.check([[3, 5]], 1) == []
+        assert [order for order, _ in self.check([[0, 0], [0, 0]], 12)] == [12, 12]
+        # trailing entries m of the diagonal may be left off
+        assert _kernel_generators([1], [[1, 0], [0, 1]], 9) == [(9, (0, 1))]
+
+    def test_each_reader_builds_generators_once(self, count_calls):
+        from walklevel.matesearch import enumerate_columns
+
+        calls = count_calls(snf._kernel_generators)
+        enumerate_columns(walk_profile(seeded_graph(5, 8), ()), 4)
+        assert len(calls) == 1
+        for m in (IntMatrix.diag([1, 3]), IntMatrix.diag([1, 9])):
+            dn_test(m, 3, 1)
+        assert len(calls) == 3
+        kernel_shape(IntMatrix.diag([1, 1, 9]), 3, 2)
+        snf._kernel(snf_mod_pk(IntMatrix.diag([1, 3, 9]), 3, 2))
+        assert len(calls) == 5
 
 
 class TestDnTest:

@@ -33,6 +33,8 @@ prints one line per output group, ``<group> <items> <sha256>``:
   dn_answers      the answer of dn_test(m, p, k), without its witness, on
                   random.Random(7) matrices with n <= 4 columns and n to 4 rows,
                   over p^k in 3, 9, 27, 25, 49
+  dn_witnesses    dn_test(m, p, k) in full, the answer and its witness, on the
+                  inputs of dn_answers
   lemma_reports   verify_proof_lemmas(prof, wit).as_dict() on 300 random.Random(7)
                   witnesses over the fixture and the first 20 pool graphs: p in
                   3, 5, 7, tau <= 2, z0 and lambda0 drawn in [0, p^tau); how many
@@ -230,8 +232,8 @@ def local_helpers() -> list[str]:
     return out
 
 
-def unit_kernel_answers() -> list[str]:
-    """dn_test's yes or no on seeded small tall matrices."""
+def unit_kernel_tests() -> list[tuple]:
+    """(m, p, k, dn_test(m, p, k)) on seeded small tall matrices."""
     from walklevel.intmat import IntMatrix
     from walklevel.snf import dn_test
 
@@ -244,7 +246,7 @@ def unit_kernel_answers() -> list[str]:
             nr = rng.randint(nc, 4)
             m = IntMatrix([[rng.choice((0, p * rng.randrange(q), rng.randrange(q)))
                             for _ in range(nc)] for _ in range(nr)])
-            out.append(json.dumps([m.data, p, k, dn_test(m, p, k)[0]]) + "\n")
+            out.append((m, p, k, dn_test(m, p, k)))
     return out
 
 
@@ -403,6 +405,7 @@ def groups(src: Path) -> dict[str, list[str]]:
     fixtures = src / "walklevel" / "fixtures"
     fixture = (fixtures / "g10_adjacency.txt").read_text()
     pool = pool_lines()
+    unit_kernel = unit_kernel_tests()
     small = SweepConfig(n_min=6, n_max=12, graph_count=500, seed=42)
     factor = SweepConfig(n_min=14, n_max=16, graph_count=24, seed=42, mates=False)
     sparse = [SweepConfig(n_min=5, n_max=10, graph_count=30, seed=42, edge_prob_num=num,
@@ -422,7 +425,10 @@ def groups(src: Path) -> dict[str, list[str]]:
         "columns_deep": deep_columns(),
         "snf_local": local_forms(main, fixtures),
         "snf_helpers": local_helpers(),
-        "dn_answers": unit_kernel_answers(),
+        "dn_answers": [json.dumps([m.data, p, k, ok]) + "\n"
+                       for m, p, k, (ok, _) in unit_kernel],
+        "dn_witnesses": [json.dumps([m.data, p, k, answer]) + "\n"
+                         for m, p, k, answer in unit_kernel],
         "lemma_reports": lemma_reports(fixture, pool),
         "factor_smith": factor_smith(),
         "smith_random": smith_random(),
