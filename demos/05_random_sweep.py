@@ -24,7 +24,7 @@ def main():
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 42
     config = SweepConfig(n_min=6, n_max=10, graph_count=200, seed=seed)
     print(BANNER)
-    print(f"sweep: {config.graph_count} controllable graphs, "
+    print(f"sweep: {config.graph_count} slots, "
           f"n in [{config.n_min}, {config.n_max}], seed {seed}")
     print(BANNER)
 

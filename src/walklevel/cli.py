@@ -1,5 +1,8 @@
 """Command-line front end: analyze, mates, snf, sweep.
 
+``main(argv)`` may be called any number of times in one process; every
+argv goes through one full parser, built on the first call.
+
 Exit codes: 0 success, 1 input error, 2 resource cap exceeded, 3 internal
 invariant violated (a bound or verified conclusion failed, which means a
 bug). JSON output is versioned with "schema": 1 and serialized canonically
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from itertools import combinations
 from math import gcd
 
@@ -170,6 +174,17 @@ def _auto_levels(profile, bounds_rep, cap: int) -> tuple[list[int], list[str]]:
     return [d for d in levels if d <= cap], notes
 
 
+def _parse_levels(text: str) -> list[int]:
+    levels = set()
+    for tok in text.split(","):
+        try:
+            levels.add(int(tok))
+        except ValueError:
+            raise ValueError(f"--levels takes 'auto' or comma-separated integers, "
+                             f"got {tok!r} in {text!r}") from None
+    return sorted(levels)
+
+
 def cmd_mates(args) -> int:
     if args.level_cap < 1:
         raise ValueError(f"level cap must be at least 1, got {args.level_cap}")
@@ -185,7 +200,7 @@ def cmd_mates(args) -> int:
     if args.levels == "auto":
         levels, notes = _auto_levels(prof, bounds_rep, args.level_cap)
     else:
-        levels = sorted({int(tok) for tok in args.levels.split(",")})
+        levels = _parse_levels(args.levels)
     checked = check_classes(prof, search_mates(prof, levels))
     invariant_failed = not all(chk["all_ok"] for chk in checked["lemma_checks"])
     violations = checked["bound_check"]["violations"]
@@ -332,7 +347,8 @@ def cmd_sweep(args) -> int:
         sys.stdout.write(text)
     else:
         out = sys.stdout
-        out.write(f"swept {agg['graphs']} controllable graphs "
+        accepted = sum(stats["accepted"] for stats in agg["controllable_acceptance"].values())
+        out.write(f"swept {agg['graphs']} slots, {accepted} controllable graphs "
                   f"(seed {config.seed}, n in [{config.n_min}, {config.n_max}])\n")
         out.write(f"  acceptance: {agg['controllable_acceptance']}\n")
         out.write(f"  bound rules fired: {agg['rules_fired']}\n")
@@ -391,16 +407,18 @@ def _snf_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _sweep_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--n-min", type=int, default=6)
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--edge-prob", default="1/2", help="rational edge probability a/b")
-    p.add_argument("--level-cap", type=int, default=100)
+    c = SweepConfig  # the command's defaults are its field defaults
+    p.add_argument("--seed", type=int, default=c.seed)
+    p.add_argument("--count", type=int, default=c.graph_count)
+    p.add_argument("--n-min", type=int, default=c.n_min)
+    p.add_argument("--n-max", type=int, default=c.n_max)
+    p.add_argument("--edge-prob", default=f"{c.edge_prob_num}/{c.edge_prob_den}",
+                   help="rational edge probability a/b")
+    p.add_argument("--level-cap", type=int, default=c.level_cap)
     p.add_argument("--prime", type=int, action="append",
                    help="restrict the searched odd primes (repeatable); default: auto")
     p.add_argument("--no-mates", action="store_true", help="skip the mate search stage")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=c.workers)
     p.add_argument("--out", help="write the canonical JSON report to this path")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
@@ -416,10 +434,10 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The full parser: every command of ``_COMMANDS`` as a subcommand.
+    """A fresh full parser: every command of ``_COMMANDS`` as a subcommand.
 
-    It is the only source of the top-level help and usage text, and it
-    parses every argv that ``main`` does not hand to one command's parser.
+    ``main`` parses every argv with one such parser, built on its first
+    call and reused by every later call in the process.
     """
     parser = _Parser(
         prog="walklevel",
@@ -432,36 +450,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building only the parser it needs.
-
-    The full parser hands everything after a command name to that command's
-    subparser, whose prog is "walklevel <command>", and refuses whatever the
-    subparser leaves unparsed. So when argv[0] names a command, that
-    subparser alone gives the same namespace, help, usage errors and exit
-    codes; only leftover arguments need the full parser, whose error (exit
-    1, usage listing every command) is re-raised by parsing argv with it.
-    """
-    if argv and argv[0] in _COMMANDS:
-        _, add_arguments = _COMMANDS[argv[0]]
-        parser = _Parser(prog=f"walklevel {argv[0]}")
-        add_arguments(parser)
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
+# main's parser: built lazily, so importing cli builds none
+_main_parser = cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one walklevel command; argv defaults to ``sys.argv[1:]``.
 
     Returns the exit code (see the module docstring). A usage error or a
-    help request raises SystemExit from argparse, with code 1 or 0. The
-    parser is built anew on each call, from one command's arguments when
-    argv[0] names a command (``_parse_args``).
+    help request raises SystemExit from argparse, with code 1 or 0. It may
+    be called any number of times in one process: the full parser is built
+    on the first call and reused.
     """
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    args = _main_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (ValueError, ConjugationError, OSError) as exc:

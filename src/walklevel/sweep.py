@@ -38,6 +38,7 @@ conclusions, mate-count bounds, and the refined conjecture tally.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -306,14 +307,20 @@ def sweep_one(config: SweepConfig, index: int) -> dict:
 def run_sweep(config: SweepConfig) -> dict:
     """Full sweep report: per-graph records plus an order-independent
     aggregate. Records are computed (possibly in parallel) and come back
-    in index order."""
+    in index order.
+
+    A process pool starts all its workers at once, so it gets at most
+    min(workers, graph_count, os.cpu_count()) of them, and the sweep runs
+    in this process when that is 1; the config echo keeps the requested
+    count."""
     indices = range(config.graph_count)
-    if config.workers > 1:
+    workers = min(config.workers, config.graph_count, os.cpu_count() or 1)
+    if workers > 1:
         # imported here: it loads multiprocessing, pickle, socket and logging,
         # which nothing else needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(sweep_one, repeat(config), indices))
     else:
         records = [sweep_one(config, i) for i in indices]

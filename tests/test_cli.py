@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, JSON schema, determinism."""
 
 import argparse
+import dataclasses
 import io
 import json
 
@@ -11,6 +12,7 @@ from walklevel import cli, graphs
 from walklevel.cli import main, read_graphs
 from walklevel.fixtures import load_worked_example
 from walklevel.graphs import emit_graph6, parse_graph6
+from walklevel.sweep import SweepConfig, run_sweep
 
 ADJ_TEXT = """\
 10
@@ -180,6 +182,14 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == f"input error: {message}\n"
 
+    @pytest.mark.parametrize("levels", ["", "3,", "3,x9"])
+    def test_bad_levels_name_the_option(self, levels, adj_file, capsys):
+        assert main(["mates", adj_file, "--levels", levels]) == 1
+        bad = levels.rpartition(",")[2]
+        assert capsys.readouterr().err == (
+            "input error: --levels takes 'auto' or comma-separated integers, "
+            f"got {bad!r} in {levels!r}\n")
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["mates", "--help"])
@@ -187,9 +197,8 @@ class TestUsageErrors:
         assert "--level-cap" in capsys.readouterr().out
 
 
-class TestOneCommandParser:
-    """main parses with the named command's parser alone, with the same effect
-    as the full parser that build_parser() returns."""
+class TestOneParser:
+    """main parses every argv with one full parser, built on its first call."""
 
     @staticmethod
     def run(argv, stdin, monkeypatch, capsys):
@@ -201,7 +210,8 @@ class TestOneCommandParser:
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    def test_same_outputs_as_the_full_parser(self, adj_file, tmp_path, monkeypatch, capsys):
+    def test_repeat_call_matches_a_fresh_parser(self, adj_file, tmp_path, monkeypatch,
+                                                capsys):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
         matrix = tmp_path / "m.txt"
         matrix.write_text("3\n2 4 4\n-6 6 12\n10 -4 -16\n")
@@ -212,18 +222,21 @@ class TestOneCommandParser:
             [], ["--help"], ["bogus"], ["mates", "--bogus"], ["mates", "-", "extra1"],
             ["sweep", "--count", "x"], ["--bogus", "mates"], ["MATES"], ["mat"],
             ["mates", "--", "-"], ["mates", "--he"], ["analyze", "--jso", adj_file],
+            ["sweep", "--prime", "3", "--prime", "5", "--count", "2"],
         ] + [[command, "--help"] for command in ("analyze", "mates", "snf", "sweep")]
-        ran = [self.run(argv, ADJ_TEXT, monkeypatch, capsys) for argv in cases]
-        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
-        for argv, got in zip(cases, ran):
-            assert got == self.run(argv, ADJ_TEXT, monkeypatch, capsys), argv
-        assert [code for code, _, _ in ran[:6]] == [0] * 6
+        with monkeypatch.context() as fresh_parsers:
+            fresh_parsers.setattr(cli, "_main_parser", cli.build_parser)
+            fresh = [self.run(argv, ADJ_TEXT, monkeypatch, capsys) for argv in cases]
+        for _ in range(2):  # main's own parser, then the same parser again
+            for argv, want in zip(cases, fresh):
+                assert self.run(argv, ADJ_TEXT, monkeypatch, capsys) == want, argv
+        assert [code for code, _, _ in fresh[:6]] == [0] * 6
         # a leftover argument is refused by the full parser: its usage lists every command
-        assert ran[cases.index(["mates", "--bogus"])] == (
+        assert fresh[cases.index(["mates", "--bogus"])] == (
             ("exit", 1), "", "usage: walklevel [-h] {analyze,mates,snf,sweep} ...\n"
                              "walklevel: error: unrecognized arguments: --bogus\n")
 
-    def test_mates_builds_one_parser(self, adj_file, monkeypatch, capsys):
+    def test_parser_built_once(self, adj_file, monkeypatch, capsys):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -232,13 +245,20 @@ class TestOneCommandParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._main_parser.cache_clear()  # as in a new process
         assert main(["mates", adj_file, "--json"]) == 0
-        assert built == ["walklevel mates"]
         assert json.loads(capsys.readouterr().out)["levels_searched"] == [3, 9]
         # the full parser is one top-level parser and a subparser per command
-        built.clear()
-        cli.build_parser()
         assert len(built) == 5
+        assert main(["analyze", adj_file]) == 0
+        assert main(["mates", adj_file, "--levels", "3"]) == 0
+        assert main(["sweep", "--count", "2", "--no-mates"]) == 0
+        with pytest.raises(SystemExit):
+            main(["snf", "--help"])
+        with pytest.raises(SystemExit):
+            main(["bogus"])
+        assert len(built) == 5
+        capsys.readouterr()
 
 
 class TestAnalyzeJson:
@@ -355,6 +375,27 @@ class TestSweepCli:
         capsys.readouterr()
         assert main(args + ["--json"]) == 0
         assert out1.read_text() == capsys.readouterr().out
+
+    def test_summary_counts_slots_and_controllable_graphs(self, capsys):
+        # at edge probability 1 every draw is a complete graph, never controllable
+        assert main(["sweep", "--count", "3", "--edge-prob", "1/1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("swept 3 slots, 0 controllable graphs (seed 0, n in [6, 10])\n")
+        assert "acceptance: {'6': {'accepted': 0, 'attempts': 1}" in out
+        assert main(["sweep", "--count", "4", "--seed", "3", "--no-mates"]) == 0
+        assert capsys.readouterr().out.startswith("swept 4 slots, 4 controllable graphs ")
+
+    def test_bare_sweep_runs_the_default_config(self, monkeypatch, capsys):
+        seen = []
+
+        def recorded(config):
+            seen.append(config)
+            return run_sweep(dataclasses.replace(config, graph_count=0))
+
+        monkeypatch.setattr(cli, "run_sweep", recorded)
+        assert main(["sweep"]) == 0
+        assert seen == [SweepConfig()]
+        capsys.readouterr()
 
     def test_zero_count(self, capsys):
         assert main(["sweep", "--count", "0", "--json"]) == 0

@@ -203,6 +203,38 @@ class TestSweep:
         a["config"]["workers"] = b["config"]["workers"] = 0
         assert report_json(a) == report_json(b)
 
+    @pytest.mark.parametrize("workers, count, cpus, started", [
+        (5000, 4, 64, 4), (5000, 50, 2, 2), (3, 50, 8, 3),
+        (5000, 1, 64, None), (4, 4, 1, None), (4, 4, None, None), (4, 0, 8, None),
+    ])
+    def test_pool_capped_at_slots_and_cpus(self, workers, count, cpus, started, monkeypatch):
+        # a fake pool that records its size and maps in this process: no process starts
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        config = SweepConfig(graph_count=count, seed=13, n_min=6, n_max=7, workers=workers)
+        report = run_sweep(config)
+        assert sizes == ([] if started is None else [started])
+        assert report["config"]["workers"] == workers
+        serial = run_sweep(SweepConfig(graph_count=count, seed=13, n_min=6, n_max=7))
+        serial["config"]["workers"] = workers
+        assert report_json(report) == report_json(serial)
+
     def test_import_leaves_out_the_process_pool(self):
         # only run_sweep with workers > 1 needs concurrent.futures
         src = Path(walklevel.__file__).resolve().parent.parent

@@ -70,6 +70,9 @@ prints one line per output group, ``<group> <items> <sha256>``:
                   sweep --count x, --bogus mates, MATES, mat, and each command's
                   --help, with COLUMNS=80; argparse's SystemExit code stands for
                   the exit code
+  cli_again       cli_surface's argv list replayed in the same process, after
+                  every other group: main builds its parser once per process,
+                  so a repeated call must give cli_surface's digest
 
 A group's digest covers each item's exit code, stdout and stderr in order.
 Run it on two checkouts (say, ``--src`` pointing at a ``git archive`` copy
@@ -435,6 +438,7 @@ def groups(src: Path) -> dict[str, list[str]]:
         "draws": draws(),
         "inputs": input_runs(main),
         "cli_surface": cli_surface(main, fixtures),
+        "cli_again": cli_surface(main, fixtures),
     }
 
 
