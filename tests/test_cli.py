@@ -53,7 +53,7 @@ class TestReaders:
 
     def test_multiple_adjacency_blocks(self):
         text = "2\n0 1\n1 0\n3\n0 1 0\n1 0 1\n0 1 0\n"
-        graphs = read_graphs(text, "adj")
+        graphs = read_graphs(text)
         assert [g.n for g in graphs] == [2, 3]
         assert graphs[1].edge_count == 2
 
@@ -174,6 +174,14 @@ class TestUsageErrors:
         (["sweep", "--count", "1", "--n-min", "6", "--n-max", "6", "--no-mates",
           "--edge-prob", "1/36893488147419103233"],
          "edge probability denominator must be at most 2^64, got 36893488147419103233"),
+    ] + [
+        (["sweep", "--count", "1", "--edge-prob", prob],
+         f"--edge-prob takes a/b with integers a and b, got {prob!r}")
+        for prob in ("x", "1/2/3", "", "1/", "/2", "a/b")
+    ] + [
+        (["sweep", "--count", "1", "--edge-prob", prob],
+         "edge probability must be a rational in [0, 1]")
+        for prob in ("1/0", "3/2")
     ])
     def test_bad_value_exits_1(self, argv, message, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO(ADJ_TEXT))
@@ -197,18 +205,125 @@ class TestUsageErrors:
         assert "--level-cap" in capsys.readouterr().out
 
 
+def run_main(argv, stdin, monkeypatch, capsys):
+    """(exit code, stdout, stderr) of one main call; SystemExit gives ("exit", code)."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+MATRIX_TEXT = "3\n2 4 4\n-6 6 12\n10 -4 -16\n"
+
+
+class TestInvariantExits:
+    """A failed check: the full report in the mode asked for, one stderr line, exit 3."""
+
+    @pytest.mark.parametrize("bound, message", [
+        (False, "a verified conclusion failed"),
+        (True, "level bound failed: [{'prime': 3, 'level': 9, 'tau': 2}]; "
+               "a verified conclusion failed"),
+    ])
+    def test_mates_lemma_failure(self, bound, message, monkeypatch, capsys):
+        argv = ["mates", "-", "--levels", "3,9"]
+        text = run_main(argv, ADJ_TEXT, monkeypatch, capsys)[1]
+        want = json.loads(run_main(argv + ["--json"], ADJ_TEXT, monkeypatch, capsys)[1])
+        violations = [{"prime": 3, "level": 9, "tau": 2}] if bound else []
+        want["bound_check"]["violations"] = violations
+        want["lemma_checks"][0]["all_ok"] = False
+        real = cli.check_classes
+
+        def failing(prof, classes):
+            checked = real(prof, classes)
+            checked["bound_check"]["violations"] = violations
+            checked["lemma_checks"][0]["all_ok"] = False
+            return checked
+
+        monkeypatch.setattr(cli, "check_classes", failing)
+        code, out, err = run_main(argv, ADJ_TEXT, monkeypatch, capsys)
+        assert (code, err) == (3, f"invariant violation: {message}\n")
+        assert out == text.replace("all lemma checks pass", "all lemma checks FAIL")
+        code, out, err = run_main(argv + ["--json"], ADJ_TEXT, monkeypatch, capsys)
+        assert (code, err) == (3, f"invariant violation: {message}\n")
+        assert json.loads(out) == want
+
+    @pytest.mark.parametrize("json_mode", [False, True])
+    def test_snf_oracle_disagreement(self, json_mode, monkeypatch, capsys):
+        argv = ["snf", "-", "--oracle-check", "--prime", "3"] + ["--json"] * json_mode
+        clean = run_main(argv, MATRIX_TEXT, monkeypatch, capsys)
+        real = cli._minor_gcd_products
+        monkeypatch.setattr(cli, "_minor_gcd_products",
+                            lambda m, upto: real(m, upto)[:-1] + [real(m, upto)[-1] + 1])
+        code, out, err = run_main(argv, MATRIX_TEXT, monkeypatch, capsys)
+        assert (code, err) == (3, "invariant violation: minor-gcd oracle disagrees\n")
+        if json_mode:
+            want = json.loads(clean[1])
+            want["oracle_check"]["minor_gcds"][-1] += 1
+            want["oracle_check"]["agrees"][-1] = False
+            assert json.loads(out) == want
+        else:
+            assert out == clean[1].replace("agrees: [True, True, True]",
+                                           "agrees: [True, True, False]")
+
+    @pytest.mark.parametrize("kind, code", [
+        ("bound_violations", 3), ("lemma_failures", 3), ("mate_bound_violations", 3),
+        ("conjecture_violations", 0),  # reported, not a proven statement
+    ])
+    @pytest.mark.parametrize("mode", [[], ["--json"], ["--out"], ["--out", "--json"]])
+    def test_sweep_aggregate(self, kind, code, mode, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "report.json"
+        argv = ["sweep", "--seed", "3", "--count", "4"]
+        for arg in mode:
+            argv += [arg, str(path)] if arg == "--out" else [arg]
+        clean = run_main(argv, "", monkeypatch, capsys)
+        clean_file = path.read_text() if path.exists() else None
+        real = cli.run_sweep
+
+        def violated(config):
+            report = real(config)
+            report["aggregate"][kind].append({"index": 0})
+            return report
+
+        monkeypatch.setattr(cli, "run_sweep", violated)
+        got = run_main(argv, "", monkeypatch, capsys)
+        if code:
+            assert got[::2] == (3, "invariant violation: a proven bound failed on an instance\n")
+        else:
+            assert got[::2] == (0, "")
+        if "--out" in mode:
+            report = json.loads(path.read_text())
+            assert report["aggregate"][kind] == [{"index": 0}]
+            report["aggregate"][kind] = []
+            assert report == json.loads(clean_file)
+        if mode == ["--json"]:
+            report = json.loads(got[1])
+            assert report["aggregate"][kind] == [{"index": 0}]
+            report["aggregate"][kind] = []
+            assert report == json.loads(clean[1])
+        else:
+            label = kind.replace("_", " ").replace("mate bound", "mate-bound")
+            assert got[1] == clean[1].replace(f"{label}: 0", f"{label}: 1", 1)
+
+    @pytest.mark.parametrize("argv, stdin", [
+        (["analyze", "-"], ADJ_TEXT), (["analyze", "-", "--json"], ADJ_TEXT),
+        (["mates", "-"], ADJ_TEXT), (["mates", "-", "--levels", "3", "--json"], ADJ_TEXT),
+        (["snf", "-"], MATRIX_TEXT),
+        (["snf", "-", "--oracle-check", "--prime", "3", "--power", "2"], MATRIX_TEXT),
+        (["snf", "-", "--oracle-check", "--json"], MATRIX_TEXT),
+        (["sweep", "--seed", "3", "--count", "4"], ""),
+        (["sweep", "--seed", "3", "--count", "4", "--json"], ""),
+    ])
+    def test_success_exits_0_with_empty_stderr(self, argv, stdin, monkeypatch, capsys):
+        code, out, err = run_main(argv, stdin, monkeypatch, capsys)
+        assert (code, err) == (0, "")
+        assert out
+
+
 class TestOneParser:
     """main parses every argv with one full parser, built on its first call."""
-
-    @staticmethod
-    def run(argv, stdin, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = ("exit", exc.code)
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
 
     def test_repeat_call_matches_a_fresh_parser(self, adj_file, tmp_path, monkeypatch,
                                                 capsys):
@@ -226,10 +341,10 @@ class TestOneParser:
         ] + [[command, "--help"] for command in ("analyze", "mates", "snf", "sweep")]
         with monkeypatch.context() as fresh_parsers:
             fresh_parsers.setattr(cli, "_main_parser", cli.build_parser)
-            fresh = [self.run(argv, ADJ_TEXT, monkeypatch, capsys) for argv in cases]
+            fresh = [run_main(argv, ADJ_TEXT, monkeypatch, capsys) for argv in cases]
         for _ in range(2):  # main's own parser, then the same parser again
             for argv, want in zip(cases, fresh):
-                assert self.run(argv, ADJ_TEXT, monkeypatch, capsys) == want, argv
+                assert run_main(argv, ADJ_TEXT, monkeypatch, capsys) == want, argv
         assert [code for code, _, _ in fresh[:6]] == [0] * 6
         # a leftover argument is refused by the full parser: its usage lists every command
         assert fresh[cases.index(["mates", "--bogus"])] == (

@@ -64,6 +64,11 @@ prints one line per output group, ``<group> <items> <sha256>``:
                   file, a two-graph adjacency file whose second matrix has a
                   short row on line 7, and --json on the long-form graph6 line
                   of the edgeless 63-vertex graph
+  cli_errors      walklevel's exit-1 paths: sweep --edge-prob x, 1/2/3, "", 1/,
+                  /2, a/b, 1/0 and 3/2; mates --levels 3, and mates --level-cap
+                  0 on the fixture; snf --power 0 on the level-3 matrix; mates
+                  on the uncontrollable graph A_ and on an adjacency file with
+                  a short row
   cli_surface     walklevel's argv handling: each command on the fixture (analyze,
                   mates --json, snf --prime 3 on the level-3 matrix, a 4-graph
                   sweep --json), [], --help, bogus, mates --bogus, mates - extra1,
@@ -368,6 +373,20 @@ def input_runs(main) -> list[str]:
             run_cli(main, ["analyze", "-", "--json"], edgeless)]
 
 
+def cli_errors(main, fixtures: Path) -> list[str]:
+    """walklevel.cli.main on bad option values and inputs it must refuse."""
+    fixture = (fixtures / "g10_adjacency.txt").read_text()
+    cases = [(["sweep", "--count", "1", "--edge-prob", prob], "")
+             for prob in ("x", "1/2/3", "", "1/", "/2", "a/b", "1/0", "3/2")] + [
+        (["mates", "-", "--levels", "3,"], fixture),
+        (["mates", "-", "--level-cap", "0"], fixture),
+        (["snf", "-", "--power", "0"], (fixtures / "g10_qhat_level3.txt").read_text()),
+        (["mates", "-"], "A_\n"),
+        (["mates", "-"], "3\n0 1 0\n1 0\n0 1 0\n"),
+    ]
+    return [run_cli(main, argv, stdin) for argv, stdin in cases]
+
+
 def cli_surface(main, fixtures: Path) -> list[str]:
     """walklevel.cli.main on commands, usage errors and help requests."""
 
@@ -437,6 +456,7 @@ def groups(src: Path) -> dict[str, list[str]]:
         "smith_random": smith_random(),
         "draws": draws(),
         "inputs": input_runs(main),
+        "cli_errors": cli_errors(main, fixtures),
         "cli_surface": cli_surface(main, fixtures),
         "cli_again": cli_surface(main, fixtures),
     }
