@@ -17,13 +17,13 @@ from walklevel import (
     emit_graph6,
     enumerate_columns,
     extract_four_cong_witness,
-    from_pair,
     generalized_cospectral,
     isomorphic,
     level_bounds,
     load_worked_example,
     search_mates,
     verify_proof_lemmas,
+    walk_matrix,
     walk_profile,
 )
 
@@ -60,13 +60,14 @@ def main():
     print(f"  match: {keys == {ex.q_level3.canonical_key(), ex.q_level9.canonical_key()}}")
 
     print("\nsoundness, re-verified from scratch for each mate:")
+    w = walk_matrix(g)
     for cls in classes:
         if cls.level == 1:
             continue
         h = conjugate(cls.q, g)
         print(f"  level {cls.level}: cospectral {generalized_cospectral(g, h)}, "
               f"non-isomorphic {not isomorphic(g, h)}, "
-              f"round-trip {from_pair(g, h) == cls.q}")
+              f"walk identity {cls.q.num.T @ w == cls.level * walk_matrix(h)}")
 
     print("\ncongruence witnesses and structural checks at p = 3:")
     for cls in classes:

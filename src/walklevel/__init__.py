@@ -43,14 +43,14 @@ from .graphs import (
     walk_matrix,
     walk_profile,
 )
-from .intmat import IntMatrix, IntPoly, adjugate, char_poly, det, dot
+from .intmat import IntMatrix, char_poly, det, dot
 from .matesearch import (
     MateClass,
     distinct_mate_graphs,
     enumerate_columns,
     search_mates,
 )
-from .ortho import RatRegOrtho, conjugate, from_pair, level
+from .ortho import RatRegOrtho, conjugate
 from .snf import (
     KernelShape,
     ModPK,
@@ -69,17 +69,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConjectureReport", "ConjugationError", "DgsCertificate", "FactorizationError",
-    "FamilyMembership", "FourCongWitness", "Graph", "IntMatrix", "IntPoly",
+    "FamilyMembership", "FourCongWitness", "Graph", "IntMatrix",
     "InvariantError", "KernelShape", "LemmaCheckReport", "LevelBoundReport",
     "MateClass", "MateCountBounds", "ModPK", "ParseError", "PrimeBound",
     "RatRegOrtho", "SearchCapExceeded", "SnfResult", "SweepConfig", "WalkProfile",
-    "WorkedExample", "adjugate", "analyze", "char_poly", "check_classes",
+    "WorkedExample", "analyze", "char_poly", "check_classes",
     "conjecture_check", "conjugate",
     "det", "dgs_certificate", "distinct_mate_graphs", "divisors",
     "dn_test", "dot", "emit_graph6", "enumerate_columns", "extend_basis",
-    "extract_four_cong_witness", "factorize", "family_membership", "from_pair",
+    "extract_four_cong_witness", "factorize", "family_membership",
     "generalized_cospectral", "is_prime", "isomorphic",
-    "kernel_shape", "level", "level_bounds", "load_worked_example",
+    "kernel_shape", "level_bounds", "load_worked_example",
     "mate_count_bounds", "parse_graph6", "parse_int_matrix_text", "rank_mod_p",
     "run_sweep", "search_mates", "snf_int", "snf_mod_pk", "solvable_mod_pk",
     "v_p", "verify_proof_lemmas", "walk_matrix", "walk_profile",

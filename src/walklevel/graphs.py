@@ -221,7 +221,6 @@ class WalkProfile:
     graph: Graph
     W: IntMatrix
     det_w: int
-    controllable: bool
     invariant_factors: tuple[int, ...]
     normalized_det: int | None
     primes: Mapping[int, tuple[int, int]]
@@ -229,6 +228,10 @@ class WalkProfile:
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @property
+    def controllable(self) -> bool:
+        return self.det_w != 0
 
     @property
     def d_n(self) -> int:
@@ -299,7 +302,7 @@ def walk_profile(g: Graph, primes: str | Iterable[int] = "auto") -> WalkProfile:
     if prof is not None:
         return prof
     w = walk_matrix(g)
-    return WalkProfile(g, w, 0, False, _factors_over_z(w.data), None, {})
+    return WalkProfile(g, w, 0, _factors_over_z(w.data), None, {})
 
 
 def _controllable_profile(adj, primes: str | Iterable[int] = "auto",
@@ -335,7 +338,7 @@ def _controllable_profile(adj, primes: str | Iterable[int] = "auto",
         for p in plist:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
-    return WalkProfile(Graph(adj) if g is None else g, IntMatrix(rows), d, True, factors, nd,
+    return WalkProfile(Graph(adj) if g is None else g, IntMatrix(rows), d, factors, nd,
                        {p: _row(factors, p) for p in plist})
 
 

@@ -5,7 +5,9 @@ no tolerance appears anywhere. Matrices are immutable values; every
 operation returns a fresh matrix, which makes them freely shareable across
 threads.
 
-Vectors are plain tuples of ints throughout the library.
+Vectors are plain tuples of ints throughout the library, and so is the
+characteristic polynomial: ``char_poly`` returns its coefficients, lowest
+degree first.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from operator import index, mul
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
@@ -44,11 +46,11 @@ class IntMatrix:
 
     The constructor normalizes: each row becomes a tuple of exact ints, a
     non-integral entry raises ValueError, and rows of unequal length are
-    refused. ``map`` goes through it, since ``f`` may return anything. The
-    results of ``+``, ``-``, unary ``-``, scalar ``*``, ``@``, ``transpose``
-    and ``identity`` skip it (``_wrap``): they are built from the rows of
-    normalized matrices, or from literal ints, by int arithmetic and
-    ``zip``, so they are already tuples of equal-length tuples of exact ints.
+    refused. The results of ``+``, ``-``, unary ``-``, scalar ``*``, ``@``,
+    ``transpose`` and ``identity`` skip it (``_wrap``): they are built from
+    the rows of normalized matrices, or from literal ints, by int arithmetic
+    and ``zip``, so they are already tuples of equal-length tuples of exact
+    ints.
     """
 
     data: tuple[tuple[int, ...], ...]
@@ -120,9 +122,6 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
-
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
@@ -170,23 +169,11 @@ class IntMatrix:
             raise ValueError("vector length does not match column count")
         return tuple(sum(map(mul, row, v)) for row in self.data)
 
-    def map(self, f: Callable[[int], int]) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(f(a) for a in row) for row in self.data))
-
-    def mod(self, m: int) -> "IntMatrix":
-        return self.map(lambda a: a % m)
-
     # -- block operations ----------------------------------------------------
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "IntMatrix":
         cj = tuple(col_idx)
         return IntMatrix(tuple(tuple(self.data[i][j] for j in cj) for i in row_idx))
-
-    def minor(self, i: int, j: int) -> "IntMatrix":
-        return self.submatrix(
-            (r for r in range(self.rows) if r != i),
-            (c for c in range(self.cols) if c != j),
-        )
 
     def _same_shape(self, other: "IntMatrix"):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -195,46 +182,6 @@ class IntMatrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(a) for a in row) for row in self.data)
         return f"IntMatrix[{self.rows}x{self.cols}: {body}]"
-
-
-@dataclass(frozen=True)
-class IntPoly:
-    """Integer polynomial, coefficients lowest degree first.
-
-    The zero polynomial is the empty tuple; otherwise the leading coefficient
-    is nonzero. A coefficient that is not an integer raises ValueError
-    naming its index; bools read as 0 and 1.
-    """
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        cs = []
-        for i, c in enumerate(self.coeffs):
-            try:
-                cs.append(index(c))
-            except TypeError:
-                raise ValueError(f"coefficient {i} is {c!r}, not an integer") from None
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "IntPoly(0)"
-        terms = [f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c]
-        return "IntPoly(" + " + ".join(terms) + ")"
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -360,23 +307,9 @@ def _least_valuation(m: list[list[int]], k: int, floor: int) -> tuple[int, int, 
     return best
 
 
-def adjugate(a: IntMatrix) -> IntMatrix:
-    """Adjugate matrix: adj(A) = det(A) * A^{-1}, computed from cofactors."""
-    if not a.is_square:
-        raise ValueError("adjugate of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return a
-    if n == 1:
-        return IntMatrix(((1,),))
-    return IntMatrix(tuple(
-        tuple((-1) ** (i + j) * det(a.minor(j, i)) for j in range(n))
-        for i in range(n)
-    ))
-
-
-def char_poly(a: IntMatrix) -> IntPoly:
-    """Characteristic polynomial det(xI - A), exact and division-free.
+def char_poly(a: IntMatrix) -> tuple[int, ...]:
+    """Coefficients of det(xI - A), lowest degree first, exact and
+    division-free; the last is 1, for x^n.
 
     Uses the Berkowitz scheme: the coefficient vector of the k-th leading
     principal submatrix is a Toeplitz transform of the (k-1)-st, built from
@@ -406,7 +339,7 @@ def char_poly(a: IntMatrix) -> IntPoly:
                 acc += t[i - j] * prev[j]
             cur[i] = acc
         prev = cur
-    return IntPoly(tuple(reversed(prev)))
+    return tuple(reversed(prev))
 
 
 def content(a: IntMatrix, *extra: int) -> int:

@@ -5,6 +5,11 @@ denominator l, kept in lowest terms, so the denominator IS the level of Q.
 Orthogonality (num^T num = l^2 I) and regularity (row and column sums all
 equal l) are enforced at construction; nothing downstream needs to re-check
 them.
+
+Matrices come from the mate search and the bundled fixtures, and
+``conjugate`` carries a graph G to its mate H = Q^T A(G) Q. For a
+controllable G this Q is the only one: num^T W(G) = l W(H) with W(G)
+nonsingular pins it down, so nothing rebuilds Q from the pair (G, H).
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from itertools import compress
 from operator import mul
 
 from .errors import ConjugationError
-from .graphs import Graph, walk_matrix
-from .intmat import IntMatrix, adjugate, content, det
+from .graphs import Graph
+from .intmat import IntMatrix, content
 
 
 @dataclass(frozen=True)
@@ -50,33 +55,6 @@ class RatRegOrtho:
         if any(sum(row) != den for row in num.data) or any(sum(c) != den for c in cols):
             raise ValueError("matrix is not regular (row/column sums differ from den)")
 
-    @classmethod
-    def from_fraction(cls, num: IntMatrix, den: int) -> "RatRegOrtho":
-        """Build from an unreduced (matrix, denominator) pair."""
-        if den == 0:
-            raise ValueError("denominator must be nonzero")
-        if den < 0:
-            num, den = -num, -den
-        g = content(num, den)
-        if g > 1:
-            num = num.map(lambda x: x // g)
-            den //= g
-        return cls(num, den)
-
-    @classmethod
-    def identity(cls, n: int) -> "RatRegOrtho":
-        return cls(IntMatrix.identity(n), 1)
-
-    @classmethod
-    def from_permutation(cls, perm: tuple[int, ...]) -> "RatRegOrtho":
-        """The level-1 matrix carrying a graph to its relabeling v -> perm[v]
-        (P[i, perm[i]] = 1, so P^T A P is the relabeled adjacency)."""
-        n = len(perm)
-        rows = [[0] * n for _ in range(n)]
-        for i, j in enumerate(perm):
-            rows[i][j] = 1
-        return cls(IntMatrix(rows), 1)
-
     @property
     def n(self) -> int:
         return self.num.rows
@@ -88,42 +66,6 @@ class RatRegOrtho:
     def canonical_key(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(level, columns of num sorted lex): constant on {Q P : P permutation}."""
         return self.den, tuple(sorted(self.num.T.data))
-
-
-def level(q: RatRegOrtho) -> int:
-    """Smallest positive integer k such that k*Q is integral."""
-    return q.den
-
-
-def from_pair(g: Graph, h: Graph) -> RatRegOrtho:
-    """The unique rational regular orthogonal Q with Q^T A(G) Q = A(H).
-
-    Requires g controllable and the pair generalized cospectral; both are
-    verified through the construction itself (transpose of
-    W(H) W(G)^{-1}, computed exactly via the adjugate over one shared
-    denominator, then post-checked).
-    """
-    if g.n != h.n:
-        raise ValueError("graphs have different orders")
-    wg = walk_matrix(g)
-    d = det(wg)
-    if d == 0:
-        raise ValueError("first graph is not controllable")
-    wh = walk_matrix(h)
-    numt = wh @ adjugate(wg)  # d * Q^T
-    try:
-        q = RatRegOrtho.from_fraction(numt.T, d)
-    except ValueError as exc:
-        raise ValueError(
-            "graphs are not generalized cospectral (no regular orthogonal "
-            f"similarity exists: {exc})"
-        ) from exc
-    # conjugation identity in exact arithmetic
-    if q.num.T @ g.adjacency() @ q.num != (q.den * q.den) * h.adjacency():
-        raise ValueError(
-            "graphs are not generalized cospectral (conjugation identity fails)"
-        )
-    return q
 
 
 def conjugate(q: RatRegOrtho, g: Graph) -> Graph:

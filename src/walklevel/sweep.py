@@ -210,10 +210,13 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.n_min < 1 or self.n_max < self.n_min:
-            raise ValueError("bad vertex range")
+        if self.n_min < 1:
+            raise ValueError(f"bad vertex range: n_min must be at least 1, got {self.n_min}")
+        if self.n_max < self.n_min:
+            raise ValueError(f"bad vertex range: n_min {self.n_min} > n_max {self.n_max}")
         if not 0 <= self.edge_prob_num <= self.edge_prob_den or self.edge_prob_den < 1:
-            raise ValueError("edge probability must be a rational in [0, 1]")
+            raise ValueError("edge probability must be a rational in [0, 1], "
+                             f"got {self.edge_prob_num}/{self.edge_prob_den}")
         if self.edge_prob_den > 1 << 64:
             raise ValueError("edge probability denominator must be at most 2^64, "
                              f"got {self.edge_prob_den}")

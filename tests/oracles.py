@@ -292,14 +292,18 @@ def bruteforce_mate_classes(g):
 
     Enumerates every graph H on n vertices with the same edge count, filters
     by float spectra of the graph and its complement (loose tolerance, then
-    exact verification), and maps each surviving H through from_pair. The
+    exact verification), and solves each surviving H for its one candidate
+    Q^T = W(H) W(G)^{-1} with sympy's exact adjugate of W(G). The
     returned set of (level, canonical scaled matrix) keys is the ground
     truth that the lattice search must reproduce. Feasible for n <= 7.
     """
     import numpy as np
 
+    from sympy import Matrix
+
     from walklevel.graphs import Graph, generalized_cospectral
-    from walklevel.ortho import from_pair
+    from walklevel.intmat import IntMatrix
+    from walklevel.ortho import RatRegOrtho, conjugate
 
     n = g.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -351,19 +355,11 @@ def bruteforce_mate_classes(g):
             candidates.extend(batch[close][ok].tolist())
 
     # exact stage: for each surviving H, build the unique candidate
-    # similarity Q^T = W(H) W(G)^{-1} from one precomputed adjugate and
-    # verify orthogonality + regularity + conjugation in integer arithmetic
-    # (the regular-orthogonal-similarity criterion); each distinct class is
-    # then cross-checked through the real from_pair constructor
-    from walklevel.intmat import adjugate, det
-    from walklevel.graphs import walk_matrix
-
-    adj_rows = [list(r) for r in g.adj]
-    w_g = walk_matrix(g)
-    d = det(w_g)
-    assert d != 0, "oracle needs a controllable graph"
-    adj_w = [list(r) for r in adjugate(w_g).data]
-
+    # similarity Q^T = W(H) W(G)^{-1} from one precomputed sympy adjugate
+    # and verify orthogonality + regularity + conjugation in integer
+    # arithmetic (the regular-orthogonal-similarity criterion); each
+    # distinct class is then cross-checked through the real RatRegOrtho
+    # constructor and conjugate
     def walk_rows(rows):
         cols = []
         v = [1] * n
@@ -371,6 +367,12 @@ def bruteforce_mate_classes(g):
             cols.append(v)
             v = [sum(rows[i][j] * v[j] for j in range(n)) for i in range(n)]
         return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+    adj_rows = [list(r) for r in g.adj]
+    w_g = Matrix(walk_rows(adj_rows))
+    d = int(w_g.det())
+    assert d != 0, "oracle needs a controllable graph"
+    adj_w = [[int(x) for x in w_g.adjugate().row(i)] for i in range(n)]
 
     classes = set()
     mates = []
@@ -420,8 +422,9 @@ def bruteforce_mate_classes(g):
         edges = [pairs[b] for b in range(nbits) if (mask >> b) & 1]
         h = Graph.from_edges(n, edges)
         assert generalized_cospectral(g, h)
-        q = from_pair(g, h)
+        q = RatRegOrtho(IntMatrix(qhat), den)
         assert q.canonical_key() == key
+        assert conjugate(q, g) == h
         mates.append((q, h))
     return classes, mates
 

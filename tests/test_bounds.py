@@ -63,7 +63,6 @@ def synthetic_profile(n, det_w, primes):
         graph=Graph.from_edges(n, []),
         W=IntMatrix.identity(n),
         det_w=det_w,
-        controllable=True,
         invariant_factors=(1,) * n,
         normalized_det=det_w // (1 << half),
         primes=primes,
@@ -124,8 +123,8 @@ class TestLevelBounds:
             assert v // 2 <= v - 1
 
     def test_uncontrollable_rejected(self):
-        prof = WalkProfile(Graph.from_edges(2, []), IntMatrix.identity(2), 0, False,
-                           (1, 1), None, {})
+        prof = WalkProfile(Graph.from_edges(2, []), IntMatrix.identity(2), 0, (1, 1),
+                           None, {})
         with pytest.raises(ValueError):
             level_bounds(prof)
 
@@ -251,7 +250,7 @@ class TestWitnessExtraction:
     def test_permutation_rejected(self):
         ex = load_worked_example()
         with pytest.raises(ValueError, match="tau = 0"):
-            extract_four_cong_witness(walk_profile(ex.graph), RatRegOrtho.identity(10), 3)
+            extract_four_cong_witness(walk_profile(ex.graph), RatRegOrtho(IntMatrix.identity(10), 1), 3)
 
     def test_even_prime_rejected(self):
         ex = load_worked_example()

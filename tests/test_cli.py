@@ -180,8 +180,13 @@ class TestUsageErrors:
         for prob in ("x", "1/2/3", "", "1/", "/2", "a/b")
     ] + [
         (["sweep", "--count", "1", "--edge-prob", prob],
-         "edge probability must be a rational in [0, 1]")
+         f"edge probability must be a rational in [0, 1], got {prob}")
         for prob in ("1/0", "3/2")
+    ] + [
+        (["sweep", "--count", "1", "--n-min", "7", "--n-max", "3"],
+         "bad vertex range: n_min 7 > n_max 3"),
+        (["sweep", "--count", "1", "--n-min", "0"],
+         "bad vertex range: n_min must be at least 1, got 0"),
     ])
     def test_bad_value_exits_1(self, argv, message, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO(ADJ_TEXT))

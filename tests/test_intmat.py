@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import charpoly_cofactor, det_cofactor, minor_gcd
 from walklevel.arith import v_p
 from walklevel.fixtures import load_worked_example
-from walklevel.intmat import IntMatrix, IntPoly, _bareiss, char_poly, det
+from walklevel.intmat import IntMatrix, _bareiss, char_poly, det
 
 small_square = st.integers(1, 4).flatmap(
     lambda n: st.lists(
@@ -211,9 +211,7 @@ class TestConstruction:
             with pytest.raises(ValueError, match=re.escape(name + ", not an integer")):
                 IntMatrix(rows)
 
-    def test_map_normalizes_and_algebra_keeps_exact_ints(self):
-        with pytest.raises(ValueError, match="not an integer"):
-            IntMatrix([[1, 2]]).map(lambda x: x / 2)
+    def test_algebra_keeps_exact_ints(self):
         a = IntMatrix([[True, 2], [3, False]])
         for m in (a + a, a - a, -a, 3 * a, a * 3, a @ a, a.T, IntMatrix.identity(3)):
             assert all(type(x) is int for row in m.data for x in row)
@@ -223,18 +221,18 @@ class TestConstruction:
 
 class TestCharPoly:
     def test_zero_matrix(self):
-        assert char_poly(IntMatrix.zeros(2, 2)) == IntPoly((0, 0, 1))
+        assert char_poly(IntMatrix.zeros(2, 2)) == (0, 0, 1)
 
     def test_single_edge(self):
         # eigenvalues +-1: x^2 - 1
-        assert char_poly(IntMatrix([[0, 1], [1, 0]])) == IntPoly((-1, 0, 1))
+        assert char_poly(IntMatrix([[0, 1], [1, 0]])) == (-1, 0, 1)
 
     def test_worked_example_frozen(self):
         # frozen output of the cofactor-expansion oracle on the bundled
         # 10-vertex adjacency matrix; recomputed live as well
         expected = (-1, 56, 90, -184, -156, 146, 102, -34, -25, 0, 1)
         a = load_worked_example().graph.adjacency()
-        assert char_poly(a).coeffs == expected
+        assert char_poly(a) == expected
         assert charpoly_cofactor([list(r) for r in a.data]) == expected
 
     def test_against_oracle_random(self):
@@ -242,15 +240,15 @@ class TestCharPoly:
         for _ in range(40):
             n = rng.randint(1, 5)
             m = rand_matrix(rng, n)
-            assert char_poly(m).coeffs == charpoly_cofactor([list(r) for r in m.data])
+            assert char_poly(m) == charpoly_cofactor([list(r) for r in m.data])
 
     def test_monic(self):
         rng = random.Random(3)
         for _ in range(20):
             m = rand_matrix(rng, rng.randint(1, 6))
             cp = char_poly(m)
-            assert cp.degree == m.rows
-            assert cp.coeffs[-1] == 1
+            assert len(cp) == m.rows + 1
+            assert cp[-1] == 1
 
     @given(st.integers(2, 8).flatmap(
         lambda n: st.lists(
@@ -266,10 +264,10 @@ class TestCharPoly:
         cp = char_poly(a)
         acc = IntMatrix.zeros(n, n)
         power = IntMatrix.identity(n)
-        for c in cp.coeffs:
+        for c in cp:
             acc = acc + c * power
             power = power @ a
-        assert acc.is_zero()
+        assert acc == IntMatrix.zeros(n, n)
 
 
 class TestValuation:
@@ -294,24 +292,3 @@ class TestValuation:
     @settings(max_examples=60, deadline=None)
     def test_additive(self, a, b, p):
         assert v_p(a * b, p) == v_p(a, p) + v_p(b, p)
-
-
-class TestIntPoly:
-    def test_normalization(self):
-        assert IntPoly((1, 2, 0, 0)).coeffs == (1, 2)
-        assert IntPoly((0, 0)).coeffs == ()
-        assert IntPoly(()).degree == -1
-
-    def test_non_integral_coefficients_refused(self):
-        # int() truncated these to (1, 2)
-        with pytest.raises(ValueError, match=r"coefficient 0 is 1\.5, not an integer"):
-            IntPoly((1.5, 2.7))
-        with pytest.raises(ValueError, match=r"coefficient 2 is '3', not an integer"):
-            IntPoly((1, 2, "3"))
-        assert IntPoly((True, False, True)).coeffs == (1, 0, 1)
-        assert all(type(c) is int for c in IntPoly((True, 2)).coeffs)
-
-    def test_eval(self):
-        p = IntPoly((-1, 0, 1))  # x^2 - 1
-        assert p(3) == 8
-        assert p(-1) == 0

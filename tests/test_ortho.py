@@ -1,15 +1,17 @@
 """Rational regular orthogonal matrices: construction, levels, conjugation."""
 
 import random
+from math import gcd
 
 import pytest
+from sympy import Matrix
 
 from oracles import conjugate_ref, random_controllable, ratregortho_error_ref
 from walklevel.errors import ConjugationError
 from walklevel.fixtures import load_worked_example
 from walklevel.graphs import Graph, walk_matrix
 from walklevel.intmat import IntMatrix
-from walklevel.ortho import RatRegOrtho, conjugate, from_pair, level
+from walklevel.ortho import RatRegOrtho, conjugate
 
 
 def random_graph(rng, n, p=0.5):
@@ -17,10 +19,21 @@ def random_graph(rng, n, p=0.5):
     return Graph.from_edges(n, edges)
 
 
+def identity(n):
+    return RatRegOrtho(IntMatrix.identity(n), 1)
+
+
+def permutation(perm):
+    """The level-1 matrix P with P[i, perm[i]] = 1, so P^T A P relabels v -> perm[v]."""
+    unit = IntMatrix.identity(len(perm)).data
+    return RatRegOrtho(IntMatrix([unit[j] for j in perm]), 1)
+
+
 def switching(n):
     """(2/n) J - I in lowest terms: regular and orthogonal, level n or n/2."""
-    return RatRegOrtho.from_fraction(
-        IntMatrix([[2 - n * (i == j) for j in range(n)] for i in range(n)]), n)
+    g = gcd(2, n)
+    return RatRegOrtho(
+        IntMatrix([[(2 - n * (i == j)) // g for j in range(n)] for i in range(n)]), n // g)
 
 
 def relabeled(rng, q):
@@ -30,10 +43,15 @@ def relabeled(rng, q):
     return RatRegOrtho(IntMatrix([[row[j] for j in perm] for row in rows]), q.den)
 
 
+def solved_q(g, h):
+    """(W(H) W(G)^{-1})^T in sympy's exact rationals."""
+    return (Matrix(walk_matrix(h).data) * Matrix(walk_matrix(g).data).inv()).T
+
+
 def valid_matrices(rng):
     ex = load_worked_example()
     base = [ex.q_level3, ex.q_level9] + [switching(n) for n in range(3, 9)]
-    base += [RatRegOrtho.from_permutation(tuple(rng.sample(range(n), n))) for n in (1, 4, 7)]
+    base += [permutation(rng.sample(range(n), n)) for n in (1, 4, 7)]
     return base + [relabeled(rng, q) for q in base for _ in range(3)]
 
 
@@ -46,20 +64,11 @@ def outcome(f, *args):
 
 class TestRatRegOrtho:
     def test_identity(self):
-        q = RatRegOrtho.identity(4)
-        assert q.level == 1
+        assert identity(4).level == 1
 
     def test_lowest_terms_enforced(self):
         with pytest.raises(ValueError):
             RatRegOrtho(3 * IntMatrix.identity(2), 3)
-
-    def test_from_fraction_reduces(self):
-        q = RatRegOrtho.from_fraction(3 * IntMatrix.identity(2), 3)
-        assert q.level == 1
-
-    def test_negative_denominator_normalized(self):
-        q = RatRegOrtho.from_fraction(-1 * IntMatrix.identity(2), -1)
-        assert q.den == 1 and q.num == IntMatrix.identity(2)
 
     def test_orthogonality_enforced(self):
         with pytest.raises(ValueError):
@@ -121,52 +130,35 @@ class TestRatRegOrtho:
 
     def test_fixture_levels(self):
         ex = load_worked_example()
-        assert level(ex.q_level3) == 3
-        assert level(ex.q_level9) == 9
-        assert level(RatRegOrtho.identity(10)) == 1
+        assert ex.q_level3.level == 3
+        assert ex.q_level9.level == 9
+        assert identity(10).level == 1
 
 
 class TestFromPair:
-    def test_same_graph_gives_identity(self):
-        rng = random.Random(3)
-        g = random_controllable(rng, 6)
-        assert from_pair(g, g) == RatRegOrtho.identity(6)
+    """Q from the pair (G, H = Q^T A(G) Q): with W(G) nonsingular,
+    num^T W(G) = den W(H) leaves one Q, which sympy solves for exactly."""
 
     def test_relabeling_gives_permutation(self):
         rng = random.Random(4)
         g = random_controllable(rng, 7)
-        perm = tuple(rng.sample(range(7), 7))
+        perm = rng.sample(range(7), 7)
         h = g.relabel(perm)
-        q = from_pair(g, h)
-        assert q.level == 1
-        assert q == RatRegOrtho.from_permutation(perm)
+        q = permutation(perm)
+        assert conjugate(q, g) == h
+        assert solved_q(g, h) == Matrix(q.num.data)
 
     def test_worked_example_level3(self):
         ex = load_worked_example()
         h1 = conjugate(ex.q_level3, ex.graph)
-        q = from_pair(ex.graph, h1)
-        assert q == ex.q_level3
-        assert q.level == 3
+        assert solved_q(ex.graph, h1) == Matrix(ex.q_level3.num.data) / 3
+        assert ex.q_level3.level == 3
 
     def test_worked_example_level9(self):
         ex = load_worked_example()
         h2 = conjugate(ex.q_level9, ex.graph)
-        q = from_pair(ex.graph, h2)
-        assert q == ex.q_level9
-        assert q.level == 9
-
-    def test_uncontrollable_rejected(self):
-        g = Graph.from_edges(2, [(0, 1)])
-        with pytest.raises(ValueError):
-            from_pair(g, g)
-
-    def test_non_cospectral_rejected(self):
-        rng = random.Random(5)
-        g = random_controllable(rng, 6)
-        h = random_controllable(rng, 6)
-        if g != h:
-            with pytest.raises(ValueError):
-                from_pair(g, h)
+        assert solved_q(ex.graph, h2) == Matrix(ex.q_level9.num.data) / 9
+        assert ex.q_level9.level == 9
 
     def test_walk_transport_identity(self):
         # num^T W(G) = den W(H) exactly, for the bundled pair
@@ -179,7 +171,7 @@ class TestConjugate:
     def test_identity_fixes(self):
         rng = random.Random(6)
         g = random_graph(rng, 8)
-        assert conjugate(RatRegOrtho.identity(8), g) == g
+        assert conjugate(identity(8), g) == g
 
     def test_fixture_mates_valid_and_distinct(self):
         from walklevel.graphs import isomorphic
@@ -244,7 +236,7 @@ class TestConjugate:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            conjugate(RatRegOrtho.identity(3), Graph.from_edges(2, []))
+            conjugate(identity(3), Graph.from_edges(2, []))
 
 
 class TestLevelOneIsPermutation:
@@ -253,7 +245,7 @@ class TestLevelOneIsPermutation:
         rng = random.Random(8)
         for _ in range(10):
             perm = tuple(rng.sample(range(6), 6))
-            q = RatRegOrtho.from_permutation(perm)
+            q = permutation(perm)
             assert q.level == 1
             cols = sorted(q.num.T.data)
             assert cols == sorted(IntMatrix.identity(6).data)
