@@ -52,8 +52,10 @@ def main():
     ]
     for mat, label in examples:
         ks = kernel_shape(mat, 3, 2)
+        # |ker| = 9^(free rank) * 3^(sum of the torsion exponents)
+        size = ks.modulus ** ks.free_rank * 3 ** sum(ks.torsion_exponents)
         print(f"  {label}: torsion exponents {ks.torsion_exponents}, "
-              f"free rank {ks.free_rank}, kernel size {ks.size}")
+              f"free rank {ks.free_rank}, kernel size {size}")
         if ks.free_basis:
             print(f"    free basis: {list(ks.free_basis)}")
 

@@ -25,13 +25,7 @@ from math import gcd
 from .analysis import analyze, check_classes
 from .arith import divisors
 from .bounds import level_bounds
-from .errors import (
-    ConjugationError,
-    FactorizationError,
-    InvariantError,
-    ParseError,
-    SearchCapExceeded,
-)
+from .errors import FactorizationError, InvariantError, ParseError, SearchCapExceeded
 from .fixtures import _parse_numbered_lines, parse_int_matrix_text
 from .graphs import Graph, emit_graph6, parse_graph6, walk_profile
 from .intmat import IntMatrix, det
@@ -461,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _main_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
         args.func(args)
-    except (ValueError, ConjugationError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 1
     except (SearchCapExceeded, FactorizationError) as exc:

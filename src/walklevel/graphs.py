@@ -215,14 +215,13 @@ class WalkProfile:
     (the sum of v_p(d_i) and the count of d_i prime to p); it is empty for
     non-controllable graphs. ``normalized_det`` is det W divided by
     2^floor(n/2) (that power always divides det W; a violation would be an
-    internal error, not a property of the input).
+    internal error, not a property of the input), or None when det W = 0.
     """
 
     graph: Graph
     W: IntMatrix
     det_w: int
     invariant_factors: tuple[int, ...]
-    normalized_det: int | None
     primes: Mapping[int, tuple[int, int]]
 
     @property
@@ -232,6 +231,10 @@ class WalkProfile:
     @property
     def controllable(self) -> bool:
         return self.det_w != 0
+
+    @property
+    def normalized_det(self) -> int | None:
+        return self.det_w // (1 << (self.n // 2)) if self.det_w else None
 
     @property
     def d_n(self) -> int:
@@ -302,7 +305,7 @@ def walk_profile(g: Graph, primes: str | Iterable[int] = "auto") -> WalkProfile:
     if prof is not None:
         return prof
     w = walk_matrix(g)
-    return WalkProfile(g, w, 0, _factors_over_z(w.data), None, {})
+    return WalkProfile(g, w, 0, _factors_over_z(w.data), {})
 
 
 def _controllable_profile(adj, primes: str | Iterable[int] = "auto",
@@ -338,7 +341,7 @@ def _controllable_profile(adj, primes: str | Iterable[int] = "auto",
         for p in plist:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
-    return WalkProfile(Graph(adj) if g is None else g, IntMatrix(rows), d, factors, nd,
+    return WalkProfile(Graph(adj) if g is None else g, IntMatrix(rows), d, factors,
                        {p: _row(factors, p) for p in plist})
 
 

@@ -11,7 +11,7 @@ assembles full matrices from pairwise compatible columns
     v_i . v_j = 0,   v_i^T A v_j in {0, l^2},   v_i^T A v_i = 0.
 
 Columns. The congruence confines v mod l to ker(W^T mod l), whose
-generators ``snf._kernel_generators`` gives. The two equations then fix the
+generators ``snf._kernel_mod`` gives. The two equations then fix the
 shape of v given its residue r (entries in [0, l)). v.v = l^2 bounds every
 |v_i| by l, and an entry +-l forces v = l e_i, so residue 0 gives exactly
 the n units l e_i. For r != 0, v = r - l 1_S with S a subset of supp(r);
@@ -49,7 +49,7 @@ from .errors import SearchCapExceeded
 from .graphs import Graph, WalkProfile
 from .intmat import IntMatrix
 from .ortho import RatRegOrtho, conjugate
-from .snf import _diagonal_mod, _identity, _kernel_generators
+from .snf import _kernel_mod
 
 CANDIDATE_CAP = 10**6
 NODE_CAP = 10**8
@@ -79,7 +79,7 @@ def enumerate_columns(
     """All integer vectors v with v.v = level^2, e.v = level, W^T v = 0 mod level.
 
     Residues mod level run over ker(W^T mod level), one generator
-    (``snf._kernel_generators``) added per step.
+    (``snf._kernel_mod``) added per step.
 
     Residue 0 gives exactly the n units level * e_i, and each other residue
     r gives the columns r - level * 1_S with |S| = k and sum of r over S
@@ -92,9 +92,7 @@ def enumerate_columns(
     n = prof.n
 
     # the orders multiply to the product of gcd(d_i, level) over W's factors
-    v = _identity(n)
-    diag = _diagonal_mod([[x % level for x in row] for row in prof.W.T.data], level, v=v)
-    gens = sorted(_kernel_generators(diag, v, level), reverse=True)
+    gens = sorted(_kernel_mod(prof.W.T.data, n, level), reverse=True)
     radices = [order for order, _ in gens]
     if prod(radices) > cap:
         raise SearchCapExceeded(

@@ -5,34 +5,36 @@ U*M*V = S in the stated ring. Over Z the transforms are unimodular; over
 Z/p^kZ their determinants are units, and every nonzero invariant factor is
 normalized to a pure prime power p^c with 0 <= c < k.
 
-One modular elimination, ``_diagonal_mod`` over Z/dZ, serves
-``snf_mod_pk`` (with U and V), the invariant factors (without), and
-``dn_test`` and ``matesearch.enumerate_columns`` (with V alone); these two
-and ``_kernel`` read ker(M mod d) off it through ``_kernel_generators``. The
-integer elimination runs only in ``snf_int``, for ``walklevel snf``, and
-in ``_factors_over_z``, the invariant factors of a singular, non-square or
-empty matrix. A nonempty square matrix takes one path,
-``_det_and_factors``, shared by ``invariant_factors`` and ``walk_profile``:
-one ``intmat._bareiss`` pass pivots on entries of least 2-adic valuation
-and gives det, v_2(d_1), ..., v_2(d_{n-1}) off its pivots, a modulus
-M = gcd(|det|, h) with h a gcd of (n-1)-minors, and a trailing block T_k
-such that the matrix is I_k (+) T_k over Z/mZ, m the odd part of M (k >= 1
-on walk matrices, whose first pivot is 1). ``_factors_from_block``
-eliminates T_k alone modulo m, and only when m > 1, which on walk matrices
-is rare: 2 carries most of d_1...d_{n-1}. M is a multiple of
-d_1...d_{n-1}, so this gives d_1, ..., d_{n-1} exactly, and d_n is
-recomputed as |det| / (d_1...d_{n-1}). Since U and V are unimodular, the
-rank of a matrix mod p is the number of its invariant factors prime to p,
-and v_p(det) is the sum of their valuations: ``walk_profile`` reads its
-prime table that way. ``rank_mod_p`` (a plain GF(p) elimination) has no
-caller in the pipeline; it stays public because the tests use it as an
-oracle and the benchmark's span list names it.
+One modular elimination, ``_diagonal_mod`` over Z/dZ, serves ``snf_mod_pk``
+(with U and V), the invariant factors (without), and ``_kernel_mod`` (with
+V alone), which gives ker(M mod d) to ``dn_test`` and
+``matesearch.enumerate_columns``. The integer elimination runs only in
+``snf_int``, for ``walklevel snf``, and in ``_factors_over_z``, the
+invariant factors of a singular, non-square or empty matrix. A nonempty
+square matrix takes one path, ``_det_and_factors``, shared by
+``invariant_factors`` and ``walk_profile``: one ``intmat._bareiss`` pass
+pivots on entries of least 2-adic valuation and gives det, v_2(d_1), ...,
+v_2(d_{n-1}) off its pivots, a modulus M = gcd(|det|, h) with h a gcd of
+(n-1)-minors, and a trailing block T_k such that the matrix is I_k (+) T_k
+over Z/mZ, m the odd part of M (k >= 1 on walk matrices, whose first pivot
+is 1). ``_factors_from_block`` eliminates T_k alone modulo m, and only when
+m > 1, which on walk matrices is rare: 2 carries most of d_1...d_{n-1}. M
+is a multiple of d_1...d_{n-1}, so this gives d_1, ..., d_{n-1} exactly,
+and d_n is recomputed as |det| / (d_1...d_{n-1}). Since U and V are
+unimodular, the rank of a matrix mod p is the number of its invariant
+factors prime to p, and v_p(det) is the sum of their valuations:
+``walk_profile`` reads its prime table that way. ``rank_mod_p`` counts the
+pivots of the one GF(p) elimination, ``_pivot_rows_mod_p``, whose pivot
+rows ``extend_basis`` reads. It has no caller in the pipeline; it stays
+public because the tests use it as an oracle and the benchmark's span list
+names it.
 
 On top of the forms sit the module-theoretic helpers: solvability of
 M x = b over Z/p^kZ, kernel structure, the "does M z = 0 have a unit-entry
 solution mod p^k" test, and basis extension inside free submodules. Three
 private readers take one decomposition U M V = S over Z/p^kZ: ``_solve``
-(M x = b through U and S), ``_kernel`` (ker M off ``_kernel_generators``) and
+(M x = b through U and S, for every vector of an ``extend_basis`` call),
+``_kernel`` (ker M off ``_kernel_generators``) and
 ``_augmented_factors`` (the factors of [M | b] as those of [S | U b]).
 ``verify_proof_lemmas`` makes one such decomposition per witness; its
 factors gcd(f_i, p^k) of the factors f_i over Z also decide the shape over Z.
@@ -92,26 +94,6 @@ class KernelShape:
     free_rank: int
     modulus: int
     free_basis: tuple[tuple[int, ...], ...] | None
-
-    @property
-    def size(self) -> int:
-        total = self.modulus ** self.free_rank
-        if self.torsion_exponents:
-            total *= _prime_of_modulus(self.modulus) ** sum(self.torsion_exponents)
-        return total
-
-
-def _prime_of_modulus(q: int) -> int:
-    """p for q = p^k: the exact integer k-th root of q for the largest k."""
-    if q < 2:
-        raise ValueError("modulus must be a prime power > 1")
-    for k in range(q.bit_length() - 1, 1, -1):
-        r = 1 << -(-q.bit_length() // k)  # r^k > q; Newton steps fall to the root
-        while (s := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
-            r = s
-        if r ** k == q:
-            return r
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -548,20 +530,28 @@ def rank_mod_p(m: IntMatrix, p: int) -> int:
     """Rank of the projection of m over the field Z/pZ, by Gaussian elimination."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    rows = [[x % p for x in row] for row in m.data]
-    rank = 0
-    for col in range(m.cols):
-        i = next((i for i, row in enumerate(rows) if row[col]), None)
+    return len(_pivot_rows_mod_p(m.data, p))
+
+
+def _pivot_rows_mod_p(rows, p: int) -> list[int]:
+    """The pivot row of each column that has one, in column order, of the
+    Gaussian elimination over Z/pZ of the matrix with these rows; a column's
+    pivot is the first unused row that is nonzero there."""
+    work = [[x % p for x in row] for row in rows]
+    unused = list(range(len(work)))
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        i = next((i for i in unused if work[i][col]), None)
         if i is None:
             continue
-        top = rows.pop(i)
-        rank += 1
-        inv = pow(top[col], -1, p)
-        for k, row in enumerate(rows):
-            if row[col]:
-                f = row[col] * inv % p
-                rows[k] = [(x - f * y) % p for x, y in zip(row, top)]
-    return rank
+        unused.remove(i)
+        pivots.append(i)
+        inv = pow(work[i][col], -1, p)
+        for j in unused:
+            if work[j][col]:
+                f = work[j][col] * inv % p
+                work[j] = [(x - f * y) % p for x, y in zip(work[j], work[i])]
+    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +598,14 @@ def _kernel_generators(diag, v, m: int) -> list[tuple[int, tuple[int, ...]]]:
             for j, g in enumerate(gs) if g > 1]
 
 
+def _kernel_mod(rows, cols: int, m: int) -> list[tuple[int, tuple[int, ...]]]:
+    """ker(M mod m) for the matrix M with these rows and ``cols`` columns:
+    the ``_kernel_generators`` of one ``_diagonal_mod`` with V alone."""
+    v = _identity(cols)
+    diag = _diagonal_mod([[x % m for x in row] for row in rows], m, v=v)
+    return _kernel_generators(diag, v, m)
+
+
 def _kernel(res: SnfResult) -> KernelShape:
     """Structure of ker(M) over Z/p^kZ, read off res = (U, S, V) of M."""
     p, q = res.ring.p, res.ring.modulus
@@ -628,24 +626,29 @@ def _augmented_factors(res: SnfResult, b) -> tuple[int, ...]:
     return tuple(x for x in _diagonal_mod(rows, q) if x < q)
 
 
+def _checked_solutions(m: IntMatrix, vectors, p: int, k: int):
+    """For each b in turn, one x with M x = b over Z/p^kZ or None, all through
+    one ``snf_mod_pk`` (``_solve``); each x is checked against the system."""
+    res = None
+    for b in vectors:
+        if len(b) != m.rows:
+            raise ValueError("right-hand side length does not match row count")
+        if res is None:
+            res = snf_mod_pk(m, p, k)
+            q = res.ring.modulus
+        x = _solve(res, b)
+        if x is not None and [val % q for val in m.mat_vec(x)] != [val % q for val in b]:
+            raise InvariantError("extracted solution does not satisfy the system")
+        yield x
+
+
 def solvable_mod_pk(
     m: IntMatrix, b: tuple[int, ...] | list[int], p: int, k: int
 ) -> tuple[bool, tuple[int, ...] | None]:
-    """Decide M x = b over Z/p^kZ; return (solvable, one solution or None).
-
-    Solvability and the solution are both read through the U and S of one
-    decomposition U M V = S (``_solve``), and the solution is checked
-    against the system.
-    """
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length does not match row count")
-    q = p ** k
-    x = _solve(snf_mod_pk(m, p, k), b)
-    if x is None:
-        return False, None
-    if tuple(val % q for val in m.mat_vec(x)) != tuple(val % q for val in b):
-        raise InvariantError("extracted solution does not satisfy the system")
-    return True, x
+    """Decide M x = b over Z/p^kZ; return (solvable, one solution or None),
+    both read through one decomposition U M V = S (``_checked_solutions``)."""
+    x = next(_checked_solutions(m, [b], p, k))
+    return x is not None, x
 
 
 def kernel_shape(m: IntMatrix, p: int, k: int) -> KernelShape:
@@ -659,16 +662,14 @@ def dn_test(m: IntMatrix, p: int, k: int) -> tuple[bool, tuple[int, ...] | None]
     For an m x n integral matrix with m >= n this holds exactly when p^k
     divides the n-th invariant factor over Z, that is when a generator of
     ker(M) over Z/p^kZ has order p^k (the others are 0 mod p); the witness
-    is the last such generator (``_kernel_generators``).
+    is the last such generator (``_kernel_mod``).
     """
     if not is_prime(p) or k < 1:
         raise ValueError(f"need a prime p and k >= 1, got p = {p}, k = {k}")
     if m.rows < m.cols:
         raise ValueError("matrix must have at least as many rows as columns")
     q = p ** k
-    v = _identity(m.cols)
-    diag = _diagonal_mod([[x % q for x in row] for row in m.data], q, v=v)
-    z = next((z for g, z in reversed(_kernel_generators(diag, v, q)) if g == q), None)
+    z = next((z for g, z in reversed(_kernel_mod(m.data, m.cols, q)) if g == q), None)
     if z is None:
         return False, None
     if all(x % p == 0 for x in z):
@@ -676,28 +677,6 @@ def dn_test(m: IntMatrix, p: int, k: int) -> tuple[bool, tuple[int, ...] | None]
     if any(x % q for x in m.mat_vec(z)):
         raise InvariantError("witness fails M z = 0 mod p^k")
     return True, z
-
-
-def _pivot_rows_mod_p(columns: list[list[int]], nrows: int, p: int) -> list[int] | None:
-    """Row indices pivoting the given columns over Z/pZ; None if dependent."""
-    work = [[c[i] % p for c in columns] for i in range(nrows)]
-    used: list[int] = []
-    for col in range(len(columns)):
-        pivot_row = None
-        for i in range(nrows):
-            if i not in used and work[i][col] % p:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return None
-        used.append(pivot_row)
-        inv = pow(work[pivot_row][col], -1, p)
-        work[pivot_row] = [(inv * x) % p for x in work[pivot_row]]
-        for i in range(nrows):
-            if i != pivot_row and work[i][col]:
-                f = work[i][col]
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[pivot_row])]
-    return used
 
 
 def extend_basis(
@@ -720,31 +699,29 @@ def extend_basis(
     basis_mat = IntMatrix.from_columns(free_module_basis)
 
     coords = []
-    for vec in vectors:
-        ok, x = solvable_mod_pk(basis_mat, vec, p, k)
-        if not ok:
+    for x in _checked_solutions(basis_mat, vectors, p, k):
+        if x is None:
             raise ValueError("vector does not lie in the given free module")
-        coords.append(list(x))
+        coords.append(x)
 
     if not vectors:
         return list(free_module_basis)
 
-    pivots = _pivot_rows_mod_p(coords, rank, p)
-    if pivots is None:
+    # row i of the coordinate matrix holds the i-th coordinate of each vector
+    pivots = _pivot_rows_mod_p(list(zip(*coords)), p)
+    if len(pivots) < len(vectors):
         raise ValueError("vectors are linearly dependent mod p")
     if len(vectors) == rank:
         return list(vectors)
 
     complement = [i for i in range(rank) if i not in pivots]
-    completion = [free_module_basis[i] for i in complement]
 
     # final safety: coordinates of the completed set must be invertible mod p
-    full = [list(c) for c in coords]
+    full = list(coords)
     for i in complement:
         e = [0] * rank
         e[i] = 1
         full.append(e)
-    if _pivot_rows_mod_p(full, rank, p) is None:
+    if len(_pivot_rows_mod_p(full, p)) < rank:
         raise InvariantError("completed set is not a basis mod p")
-    out = list(vectors) + [tuple(x % q for x in w) for w in completion]
-    return out
+    return list(vectors) + [tuple(x % q for x in free_module_basis[i]) for i in complement]

@@ -58,13 +58,11 @@ def pool_graphs():
 def synthetic_profile(n, det_w, primes):
     """A WalkProfile stub with just the fields the bound rules read; its
     graph is the edgeless one, which only gives n."""
-    half = n // 2
     return WalkProfile(
         graph=Graph.from_edges(n, []),
         W=IntMatrix.identity(n),
         det_w=det_w,
         invariant_factors=(1,) * n,
-        normalized_det=det_w // (1 << half),
         primes=primes,
     )
 
@@ -123,8 +121,7 @@ class TestLevelBounds:
             assert v // 2 <= v - 1
 
     def test_uncontrollable_rejected(self):
-        prof = WalkProfile(Graph.from_edges(2, []), IntMatrix.identity(2), 0, (1, 1),
-                           None, {})
+        prof = WalkProfile(Graph.from_edges(2, []), IntMatrix.identity(2), 0, (1, 1), {})
         with pytest.raises(ValueError):
             level_bounds(prof)
 

@@ -25,6 +25,8 @@ REMOVED = {
     "walklevel.ortho.RatRegOrtho": ("from_fraction", "from_permutation", "identity"),
     "walklevel.intmat": ("adjugate", "IntPoly"),
     "walklevel.intmat.IntMatrix": ("minor", "map", "mod", "is_zero"),
+    "walklevel.snf": ("_prime_of_modulus",),
+    "walklevel.snf.KernelShape": ("size",),
 }
 
 

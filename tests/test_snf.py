@@ -1,7 +1,6 @@
 """Smith forms over Z and Z/p^kZ against gcd-of-minors and exhaustive oracles."""
 
 import random
-import time
 import warnings
 from math import gcd, prod
 
@@ -36,7 +35,7 @@ from walklevel.snf import (
     _factors_from_block,
     _identity,
     _kernel_generators,
-    _prime_of_modulus,
+    _kernel_mod,
     _solve,
     dn_test,
     extend_basis,
@@ -725,12 +724,18 @@ class TestAugmentedFactors:
         assert _augmented_factors(res, z) == want
 
 
+def kernel_size(ks, p):
+    """|ker M| = q^free_rank * p^(sum of c_i) for a kernel of shape
+    (+)_i Z/p^{c_i}Z (+) (Z/qZ)^free_rank, q = p^k."""
+    return ks.modulus ** ks.free_rank * p ** sum(ks.torsion_exponents)
+
+
 class TestKernelShape:
     def test_single_p(self):
         ks = kernel_shape(IntMatrix([[3]]), 3, 2)
         assert ks.torsion_exponents == (1,)
         assert ks.free_rank == 0
-        assert ks.size == 3
+        assert kernel_size(ks, 3) == 3
 
     def test_corank_one_free(self):
         # units then one zero: free rank 1 with an explicit basis
@@ -748,7 +753,7 @@ class TestKernelShape:
         for _ in range(25):
             m = rand_matrix(rng, 2, 3)
             ks = kernel_shape(m, 3, 2)
-            assert ks.size == exhaustive_kernel_count([list(r) for r in m.data], 3, 2)
+            assert kernel_size(ks, 3) == exhaustive_kernel_count([list(r) for r in m.data], 3, 2)
 
     def test_free_basis_spans(self):
         # when the kernel is free, every exhaustive kernel vector must be a
@@ -756,26 +761,7 @@ class TestKernelShape:
         m = IntMatrix([[1, 2, 0], [0, 3, 0]])
         ks = kernel_shape(m, 3, 1)
         count = exhaustive_kernel_count([list(r) for r in m.data], 3, 1)
-        assert ks.size == count
-
-    def test_size_with_torsion_at_a_large_prime(self):
-        # p is the exact square root of the modulus, not found by trial division
-        p = 2**31 - 1
-        start = time.perf_counter()
-        ks = kernel_shape(IntMatrix([[p, 0], [0, 1]]), p, 2)
-        assert ks.torsion_exponents == (1,) and ks.free_rank == 0
-        assert ks.size == p
-        assert time.perf_counter() - start < 1.0
-
-    @pytest.mark.parametrize("p", [2, 3, 9973, 2**31 - 1, 2**61 - 1])
-    @pytest.mark.parametrize("k", [1, 2, 3, 5, 13])
-    def test_prime_of_modulus(self, p, k):
-        assert _prime_of_modulus(p**k) == p
-
-    @pytest.mark.parametrize("q", [1, 0, -4])
-    def test_prime_of_modulus_rejects_no_prime_power(self, q):
-        with pytest.raises(ValueError):
-            _prime_of_modulus(q)
+        assert kernel_size(ks, 3) == count
 
 
 class TestKernelGenerators:
@@ -784,9 +770,7 @@ class TestKernelGenerators:
     @staticmethod
     def check(rows, m):
         cols = len(rows[0])
-        v = _identity(cols)
-        diag = _diagonal_mod([[x % m for x in row] for row in rows], m, v=v)
-        pairs = _kernel_generators(diag, v, m)
+        pairs = _kernel_mod(rows, cols, m)
         kernel = {z for z in all_vectors_mod(m, cols) if not any(matvec_mod(rows, z, m))}
         for order, z in pairs:
             assert order > 1 and m % order == 0
@@ -924,6 +908,21 @@ class TestExtendBasis:
     def test_empty_input_returns_basis(self):
         basis = [(1, 0), (0, 1)]
         assert extend_basis([], basis, 3, 2) == basis
+
+    def test_one_decomposition_per_call(self, count_calls):
+        # every vector is solved through one Smith form of the basis matrix,
+        # so the p = 2 warning comes once per call too
+        calls = count_calls(snf.snf_mod_pk)
+        basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+        vs = [(1, 2, 0, 0), (0, 1, 3, 0), (0, 0, 1, 1)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = extend_basis(vs, basis, 2, 3)
+        assert out == [*vs, (0, 0, 0, 1)]
+        assert len(calls) == 1
+        assert len(caught) == 1
+        assert extend_basis(vs[:2], basis, 3, 2) == [*vs[:2], (0, 0, 1, 0), (0, 0, 0, 1)]
+        assert len(calls) == 2
 
     def test_completion_invertible_mod_p(self):
         rng = random.Random(41)
