@@ -39,11 +39,11 @@ def describe(g, label):
     cert = dgs_certificate(prof)
     print(f"  determined-by-generalized-spectrum: {cert.status} ({cert.reason})")
     fam = family_membership(prof)
-    if fam.is_member:
+    if fam.exponent in (2, 3):
         print(f"  normalized det = {fam.prime}^{fam.exponent} * {fam.cofactor}: "
               f"at most one cospectral mate")
     mcb = mate_count_bounds(prof)
-    if mcb.applicable:
+    if mcb.basic is not None:
         print(f"  mate-count bounds from d_n: improved {mcb.improved}, "
               f"basic {mcb.basic}")
 

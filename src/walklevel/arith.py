@@ -7,9 +7,9 @@ them in increasing order, up to the point where p^2 > g leaves g itself
 prime, replaces about 1,200 big-integer remainders with one gcd and a few
 small-integer ones. The cofactor has no prime below 10^4, so below 10007^2
 it is prime; otherwise it goes to Brent's cycle variant of Pollard rho
-(Brent 1980), which finds a prime factor p in about sqrt(p) steps, with an
-explicit work budget so callers can fail loudly instead of hanging on
-adversarial inputs. The bound stays at least the default
+(Brent 1980), which finds a prime factor p in about sqrt(p) steps, under
+the work budget ``RHO_BUDGET`` so callers can fail loudly instead of
+hanging on adversarial inputs. The bound stays at least the default
 ``walklevel mates --level-cap`` (1000), so every prime below that cap is
 found without rho.
 """
@@ -22,6 +22,7 @@ from typing import Mapping
 from .errors import FactorizationError
 
 TRIAL_DIVISION_BOUND = 10**4
+RHO_BUDGET = 10**6  # rho steps per attempt on one cofactor
 
 
 def _primes_below(bound: int) -> tuple[int, ...]:
@@ -124,10 +125,10 @@ def _pollard_brent(n: int, budget: int, seed: int = 1) -> int | None:
     return g if g != n else None
 
 
-def factorize(n: int, budget: int = 10**6) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}.
 
-    Raises FactorizationError (with the partial result) if the rho budget
+    Raises FactorizationError (with the partial result) if ``RHO_BUDGET``
     runs out on some cofactor.
     """
     if n == 0:
@@ -160,7 +161,7 @@ def factorize(n: int, budget: int = 10**6) -> dict[int, int]:
             continue
         f = None
         for seed in range(8):
-            f = _pollard_brent(m, budget, seed)
+            f = _pollard_brent(m, RHO_BUDGET, seed)
             if f is not None and 1 < f < m:
                 break
             f = None

@@ -80,12 +80,6 @@ class LevelBoundReport:
     entries: tuple[PrimeBound, ...]
     overall_divisor: int | None  # every admissible level divides this, when known
 
-    def bound_for(self, p: int) -> PrimeBound | None:
-        for e in self.entries:
-            if e.prime == p:
-                return e
-        return None
-
     def as_dict(self) -> dict:
         return {
             "per_prime": [e.as_dict() for e in self.entries],
@@ -126,10 +120,6 @@ class DgsCertificate(Report):
     status: str  # "DGS" | "Unknown"
     reason: str
 
-    @property
-    def is_dgs(self) -> bool:
-        return self.status == "DGS"
-
 
 def dgs_certificate(profile: WalkProfile) -> DgsCertificate:
     """Certify determination-by-generalized-spectrum when the normalized
@@ -156,14 +146,6 @@ class FamilyMembership(Report):
     exponent: int | None  # 2, 3 or None
     prime: int | None
     cofactor: int | None
-
-    @property
-    def is_member(self) -> bool:
-        return self.exponent in (2, 3)
-
-    @property
-    def in_square_family(self) -> bool:
-        return self.exponent == 2
 
 
 def family_membership(profile: WalkProfile) -> FamilyMembership:
@@ -194,10 +176,6 @@ class MateCountBounds(Report):
     basic: int | None
     improved: int | None
     reason: str
-
-    @property
-    def applicable(self) -> bool:
-        return self.basic is not None
 
 
 def mate_count_bounds(profile: WalkProfile) -> MateCountBounds:

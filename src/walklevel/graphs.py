@@ -92,15 +92,6 @@ class Graph:
             for i in range(n)
         ))
 
-    def relabel(self, perm: tuple[int, ...]) -> "Graph":
-        """Image under the vertex map v -> perm[v]."""
-        n = self.n
-        adj = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                adj[perm[i]][perm[j]] = self.adj[i][j]
-        return Graph(tuple(tuple(row) for row in adj))
-
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
@@ -301,16 +292,18 @@ def walk_profile(g: Graph, primes: str | Iterable[int] = "auto") -> WalkProfile:
     graph whose Bareiss pass finds det W = 0 gets the integer elimination
     alone.
     """
-    prof = _controllable_profile(g.adj, primes, g)
+    rows = _walk_rows(g.adj)
+    prof = _controllable_profile(g.adj, rows, primes, g)
     if prof is not None:
         return prof
-    w = walk_matrix(g)
+    w = IntMatrix(rows)
     return WalkProfile(g, w, 0, _factors_over_z(w.data), {})
 
 
-def _controllable_profile(adj, primes: str | Iterable[int] = "auto",
+def _controllable_profile(adj, rows, primes: str | Iterable[int] = "auto",
                           g: Graph | None = None) -> WalkProfile | None:
-    """walk_profile of the graph on the 0-1 rows ``adj``, or None when det W = 0.
+    """walk_profile of the graph on the 0-1 rows ``adj``, whose W has the
+    rows ``rows`` (``_walk_rows(adj)``), or None when det W = 0.
 
     Two equal walk rows make det W = 0, so such a graph is turned away
     before any Bareiss pass; otherwise one pass decides. ``g`` is that
@@ -318,7 +311,6 @@ def _controllable_profile(adj, primes: str | Iterable[int] = "auto",
     validated only once det W != 0, so the sweep makes no Graph of a draw
     it rejects.
     """
-    rows = _walk_rows(adj)
     n = len(rows)
     if len(set(rows)) < n:
         return None
@@ -386,16 +378,17 @@ def _refine_colors(g: Graph, colors: list[int]) -> list[int]:
         colors = new
 
 
-def isomorphic(g: Graph, h: Graph, size_limit: int = ISOMORPHISM_SIZE_LIMIT) -> bool:
+def isomorphic(g: Graph, h: Graph) -> bool:
     """Exact isomorphism test by color refinement plus backtracking.
 
-    Meant for desk scale; raises for graphs above ``size_limit`` vertices.
+    Meant for desk scale; raises for graphs above ``ISOMORPHISM_SIZE_LIMIT``
+    vertices.
     """
     if g.n != h.n:
         raise ValueError("graphs have different orders")
     n = g.n
-    if n > size_limit:
-        raise ValueError(f"isomorphism test limited to n <= {size_limit}")
+    if n > ISOMORPHISM_SIZE_LIMIT:
+        raise ValueError(f"isomorphism test limited to n <= {ISOMORPHISM_SIZE_LIMIT}")
     if g.edge_count != h.edge_count:
         return False
     if sorted(g.degrees()) != sorted(h.degrees()):

@@ -77,10 +77,6 @@ class IntMatrix:
         return cls._wrap(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)))
-
-    @classmethod
     def diag(cls, entries: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
         r = rows if rows is not None else len(entries)
         c = cols if cols is not None else len(entries)
@@ -114,9 +110,6 @@ class IntMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
 
     @property
     def is_square(self) -> bool:

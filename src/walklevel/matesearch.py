@@ -73,9 +73,7 @@ class MateClass:
         return self.level == 1
 
 
-def enumerate_columns(
-    prof: WalkProfile, level: int, *, cap: int = CANDIDATE_CAP
-) -> list[tuple[int, ...]]:
+def enumerate_columns(prof: WalkProfile, level: int) -> list[tuple[int, ...]]:
     """All integer vectors v with v.v = level^2, e.v = level, W^T v = 0 mod level.
 
     Residues mod level run over ker(W^T mod level), one generator
@@ -94,13 +92,13 @@ def enumerate_columns(
     # the orders multiply to the product of gcd(d_i, level) over W's factors
     gens = sorted(_kernel_mod(prof.W.T.data, n, level), reverse=True)
     radices = [order for order, _ in gens]
-    if prod(radices) > cap:
+    if prod(radices) > CANDIDATE_CAP:
         raise SearchCapExceeded(
-            f"kernel of W^T mod {level} has more than {cap} residue classes")
+            f"kernel of W^T mod {level} has more than {CANDIDATE_CAP} residue classes")
 
     out = [tuple(level if i == j else 0 for i in range(n)) for j in range(n)]
-    if len(out) > cap:
-        raise SearchCapExceeded(f"more than {cap} column candidates at level {level}")
+    if len(out) > CANDIDATE_CAP:
+        raise SearchCapExceeded(f"more than {CANDIDATE_CAP} column candidates at level {level}")
     # odometer, one digit per generator, the largest order turning fastest
     # so that most steps stop at digit 0. Advancing digit d adds its
     # generator and wraps the digits before it, each wrap adding one more
@@ -119,12 +117,12 @@ def enumerate_columns(
         else:
             break
         residue = [(a + b) % level for a, b in zip(residue, steps[j])]
-        _residue_columns(residue, level, out, cap)
+        _residue_columns(residue, level, out)
     out.sort()
     return out
 
 
-def _residue_columns(residue: list[int], level: int, out: list, cap: int) -> None:
+def _residue_columns(residue: list[int], level: int, out: list) -> None:
     """Append to ``out`` every column with the nonzero residue r mod level.
 
     v.v = l^2 gives |v_i| <= l, and an entry +-l would force v = l e_i,
@@ -136,7 +134,7 @@ def _residue_columns(residue: list[int], level: int, out: list, cap: int) -> Non
     column. Otherwise S runs over the k-subsets of supp(r) with sum T,
     values sorted ascending: the sums of the ``need`` smallest and largest
     values left bound what a branch can still reach. Raises
-    SearchCapExceeded once ``out`` holds more than ``cap`` columns.
+    SearchCapExceeded once ``out`` holds more than ``CANDIDATE_CAP`` columns.
     """
     total = sum(residue)
     if total % level:
@@ -158,9 +156,9 @@ def _residue_columns(residue: list[int], level: int, out: list, cap: int) -> Non
                 for a in chosen:
                     col[support[a][1]] -= level
                 out.append(tuple(col))
-                if len(out) > cap:
+                if len(out) > CANDIDATE_CAP:
                     raise SearchCapExceeded(
-                        f"more than {cap} column candidates at level {level}"
+                        f"more than {CANDIDATE_CAP} column candidates at level {level}"
                     )
             return
         if prefix[m] - prefix[m - need] < target:
@@ -175,12 +173,7 @@ def _residue_columns(residue: list[int], level: int, out: list, cap: int) -> Non
     rec(0, k, two_l_t // (2 * level))
 
 
-def search_mates(
-    prof: WalkProfile,
-    levels: list[int] | tuple[int, ...],
-    *,
-    node_cap: int = NODE_CAP,
-) -> list[MateClass]:
+def search_mates(prof: WalkProfile, levels: list[int] | tuple[int, ...]) -> list[MateClass]:
     """All admissible matrices of the profile's graph g with level in
     ``levels``, one per right-permutation class, each verified and paired
     with its mate graph.
@@ -209,7 +202,7 @@ def search_mates(
     for level in sorted(set(int(x) for x in levels)):
         # picks are increasing index tuples over distinct columns, so no
         # two of one level share a canonical key and none needs a dedupe
-        cands, picks = _picks(prof, level, node_cap)
+        cands, picks = _picks(prof, level)
         for pick in picks:
             num = IntMatrix.from_columns([cands[j] for j in pick])
             shared = gcd(level, *(x for x in num.entries))
@@ -220,9 +213,7 @@ def search_mates(
     return classes
 
 
-def _picks(
-    prof: WalkProfile, level: int, node_cap: int
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+def _picks(prof: WalkProfile, level: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """The candidates at one level (the columns v with v^T A v = 0), and the
     sorted index tuples into them of every class, in sorted order.
 
@@ -275,8 +266,8 @@ def _picks(
             j = low.bit_length() - 1
             rest ^= low
             nodes += 1
-            if nodes > node_cap:
-                raise SearchCapExceeded(f"assembly explored more than {node_cap} nodes")
+            if nodes > NODE_CAP:
+                raise SearchCapExceeded(f"assembly explored more than {NODE_CAP} nodes")
             chosen.append(j)
             rec(chosen, allowed & masks[j] & ~((1 << (j + 1)) - 1), free & units[j])
             chosen.pop()

@@ -508,10 +508,7 @@ def snf_mod_pk(m: IntMatrix, p: int, k: int) -> SnfResult:
     is ring-correct) but flagged, since the downstream level-bound rules
     only consume odd primes.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_ring(p, k)
     if p == 2:
         warnings.warn(
             "snf_mod_pk at p = 2: the form is valid over Z/2^kZ, but no "
@@ -524,6 +521,14 @@ def snf_mod_pk(m: IntMatrix, p: int, k: int) -> SnfResult:
     factors = tuple(x for x in diag if x < q)
     s = IntMatrix.diag(factors, m.rows, m.cols)
     return SnfResult(ModPK(p, k), IntMatrix(u), s, IntMatrix(v), factors)
+
+
+def _check_ring(p: int, k: int) -> None:
+    """Raise ValueError unless Z/p^kZ has p prime and k >= 1."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if k < 1:
+        raise ValueError("k must be >= 1")
 
 
 def rank_mod_p(m: IntMatrix, p: int) -> int:
@@ -692,6 +697,7 @@ def extend_basis(
     completion keeps the inputs and appends suitable original basis vectors,
     chosen so the full coordinate matrix is invertible mod p.
     """
+    _check_ring(p, k)
     q = p ** k
     rank = len(free_module_basis)
     if len(vectors) > rank:

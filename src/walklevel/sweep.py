@@ -48,7 +48,7 @@ from struct import iter_unpack
 from .analysis import analyze, check_classes
 from .arith import is_prime
 from .errors import SearchCapExceeded
-from .graphs import Graph, _controllable_profile
+from .graphs import Graph, _controllable_profile, _walk_rows
 from .matesearch import distinct_mate_graphs, search_mates
 
 _MASK = (1 << 64) - 1
@@ -258,7 +258,7 @@ def sweep_one(config: SweepConfig, index: int) -> dict:
     for attempt in range(max_attempts):
         adj, _ = _draw_rows(mix64(slot ^ mix64(attempt)), n, config.edge_prob_num,
                             config.edge_prob_den)
-        prof = _controllable_profile(adj)
+        prof = _controllable_profile(adj, _walk_rows(adj))
         if prof is not None:
             break
     else:

@@ -170,7 +170,7 @@ class TestBareiss:
 
     def test_singular(self):
         assert self.check([[1, 2, 3], [2, 4, 6], [0, 1, 1]])[0] == 0
-        assert self.check(IntMatrix.zeros(3, 3).data)[0] == 0
+        assert self.check(IntMatrix([[0] * 3] * 3).data)[0] == 0
 
     def test_empty_and_non_square(self):
         assert _bareiss(()) == (1, 1, 0, (), ())
@@ -221,7 +221,7 @@ class TestConstruction:
 
 class TestCharPoly:
     def test_zero_matrix(self):
-        assert char_poly(IntMatrix.zeros(2, 2)) == (0, 0, 1)
+        assert char_poly(IntMatrix([[0] * 2] * 2)) == (0, 0, 1)
 
     def test_single_edge(self):
         # eigenvalues +-1: x^2 - 1
@@ -262,12 +262,12 @@ class TestCharPoly:
                for i in range(n)]
         a = IntMatrix(sym)
         cp = char_poly(a)
-        acc = IntMatrix.zeros(n, n)
+        acc = IntMatrix([[0] * n] * n)
         power = IntMatrix.identity(n)
         for c in cp:
             acc = acc + c * power
             power = power @ a
-        assert acc == IntMatrix.zeros(n, n)
+        assert acc == IntMatrix([[0] * n] * n)
 
 
 class TestValuation:

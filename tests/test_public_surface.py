@@ -6,6 +6,7 @@ unseen and make sure ``perfbench/workloads.py``, which tier-1 does not run,
 still imports everything it uses.
 """
 
+import inspect
 import os
 import subprocess
 import sys
@@ -24,9 +25,22 @@ REMOVED = {
     "walklevel.ortho": ("from_pair", "level"),
     "walklevel.ortho.RatRegOrtho": ("from_fraction", "from_permutation", "identity"),
     "walklevel.intmat": ("adjugate", "IntPoly"),
-    "walklevel.intmat.IntMatrix": ("minor", "map", "mod", "is_zero"),
+    "walklevel.intmat.IntMatrix": ("minor", "map", "mod", "is_zero", "zeros", "columns"),
     "walklevel.snf": ("_prime_of_modulus",),
     "walklevel.snf.KernelShape": ("size",),
+    "walklevel.bounds.LevelBoundReport": ("bound_for",),
+    "walklevel.bounds.DgsCertificate": ("is_dgs",),
+    "walklevel.bounds.FamilyMembership": ("is_member", "in_square_family"),
+    "walklevel.bounds.MateCountBounds": ("applicable",),
+    "walklevel.graphs.Graph": ("relabel",),
+}
+
+# function -> keyword options deleted from it; each became a module constant
+REMOVED_OPTIONS = {
+    "walklevel.arith.factorize": ("budget",),
+    "walklevel.matesearch.enumerate_columns": ("cap",),
+    "walklevel.matesearch.search_mates": ("node_cap",),
+    "walklevel.graphs.isomorphic": ("size_limit",),
 }
 
 
@@ -53,6 +67,14 @@ def test_removed_names_stay_gone(owner):
         if isinstance(home, types.ModuleType):
             assert name not in walklevel.__all__
             assert not hasattr(walklevel, name), f"walklevel.{name}"
+
+
+@pytest.mark.parametrize("path", sorted(REMOVED_OPTIONS))
+def test_removed_options_stay_gone(path):
+    module, _, name = path.rpartition(".")
+    params = inspect.signature(getattr(import_module(module), name)).parameters
+    for option in REMOVED_OPTIONS[path]:
+        assert option not in params, f"{path}({option}=...)"
 
 
 def test_benchmark_workloads_import():

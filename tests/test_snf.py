@@ -124,9 +124,9 @@ class TestSnfInt:
         assert res.invariant_factors == (1, 6)
 
     def test_zero_matrix(self):
-        res = snf_int(IntMatrix.zeros(3, 2))
+        res = snf_int(IntMatrix([[0] * 2] * 3))
         assert res.invariant_factors == ()
-        assert res.S == IntMatrix.zeros(3, 2)
+        assert res.S == IntMatrix([[0] * 2] * 3)
 
     def test_minor_gcd_oracle_random(self):
         rng = random.Random(2024)
@@ -290,8 +290,8 @@ class TestMinorGcdModulus:
 
     def test_singular_takes_the_integer_path(self, count_calls):
         blocks = count_calls(snf._factors_from_block)
-        for m in (IntMatrix([[2, 4, 6], [1, 2, 3], [0, 6, 9]]), IntMatrix.zeros(3, 3),
-                  IntMatrix([[1, 2]]), IntMatrix.zeros(3, 2), IntMatrix(())):
+        for m in (IntMatrix([[2, 4, 6], [1, 2, 3], [0, 6, 9]]), IntMatrix([[0] * 3] * 3),
+                  IntMatrix([[1, 2]]), IntMatrix([[0] * 2] * 3), IntMatrix(())):
             assert invariant_factors(m) == snf_int(m).invariant_factors
         assert blocks == []
 
@@ -843,7 +843,7 @@ class TestDnTest:
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError):
-            dn_test(IntMatrix.zeros(2, 3), 3, 1)
+            dn_test(IntMatrix([[0] * 3] * 2), 3, 1)
 
     def test_composite_p_rejected(self):
         # z = (0, 2) solves diag(1, 2) z = 0 (mod 4) with z != 0 (mod 4), but
@@ -908,6 +908,26 @@ class TestExtendBasis:
     def test_empty_input_returns_basis(self):
         basis = [(1, 0), (0, 1)]
         assert extend_basis([], basis, 3, 2) == basis
+
+    def test_ring_checked_before_the_vectors(self):
+        # p and k are refused with snf_mod_pk's messages, with or without
+        # vectors to solve for, and before p ** k is taken
+        basis = [(1, 0), (0, 1)]
+        for p, k in ((4, 0), (4, 1), (3, 0), (3, -1), (0, -1), (1, 2)):
+            with pytest.raises(ValueError) as expected:
+                snf_mod_pk(IntMatrix.from_columns(basis), p, k)
+            for vs in ([], [(1, 0)]):
+                with pytest.raises(ValueError) as got:
+                    extend_basis(vs, basis, p, k)
+                assert str(got.value) == str(expected.value), (p, k, vs)
+
+    def test_p2_warning_only_with_vectors(self):
+        basis = [(1, 0), (0, 1)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert extend_basis([], basis, 2, 3) == basis
+            assert extend_basis([(1, 0)], basis, 2, 3) == [(1, 0), (0, 1)]
+        assert len(caught) == 1
 
     def test_one_decomposition_per_call(self, count_calls):
         # every vector is solved through one Smith form of the basis matrix,

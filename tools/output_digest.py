@@ -229,14 +229,14 @@ def local_helpers() -> list[str]:
         for _ in range(20):
             # r columns of a matrix invertible mod p span a free module of rank r
             n = rng.randint(1, 4)
-            full = IntMatrix.zeros(n, n)
+            full = IntMatrix([[0] * n] * n)
             while det(full) % p == 0:
                 full = IntMatrix([[rng.randrange(q) for _ in range(n)] for _ in range(n)])
             r = rng.randint(1, n)
-            span = IntMatrix.from_columns(full.columns()[:r])
+            span = IntMatrix.from_columns(list(zip(*full.data))[:r])
             vectors = [tuple(x % q for x in span.mat_vec([rng.randrange(q) for _ in range(r)]))
                        for _ in range(rng.randint(0, r))]
-            item("extend_basis", extend_basis, vectors, span.columns(), p, k)
+            item("extend_basis", extend_basis, vectors, list(zip(*span.data)), p, k)
     return out
 
 
