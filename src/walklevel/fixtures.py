@@ -65,6 +65,9 @@ def _parse_numbered_lines(lines: Iterable[tuple[int, str]]) -> IntMatrix:
                 raise ParseError("header must be 'n' or 'rows cols'", line=lineno)
             if rows_spec < 0 or cols_spec < 0:
                 raise ParseError("matrix dimensions must be nonnegative", line=lineno)
+            if (rows_spec == 0) != (cols_spec == 0):
+                raise ParseError(f"header '{rows_spec} {cols_spec}' has one zero dimension; "
+                                 "only '0' (or '0 0') gives an empty matrix", line=lineno)
             continue
         if len(values) != cols_spec:
             raise ParseError(

@@ -5,29 +5,29 @@ U*M*V = S in the stated ring. Over Z the transforms are unimodular; over
 Z/p^kZ their determinants are units, and every nonzero invariant factor is
 normalized to a pure prime power p^c with 0 <= c < k.
 
-One modular elimination, ``_diagonal_mod`` over Z/dZ, serves ``snf_mod_pk``
-(with U and V), the invariant factors (without), and ``_kernel_mod`` (with
-V alone), which gives ker(M mod d) to ``dn_test`` and
-``matesearch.enumerate_columns``. The integer elimination runs only in
-``snf_int``, for ``walklevel snf``, and in ``_factors_over_z``, the
-invariant factors of a singular, non-square or empty matrix. A nonempty
-square matrix takes one path, ``_det_and_factors``, shared by
-``invariant_factors`` and ``walk_profile``: one ``intmat._bareiss`` pass
-pivots on entries of least 2-adic valuation and gives det, v_2(d_1), ...,
-v_2(d_{n-1}) off its pivots, a modulus M = gcd(|det|, h) with h a gcd of
-(n-1)-minors, and a trailing block T_k such that the matrix is I_k (+) T_k
-over Z/mZ, m the odd part of M (k >= 1 on walk matrices, whose first pivot
-is 1). ``_factors_from_block`` eliminates T_k alone modulo m, and only when
-m > 1, which on walk matrices is rare: 2 carries most of d_1...d_{n-1}. M
-is a multiple of d_1...d_{n-1}, so this gives d_1, ..., d_{n-1} exactly,
-and d_n is recomputed as |det| / (d_1...d_{n-1}). Since U and V are
-unimodular, the rank of a matrix mod p is the number of its invariant
-factors prime to p, and v_p(det) is the sum of their valuations:
-``walk_profile`` reads its prime table that way. ``rank_mod_p`` counts the
-pivots of the one GF(p) elimination, ``_pivot_rows_mod_p``, whose pivot
-rows ``extend_basis`` reads. It has no caller in the pipeline; it stays
-public because the tests use it as an oracle and the benchmark's span list
-names it.
+One Smith elimination, ``_diagonal_mod`` over Z/dZ, where d = 0 means Z,
+serves every caller. Over Z it runs in ``snf_int`` (with U and V), for
+``walklevel snf``, and in ``_factors_over_z`` (without), the invariant
+factors of a singular, non-square or empty matrix. Over Z/dZ it runs in
+``snf_mod_pk`` (with U and V), for the invariant factors (without), and in
+``_kernel_mod`` (with V alone), which gives ker(M mod d) to ``dn_test`` and
+``matesearch.enumerate_columns``. A nonempty square matrix takes one path,
+``_det_and_factors``, shared by ``invariant_factors`` and ``walk_profile``:
+one ``intmat._bareiss`` pass pivots on entries of least 2-adic valuation
+and gives det, v_2(d_1), ..., v_2(d_{n-1}) off its pivots, a modulus M =
+gcd(|det|, h) with h a gcd of (n-1)-minors, and a trailing block T_k such
+that the matrix is I_k (+) T_k over Z/mZ, m the odd part of M (k >= 1 on
+walk matrices, whose first pivot is 1). ``_factors_from_block`` eliminates
+T_k alone modulo m, and only when m > 1, which on walk matrices is rare: 2
+carries most of d_1...d_{n-1}. M is a multiple of d_1...d_{n-1}, so this
+gives d_1, ..., d_{n-1} exactly, and d_n is recomputed as |det| /
+(d_1...d_{n-1}). Since U and V are unimodular, the rank of a matrix mod p
+is the number of its invariant factors prime to p, and v_p(det) is the sum
+of their valuations: ``walk_profile`` reads its prime table that way.
+``rank_mod_p`` counts the pivots of the one GF(p) elimination,
+``_pivot_rows_mod_p``, whose pivot rows ``extend_basis`` reads. It has no
+caller in the pipeline; it stays public because the tests use it as an
+oracle and the benchmark's span list names it.
 
 On top of the forms sit the module-theoretic helpers: solvability of
 M x = b over Z/p^kZ, kernel structure, the "does M z = 0 have a unit-entry
@@ -97,46 +97,12 @@ class KernelShape:
 
 
 # ---------------------------------------------------------------------------
-# SNF over Z
+# The Smith elimination over Z/dZ, d = 0 standing for Z
 # ---------------------------------------------------------------------------
 
 
 def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _row_sub(m, dst, src, q):
-    if q:
-        src_row = m[src]
-        dst_row = m[dst]
-        for j in range(len(dst_row)):
-            dst_row[j] -= q * src_row[j]
-
-
-def _col_sub(m, dst, src, q):
-    if q:
-        for row in m:
-            row[dst] -= q * row[src]
-
-
-def _row_add(m, dst, src):
-    src_row = m[src]
-    dst_row = m[dst]
-    for j in range(len(dst_row)):
-        dst_row[j] += src_row[j]
-
-
-def _neg_row(m, i):
-    m[i] = [-x for x in m[i]]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -154,143 +120,18 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _gcdex_rows(s, a_mats, t, i):
-    """Unimodular 2-row transform making s[i][t] = 0, s[t][t] = gcd.
-
-    Applied to s and, identically, to every matrix in a_mats.
-    """
-    a, b = s[t][t], s[i][t]
-    if b == 0:
-        return
-    if a and b % a == 0:
-        q = b // a
-        for m in (s, *a_mats):
-            _row_sub(m, i, t, q)
-        return
-    g, x, y = _xgcd(a, b)
-    af, bf = a // g, b // g
-    for m in (s, *a_mats):
-        rt, ri = m[t], m[i]
-        m[t] = [x * p + y * q for p, q in zip(rt, ri)]
-        m[i] = [-bf * p + af * q for p, q in zip(rt, ri)]
-
-
-def _gcdex_cols(s, a_mats, t, j):
-    """Column analogue of _gcdex_rows: zero s[t][j], gcd into s[t][t]."""
-    a, b = s[t][t], s[t][j]
-    if b == 0:
-        return
-    if a and b % a == 0:
-        q = b // a
-        for m in (s, *a_mats):
-            _col_sub(m, j, t, q)
-        return
-    g, x, y = _xgcd(a, b)
-    af, bf = a // g, b // g
-    for m in (s, *a_mats):
-        for row in m:
-            p, q = row[t], row[j]
-            row[t] = x * p + y * q
-            row[j] = -bf * p + af * q
-
-
-def _smith_int(s, us, vs) -> int:
-    """Reduce s in place to Smith normal form over Z; return its rank.
-
-    Every row operation is also applied to each matrix in ``us`` and every
-    column operation to each matrix in ``vs``, so passing () for both
-    computes S alone.
-    """
-    nr, nc = len(s), len(s[0]) if s else 0
-    t = 0
-    limit = min(nr, nc)
-    while t < limit:
-        # smallest nonzero |entry| in the trailing block
-        piv = None
-        best = None
-        for i in range(t, nr):
-            row = s[i]
-            for j in range(t, nc):
-                x = row[j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-        if piv is None:
-            break
-        if piv[0] != t:
-            for m in (s, *us):
-                _swap_rows(m, t, piv[0])
-        if piv[1] != t:
-            for m in (s, *vs):
-                _swap_cols(m, t, piv[1])
-
-        # alternate gcd-clearing passes; each dirty pass strictly divides
-        # the pivot down, so this stabilizes after O(log) rounds
-        while True:
-            for i in range(t + 1, nr):
-                _gcdex_rows(s, us, t, i)
-            if all(s[t][j] == 0 for j in range(t + 1, nc)):
-                break
-            for j in range(t + 1, nc):
-                _gcdex_cols(s, vs, t, j)
-            if all(s[i][t] == 0 for i in range(t + 1, nr)):
-                break
-
-        # pivot must divide the whole trailing block
-        pivot = s[t][t]
-        offender = None
-        for i in range(t + 1, nr):
-            row = s[i]
-            for j in range(t + 1, nc):
-                if row[j] % pivot:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for m in (s, *us):
-                _row_add(m, t, offender)
-            continue  # re-reduce with the same slot t
-
-        if pivot < 0:
-            for m in (s, *us):
-                _neg_row(m, t)
-        t += 1
-    return t
-
-
-def snf_int(m: IntMatrix) -> SnfResult:
-    """Smith normal form over Z with unimodular transforms.
-
-    Pivoting picks the smallest nonzero absolute value in the remaining
-    block; rows and columns are cleared with one-shot extended-gcd
-    transforms. This does not stop the entries of U and V from blowing up:
-    on walk matrices they reach tens of thousands of bits by n = 32 and
-    hundreds of thousands by n = 40, so callers that need only the
-    invariant factors use ``invariant_factors``. Invariant factors come out
-    positive.
-    """
-    nr, nc = m.rows, m.cols
-    s = [list(row) for row in m.data]
-    u, v = _identity(nr), _identity(nc)
-    r = _smith_int(s, (u,), (v,))
-    factors = tuple(s[i][i] for i in range(r))
-    return SnfResult(None, IntMatrix(u), IntMatrix(s), IntMatrix(v), factors)
-
-
 def _unit_to_gcd(x: int, g: int, d: int) -> int:
-    """A unit c of Z/dZ with c * x = g (mod d), where g = gcd(x, d) < d.
+    """A unit c of Z/dZ with c * x = g (mod d), where g = gcd(x, d) < d, or
+    over Z (d = 0) the sign of x, so that c * x = |x| = g.
 
     When x/g is a unit mod d, which over Z/p^kZ it always is, c is its
-    inverse mod d. ``_diagonal_mod``, the one elimination behind
-    ``invariant_factors``, ``snf_mod_pk`` and ``enumerate_columns``, thus
-    scales a local-ring pivot by the inverse of its unit part, the moves
-    that fix ``snf_mod_pk``'s U. Otherwise the inverse of x/g modulo d/g is
-    lifted to a unit of Z/dZ.
+    inverse mod d: ``_diagonal_mod`` scales a local-ring pivot by the
+    inverse of its unit part, the moves that fix ``snf_mod_pk``'s U.
+    Otherwise the inverse of x/g modulo d/g is lifted to a unit of Z/dZ.
     """
     y = x // g
     if gcd(y, d) == 1:
-        return pow(y, -1, d)
+        return pow(y, -1, d) if d else y
     n = d // g
     c = pow(y, -1, n)
     # make c 1 modulo the part of d coprime to n (for m = 1 the term is 0)
@@ -301,18 +142,25 @@ def _unit_to_gcd(x: int, g: int, d: int) -> int:
 
 
 def _combine_rows(m, a, b, x0, y0, af, bf, d):
-    """Rows a, b of m := x0*a + y0*b and af*b - bf*a, mod d."""
+    """Rows a, b of m := x0*a + y0*b and af*b - bf*a, mod d (d = 0: over Z)."""
     ra, rb = m[a], m[b]
-    m[a] = [(x0 * p + y0 * q) % d for p, q in zip(ra, rb)]
-    m[b] = [(af * q - bf * p) % d for p, q in zip(ra, rb)]
+    m[a] = [x0 * p + y0 * q for p, q in zip(ra, rb)]
+    m[b] = [af * q - bf * p for p, q in zip(ra, rb)]
+    if d:
+        m[a] = [x % d for x in m[a]]
+        m[b] = [x % d for x in m[b]]
 
 
 def _combine_cols(m, a, b, x0, y0, af, bf, d):
     """Column analogue of _combine_rows."""
     for row in m:
         p, q = row[a], row[b]
-        row[a] = (x0 * p + y0 * q) % d
-        row[b] = (af * q - bf * p) % d
+        row[a] = x0 * p + y0 * q
+        row[b] = af * q - bf * p
+    if d:
+        for row in m:
+            row[a] %= d
+            row[b] %= d
 
 
 def _diagonal_mod(
@@ -321,22 +169,30 @@ def _diagonal_mod(
     u: list[list[int]] | None = None,
     v: list[list[int]] | None = None,
 ) -> list[int]:
-    """Diagonalize a matrix over Z/dZ; return the min(rows, cols) diagonal.
+    """Smith form over Z/dZ, or over Z when d = 0; return the min(rows, cols)
+    diagonal, a divisor chain.
 
-    Each entry of the result divides d; a zero trailing block gives entries
-    d. The pivot is the first trailing entry, in row-major order, with the
-    smallest gcd(x, d), first scaled by a unit to that gcd. A row or column
-    entry it divides is cleared by exact division; any other one by an
-    extended-gcd transform, which replaces the pivot by a proper divisor.
-    Pivots thus walk down the divisor lattice of d and the loop ends. Over
-    Z/p^kZ the pivot divides every entry, so the diagonal is a divisor chain.
+    Each entry of the result divides d (over Z: is positive, or 0); a zero
+    trailing block gives entries d. The pivot is the first trailing entry,
+    in row-major order, with the smallest gcd(x, d), which over Z is |x|,
+    first scaled by a unit to that gcd (over Z, by its sign). A row or
+    column entry it divides is cleared by exact division; any other one by
+    an extended-gcd transform, which replaces the pivot by a proper divisor.
+    Pivots thus walk down the divisor lattice of d (over Z, down the
+    positive integers) and the loop ends. Over Z/p^kZ the pivot divides
+    every entry and the pivots already form a chain; over Z or a composite d
+    a pair that fails to divide, a before b, becomes (gcd, lcm) by row
+    a += row b, one column gcd step and row b -= (b*y/g)*row a.
 
     Every row operation is also applied to ``u`` and every column operation
     to ``v`` (row lists of square matrices with entries mod d, usually the
-    identity), so that u * m * v = diag (mod d) and det u, det v are units.
-    Without ``v``, the top-row entries that the pivot divides are left in
-    place: with the column below the pivot cleared, clearing them would
-    change the top row only, which the next step drops.
+    identity), so that u * m * v = diag (mod d) and det u, det v are units
+    (over Z: +-1). Without ``v``, the top-row entries that the pivot divides
+    are left in place: with the column below the pivot cleared, clearing
+    them would change the top row only, which the next step drops. Over Z
+    an exact clear goes through ``_combine_rows`` or ``_combine_cols`` with
+    (1, 0, 1, c), not through ``_xgcd``, whose (3, 0, 1) for g = b = 3
+    would swap the pivot's line with the cleared one.
     """
     diag = []
     t = 0  # rows and columns done: row t of u and column t of v go with the pivot
@@ -366,16 +222,18 @@ def _diagonal_mod(
                 row[t], row[t + j] = row[t + j], row[t]
         if rows[0][0] != g:
             c = _unit_to_gcd(rows[0][0], g, d)
-            rows[0] = [c * x % d for x in rows[0]]
+            rows[0] = [c * x % d for x in rows[0]] if d else [c * x for x in rows[0]]
             if u is not None:
-                u[t] = [c * x % d for x in u[t]]
+                u[t] = [c * x % d for x in u[t]] if d else [c * x for x in u[t]]
 
         while True:
             for i in range(1, len(rows)):
                 b = rows[i][0]
                 if not b:
                     continue
-                if b % g == 0:
+                if b % g:
+                    g2, x0, y0 = _xgcd(g, b)
+                elif d:
                     c = b // g
                     rows[i] = [(x - c * y) % d for x, y in zip(rows[i], rows[0])]
                     if u is not None:
@@ -384,38 +242,81 @@ def _diagonal_mod(
                         for k, y in enumerate(u[t]):
                             if y:
                                 ui[k] = (ui[k] - c * y) % d
+                    continue
                 else:
-                    g2, x0, y0 = _xgcd(g, b)
-                    af, bf = g // g2, b // g2
-                    _combine_rows(rows, 0, i, x0, y0, af, bf, d)
-                    if u is not None:
-                        _combine_rows(u, t, t + i, x0, y0, af, bf, d)
-                    g = g2
+                    g2, x0, y0 = g, 1, 0
+                af, bf = g // g2, b // g2
+                _combine_rows(rows, 0, i, x0, y0, af, bf, d)
+                if u is not None:
+                    _combine_rows(u, t, t + i, x0, y0, af, bf, d)
+                g = g2
             dirty = False
             for j in range(1, len(rows[0])):
                 b = rows[0][j]
-                if b % g == 0:
-                    if b and v is not None:
-                        c = b // g
-                        for m, o in ((rows, 0), (v, t)):
-                            oj = o + j
-                            for row in m:
-                                if row[o]:
-                                    row[oj] = (row[oj] - c * row[o]) % d
+                if b % g:
+                    g2, x0, y0 = _xgcd(g, b)
+                    dirty = True
+                elif not b or v is None:
                     continue
-                g2, x0, y0 = _xgcd(g, b)
+                elif d:
+                    c = b // g
+                    for m, o in ((rows, 0), (v, t)):
+                        oj = o + j
+                        for row in m:
+                            if row[o]:
+                                row[oj] = (row[oj] - c * row[o]) % d
+                    continue
+                else:
+                    g2, x0, y0 = g, 1, 0
                 af, bf = g // g2, b // g2
                 _combine_cols(rows, 0, j, x0, y0, af, bf, d)
                 if v is not None:
                     _combine_cols(v, t, t + j, x0, y0, af, bf, d)
                 g = g2
-                dirty = True
             if not dirty or not any(row[0] for row in rows[1:]):
                 break
         diag.append(g)
         rows = [row[1:] for row in rows[1:]]
         t += 1
+
+    # the t pivots into a divisor chain, each joining the chain before it
+    # (the zero block after them extends any chain)
+    for j in range(1, t):
+        if diag[j] % diag[j - 1] == 0:
+            continue
+        for i in range(j):
+            a, b = diag[i], diag[j]
+            if b % a:
+                g, x, y = _xgcd(a, b)
+                diag[i], diag[j] = g, a // g * b
+                if u is not None:
+                    c = b * y // g
+                    _combine_rows(u, i, j, 1, 1, 1 - c, c, d)
+                if v is not None:
+                    _combine_cols(v, i, j, x, y, a // g, b // g, d)
     return diag
+
+
+# ---------------------------------------------------------------------------
+# SNF over Z
+# ---------------------------------------------------------------------------
+
+
+def snf_int(m: IntMatrix) -> SnfResult:
+    """Smith normal form over Z with unimodular transforms, by
+    ``_diagonal_mod`` with d = 0.
+
+    U and V are not unique, and nothing stops their entries from blowing
+    up: on walk matrices they reach tens of thousands of bits by n = 32 and
+    hundreds of thousands by n = 40, so callers that need only the
+    invariant factors use ``invariant_factors``. Invariant factors come out
+    positive.
+    """
+    u, v = _identity(m.rows), _identity(m.cols)
+    diag = _diagonal_mod([list(row) for row in m.data], 0, u, v)
+    factors = tuple(x for x in diag if x)
+    s = IntMatrix.diag(factors, m.rows, m.cols)
+    return SnfResult(None, IntMatrix(u), s, IntMatrix(v), factors)
 
 
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
@@ -426,8 +327,8 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     and at most a trailing block is eliminated, over Z/mZ with m the odd
     part of M, so no entry ever exceeds M (Domich-Kannan-Trotter 1987,
     Hafner-McCurley 1991).
-    Otherwise, and for a non-square or empty m, the integer elimination of
-    ``snf_int`` runs on S alone (``_factors_over_z``).
+    Otherwise, and for a non-square or empty m, the elimination of
+    ``snf_int``, over Z, runs on S alone (``_factors_over_z``).
     """
     if m.rows and m.is_square:
         d, factors = _det_and_factors(m.data)
@@ -449,11 +350,9 @@ def _det_and_factors(rows) -> tuple[int, tuple[int, ...]]:
 
 
 def _factors_over_z(rows) -> tuple[int, ...]:
-    """The nonzero invariant factors of any integer matrix by the integer
-    elimination of ``snf_int``, without U and V."""
-    s = [list(row) for row in rows]
-    r = _smith_int(s, (), ())
-    return tuple(s[i][i] for i in range(r))
+    """The nonzero invariant factors of any integer matrix, by
+    ``_diagonal_mod`` over Z (d = 0) without U and V."""
+    return tuple(x for x in _diagonal_mod([list(row) for row in rows], 0) if x)
 
 
 def _factors_from_block(det: int, modulus: int, k: int, block, twos) -> tuple[int, ...]:
@@ -464,10 +363,9 @@ def _factors_from_block(det: int, modulus: int, k: int, block, twos) -> tuple[in
 
     d_i = 2^v_2(d_i) * o_i for i < n, o_i the odd part of d_i. The Smith
     form of a over Z/mZ is diag(gcd(d_i, m)), and gcd(d_i, m) = o_i for
-    i < n, so k ones followed by the diagonal of the block over Z/mZ give
-    o_1, ..., o_{n-1} exactly. The block's diagonal is put in divisor-chain
-    order by gcd/lcm swaps, which keep the Smith form (the ones already
-    lead). When m = 1 every o_i is 1 and nothing is eliminated. The last
+    i < n, so k ones followed by the divisor chain that ``_diagonal_mod``
+    returns for the block over Z/mZ give o_1, ..., o_{n-1} exactly. When
+    m = 1 every o_i is 1 and nothing is eliminated. The last
     factor, which neither part fixes, is recomputed as
     d_n = |det| / (d_1...d_{n-1}); a remainder, or a d_n that d_{n-1} does
     not divide, raises InvariantError. On walk matrices d_1...d_{n-1} is
@@ -477,13 +375,7 @@ def _factors_from_block(det: int, modulus: int, k: int, block, twos) -> tuple[in
     odd = _odd_part(modulus)
     odds = [1] * len(twos)
     if odd > 1:
-        tail = _diagonal_mod([[x % odd for x in row] for row in block], odd)
-        for i in range(len(tail)):
-            for j in range(i + 1, len(tail)):
-                a, b = tail[i], tail[j]
-                g = gcd(a, b)
-                tail[i], tail[j] = g, a // g * b
-        odds[k:] = tail[:-1]
+        odds[k:] = _diagonal_mod([[x % odd for x in row] for row in block], odd)[:-1]
     head = [o << v for o, v in zip(odds, twos)]
     d_n, rest = divmod(d, prod(head))
     if rest or (head and d_n % head[-1]):

@@ -349,12 +349,13 @@ class TestLemmaBranchInstances:
         solves = count_calls(snf.solvable_mod_pk)
         kernels = count_calls(snf.kernel_shape)
         extends = count_calls(snf.extend_basis)
-        over_z = [count_calls(f) for f in (snf._smith_int, snf.invariant_factors)]
+        moduli = count_calls(snf._diagonal_mod, 1)  # d = 0: an elimination over Z
+        factors = count_calls(snf.invariant_factors)
         readers = [count_calls(f) for f in (snf._augmented_factors, snf._solve, snf._kernel)]
         verify_proof_lemmas(prof, wit)
         assert len(local) == 1
         assert solves == kernels == extends == []
-        assert over_z == [[], []]
+        assert 0 not in moduli and factors == []
         forms = [res for calls in readers for res in calls]
         assert len(forms) == reads
         assert all(res is forms[0] for res in forms)
@@ -490,23 +491,23 @@ class TestNoIntegerElimination:
     """The witness stage makes no Smith elimination over Z."""
 
     def test_mates_on_the_fixture(self, count_calls, tmp_path, capsys):
-        calls = count_calls(snf._smith_int)
+        moduli = count_calls(snf._diagonal_mod, 1)
         path = tmp_path / "g.g6"
         path.write_text(emit_graph6(load_worked_example().graph) + "\n")
         assert main(["mates", str(path), "--json"]) == 0
         rec = json.loads(capsys.readouterr().out)
         assert len(rec["lemma_checks"]) == 2
-        assert calls == []
+        assert moduli and 0 not in moduli
 
     def test_check_classes_on_the_pool(self, count_calls):
-        calls = count_calls(snf._smith_int)
+        moduli = count_calls(snf._diagonal_mod, 1)
         checked = 0
         for g, levels in pool_graphs():
             prof = walk_profile(g)
             rec = check_classes(prof, search_mates(prof, levels))
             checked += len(rec["lemma_checks"])
         assert checked == 100
-        assert calls == []
+        assert moduli and 0 not in moduli
 
 
 class TestConjectureCheck:

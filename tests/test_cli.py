@@ -10,8 +10,10 @@ import pytest
 
 from walklevel import cli, graphs
 from walklevel.cli import main, read_graphs
-from walklevel.fixtures import load_worked_example
+from walklevel.errors import ParseError
+from walklevel.fixtures import load_worked_example, parse_int_matrix_text
 from walklevel.graphs import emit_graph6, parse_graph6
+from walklevel.intmat import IntMatrix
 from walklevel.sweep import SweepConfig, run_sweep
 
 ADJ_TEXT = """\
@@ -481,6 +483,22 @@ class TestSnf:
             assert main(["snf", str(path), "--prime", "2", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["invariant_factors"] == [2]
+
+    @pytest.mark.parametrize("text", [
+        "2 0\n",  # blank lines are skipped, so no text gives two empty rows
+        "# comment\n0 3\n",  # would read as 0 x 0 and print V = [] for a 3 x 3 identity
+    ])
+    def test_header_with_one_zero_dimension_is_refused(self, text, monkeypatch, capsys):
+        lines = text.splitlines()
+        message = f"line {len(lines)}: header '{lines[-1]}' has one zero dimension"
+        with pytest.raises(ParseError, match=f"^{message}"):
+            parse_int_matrix_text(text)
+        code, out, err = run_main(["snf", "-"], text, monkeypatch, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"input error: {message}")
+
+    def test_empty_matrix_header(self):
+        assert parse_int_matrix_text("0\n") == parse_int_matrix_text("0 0\n") == IntMatrix(())
 
 
 class TestSweepCli:

@@ -289,11 +289,12 @@ class TestOneBareissPass:
     """A profile builds W's rows once, controllable or not, and runs at most
     one Bareiss pass, and one modular elimination only when the odd part of
     the pass's modulus M is not 1; none for a graph with two equal walk
-    rows."""
+    rows. A singular W gets one elimination over Z (``_diagonal_mod`` with
+    d = 0) and no modular one."""
 
     def test_counts_per_profile(self, count_calls):
         passes = count_calls(intmat._bareiss)
-        eliminations = count_calls(snf._diagonal_mod)
+        moduli = count_calls(snf._diagonal_mod, 1)
         walks = count_calls(graphs._walk_rows)
         integer = count_calls(snf._factors_over_z)
         rng = random.Random(23)
@@ -303,18 +304,20 @@ class TestOneBareissPass:
             g = random_graph(rng, rng.randint(6, 10))
             rows = walk_matrix(g).data
             odd = intmat._odd_part(intmat._bareiss(rows)[1] or 1) > 1
-            del passes[:], eliminations[:], walks[:], integer[:]
+            del passes[:], moduli[:], walks[:], integer[:]
             prof = walk_profile(g, primes=(3,))
+            modular = sum(1 for d in moduli if d)
+            counts = (len(walks), len(passes), modular, len(integer), moduli.count(0))
             if prof.controllable:
                 kinds["controllable"] += 1
                 odd_moduli += odd
-                assert (len(walks), len(passes), len(eliminations), len(integer)) == (1, 1, odd, 0)
+                assert counts == (1, 1, odd, 0, 0)
             elif len(set(rows)) < g.n:
                 kinds["equal rows"] += 1
-                assert (len(walks), len(passes), len(eliminations), len(integer)) == (1, 0, 0, 1)
+                assert counts == (1, 0, 0, 1, 1)
             else:
                 kinds["distinct rows, singular"] += 1
-                assert (len(walks), len(passes), len(eliminations), len(integer)) == (1, 1, 0, 1)
+                assert counts == (1, 1, 0, 1, 1)
         assert all(kinds.values()), kinds
         assert 0 < odd_moduli < kinds["controllable"]
 

@@ -26,7 +26,7 @@ REMOVED = {
     "walklevel.ortho.RatRegOrtho": ("from_fraction", "from_permutation", "identity"),
     "walklevel.intmat": ("adjugate", "IntPoly"),
     "walklevel.intmat.IntMatrix": ("minor", "map", "mod", "is_zero", "zeros", "columns"),
-    "walklevel.snf": ("_prime_of_modulus",),
+    "walklevel.snf": ("_prime_of_modulus", "_smith_int"),
     "walklevel.snf.KernelShape": ("size",),
     "walklevel.bounds.LevelBoundReport": ("bound_for",),
     "walklevel.bounds.DgsCertificate": ("is_dgs",),

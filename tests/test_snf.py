@@ -1,5 +1,7 @@
 """Smith forms over Z and Z/p^kZ against gcd-of-minors and exhaustive oracles."""
 
+import hashlib
+import json
 import random
 import warnings
 from math import gcd, prod
@@ -27,6 +29,7 @@ from sympy.polys.matrices import DomainMatrix
 from walklevel import intmat, snf
 from walklevel.arith import v_p
 from walklevel.errors import InvariantError
+from walklevel.fixtures import load_matrix
 from walklevel.graphs import parse_graph6, walk_matrix, walk_profile
 from walklevel.intmat import IntMatrix, _bareiss, _odd_part, det
 from walklevel.snf import (
@@ -120,8 +123,33 @@ def check_int_snf_invariants(m, res):
 
 class TestSnfInt:
     def test_simple_diagonal(self):
+        # the pivots 2, 3 fail to divide: the gcd/lcm move acts on U and V
         res = snf_int(IntMatrix([[2, 0], [0, 3]]))
         assert res.invariant_factors == (1, 6)
+        assert (res.U.data, res.V.data) == (((1, 1), (-3, -2)), ((-1, -3), (1, 2)))
+
+    def test_exact_clears_keep_the_pivot(self):
+        # 3 divides 3: a clear, where an extended-gcd step would swap
+        res = snf_int(IntMatrix([[3, 3], [3, 3]]))
+        assert res.S.data == ((3, 0), (0, 0))
+        assert (res.U.data, res.V.data) == (((1, 0), (-1, 1)), ((1, -1), (0, 1)))
+
+    def test_fixture_transforms_pinned(self):
+        # the (U, S, V) that walklevel snf prints for each bundled matrix,
+        # as the sha256 of its canonical JSON
+        pinned = {
+            "g10_adjacency.txt":
+                "d485b3cf8faa8c06b36c4aa63d4793173405c95dfe0c4696ed5a3727ebfdfa65",
+            "g10_qhat_level3.txt":
+                "f157c24fd61201c9181ce0d6615019ca1b74f0c26180b50b30749ea2d3772496",
+            "g10_qhat_level9.txt":
+                "aeb0c109554cdd51a2ed43d6d0a6570b5adcd85c6d78c6768ae71591ab0ddf1d",
+        }
+        for name, digest in pinned.items():
+            res = snf_int(load_matrix(name))
+            text = json.dumps({"U": res.U.data, "S": res.S.data, "V": res.V.data},
+                              sort_keys=True, separators=(",", ":"))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
     def test_zero_matrix(self):
         res = snf_int(IntMatrix([[0] * 2] * 3))
@@ -541,6 +569,7 @@ class TestDiagonalMod:
         u, v = _identity(nr), _identity(nc)
         diag = _diagonal_mod([[x % d for x in row] for row in m.data], d, u, v)
         assert len(diag) == min(nr, nc)
+        assert diag == divisor_chain(diag)
         assert all(d % x == 0 for x in diag)
         assert all(0 <= x < d for row in u + v for x in row)
         assert reduced(IntMatrix(u) @ m @ IntMatrix(v), d) == reduced(

@@ -51,6 +51,11 @@ prints one line per output group, ``<group> <items> <sha256>``:
                   or 10, a tenth of them made singular by a repeated row; this is
                   where the Bareiss pass swaps columns and eliminates a block
                   modulo an odd part
+  snf_random      snf_int(m)'s U, S and V on smith_random's 400 matrices and on 100
+                  random.Random(8) non-square ones, 1-8 rows and columns, built
+                  the same way; S is unique and U and V are not, so a change to
+                  the elimination's moves shows here on many more matrices than
+                  on the three fixtures of snf_local
   draws           random_graph(SplitMix64(state), n, num, den): its rows and the
                   end state, on random.Random(7) states at n 0-40 for 1/2, 1/3,
                   3/8 and 2/7; on den 1, 2, 8 and 2^64 with num 0, 1, den - 1,
@@ -311,22 +316,48 @@ def factor_smith() -> list[str]:
     return out
 
 
-def smith_random() -> list[str]:
-    """det and invariant_factors on seeded square matrices with scaled rows."""
-    from walklevel.intmat import IntMatrix, det
-    from walklevel.snf import invariant_factors
+def scaled_rows(rng: random.Random, nr: int, nc: int) -> list[list[int]]:
+    """nr x nc entries from one of three pools, each row scaled by 1-10."""
+    pool = rng.choice(((0, 1, -1, 2), (0, 2, 4, 6, 3), tuple(range(-9, 10))))
+    return [[rng.choice(pool) * scale for _ in range(nc)]
+            for scale in rng.choices((1, 2, 4, 8, 3, 5, 7, 6, 10), k=nr)]
+
+
+def smith_matrices() -> list:
+    """smith_random's 400 seeded square matrices, a tenth with a repeated row."""
+    from walklevel.intmat import IntMatrix
 
     rng = random.Random(7)
     out = []
     for _ in range(400):
         n = rng.randint(1, 10)
-        pool = rng.choice(((0, 1, -1, 2), (0, 2, 4, 6, 3), tuple(range(-9, 10))))
-        rows = [[rng.choice(pool) * scale for _ in range(n)]
-                for scale in rng.choices((1, 2, 4, 8, 3, 5, 7, 6, 10), k=n)]
+        rows = scaled_rows(rng, n, n)
         if n > 1 and rng.random() < 0.1:
             rows[-1] = rows[0]
-        m = IntMatrix(rows)
-        out.append(json.dumps([m.data, det(m), invariant_factors(m)]) + "\n")
+        out.append(IntMatrix(rows))
+    return out
+
+
+def smith_random() -> list[str]:
+    """det and invariant_factors on seeded square matrices with scaled rows."""
+    from walklevel.intmat import det
+    from walklevel.snf import invariant_factors
+
+    return [json.dumps([m.data, det(m), invariant_factors(m)]) + "\n" for m in smith_matrices()]
+
+
+def snf_random() -> list[str]:
+    """snf_int's U, S and V on smith_random's matrices and 100 non-square ones."""
+    from walklevel.intmat import IntMatrix
+    from walklevel.snf import snf_int
+
+    rng = random.Random(8)
+    matrices = smith_matrices() + [IntMatrix(scaled_rows(rng, *rng.sample(range(1, 9), 2)))
+                                   for _ in range(100)]
+    out = []
+    for m in matrices:
+        res = snf_int(m)
+        out.append(json.dumps([m.data, res.U.data, res.S.data, res.V.data]) + "\n")
     return out
 
 
@@ -454,6 +485,7 @@ def groups(src: Path) -> dict[str, list[str]]:
         "lemma_reports": lemma_reports(fixture, pool),
         "factor_smith": factor_smith(),
         "smith_random": smith_random(),
+        "snf_random": snf_random(),
         "draws": draws(),
         "inputs": input_runs(main),
         "cli_errors": cli_errors(main, fixtures),
