@@ -281,23 +281,31 @@ def cmd_snf(args) -> None:
             "V": [list(r) for r in resm.V.data],
             "invariant_factors": list(resm.invariant_factors),
         }
-    if args.json:
-        _emit_json(payload)
-    else:
-        out = sys.stdout
-        out.write(f"invariant factors over Z: {payload['invariant_factors']}\n")
-        for name in ("U", "S", "V"):
-            out.write(f"{name} =\n")
-            for row in payload[name]:
-                out.write("  " + " ".join(str(x) for x in row) + "\n")
-        if "mod" in payload:
-            mod = payload["mod"]
-            out.write(
-                f"invariant factors over Z/{mod['p']}^{mod['k']}Z: "
-                f"{mod['invariant_factors']}\n"
-            )
-        if "oracle_check" in payload:
-            out.write(f"minor-gcd oracle agrees: {payload['oracle_check']['agrees']}\n")
+    # U and V can hold ints of more than the 4,300 digits that str() takes
+    # by default; main may run many times in one process, so the limit is
+    # lifted only while the report is written
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if args.json:
+            _emit_json(payload)
+        else:
+            out = sys.stdout
+            out.write(f"invariant factors over Z: {payload['invariant_factors']}\n")
+            for name in ("U", "S", "V"):
+                out.write(f"{name} =\n")
+                for row in payload[name]:
+                    out.write("  " + " ".join(str(x) for x in row) + "\n")
+            if "mod" in payload:
+                mod = payload["mod"]
+                out.write(
+                    f"invariant factors over Z/{mod['p']}^{mod['k']}Z: "
+                    f"{mod['invariant_factors']}\n"
+                )
+            if "oracle_check" in payload:
+                out.write(f"minor-gcd oracle agrees: {payload['oracle_check']['agrees']}\n")
+    finally:
+        sys.set_int_max_str_digits(digits)
     if "oracle_check" in payload and not all(payload["oracle_check"]["agrees"]):
         raise InvariantError("minor-gcd oracle disagrees")
 

@@ -216,80 +216,191 @@ def _bareiss(
     a lower bound for the valuations in T_k, and an entry of column k that
     meets it needs no scan of the rest of the block.
 
+    The steps go in rounds of up to three (Bareiss's multistep method):
+    one pass over the trailing block for each round. A round from T_k takes
+    its first pivot as above, and the next ones by the same rule in column
+    k+1 of T_(k+1) and column k+2 of T_(k+2), computing only the entries
+    its scan reads; it takes fewer where a pivot would need the whole-block
+    scan, and it never steps past T_(n-2). Then ``_eliminate`` builds the
+    other rows of T_(k+s) from T_k at once, dividing by D_k alone.
+
     One step before the end the trailing 2x2 block (before that step's
     swaps, which keep its gcd) holds four (n-1)-minors; their gcd h is a
     multiple of d_1...d_(n-1) (for n = 1 it is the empty minor, 1), and so
     is M = gcd(|det a|, h). Modulo the odd part m of M a D_k prime to m is
-    a unit, so a is equivalent to I_k (+) T_k over Z/mZ. Each step keeps
-    D_k and a copy of T_k; the result carries the block of the largest k
-    with gcd(D_k, m) = 1, or k = 0 and ``rows`` itself when no pivot is
-    prime to m. A singular a gives (0, 0, 0, rows, ()).
+    a unit, so a is equivalent to I_k (+) T_k over Z/mZ. Every round
+    builds new rows, so each round keeps the rows of the T_k it starts
+    from, by reference and in the order its pivots left them; the result
+    carries the block of the largest k with gcd(D_k, m) = 1, rebuilt by
+    single steps from its round's rows when k falls inside a round, or
+    k = 0 and ``rows`` itself when no pivot is prime to m. A singular a
+    gives (0, 0, 0, rows, ()).
     """
     n = len(rows)
     if n == 0:
         return 1, 1, 0, rows, ()
-    m = [list(row) for row in rows]
+    m = [list(row) for row in rows]  # T_k, indexed from its own corner
     sign = 1
-    prev = 1
-    v_prev = 0  # v_2(prev)
-    floor = 0  # v_2(prev) + the last pivot's local valuation: no entry is below it
+    dets = [1]  # D_0, D_1, ...
+    v_prev = 0  # v_2 of the last pivot
+    floor = 0  # v_2 of the last pivot + its local valuation: no entry is below it
     h = 1
     twos = []
-    blocks = []
-    for k in range(n - 1):
+    rounds = []  # (k, the rows of T_k, the round's pivots first)
+    k = 0
+    while k < n - 1:
+        prev = dets[k]
         if k == n - 2:
-            h = gcd(m[k][k], m[k][k + 1], m[k + 1][k], m[k + 1][k + 1])
+            h = gcd(m[0][0], m[0][1], m[1][0], m[1][1])
         bit = 1 << floor
-        for i in range(k, n):
-            if m[i][k] & bit:
+        for i, row in enumerate(m):
+            if row[0] & bit:
                 v_pivot = floor
                 break
         else:
-            if not any(m[i][k] for i in range(k, n)):
+            if not any(row[0] for row in m):
                 return 0, 0, 0, rows, ()
-            i, j, v_pivot = _least_valuation(m, k, floor)
-            if j != k:
-                for row in m[k:]:
-                    row[k], row[j] = row[j], row[k]
+            i, j, v_pivot = _least_valuation(m, floor)
+            if j:
+                for row in m:
+                    row[0], row[j] = row[j], row[0]
                 sign = -sign
-        if i != k:
-            m[k], m[i] = m[i], m[k]
+        if i:
+            m[0], m[i] = m[i], m[0]
             sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-        twos.append(v_pivot - v_prev)
-        v_prev, floor = v_pivot, 2 * v_pivot - v_prev
-        blocks.append((pivot, [row[k + 1:] for row in m[k + 1:]]))
-    d = sign * m[n - 1][n - 1]
+        p0 = m[0]
+        pivot = p0[0]
+        # at most three pivots, and no round steps past T_(n-2), whose 2x2
+        # block gives h
+        top = n - 2 - k
+        if top > 3:
+            top = 3
+        elif top < 1:
+            top = 1
+        s = 1
+        while True:
+            dets.append(pivot)
+            twos.append(v_pivot - v_prev)
+            v_prev, floor = v_pivot, 2 * v_pivot - v_prev
+            if s == top:
+                break
+            # the next pivot: the first entry of column s of T_(k+s) that
+            # meets the floor, computed row by row as the scan reads it
+            bit = 1 << floor
+            if s == 1:
+                b = p0[1]
+                for i in range(1, len(m)):
+                    row = m[i]
+                    y = (pivot * row[1] - row[0] * b) // prev
+                    if y & bit:
+                        break
+                else:
+                    break
+            else:
+                (a, b, c), (e, f, g) = p0[:3], m[1][:3]
+                for i in range(2, len(m)):
+                    x0, x1, x2 = m[i][:3]
+                    y = (pivot * x2 - (x0 * f - x1 * e) // prev * c
+                         - (x1 * a - x0 * b) // prev * g) // prev
+                    if y & bit:
+                        break
+                else:
+                    break
+            if i != s:
+                m[s], m[i] = m[i], m[s]
+                sign = -sign
+            pivot = y
+            v_pivot = floor
+            s += 1
+        rounds.append((k, m))
+        m = _eliminate(m, s, prev, pivot)
+        k += s
+    rounds.append((n - 1, m))  # T_(n-1) = (D_n), up to sign
+    d = sign * m[0][0]
     if not d:
         return 0, 0, 0, rows, ()
     modulus = gcd(d, h)
     odd = _odd_part(modulus)
     for k in range(n - 1, 0, -1):
-        pivot, block = blocks[k - 1]
-        if gcd(pivot, odd) == 1:
-            return d, modulus, k, block, tuple(twos)
-    return d, modulus, 0, rows, tuple(twos)
+        if gcd(dets[k], odd) == 1:
+            break
+    else:
+        return d, modulus, 0, rows, tuple(twos)
+    for start, block in reversed(rounds):
+        if start <= k:
+            break
+    for u in range(start, k):
+        block = _eliminate(block, 1, dets[u], dets[u + 1])
+    return d, modulus, k, block, tuple(twos)
 
 
-def _least_valuation(m: list[list[int]], k: int, floor: int) -> tuple[int, int, int]:
+def _eliminate(block: list[list[int]], s: int, prev: int, pivot: int) -> list[list[int]]:
+    """The rows of T_(k+s), built from the rows ``block`` of T_k, s being 1,
+    2 or 3: the first s rows of T_k are the pivot rows P_t, its leading
+    s x s block B holds the pivots, prev = D_k and pivot = D_(k+s).
+
+    By Sylvester's identity an entry of T_(k+s) is the (s+1)-minor of T_k
+    that borders B with its row i and column j, divided by D_k^s. Expanded
+    along column j that minor is det(B) x_ij - sum_t c_it P_t[j], with
+    det(B) = D_k^(s-1) D_(k+s) and c_i = (x_i0, ..., x_i(s-1)) adj(B).
+    Every s-minor of T_k, and so every c_it, is a multiple of D_k^(s-1),
+    so w_it = c_it / D_k^(s-1) is exact, and the new entry is
+    (D_(k+s) x_ij - sum_t w_it P_t[j]) / D_k, one division by D_k. For
+    s = 1, w_i0 = x_i0; for s >= 2 every (s-1)-minor of T_k, and so every
+    entry of adj(B), is a multiple of D_k^(s-2), which is divided out of
+    adj(B) first. For s < 3 the missing w_it are 0.
+    """
+    p0 = block[0]
+    p1 = block[1] if s > 1 else p0
+    p2 = block[2] if s > 2 else p0
+    w1 = w2 = 0
+    # (x_u0, ..., x_u(s-1)) is column u of adj(B) / D_k^(s-2)
+    if s == 3:
+        a0, a1, a2 = p0[:3]
+        b0, b1, b2 = p1[:3]
+        c0, c1, c2 = p2[:3]
+        x00, x01, x02 = ((b1 * c2 - b2 * c1) // prev, (b2 * c0 - b0 * c2) // prev,
+                         (b0 * c1 - b1 * c0) // prev)
+        x10, x11, x12 = ((a2 * c1 - a1 * c2) // prev, (a0 * c2 - a2 * c0) // prev,
+                         (a1 * c0 - a0 * c1) // prev)
+        x20, x21, x22 = ((a1 * b2 - a2 * b1) // prev, (a2 * b0 - a0 * b2) // prev,
+                         (a0 * b1 - a1 * b0) // prev)
+    elif s == 2:
+        (x11, x10), (x01, x00) = p0[:2], p1[:2]
+        x01, x10 = -x01, -x10
+    q0, q1, q2 = p0[s:], p1[s:], p2[s:]
+    cols = range(len(block) - s)
+    out = []
+    for row in block[s:]:
+        if s == 3:
+            e0, e1, e2 = row[:3]
+            w0 = (e0 * x00 + e1 * x01 + e2 * x02) // prev
+            w1 = (e0 * x10 + e1 * x11 + e2 * x12) // prev
+            w2 = (e0 * x20 + e1 * x21 + e2 * x22) // prev
+        elif s == 2:
+            e0, e1 = row[:2]
+            w0 = (e0 * x00 + e1 * x01) // prev
+            w1 = (e0 * x10 + e1 * x11) // prev
+        else:
+            w0 = row[0]
+        row = row[s:]
+        for j in cols:
+            row[j] = (pivot * row[j] - w0 * q0[j] - w1 * q1[j] - w2 * q2[j]) // prev
+        out.append(row)
+    return out
+
+
+def _least_valuation(m: list[list[int]], floor: int) -> tuple[int, int, int]:
     """(i, j, v_2(m[i][j])) for an entry of least 2-adic valuation in the
-    trailing block of m from (k, k) on, which must not be zero.
+    square block m, which must not be zero.
 
-    Columns are scanned in order from k, each from row k down, so column k
+    Columns are scanned in order, each from the top row down, so column 0
     wins a tie; an entry of valuation ``floor``, the least possible, ends
     the scan.
     """
     best = None
-    for j in range(k, len(m)):
-        for i in range(k, len(m)):
+    for j in range(len(m)):
+        for i in range(len(m)):
             x = m[i][j]
             if x:
                 v = (x & -x).bit_length() - 1

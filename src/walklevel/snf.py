@@ -13,17 +13,19 @@ factors of a singular, non-square or empty matrix. Over Z/dZ it runs in
 ``_kernel_mod`` (with V alone), which gives ker(M mod d) to ``dn_test`` and
 ``matesearch.enumerate_columns``. A nonempty square matrix takes one path,
 ``_det_and_factors``, shared by ``invariant_factors`` and ``walk_profile``:
-one ``intmat._bareiss`` pass pivots on entries of least 2-adic valuation
-and gives det, v_2(d_1), ..., v_2(d_{n-1}) off its pivots, a modulus M =
-gcd(|det|, h) with h a gcd of (n-1)-minors, and a trailing block T_k such
-that the matrix is I_k (+) T_k over Z/mZ, m the odd part of M (k >= 1 on
-walk matrices, whose first pivot is 1). ``_factors_from_block`` eliminates
-T_k alone modulo m, and only when m > 1, which on walk matrices is rare: 2
-carries most of d_1...d_{n-1}. M is a multiple of d_1...d_{n-1}, so this
-gives d_1, ..., d_{n-1} exactly, and d_n is recomputed as |det| /
-(d_1...d_{n-1}). Since U and V are unimodular, the rank of a matrix mod p
-is the number of its invariant factors prime to p, and v_p(det) is the sum
-of their valuations: ``walk_profile`` reads its prime table that way.
+one ``intmat._bareiss`` pass, in rounds of up to three pivots that
+divide by the last pivot before the round alone, pivots on entries of
+least 2-adic valuation and gives det, v_2(d_1), ..., v_2(d_{n-1}) off its
+pivots, a modulus M = gcd(|det|, h) with h a gcd of (n-1)-minors, and a
+trailing block T_k such that the matrix is I_k (+) T_k over Z/mZ, m the
+odd part of M (k >= 1 on walk matrices, whose first pivot is 1).
+``_factors_from_block`` eliminates T_k alone modulo m, and only when
+m > 1, which on walk matrices is rare: 2 carries most of d_1...d_{n-1}.
+M is a multiple of d_1...d_{n-1}, so this gives d_1, ..., d_{n-1}
+exactly, and d_n is recomputed as |det| / (d_1...d_{n-1}). Since U and
+V are unimodular, the rank of a matrix mod p is the number of its
+invariant factors prime to p, and v_p(det) is the sum of their
+valuations: ``walk_profile`` reads its prime table that way.
 ``rank_mod_p`` counts the pivots of the one GF(p) elimination,
 ``_pivot_rows_mod_p``, whose pivot rows ``extend_basis`` reads. It has no
 caller in the pipeline; it stays public because the tests use it as an

@@ -10,6 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
+from typing import Sequence
 
 
 # -- polynomial arithmetic on plain coefficient lists (lowest degree first) --
@@ -612,6 +613,124 @@ def assemble_clique(cands, a_cands, n, lvl2, node_cap=10**8):
 
     rec([], (1 << m) - 1)
     return results
+
+
+# -- frozen single-step Bareiss (cross-check for intmat._bareiss) -------------
+#
+# intmat._bareiss's single-step elimination, with its two helpers, before the
+# elimination moved to rounds of up to three pivots, kept verbatim but for the
+# three names. The multistep rounds must give the same (det, M, k, v) on every
+# input, and a T_k that differs only in the order of its rows and columns.
+
+
+def _odd_part_ref(x: int) -> int:
+    """Nonzero x with every factor 2 divided out (keeping its sign)."""
+    return x >> (x & -x).bit_length() - 1
+
+
+def bareiss_single_step(
+    rows: Sequence[Sequence[int]],
+) -> tuple[int, int, int, Sequence[Sequence[int]], tuple[int, ...]]:
+    """(det a, M, k, T_k, v) from one Bareiss fraction-free elimination of
+    the rows of a square integer matrix a, which it does not modify; the
+    tuple is for ``snf._factors_from_block``.
+
+    Intermediate values stay polynomial-sized; every division is exact.
+    Step k pivots on an entry of least 2-adic valuation in the trailing
+    block, swapping its row up and, only when column k holds none, its
+    column in. After k steps the pivot D_k is the leading k-minor of P*a*Q
+    for the permutations P and Q so made, and by Sylvester's identity every
+    entry of the trailing block T_k = D_k * S_k is a (k+1)-minor of P*a*Q,
+    S_k being the Schur complement of that leading block. This is the
+    local Smith algorithm over Z localized at 2: the valuations of the
+    pivots of the S_k never decrease and are those of the invariant
+    factors, so v = (v_2(d_1), ..., v_2(d_(n-1))) with
+    v_2(d_i) = v_2(D_i) - v_2(D_(i-1)). They also make v_2(D_k) + v_2(d_k)
+    a lower bound for the valuations in T_k, and an entry of column k that
+    meets it needs no scan of the rest of the block.
+
+    One step before the end the trailing 2x2 block (before that step's
+    swaps, which keep its gcd) holds four (n-1)-minors; their gcd h is a
+    multiple of d_1...d_(n-1) (for n = 1 it is the empty minor, 1), and so
+    is M = gcd(|det a|, h). Modulo the odd part m of M a D_k prime to m is
+    a unit, so a is equivalent to I_k (+) T_k over Z/mZ. Each step keeps
+    D_k and a copy of T_k; the result carries the block of the largest k
+    with gcd(D_k, m) = 1, or k = 0 and ``rows`` itself when no pivot is
+    prime to m. A singular a gives (0, 0, 0, rows, ()).
+    """
+    n = len(rows)
+    if n == 0:
+        return 1, 1, 0, rows, ()
+    m = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    v_prev = 0  # v_2(prev)
+    floor = 0  # v_2(prev) + the last pivot's local valuation: no entry is below it
+    h = 1
+    twos = []
+    blocks = []
+    for k in range(n - 1):
+        if k == n - 2:
+            h = gcd(m[k][k], m[k][k + 1], m[k + 1][k], m[k + 1][k + 1])
+        bit = 1 << floor
+        for i in range(k, n):
+            if m[i][k] & bit:
+                v_pivot = floor
+                break
+        else:
+            if not any(m[i][k] for i in range(k, n)):
+                return 0, 0, 0, rows, ()
+            i, j, v_pivot = _least_valuation_ref(m, k, floor)
+            if j != k:
+                for row in m[k:]:
+                    row[k], row[j] = row[j], row[k]
+                sign = -sign
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            row_i = m[i]
+            row_k = m[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+        twos.append(v_pivot - v_prev)
+        v_prev, floor = v_pivot, 2 * v_pivot - v_prev
+        blocks.append((pivot, [row[k + 1:] for row in m[k + 1:]]))
+    d = sign * m[n - 1][n - 1]
+    if not d:
+        return 0, 0, 0, rows, ()
+    modulus = gcd(d, h)
+    odd = _odd_part_ref(modulus)
+    for k in range(n - 1, 0, -1):
+        pivot, block = blocks[k - 1]
+        if gcd(pivot, odd) == 1:
+            return d, modulus, k, block, tuple(twos)
+    return d, modulus, 0, rows, tuple(twos)
+
+
+def _least_valuation_ref(m: list[list[int]], k: int, floor: int) -> tuple[int, int, int]:
+    """(i, j, v_2(m[i][j])) for an entry of least 2-adic valuation in the
+    trailing block of m from (k, k) on, which must not be zero.
+
+    Columns are scanned in order from k, each from row k down, so column k
+    wins a tie; an entry of valuation ``floor``, the least possible, ends
+    the scan.
+    """
+    best = None
+    for j in range(k, len(m)):
+        for i in range(k, len(m)):
+            x = m[i][j]
+            if x:
+                v = (x & -x).bit_length() - 1
+                if best is None or v < best[2]:
+                    best = i, j, v
+                    if v == floor:
+                        return best
+    return best
 
 
 # -- frozen modular eliminations (cross-checks for snf._diagonal_mod) --------

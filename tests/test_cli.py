@@ -4,6 +4,8 @@ import argparse
 import dataclasses
 import io
 import json
+import re
+import sys
 
 import networkx as nx
 import pytest
@@ -12,9 +14,10 @@ from walklevel import cli, graphs
 from walklevel.cli import main, read_graphs
 from walklevel.errors import ParseError
 from walklevel.fixtures import load_worked_example, parse_int_matrix_text
-from walklevel.graphs import emit_graph6, parse_graph6
+from walklevel.graphs import emit_graph6, parse_graph6, walk_matrix
 from walklevel.intmat import IntMatrix
-from walklevel.sweep import SweepConfig, run_sweep
+from walklevel.snf import invariant_factors
+from walklevel.sweep import SweepConfig, derive_stream, random_graph, run_sweep
 
 ADJ_TEXT = """\
 10
@@ -496,6 +499,24 @@ class TestSnf:
         code, out, err = run_main(["snf", "-"], text, monkeypatch, capsys)
         assert (code, out) == (1, "")
         assert err.startswith(f"input error: {message}")
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_transforms_past_the_str_digit_limit(self, mode, monkeypatch, capsys):
+        # U and V of this 24 x 24 walk matrix hold ints of more than the
+        # 4,300 digits str() takes by default; the limit is lifted while the
+        # report is written and restored after, since main may run again
+        w = walk_matrix(random_graph(derive_stream(42, 2400, 0), 24, 1, 2))
+        text = f"{w.rows}\n" + "".join(" ".join(map(str, row)) + "\n" for row in w.data)
+        before = sys.get_int_max_str_digits()
+        code, out, err = run_main(["snf", "-", *mode], text, monkeypatch, capsys)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == before
+        assert max(map(len, re.findall(r"\d+", out))) > 4300
+        factors = list(invariant_factors(w))
+        if mode:
+            assert f'"invariant_factors":{json.dumps(factors, separators=(",", ":"))}' in out
+        else:
+            assert out.startswith(f"invariant factors over Z: {factors}\n")
 
     def test_empty_matrix_header(self):
         assert parse_int_matrix_text("0\n") == parse_int_matrix_text("0 0\n") == IntMatrix(())

@@ -8,10 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import charpoly_cofactor, det_cofactor, minor_gcd
+from oracles import bareiss_single_step, charpoly_cofactor, det_cofactor, minor_gcd
+from walklevel import intmat
 from walklevel.arith import v_p
 from walklevel.fixtures import load_worked_example
+from walklevel.graphs import walk_matrix
 from walklevel.intmat import IntMatrix, _bareiss, char_poly, det
+from walklevel.snf import _factors_from_block
+from walklevel.sweep import derive_stream, random_graph
 
 small_square = st.integers(1, 4).flatmap(
     lambda n: st.lists(
@@ -183,6 +187,147 @@ class TestBareiss:
         for _ in range(30):
             m = rand_matrix(rng, rng.randint(1, 6))
             assert det(m) == _bareiss(m.data)[0] == det_cofactor([list(r) for r in m.data])
+
+
+# entries from a small pool, each row and each column scaled by 1, 2, 4, 8,
+# 16 or 3: the valuations of a block rise inside a round, so a second or
+# third pivot would need the whole-block scan
+SCALES = st.sampled_from([1, 2, 4, 8, 16, 3])
+scaled_square = st.integers(1, 14).flatmap(
+    lambda n: st.tuples(
+        square(n, st.sampled_from([0, 1, -1, 2, 3, -5, 7])),
+        st.lists(SCALES, min_size=n, max_size=n),
+        st.lists(SCALES, min_size=n, max_size=n),
+    )
+).map(lambda t: [[x * r * c for x, c in zip(row, t[2])] for row, r in zip(t[0], t[1])])
+
+
+def trace_rounds(monkeypatch, rows):
+    """(_bareiss(rows), its rounds as (k, s), the single steps that rebuilt
+    a T_k chosen inside a round as (k, s), the k of each whole-block scan)."""
+    n = len(rows)
+    calls, scans = [], []
+    eliminate, least = intmat._eliminate, intmat._least_valuation
+
+    def spy_eliminate(block, s, prev, pivot):
+        calls.append((n - len(block), s))
+        return eliminate(block, s, prev, pivot)
+
+    def spy_least(block, floor):
+        scans.append(n - len(block))
+        return least(block, floor)
+
+    monkeypatch.setattr(intmat, "_eliminate", spy_eliminate)
+    monkeypatch.setattr(intmat, "_least_valuation", spy_least)
+    try:
+        result = _bareiss(rows)
+    finally:
+        monkeypatch.undo()
+    # the rounds go on from where the last one stopped; a rebuild starts
+    # over at a round's k
+    rounds, rebuilt = [], []
+    for k, s in calls:
+        if rebuilt or (rounds and k != sum(rounds[-1])):
+            rebuilt.append((k, s))
+        else:
+            rounds.append((k, s))
+    return result, rounds, rebuilt, scans
+
+
+def same_up_to_order(a, b):
+    """Whether blocks a and b can be equal after permuting rows and columns:
+    compared as multisets of sorted rows and of sorted columns."""
+    def key(rows):
+        return sorted(sorted(r) for r in rows)
+    return key(a) == key(b) and key(zip(*a)) == key(zip(*b))
+
+
+class TestMultistepBareiss:
+    """_bareiss takes up to three pivots per round, one pass over the
+    trailing block each, and must give the frozen single-step
+    elimination's (det, M, k, v), a T_k that differs from its own only in
+    the order of rows and columns, and so the same _factors_from_block
+    output."""
+
+    def check(self, rows):
+        got, ref = _bareiss(rows), bareiss_single_step(rows)
+        d, modulus, k, block, twos = got
+        assert (d, modulus, k, twos) == (ref[0], ref[1], ref[2], ref[4])
+        if d == 0 or k == 0:
+            assert block is rows
+        else:
+            assert same_up_to_order(block, ref[3])
+            assert _factors_from_block(*got) == _factors_from_block(*ref)
+        return got
+
+    @given(scaled_square)
+    @settings(max_examples=150, deadline=None)
+    def test_scaled_matrices(self, rows):
+        self.check(rows)
+
+    def test_walk_matrices(self):
+        # the first three draws at each n, mostly uncontrollable, and from
+        # n = 6 on (no graph on 3 to 5 vertices is controllable) the first
+        # controllable one
+        for n in range(3, 31):
+            draws = (walk_matrix(random_graph(derive_stream(5, n, attempt), n, 1, 2)).data
+                     for attempt in range(1000 if n >= 6 else 3))
+            for attempt, rows in enumerate(draws):
+                if self.check(rows)[0] and attempt >= 2:
+                    break
+            else:
+                assert n < 6
+
+    def test_second_and_third_pivot_need_the_column_swap(self, monkeypatch):
+        # column 1 of T_1 holds only 2 and 4: the second pivot needs the
+        # whole-block scan, which swaps in column 2, so the first round stops
+        # after one pivot and the second starts with that scan
+        rows = [[1, 0, 0, 0, 0], [0, 2, 1, 0, 0], [0, 4, 3, 0, 0], [0, 0, 0, 1, 0],
+                [0, 0, 0, 0, 1]]
+        result, rounds, rebuilt, scans = trace_rounds(monkeypatch, rows)
+        assert rounds[0] == (0, 1) and scans[0] == 1 and not rebuilt
+        assert self.check(rows) == result
+        # the same 2x2 block one step later: the third pivot needs the scan
+        rows = [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 2, 1, 0, 0],
+                [0, 0, 4, 3, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
+        result, rounds, rebuilt, scans = trace_rounds(monkeypatch, rows)
+        assert rounds[0] == (0, 2) and scans[0] == 2 and not rebuilt
+        assert self.check(rows) == result
+
+    def test_singular_inside_a_round(self, monkeypatch):
+        # column 1 of T_1 is zero: the first round stops after one pivot, and
+        # the second finds no pivot in its column
+        for rows in ([[1, 1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+                      [0, 0, 0, 0, 1]],
+                     [[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+                      [0, 0, 0, 0, 1]]):
+            result, rounds, _, _ = trace_rounds(monkeypatch, rows)
+            assert rounds == [(0, 1)]
+            assert result == (0, 0, 0, rows, ()) and result[3] is rows
+            assert self.check(rows) == result
+
+    def test_block_rebuilt_inside_a_round(self, monkeypatch):
+        # det 510, M = 3: D_2 is the last pivot prime to 3, and the first
+        # round went from T_0 to T_3, so T_2 is rebuilt by two single steps
+        # from that round's rows of T_0
+        rows = [[2, 3, -1, 3, -1], [3, 1, 0, -1, 0], [0, 0, 3, 3, 0], [1, 2, -1, 9, -3],
+                [1, 0, -1, -3, -3]]
+        result, rounds, rebuilt, _ = trace_rounds(monkeypatch, rows)
+        assert result[:3] == (510, 3, 2)
+        assert rounds == [(0, 3), (3, 1)] and rebuilt == [(0, 1), (1, 1)]
+        assert _factors_from_block(*self.check(rows)) == (1, 1, 1, 1, 510)
+
+    def test_short_orders(self, monkeypatch):
+        # no round steps past T_(n-2): below n = 5 no round takes three pivots,
+        # and at n = 5 only the first can
+        rng = random.Random(30)
+        for n in range(1, 6):
+            for _ in range(40):
+                rows = [[rng.choice((0, 1, -1, 2, 3, 4, 6)) for _ in range(n)] for _ in range(n)]
+                result, rounds, _, _ = trace_rounds(monkeypatch, rows)
+                assert all(k + s <= max(n - 2, k + 1) for k, s in rounds)
+                assert all(s < 3 for k, s in rounds if n < 5 or k > 0)
+                assert self.check(rows) == result
 
 
 class TestConstruction:

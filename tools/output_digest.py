@@ -51,6 +51,14 @@ prints one line per output group, ``<group> <items> <sha256>``:
                   or 10, a tenth of them made singular by a repeated row; this is
                   where the Bareiss pass swaps columns and eliminates a block
                   modulo an odd part
+  bareiss         intmat._bareiss's (det, M, k, v), without its block T_k, whose
+                  rows and columns may come in another order, and
+                  invariant_factors(m), on 2,000 random.Random(11) square
+                  matrices with n 1-14, each row and each column scaled by 1,
+                  2, 4, 8, 16 or 3, and on the walk matrix of the first
+                  controllable G(n, 1/2) draw of derive_stream(42, n, attempt)
+                  at n = 6..30 (the first draw at n = 3..5, where none is
+                  controllable)
   snf_random      snf_int(m)'s U, S and V on smith_random's 400 matrices and on 100
                   random.Random(8) non-square ones, 1-8 rows and columns, built
                   the same way; S is unique and U and V are not, so a change to
@@ -346,6 +354,36 @@ def smith_random() -> list[str]:
     return [json.dumps([m.data, det(m), invariant_factors(m)]) + "\n" for m in smith_matrices()]
 
 
+def bareiss() -> list[str]:
+    """_bareiss's (det, M, k, v) and invariant_factors on scaled and walk matrices."""
+    from walklevel.graphs import walk_matrix
+    from walklevel.intmat import IntMatrix, _bareiss, det
+    from walklevel.snf import invariant_factors
+    from walklevel.sweep import derive_stream, random_graph
+
+    rng = random.Random(11)
+    matrices = []
+    for _ in range(2000):
+        n = rng.randint(1, 14)
+        pool = rng.choice(((0, 1, -1, 2), (0, 2, 4, 6, 3), tuple(range(-9, 10))))
+        cols = rng.choices((1, 2, 4, 8, 16, 3), k=n)
+        matrices.append(IntMatrix([[rng.choice(pool) * r * c for c in cols]
+                                   for r in rng.choices((1, 2, 4, 8, 16, 3), k=n)]))
+    for n in range(3, 31):
+        for attempt in range(1000):
+            w = walk_matrix(random_graph(derive_stream(42, n, attempt), n, 1, 2))
+            if det(w):
+                break
+        else:
+            w = walk_matrix(random_graph(derive_stream(42, n, 0), n, 1, 2))
+        matrices.append(w)
+    out = []
+    for m in matrices:
+        d, modulus, k, _, twos = _bareiss(m.data)
+        out.append(json.dumps([m.data, d, modulus, k, twos, invariant_factors(m)]) + "\n")
+    return out
+
+
 def snf_random() -> list[str]:
     """snf_int's U, S and V on smith_random's matrices and 100 non-square ones."""
     from walklevel.intmat import IntMatrix
@@ -485,6 +523,7 @@ def groups(src: Path) -> dict[str, list[str]]:
         "lemma_reports": lemma_reports(fixture, pool),
         "factor_smith": factor_smith(),
         "smith_random": smith_random(),
+        "bareiss": bareiss(),
         "snf_random": snf_random(),
         "draws": draws(),
         "inputs": input_runs(main),
