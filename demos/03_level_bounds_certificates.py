@@ -36,9 +36,9 @@ def describe(g, label):
         print(f"  p={e.prime:>3}: exponent {shown}  [{e.rule}]")
     print(f"  overall: every admissible level divides "
           f"{rep.overall_divisor if rep.overall_divisor else '(unknown)'}")
-    cert = dgs_certificate(prof)
+    cert = dgs_certificate(prof, rep)
     print(f"  determined-by-generalized-spectrum: {cert.status} ({cert.reason})")
-    fam = family_membership(prof)
+    fam = family_membership(prof, rep)
     if fam.exponent in (2, 3):
         print(f"  normalized det = {fam.prime}^{fam.exponent} * {fam.cofactor}: "
               f"at most one cospectral mate")

@@ -1,11 +1,14 @@
 """The per-graph analysis shared by the analyze and mates commands and the sweep.
 
 Both stages take a graph's walk profile alone and read G, W and n off it.
-``analyze`` builds the profile's record. ``check_classes`` re-verifies
-the classes a search found: at every odd prime p that divides a class's
-level with rank_p W = n - 1 it extracts the four-congruence witness,
-re-checks the proof lemmas and tests the half-valuation bound
-v_p(level) <= floor(v_p(det W) / 2); then it tallies the refined conjecture.
+``analyze`` builds the profile's record around one bound table,
+``level_bounds(prof)``, which the DGS certificate and the family test
+read. ``check_classes`` re-verifies the classes a search found: at every
+odd prime p that divides a class's level with rank_p W = n - 1 it extracts
+the four-congruence witness, re-checks the proof lemmas and tests
+v_p(level) against the exponent that the bound table gives at p (0 for a
+prime without an entry; an unbounded prime is not tested); then it
+tallies the refined conjecture.
 """
 
 from __future__ import annotations
@@ -26,13 +29,15 @@ from .matesearch import MateClass
 def analyze(prof: WalkProfile) -> dict:
     """The record of a graph's profile; bounds and certificates need det W != 0.
 
-    Only walk_profile factors; the other stages read the profile's prime table.
+    Only walk_profile factors; the other stages read the profile's prime
+    table, and the certificate and family test read the one bound table.
     """
     rec = {"graph6": emit_graph6(prof.graph), "profile": prof.as_dict()}
     if prof.controllable:
-        rec["bounds"] = level_bounds(prof).as_dict()
-        rec["dgs"] = dgs_certificate(prof).as_dict()
-        rec["family"] = family_membership(prof).as_dict()
+        bounds = level_bounds(prof)
+        rec["bounds"] = bounds.as_dict()
+        rec["dgs"] = dgs_certificate(prof, bounds).as_dict()
+        rec["family"] = family_membership(prof, bounds).as_dict()
         rec["mate_bounds"] = mate_count_bounds(prof).as_dict()
     return rec
 
@@ -41,8 +46,9 @@ def check_classes(prof: WalkProfile, classes: list[MateClass]) -> dict:
     """Class records, witnesses, lemma checks, bound check and conjecture tally.
 
     The profile's prime table picks the witness primes and its W feeds
-    every check.
+    every check; the bound check reads ``level_bounds(prof)``.
     """
+    caps = {e.prime: e.exponent for e in level_bounds(prof).entries}
     records = []
     witnesses = []
     lemma_checks = []
@@ -58,7 +64,8 @@ def check_classes(prof: WalkProfile, classes: list[MateClass]) -> dict:
             if cls.level % p or prof.rank_p(p) != prof.n - 1:
                 continue
             wit = extract_four_cong_witness(prof, cls.q, p)
-            if wit.tau > prof.valuation(p) // 2:
+            cap = caps.get(p, 0)
+            if cap is not None and wit.tau > cap:
                 violations.append({"prime": p, "level": cls.level, "tau": wit.tau})
             witnesses.append(wit.as_dict())
             lemma_checks.append(verify_proof_lemmas(prof, wit).as_dict())

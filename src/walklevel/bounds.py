@@ -9,7 +9,9 @@ controllable graph:
 
 half-valuation is never worse than the older v_p(det W) - 1 once v_p >= 2,
 so no report records the older bound. When no rule applies the prime is
-reported as unbounded rather than guessed at.
+reported as unbounded rather than guessed at. ``level_bounds`` is the only
+code that applies these rules: the DGS certificate, the family test and
+``analysis.check_classes`` read its ``LevelBoundReport``.
 
 The witness machinery extracts, from a level-divisible matrix, a vector z0
 and eigenvalue lambda0 satisfying four exact congruences, then re-verifies
@@ -88,11 +90,19 @@ class LevelBoundReport:
 
 
 def level_bounds(profile: WalkProfile) -> LevelBoundReport:
-    """Apply every per-prime rule to a controllable profile."""
+    """Apply every per-prime rule to a controllable profile.
+
+    The two-adic rule decides p = 2 from the normalized determinant nd
+    alone, so the overall divisor needs only the table's odd primes to
+    account for the odd part of nd; a table that leaves part of it out
+    bounds its own primes and gives no overall divisor.
+    """
     if not profile.controllable:
         raise ValueError("level bounds require a controllable graph")
+    nd = profile.normalized_det
+    rest = abs(nd) // (nd & -nd)  # the odd part of nd
     entries = []
-    if profile.normalized_det % 2 != 0:
+    if nd % 2 != 0:
         entries.append(PrimeBound(2, 0, RULE_TWO_ADIC_ODD))
     else:
         entries.append(PrimeBound(2, None, RULE_NONE))
@@ -100,17 +110,14 @@ def level_bounds(profile: WalkProfile) -> LevelBoundReport:
         v, rank = profile.primes[p]
         if v == 0:
             continue
+        rest //= p ** v
         if v == 1:
             entries.append(PrimeBound(p, 0, RULE_ODD_SQUAREFREE))
         elif rank == profile.n - 1:
             entries.append(PrimeBound(p, v // 2, RULE_HALF_VALUATION))
         else:
             entries.append(PrimeBound(p, None, RULE_NONE))
-    try:
-        profile.factor(profile.det_w)
-    except ValueError:  # a partial prime table bounds only its own primes
-        return LevelBoundReport(tuple(entries), None)
-    bounded = all(e.exponent is not None for e in entries)
+    bounded = rest == 1 and all(e.exponent is not None for e in entries)
     overall = math.prod(e.prime ** e.exponent for e in entries) if bounded else None
     return LevelBoundReport(tuple(entries), overall)
 
@@ -121,18 +128,22 @@ class DgsCertificate(Report):
     reason: str
 
 
-def dgs_certificate(profile: WalkProfile) -> DgsCertificate:
-    """Certify determination-by-generalized-spectrum when the normalized
-    determinant is odd and square-free; otherwise report Unknown (never
-    "not DGS")."""
-    if not profile.controllable:
-        raise ValueError("certificate requires a controllable graph")
+def dgs_certificate(profile: WalkProfile, bounds: LevelBoundReport) -> DgsCertificate:
+    """Certify determination-by-generalized-spectrum exactly when the bound
+    table ``bounds`` (``level_bounds(profile)``) gives overall divisor 1, so
+    that every admissible level is 1; under the rules above that means the
+    normalized determinant is odd and square-free. Otherwise report Unknown,
+    never "not DGS", with the first prime whose bound is not 0, or else the
+    prime table that leaves part of the normalized determinant out."""
     nd = profile.normalized_det
-    if nd % 2 == 0:
-        return DgsCertificate("Unknown", f"normalized determinant {nd} is even")
-    if all(e == 1 for e in profile.factor(nd).values()):
+    if bounds.overall_divisor == 1:
         return DgsCertificate("DGS", f"normalized determinant {nd} is odd and square-free")
-    return DgsCertificate("Unknown", f"normalized determinant {nd} is not square-free")
+    for e in bounds.entries:
+        if e.exponent != 0:
+            shape = "even" if e.prime == 2 else "not square-free"
+            return DgsCertificate("Unknown", f"normalized determinant {nd} is {shape}")
+    return DgsCertificate("Unknown", f"the prime table {sorted(profile.primes)} leaves "
+                                     f"part of the normalized determinant {nd} out")
 
 
 @dataclass(frozen=True)
@@ -143,24 +154,22 @@ class FamilyMembership(Report):
     prime (at most one mate); exponent 3 is the extension allowing a cube.
     """
 
-    exponent: int | None  # 2, 3 or None
+    exponent: int | None  # v_p(det W): 2, 3 or None under the rules above
     prime: int | None
     cofactor: int | None
 
 
-def family_membership(profile: WalkProfile) -> FamilyMembership:
-    """Match the normalized determinant against p^2*b / p^3*b with b odd,
-    square-free, coprime to p, plus the corank-1 rank condition at p."""
-    if not profile.controllable:
-        raise ValueError("family membership requires a controllable graph")
-    nd = profile.normalized_det
-    if nd % 2 == 0:
-        return FamilyMembership(None, None, None)
-    heavy = [(p, e) for p, e in profile.factor(nd).items() if e >= 2]
-    if len(heavy) == 1:
-        p, e = heavy[0]
-        if e in (2, 3) and profile.rank_p(p) == profile.n - 1:
-            return FamilyMembership(e, p, abs(nd) // p**e)
+def family_membership(profile: WalkProfile, bounds: LevelBoundReport) -> FamilyMembership:
+    """Membership when the bound table ``bounds`` (``level_bounds(profile)``)
+    gives a single odd prime p of the profile's table as overall divisor,
+    so that every admissible level is 1 or p. Under the rules above that
+    happens exactly when the normalized determinant is p^e * b with e in
+    (2, 3), b odd, square-free and coprime to p, and rank_p W = n - 1. The
+    exponent is v_p(det W) and the cofactor |nd| / p^e."""
+    p = bounds.overall_divisor
+    if p != 2 and p in profile.primes:
+        e = profile.valuation(p)
+        return FamilyMembership(e, p, abs(profile.normalized_det) // p**e)
     return FamilyMembership(None, None, None)
 
 

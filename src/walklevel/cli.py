@@ -9,7 +9,8 @@ check or level bound, a sweep's bound, lemma or mate-bound violations (its
 conjecture violations are only reported), or an snf --oracle-check
 disagreement. ``main`` alone picks the code, from the exception a command
 raises; such a command writes its full report first, then raises
-InvariantError. JSON output is versioned with "schema": 1 and serialized
+InvariantError. A sweep slot that cannot be factored is an unknown record,
+not an exit 2. JSON output is versioned with "schema": 1 and serialized
 canonically (sorted keys, compact separators) so identical runs are
 byte-identical.
 """
@@ -352,6 +353,9 @@ def cmd_sweep(args) -> None:
         out.write(f"swept {agg['graphs']} slots, {accepted} controllable graphs "
                   f"(seed {config.seed}, n in [{config.n_min}, {config.n_max}])\n")
         out.write(f"  acceptance: {agg['controllable_acceptance']}\n")
+        if "unknown_slots" in agg:
+            out.write(f"  unknown slots (factoring budget exhausted): "
+                      f"{agg['unknown_slots']}\n")
         out.write(f"  bound rules fired: {agg['rules_fired']}\n")
         out.write(f"  searched {agg['searched']}, classes {agg['classes_found']}, "
                   f"mates {agg['mates_found']}, witnesses {agg['witnesses_checked']}\n")

@@ -27,6 +27,15 @@ only for the draw it accepts. No graph on 2-5 vertices is controllable (the
 tests enumerate all 1,098), so a slot of such an order is exhausted after
 zero attempts.
 
+A slot whose accepted draw cannot be factored within ``arith.RHO_BUDGET``
+becomes an unknown record, ``{"index", "n", "attempts", "graph6",
+"unknown": {"stage": "factorize", "normalized_det", "factored",
+"cofactor"}}``, instead of ending the sweep: ``factored`` holds the primes
+found before the budget ran out and ``cofactor`` the number rho could not
+split. No analysis runs on such a slot; the aggregate counts it as
+accepted and lists it under ``unknown_slots``, a key present only when
+some slot is unknown.
+
 Per controllable graph the sweep computes the profile and bound report,
 then (optionally) searches all prime-power levels p^j up to one less than
 the determinant valuation - the weaker, previously known ceiling - so a
@@ -47,8 +56,8 @@ from struct import iter_unpack
 
 from .analysis import analyze, check_classes
 from .arith import is_prime
-from .errors import SearchCapExceeded
-from .graphs import Graph, _controllable_profile, _walk_rows
+from .errors import FactorizationError, SearchCapExceeded
+from .graphs import Graph, _controllable_profile, _walk_rows, emit_graph6
 from .matesearch import distinct_mate_graphs, search_mates
 
 _MASK = (1 << 64) - 1
@@ -258,7 +267,17 @@ def sweep_one(config: SweepConfig, index: int) -> dict:
     for attempt in range(max_attempts):
         adj, _ = _draw_rows(mix64(slot ^ mix64(attempt)), n, config.edge_prob_num,
                             config.edge_prob_den)
-        prof = _controllable_profile(adj, _walk_rows(adj))
+        rows = _walk_rows(adj)
+        try:
+            prof = _controllable_profile(adj, rows)
+        except FactorizationError as exc:
+            # the draw is accepted; a partial prime table gets no analysis
+            bare = _controllable_profile(adj, rows, ())
+            return {"index": index, "n": n, "attempts": attempt + 1,
+                    "graph6": emit_graph6(bare.graph),
+                    "unknown": {"stage": "factorize", "normalized_det": bare.normalized_det,
+                                "factored": {str(p): e for p, e in exc.factored.items()},
+                                "cofactor": exc.cofactor}}
         if prof is not None:
             break
     else:
@@ -330,6 +349,7 @@ def run_sweep(config: SweepConfig) -> dict:
 
     acceptance: dict[int, list[int]] = {}
     rules: dict[str, int] = {}
+    unknown: list[int] = []
     agg = {
         "graphs": len(records),
         "searched": 0,
@@ -348,6 +368,9 @@ def run_sweep(config: SweepConfig) -> dict:
         if rec.get("exhausted"):
             continue
         stats[0] += 1
+        if "unknown" in rec:
+            unknown.append(rec["index"])
+            continue
         for entry in rec["bounds"]["per_prime"]:
             rules[entry["rule"]] = rules.get(entry["rule"], 0) + 1
         search = rec.get("search")
@@ -378,6 +401,8 @@ def run_sweep(config: SweepConfig) -> dict:
         str(n): {"accepted": a, "attempts": t} for n, (a, t) in sorted(acceptance.items())
     }
     agg["rules_fired"] = dict(sorted(rules.items()))
+    if unknown:
+        agg["unknown_slots"] = unknown
     return {"schema": SCHEMA, "config": config.as_dict(), "graphs": records, "aggregate": agg}
 
 

@@ -5,9 +5,14 @@ import inspect
 import io
 import json
 
-from walklevel import cli
+from walklevel import analysis, cli
 from walklevel.analysis import analyze, check_classes
-from walklevel.bounds import extract_four_cong_witness, verify_proof_lemmas
+from walklevel.bounds import (
+    LevelBoundReport,
+    PrimeBound,
+    extract_four_cong_witness,
+    verify_proof_lemmas,
+)
 from walklevel.fixtures import load_worked_example
 from walklevel.graphs import emit_graph6, parse_graph6, walk_profile
 from walklevel.matesearch import enumerate_columns, search_mates
@@ -57,6 +62,16 @@ class TestCheckClasses:
         prof = lowered_at_3(walk_profile(load_worked_example().graph))
         checked = check_classes(prof, search_mates(prof, [3, 9]))
         assert checked["bound_check"]["violations"] == [{"prime": 3, "level": 9, "tau": 2}]
+
+    def test_bound_check_reads_the_bound_table(self, monkeypatch):
+        # a table capping 3 at exponent 0 makes the level-3 class a violation;
+        # one leaving 3 unbounded checks nothing
+        prof = walk_profile(load_worked_example().graph)
+        classes = search_mates(prof, [3])
+        for exponent, violations in ((0, [{"prime": 3, "level": 3, "tau": 1}]), (None, [])):
+            table = LevelBoundReport((PrimeBound(3, exponent, "test"),), None)
+            monkeypatch.setattr(analysis, "level_bounds", lambda _, table=table: table)
+            assert check_classes(prof, classes)["bound_check"]["violations"] == violations
 
     def test_mates_exits_3_on_a_violated_bound(self, monkeypatch, capsys):
         real = cli.walk_profile

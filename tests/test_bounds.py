@@ -26,6 +26,8 @@ from walklevel.bounds import (
     RULE_ODD_SQUAREFREE,
     RULE_TWO_ADIC_ODD,
     FourCongWitness,
+    LevelBoundReport,
+    PrimeBound,
     conjecture_check,
     dgs_certificate,
     extract_four_cong_witness,
@@ -80,6 +82,16 @@ def factors_profile(invariant_factors):
 def by_prime(rep):
     """The report's entries keyed by their prime."""
     return {e.prime: e for e in rep.entries}
+
+
+def certificate(prof):
+    """The DGS certificate read off the profile's own bound table."""
+    return dgs_certificate(prof, level_bounds(prof))
+
+
+def family(prof):
+    """The family test read off the profile's own bound table."""
+    return family_membership(prof, level_bounds(prof))
 
 
 class TestLevelBounds:
@@ -139,44 +151,78 @@ class TestLevelBounds:
         assert rep.overall_divisor is None
         assert level_bounds(walk_profile(g, primes=[2, 3, 19])).overall_divisor == 9
 
+    def test_table_without_two_gets_an_overall_divisor(self):
+        # the two-adic rule decides p = 2 from nd = 105 alone, so the odd
+        # primes 3, 5 and 7, which account for nd, bound every level
+        prof = synthetic_profile(4, 420, {3: (1, 3), 5: (1, 3), 7: (1, 3)})
+        rep = level_bounds(prof)
+        assert by_prime(rep)[2].rule == RULE_TWO_ADIC_ODD
+        assert rep.overall_divisor == 1
+        g = load_worked_example().graph
+        assert level_bounds(walk_profile(g, primes=[3, 19])).overall_divisor == 9
+
 
 class TestDgsCertificate:
     def test_worked_example_unknown(self):
-        cert = dgs_certificate(walk_profile(load_worked_example().graph))
+        cert = certificate(walk_profile(load_worked_example().graph))
         assert cert.status == "Unknown"
         assert "square-free" in cert.reason
 
     def test_odd_squarefree_certified(self):
         prof = synthetic_profile(4, 105 * 4, {3: (1, 3), 5: (1, 3), 7: (1, 3)})
-        assert dgs_certificate(prof).status == "DGS"
+        assert certificate(prof).status == "DGS"
 
     def test_even_unknown(self):
         prof = synthetic_profile(4, 6 * 4, {2: (3, 2), 3: (1, 3)})
-        cert = dgs_certificate(prof)
+        cert = certificate(prof)
         assert cert.status == "Unknown" and "even" in cert.reason
+
+    def test_reads_the_overall_divisor(self):
+        # the fixture's own table gives 9; a table giving 1 certifies it
+        prof = walk_profile(load_worked_example().graph)
+        table = LevelBoundReport((PrimeBound(2, 0, RULE_TWO_ADIC_ODD),), 1)
+        assert dgs_certificate(prof, table).status == "DGS"
+
+    def test_partial_table_is_unknown_for_its_gap(self):
+        # nd = 3^4 * 19, but the table holds 5 alone: no table prime
+        # shows a square, so the reason names the table
+        prof = walk_profile(load_worked_example().graph, primes=[5])
+        cert = certificate(prof)
+        assert cert.status == "Unknown"
+        assert cert.reason == ("the prime table [5] leaves part of the normalized "
+                               f"determinant {prof.normalized_det} out")
+        assert family(prof) == bounds.FamilyMembership(None, None, None)
 
 
 class TestFamilyMembership:
     def test_square_family(self):
         prof = synthetic_profile(8, 9 * 35 * 16, {3: (2, 7), 5: (1, 7), 7: (1, 7)})
-        fam = family_membership(prof)
+        fam = family(prof)
         assert fam.exponent == 2 and fam.prime == 3 and fam.cofactor == 35
         assert fam.exponent == 2
 
     def test_cube_family_only(self):
         prof = synthetic_profile(8, 27 * 5 * 16, {3: (3, 7), 5: (1, 7)})
-        fam = family_membership(prof)
+        fam = family(prof)
         assert fam.exponent == 3 and fam.prime == 3 and fam.cofactor == 5
         assert fam.exponent in (2, 3)  # a family member
         assert fam.exponent != 2  # outside the square family
 
     def test_worked_example_neither(self):
-        fam = family_membership(walk_profile(load_worked_example().graph))
+        fam = family(walk_profile(load_worked_example().graph))
         assert fam.exponent not in (2, 3)
+
+    def test_reads_the_overall_divisor(self):
+        # the fixture's own table gives 9 = 3^2; a table giving 3 makes it
+        # a member, with its exponent v_3(det W) = 4 and cofactor 19
+        prof = walk_profile(load_worked_example().graph)
+        table = LevelBoundReport((PrimeBound(3, 1, RULE_HALF_VALUATION),), 3)
+        fam = family_membership(prof, table)
+        assert (fam.exponent, fam.prime, fam.cofactor) == (4, 3, 19)
 
     def test_rank_condition_required(self):
         prof = synthetic_profile(8, 9 * 35 * 16, {3: (2, 6), 5: (1, 7), 7: (1, 7)})
-        assert family_membership(prof).exponent not in (2, 3)
+        assert family(prof).exponent not in (2, 3)
 
     def test_member_keeps_uniqueness_promise(self):
         # frozen sweep find: normalized det 3^2, one mate exactly; family
@@ -187,7 +233,7 @@ class TestFamilyMembership:
 
         g = parse_graph6("HTAWQhV")
         prof = walk_profile(g)
-        fam = family_membership(prof)
+        fam = family(prof)
         assert fam.exponent == 2 and fam.prime == 3
         classes = search_mates(prof, divisors(prof.factor(prof.d_n)))
         assert len(distinct_mate_graphs(classes)) == 1
@@ -570,7 +616,8 @@ class TestReportSerialization:
         lemma = verify_proof_lemmas(prof, wit)
         bound_rep = level_bounds(prof)
         conj = conjecture_check(prof, [3])
-        plain = [*bound_rep.entries, dgs_certificate(prof), family_membership(prof),
+        plain = [*bound_rep.entries, dgs_certificate(prof, bound_rep),
+                 family_membership(prof, bound_rep),
                  mate_count_bounds(prof), wit, *conj.entries]
         assert len({type(rep) for rep in plain}) == 6
         for rep in plain:

@@ -10,7 +10,7 @@ import sys
 import networkx as nx
 import pytest
 
-from walklevel import cli, graphs
+from walklevel import arith, cli, graphs
 from walklevel.cli import main, read_graphs
 from walklevel.errors import ParseError
 from walklevel.fixtures import load_worked_example, parse_int_matrix_text
@@ -543,6 +543,23 @@ class TestSweepCli:
         assert "acceptance: {'6': {'accepted': 0, 'attempts': 1}" in out
         assert main(["sweep", "--count", "4", "--seed", "3", "--no-mates"]) == 0
         assert capsys.readouterr().out.startswith("swept 4 slots, 4 controllable graphs ")
+
+    def test_unknown_slots_exit_0_and_are_named(self, monkeypatch, tmp_path, capsys):
+        # with no rho budget nine slots cannot be factored; the sweep keeps
+        # them as unknown records, while analyze still stops at such a graph
+        args = ["sweep", "--seed", "42", "--count", "40", "--n-min", "10", "--n-max", "16",
+                "--no-mates"]
+        assert main(args) == 0
+        assert "unknown slots" not in capsys.readouterr().out
+        monkeypatch.setattr(arith, "RHO_BUDGET", 0)
+        out = tmp_path / "r.json"
+        assert main(args + ["--out", str(out)]) == 0
+        assert ("  unknown slots (factoring budget exhausted): "
+                "[5, 13, 19, 25, 26, 27, 30, 33, 34]\n") in capsys.readouterr().out
+        record = json.loads(out.read_text())["graphs"][5]
+        monkeypatch.setattr("sys.stdin", io.StringIO(record["graph6"] + "\n"))
+        assert main(["analyze", "-"]) == 2
+        assert capsys.readouterr().err.startswith("resource cap: could not fully factor ")
 
     def test_bare_sweep_runs_the_default_config(self, monkeypatch, capsys):
         seen = []

@@ -1,12 +1,13 @@
 """The walk profile's prime table is the only factorization of a graph's analysis.
 
-``walk_profile`` factors the normalized determinant; the certificate, the
-family test, the mate-count bounds and the CLI's automatic levels read the
-table through ``WalkProfile.factor``. The guards count ``factorize`` and
-``rank_mod_p`` at every name they are bound to in the library (the table's
-ranks are read off the invariant factors, so ``rank_mod_p`` never runs);
-the oracle recomputes the readers from sympy's factorizations of the
-normalized determinant and d_n.
+``walk_profile`` factors the normalized determinant; the mate-count bounds
+and the CLI's automatic levels read the table through
+``WalkProfile.factor``, and the certificate and the family test read
+``level_bounds``' report of it, calling neither ``factor`` nor ``rank_p``.
+The guards count ``factorize`` and ``rank_mod_p`` at every name they are
+bound to in the library (the table's ranks are read off the invariant
+factors, so ``rank_mod_p`` never runs); the oracle recomputes the readers
+from sympy's factorizations of the normalized determinant and d_n.
 """
 
 from math import prod
@@ -16,10 +17,21 @@ from sympy import factorint
 
 from walklevel import arith, snf
 from walklevel.analysis import analyze
-from walklevel.bounds import dgs_certificate, family_membership, mate_count_bounds
+from walklevel.bounds import (
+    dgs_certificate,
+    family_membership,
+    level_bounds,
+    mate_count_bounds,
+)
 from walklevel.cli import main
 from walklevel.fixtures import load_worked_example
-from walklevel.graphs import emit_graph6, parse_graph6, walk_matrix, walk_profile
+from walklevel.graphs import (
+    WalkProfile,
+    emit_graph6,
+    parse_graph6,
+    walk_matrix,
+    walk_profile,
+)
 from walklevel.intmat import det
 from walklevel.sweep import SweepConfig, derive_stream, random_graph, sweep_one
 
@@ -102,6 +114,20 @@ class TestProfileFactor:
             walk_profile(load_worked_example().graph).factor(0)
 
 
+def test_readers_neither_factor_nor_read_ranks(monkeypatch):
+    # the certificate and the family test read level_bounds' report only
+    prof = walk_profile(load_worked_example().graph)
+    bounds = level_bounds(prof)
+
+    def refused(*args):
+        raise AssertionError("a reader of the bound table factored or read a rank")
+
+    monkeypatch.setattr(WalkProfile, "factor", refused)
+    monkeypatch.setattr(WalkProfile, "rank_p", refused)
+    assert dgs_certificate(prof, bounds).status == "Unknown"
+    assert family_membership(prof, bounds).exponent is None
+
+
 def oracle_dgs(prof):
     nd = prof.normalized_det
     odd_square_free = nd % 2 and all(e == 1 for e in factorint(abs(nd)).values())
@@ -135,8 +161,9 @@ def test_table_readers_match_sympy_oracle():
     seen = {"dgs": 0, "family": 0, "mate_bounds": 0}
     for g in seeded_graphs() + [load_worked_example().graph]:
         prof = walk_profile(g)
-        cert = dgs_certificate(prof)
-        fam = family_membership(prof)
+        bounds = level_bounds(prof)
+        cert = dgs_certificate(prof, bounds)
+        fam = family_membership(prof, bounds)
         mcb = mate_count_bounds(prof)
         assert cert.status == oracle_dgs(prof), emit_graph6(g)
         assert (fam.exponent, fam.prime, fam.cofactor) == oracle_family(prof), emit_graph6(g)

@@ -14,7 +14,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 import walklevel
-from walklevel import graphs, intmat, sweep
+from walklevel import arith, graphs, intmat, sweep
 from walklevel.graphs import Graph, walk_matrix
 from walklevel.sweep import (
     _GAMMA,
@@ -297,6 +297,37 @@ class TestSweep:
         acceptance = rep["aggregate"]["controllable_acceptance"]
         assert acceptance["5"] == {"accepted": 0, "attempts": 0}
         assert acceptance["6"]["accepted"] == 2
+
+    def test_unfactored_slot_is_an_unknown_record(self, monkeypatch):
+        # with no rho budget every normalized determinant that trial
+        # division leaves composite is unfactored: those slots become
+        # unknown records, and every other record is unchanged
+        cfg = SweepConfig(n_min=10, n_max=16, seed=42, graph_count=40, mates=False)
+        plain = run_sweep(cfg)
+        monkeypatch.setattr(arith, "RHO_BUDGET", 0)
+        rep = run_sweep(cfg)
+        unknown = [5, 13, 19, 25, 26, 27, 30, 33, 34]
+        assert len(rep["graphs"]) == 40
+        assert [rec["index"] for rec in rep["graphs"] if "unknown" in rec] == unknown
+        assert rep["aggregate"]["unknown_slots"] == unknown
+        assert "unknown_slots" not in plain["aggregate"]
+        for mine, theirs in zip(rep["graphs"], plain["graphs"]):
+            if "unknown" not in mine:
+                assert mine == theirs
+                continue
+            assert set(mine) == {"index", "n", "attempts", "graph6", "unknown"}
+            assert mine["graph6"] == theirs["graph6"]
+            assert mine["attempts"] == theirs["attempts"]
+            info = mine["unknown"]
+            nd = theirs["profile"]["normalized_det"]
+            assert info["stage"] == "factorize" and info["normalized_det"] == nd
+            assert abs(nd) % info["cofactor"] == 0 and info["cofactor"] > 1
+            for p, e in info["factored"].items():
+                assert abs(nd) % int(p) ** e == 0
+        # unknown slots are accepted draws, and nothing else counts them
+        agg, plain_agg = rep["aggregate"], plain["aggregate"]
+        assert agg["controllable_acceptance"] == plain_agg["controllable_acceptance"]
+        assert sum(agg["rules_fired"].values()) < sum(plain_agg["rules_fired"].values())
 
     def test_mates_past_isomorphism_size_limit(self):
         # slot 15 is a 14-vertex graph with a level-3 mate; the search no

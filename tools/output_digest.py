@@ -12,6 +12,10 @@ prints one line per output group, ``<group> <items> <sha256>``:
   sweep_edge_prob report_json(run_sweep(...)) at edge probabilities 1/3 and 2/7,
                   seed 42, n 5-10, 30 graphs each, mates; every n = 5 slot is
                   exhausted (no graph on 5 vertices is controllable)
+  sweep_unknown   report_json(run_sweep(...)), seed 42, n 10-16, 40 graphs, no mates,
+                  with arith.RHO_BUDGET = 0 (restored afterwards): slots 5, 13,
+                  19, 25, 26, 27, 30, 33 and 34 cannot be factored and become
+                  unknown records
   analyze_fixture walklevel analyze --json on the bundled fixture
   analyze_pool    walklevel analyze --json on each line of perfbench/mates_pool.txt
   mates_fixture   walklevel mates --json on the fixture, automatic levels
@@ -486,6 +490,20 @@ def cli_surface(main, fixtures: Path) -> list[str]:
             os.environ["COLUMNS"] = saved
 
 
+def unknown_sweep(config) -> str:
+    """report_json(run_sweep(config)) with no rho budget, so slots whose
+    normalized determinant trial division leaves composite are unknown."""
+    from walklevel import arith
+    from walklevel.sweep import report_json, run_sweep
+
+    saved = arith.RHO_BUDGET
+    arith.RHO_BUDGET = 0
+    try:
+        return report_json(run_sweep(config))
+    finally:
+        arith.RHO_BUDGET = saved
+
+
 def groups(src: Path) -> dict[str, list[str]]:
     sys.path.insert(0, str(src))
     import walklevel
@@ -499,12 +517,14 @@ def groups(src: Path) -> dict[str, list[str]]:
     unit_kernel = unit_kernel_tests()
     small = SweepConfig(n_min=6, n_max=12, graph_count=500, seed=42)
     factor = SweepConfig(n_min=14, n_max=16, graph_count=24, seed=42, mates=False)
+    unfactored = SweepConfig(n_min=10, n_max=16, graph_count=40, seed=42, mates=False)
     sparse = [SweepConfig(n_min=5, n_max=10, graph_count=30, seed=42, edge_prob_num=num,
                           edge_prob_den=den) for num, den in ((1, 3), (2, 7))]
     return {
         "sweep_small": [report_json(run_sweep(small))],
         "sweep_factor": [report_json(run_sweep(factor))],
         "sweep_edge_prob": [report_json(run_sweep(config)) for config in sparse],
+        "sweep_unknown": [unknown_sweep(unfactored)],
         "analyze_fixture": [run_cli(main, ["analyze", "-", "--json"], fixture)],
         "analyze_pool": [run_cli(main, ["analyze", "-", "--json"], g6 + "\n")
                          for g6, _ in pool],
