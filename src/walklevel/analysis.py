@@ -8,7 +8,9 @@ odd prime p that divides a class's level with rank_p W = n - 1 it extracts
 the four-congruence witness, re-checks the proof lemmas and tests
 v_p(level) against the exponent that the bound table gives at p (0 for a
 prime without an entry; an unbounded prime is not tested); then it
-tallies the refined conjecture.
+tallies the refined conjecture. ``unknown_record`` stands in for
+``analyze`` on a graph whose normalized determinant the factoring budget
+cannot split, in the sweep and in the analyze command alike.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .bounds import (
     mate_count_bounds,
     verify_proof_lemmas,
 )
+from .errors import FactorizationError
 from .graphs import WalkProfile, emit_graph6
 from .matesearch import MateClass
 
@@ -40,6 +43,17 @@ def analyze(prof: WalkProfile) -> dict:
         rec["family"] = family_membership(prof, bounds).as_dict()
         rec["mate_bounds"] = mate_count_bounds(prof).as_dict()
     return rec
+
+
+def unknown_record(bare: WalkProfile, exc: FactorizationError) -> dict:
+    """The record of a graph that ``walk_profile`` could not factor, read off
+    its profile with an empty prime table (``walk_profile(g, ())``) and the
+    error: ``factored`` holds the primes found before the budget ran out,
+    and ``cofactor`` the number rho could not split."""
+    return {"graph6": emit_graph6(bare.graph),
+            "unknown": {"stage": "factorize", "normalized_det": bare.normalized_det,
+                        "factored": {str(p): e for p, e in exc.factored.items()},
+                        "cofactor": exc.cofactor}}
 
 
 def check_classes(prof: WalkProfile, classes: list[MateClass]) -> dict:

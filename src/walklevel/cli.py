@@ -9,10 +9,15 @@ check or level bound, a sweep's bound, lemma or mate-bound violations (its
 conjecture violations are only reported), or an snf --oracle-check
 disagreement. ``main`` alone picks the code, from the exception a command
 raises; such a command writes its full report first, then raises
-InvariantError. A sweep slot that cannot be factored is an unknown record,
-not an exit 2. JSON output is versioned with "schema": 1 and serialized
-canonically (sorted keys, compact separators) so identical runs are
-byte-identical.
+InvariantError. A sweep slot or an analyze graph that cannot be factored
+is an unknown record, not an exit 2. ``mates`` searches each level on its
+own and lists a level that hits a search cap under "levels_capped"; after
+its full report it raises InvariantError on a failed check, else
+SearchCapExceeded when a level was capped. Its automatic levels are the
+divisors > 1 of prod p^min(v_p(d_n), e_p), with e_p the bound table's
+exponent at p (v_p(d_n) where no rule bounds p). JSON output is
+versioned with "schema": 1 and serialized canonically (sorted keys,
+compact separators) so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import cache
 from itertools import combinations
 from math import gcd
 
-from .analysis import analyze, check_classes
+from .analysis import analyze, check_classes, unknown_record
 from .arith import divisors
 from .bounds import level_bounds
 from .errors import FactorizationError, InvariantError, ParseError, SearchCapExceeded
@@ -108,6 +113,11 @@ def read_graphs(text: str) -> list[Graph]:
 
 
 def _print_analysis(rec: dict, out) -> None:
+    if "unknown" in rec:
+        info = rec["unknown"]
+        out.write(f"graph {rec['graph6']}  unknown: the factoring budget left the cofactor "
+                  f"{info['cofactor']} of the normalized determinant {info['normalized_det']}\n")
+        return
     prof = rec["profile"]
     out.write(f"graph {rec['graph6']}  n={prof['n']}\n")
     if not prof["controllable"]:
@@ -136,9 +146,16 @@ def _print_analysis(rec: dict, out) -> None:
     out.write("\n")
 
 
+def _analyze_graph(g: Graph) -> dict:
+    try:
+        return analyze(walk_profile(g))
+    except FactorizationError as exc:
+        return unknown_record(walk_profile(g, ()), exc)
+
+
 def cmd_analyze(args) -> None:
     graphs = read_graphs(_read_text(args.path))
-    records = [analyze(walk_profile(g)) for g in graphs]
+    records = [_analyze_graph(g) for g in graphs]
     if args.json:
         _emit_json({"graphs": records})
     else:
@@ -153,16 +170,14 @@ def cmd_analyze(args) -> None:
 
 
 def _auto_levels(profile, bounds_rep, cap: int) -> tuple[list[int], list[str]]:
-    notes = []
-    if bounds_rep.overall_divisor is not None:
-        base = bounds_rep.overall_divisor
-    else:
-        base = profile.d_n
-        notes.append(
-            "some prime is unbounded by the implemented rules; falling back "
-            f"to divisors of the last invariant factor {base}"
-        )
-    levels = [d for d in divisors(profile.factor(base)) if d > 1]
+    # every level divides d_n, and the bound table caps its exponent at p
+    bound = {e.prime: e.exponent for e in bounds_rep.entries if e.exponent is not None}
+    exps = profile.factor(profile.d_n)
+    free = [p for p in exps if p not in bound]
+    notes = [f"no rule bounds the primes {free}; they take their exponents in the "
+             f"last invariant factor {profile.d_n}"] if free else []
+    levels = [d for d in divisors({p: min(v, bound.get(p, v)) for p, v in exps.items()})
+              if d > 1]
     dropped = [d for d in levels if d > cap]
     if dropped:
         notes.append(f"levels over cap {cap} skipped: {dropped}")
@@ -196,7 +211,15 @@ def cmd_mates(args) -> None:
         levels, notes = _auto_levels(prof, bounds_rep, args.level_cap)
     else:
         levels = _parse_levels(args.levels)
-    checked = check_classes(prof, search_mates(prof, levels))
+    # a cap ends its level only: the classes of the others are still reported
+    classes, capped = [], []
+    for level in levels:
+        try:
+            classes += search_mates(prof, [level])
+        except SearchCapExceeded as exc:
+            capped.append(level)
+            notes.append(f"level {level} capped: {exc}")
+    checked = check_classes(prof, classes)
     invariant_failed = not all(chk["all_ok"] for chk in checked["lemma_checks"])
     violations = checked["bound_check"]["violations"]
 
@@ -208,6 +231,8 @@ def cmd_mates(args) -> None:
         "notes": notes,
         **checked,
     }
+    if capped:
+        payload["levels_capped"] = capped
     if args.json:
         _emit_json(payload)
     else:
@@ -229,6 +254,8 @@ def cmd_mates(args) -> None:
         failures.append("a verified conclusion failed")
     if failures:
         raise InvariantError("; ".join(failures))
+    if capped:
+        raise SearchCapExceeded(f"the search hit a cap at levels {capped}")
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,10 @@ zero attempts.
 A slot whose accepted draw cannot be factored within ``arith.RHO_BUDGET``
 becomes an unknown record, ``{"index", "n", "attempts", "graph6",
 "unknown": {"stage": "factorize", "normalized_det", "factored",
-"cofactor"}}``, instead of ending the sweep: ``factored`` holds the primes
-found before the budget ran out and ``cofactor`` the number rho could not
-split. No analysis runs on such a slot; the aggregate counts it as
-accepted and lists it under ``unknown_slots``, a key present only when
-some slot is unknown.
+"cofactor"}}`` (``analysis.unknown_record`` with the slot's index, n and
+attempts), instead of ending the sweep. No analysis runs on such a slot;
+the aggregate counts it as accepted and lists it under ``unknown_slots``,
+a key present only when some slot is unknown.
 
 Per controllable graph the sweep computes the profile and bound report,
 then (optionally) searches all prime-power levels p^j up to one less than
@@ -54,10 +53,10 @@ from itertools import repeat
 from operator import itemgetter
 from struct import iter_unpack
 
-from .analysis import analyze, check_classes
+from .analysis import analyze, check_classes, unknown_record
 from .arith import is_prime
 from .errors import FactorizationError, SearchCapExceeded
-from .graphs import Graph, _controllable_profile, _walk_rows, emit_graph6
+from .graphs import Graph, _controllable_profile, _walk_rows
 from .matesearch import distinct_mate_graphs, search_mates
 
 _MASK = (1 << 64) - 1
@@ -272,12 +271,8 @@ def sweep_one(config: SweepConfig, index: int) -> dict:
             prof = _controllable_profile(adj, rows)
         except FactorizationError as exc:
             # the draw is accepted; a partial prime table gets no analysis
-            bare = _controllable_profile(adj, rows, ())
             return {"index": index, "n": n, "attempts": attempt + 1,
-                    "graph6": emit_graph6(bare.graph),
-                    "unknown": {"stage": "factorize", "normalized_det": bare.normalized_det,
-                                "factored": {str(p): e for p, e in exc.factored.items()},
-                                "cofactor": exc.cofactor}}
+                    **unknown_record(_controllable_profile(adj, rows, ()), exc)}
         if prof is not None:
             break
     else:

@@ -6,16 +6,21 @@ import io
 import json
 import re
 import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
-from walklevel import arith, cli, graphs
+from oracles import bruteforce_mate_classes
+from walklevel import arith, cli, graphs, matesearch
+from walklevel.arith import divisors
+from walklevel.bounds import level_bounds
 from walklevel.cli import main, read_graphs
 from walklevel.errors import ParseError
 from walklevel.fixtures import load_worked_example, parse_int_matrix_text
-from walklevel.graphs import emit_graph6, parse_graph6, walk_matrix
+from walklevel.graphs import emit_graph6, parse_graph6, walk_matrix, walk_profile
 from walklevel.intmat import IntMatrix
+from walklevel.matesearch import search_mates
 from walklevel.snf import invariant_factors
 from walklevel.sweep import SweepConfig, derive_stream, random_graph, run_sweep
 
@@ -462,6 +467,123 @@ class TestMates:
         assert payload["classes"][0]["isomorphic_to_input"]
 
 
+def auto_levels(prof, cap):
+    return cli._auto_levels(prof, level_bounds(prof), cap)[0]
+
+
+def pool_profiles():
+    """The walk profile of each graph of the perfbench mates pool."""
+    pool = Path(__file__).resolve().parent.parent / "perfbench" / "mates_pool.txt"
+    return [walk_profile(parse_graph6(line.split()[1]))
+            for line in pool.read_text().splitlines() if line.strip() and line[0] != "#"]
+
+
+def first_controllable(seed, index, n):
+    """The first controllable G(n, 1/2) draw of derive_stream(seed, index, attempt)."""
+    attempt = 0
+    while True:
+        g = random_graph(derive_stream(seed, index, attempt), n, 1, 2)
+        if walk_profile(g).controllable:
+            return g
+        attempt += 1
+
+
+class TestAutoLevels:
+    """Automatic levels are the divisors > 1 of L = prod p^min(v_p(d_n), e_p),
+    e_p the bound table's exponent at p, or v_p(d_n) where no rule bounds p."""
+
+    def test_every_bruteforce_class_is_found(self):
+        # with a cap above d_n, level 1 and the automatic levels give exactly
+        # the classes of exhaustive enumeration; index 720 leaves the prime 3
+        # unbounded, and 721 has the overall divisor 3
+        for n, index in ((6, 602), (7, 720), (7, 721)):
+            g = first_controllable(5, index, n)
+            prof = walk_profile(g)
+            levels = auto_levels(prof, prof.d_n + 1)
+            truth, _ = bruteforce_mate_classes(g)
+            assert {level for level, _ in truth} <= {1, *levels}
+            assert {c.q.canonical_key() for c in search_mates(prof, [1, *levels])} == truth
+
+    def test_a_bounded_table_gives_its_overall_divisors(self):
+        fixture = walk_profile(load_worked_example().graph)
+        assert cli._auto_levels(fixture, level_bounds(fixture), 1000) == ([3, 9], [])
+        dgs = walk_profile(parse_graph6("FZqQg"))
+        assert cli._auto_levels(dgs, level_bounds(dgs), 1000) == ([], [])
+        bounded = 0
+        for prof in pool_profiles():
+            overall = level_bounds(prof).overall_divisor
+            if overall is not None:
+                want = [d for d in divisors(prof.factor(overall)) if d > 1]
+                assert cli._auto_levels(prof, level_bounds(prof), overall) == (want, [])
+                bounded += 1
+        assert bounded == 55
+
+    def test_unbounded_tables_lose_no_class(self):
+        # up to level 16 the rule drops 64 of the 296 divisors of d_n on the
+        # 45 pool graphs without an overall divisor, and none holds a class
+        unbounded = old_count = new_count = classes = 0
+        for prof in pool_profiles():
+            if level_bounds(prof).overall_divisor is not None:
+                continue
+            old = [d for d in divisors(prof.factor(prof.d_n)) if 1 < d <= 16]
+            new = auto_levels(prof, 16)
+            found = [c.q.canonical_key() for c in search_mates(prof, old)]
+            assert [c.q.canonical_key() for c in search_mates(prof, new)] == found
+            unbounded += 1
+            old_count += len(old)
+            new_count += len(new)
+            classes += len(found)
+        assert (unbounded, old_count, new_count) == (45, 296, 232)
+        assert classes > 0
+
+    def test_wall_graph_searches_three_levels(self, monkeypatch, capsys):
+        # d_n = 8845336 = 2^3 * 1105667; the table bounds 19 and 58193 at 0
+        code, out, err = run_main(["mates", "-", "--json"], "KfAGea\\UCmvi\n", monkeypatch,
+                                  capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["levels_searched"] == [2, 4, 8]
+        assert payload["classes"] == []
+        assert payload["notes"] == ["no rule bounds the primes [2]; they take their "
+                                    "exponents in the last invariant factor 8845336"]
+
+
+class TestLevelCaps:
+    """A level whose search hits a cap is named; the other levels are reported."""
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_a_cap_ends_its_level_only(self, mode, monkeypatch, capsys):
+        # 16 candidates fit level 3, and level 9 has 22
+        argv = ["mates", "-"] + mode
+        plain = run_main(argv + ["--levels", "3"], ADJ_TEXT, monkeypatch, capsys)
+        assert "levels_capped" not in plain[1]
+        monkeypatch.setattr(matesearch, "CANDIDATE_CAP", 16)
+        code, out, err = run_main(argv, ADJ_TEXT, monkeypatch, capsys)
+        assert (code, err) == (2, "resource cap: the search hit a cap at levels [9]\n")
+        note = "level 9 capped: more than 16 column candidates at level 9"
+        if mode:
+            want = json.loads(plain[1])
+            want.update(levels_searched=[3, 9], levels_capped=[9], notes=[note])
+            assert json.loads(out) == want
+        else:
+            assert out == plain[1].replace(
+                "searched levels [3]\n", f"searched levels [3, 9]\n  note: {note}\n")
+
+    def test_a_failed_check_outranks_a_cap(self, monkeypatch, capsys):
+        real = cli.check_classes
+
+        def failing(prof, classes):
+            checked = real(prof, classes)
+            checked["lemma_checks"][0]["all_ok"] = False
+            return checked
+
+        monkeypatch.setattr(cli, "check_classes", failing)
+        monkeypatch.setattr(matesearch, "CANDIDATE_CAP", 16)
+        code, out, err = run_main(["mates", "-", "--json"], ADJ_TEXT, monkeypatch, capsys)
+        assert (code, err) == (3, "invariant violation: a verified conclusion failed\n")
+        assert json.loads(out)["levels_capped"] == [9]
+
+
 class TestSnf:
     def test_projection_fixture(self, tmp_path, capsys):
         path = tmp_path / "diag.txt"
@@ -545,8 +667,8 @@ class TestSweepCli:
         assert capsys.readouterr().out.startswith("swept 4 slots, 4 controllable graphs ")
 
     def test_unknown_slots_exit_0_and_are_named(self, monkeypatch, tmp_path, capsys):
-        # with no rho budget nine slots cannot be factored; the sweep keeps
-        # them as unknown records, while analyze still stops at such a graph
+        # with no rho budget nine slots cannot be factored; the sweep and
+        # analyze keep them as unknown records
         args = ["sweep", "--seed", "42", "--count", "40", "--n-min", "10", "--n-max", "16",
                 "--no-mates"]
         assert main(args) == 0
@@ -558,8 +680,27 @@ class TestSweepCli:
                 "[5, 13, 19, 25, 26, 27, 30, 33, 34]\n") in capsys.readouterr().out
         record = json.loads(out.read_text())["graphs"][5]
         monkeypatch.setattr("sys.stdin", io.StringIO(record["graph6"] + "\n"))
-        assert main(["analyze", "-"]) == 2
-        assert capsys.readouterr().err.startswith("resource cap: could not fully factor ")
+        assert main(["analyze", "-", "--json"]) == 0
+        [mine] = json.loads(capsys.readouterr().out)["graphs"]
+        assert mine == {"graph6": record["graph6"], "unknown": record["unknown"]}
+
+    def test_analyze_goes_past_an_unknown_graph(self, monkeypatch, capsys):
+        # sweep slot 5 above: one text line, the fixture after it keeps its
+        # record and the batch exits 0; mates needs the prime table, so exit 2
+        monkeypatch.setattr(arith, "RHO_BUDGET", 0)
+        hard = "NYKVY_?ypKkEfQXZ]G?\n"
+        fixture = emit_graph6(load_worked_example().graph) + "\n"
+        code, out, err = run_main(["analyze", "-"], hard + fixture, monkeypatch, capsys)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == ("graph NYKVY_?ypKkEfQXZ]G?  unknown: the factoring budget left "
+                            "the cofactor 505329387447037 of the normalized determinant "
+                            "251334161446370451579")
+        assert lines[1].startswith("graph ") and "divides: 9" in out
+        assert lines[-1] == "2 graph(s) analyzed"
+        code, out, err = run_main(["mates", "-"], hard, monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("resource cap: could not fully factor ")
 
     def test_bare_sweep_runs_the_default_config(self, monkeypatch, capsys):
         seen = []

@@ -20,6 +20,8 @@ prints one line per output group, ``<group> <items> <sha256>``:
   analyze_pool    walklevel analyze --json on each line of perfbench/mates_pool.txt
   mates_fixture   walklevel mates --json on the fixture, automatic levels
   mates_pool      walklevel mates --json on each pool line at its listed levels
+  mates_auto      walklevel mates --json --level-cap 32 on each pool line, automatic
+                  levels: the divisors > 1 of prod p^min(v_p(d_n), e_p), 338 levels
   profile_n24_40  walk_profile(g, primes=(2, 3, 5, 7)).as_dict() as sorted JSON on
                   the first controllable G(n, 1/2) draw of derive_stream(42, 1000 + i,
                   attempt), i = 0..3, at n = 24, 32 and 40
@@ -531,6 +533,8 @@ def groups(src: Path) -> dict[str, list[str]]:
         "mates_fixture": [run_cli(main, ["mates", "-", "--json"], fixture)],
         "mates_pool": [run_cli(main, ["mates", "-", "--levels", levels, "--json"], g6 + "\n")
                        for g6, levels in pool],
+        "mates_auto": [run_cli(main, ["mates", "-", "--json", "--level-cap", "32"], g6 + "\n")
+                       for g6, _ in pool],
         "profile_n24_40": large_profiles(),
         "columns_l1_12": column_lists(fixture, pool),
         "columns_deep": deep_columns(),
