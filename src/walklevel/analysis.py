@@ -8,9 +8,9 @@ odd prime p that divides a class's level with rank_p W = n - 1 it extracts
 the four-congruence witness, re-checks the proof lemmas and tests
 v_p(level) against the exponent that the bound table gives at p (0 for a
 prime without an entry; an unbounded prime is not tested); then it
-tallies the refined conjecture. ``unknown_record`` stands in for
-``analyze`` on a graph whose normalized determinant the factoring budget
-cannot split, in the sweep and in the analyze command alike.
+tallies the refined conjecture. A profile whose normalized determinant
+keeps a cofactor the factoring budget cannot split gets an unknown record
+from ``analyze``, in the sweep and in the analyze and mates commands alike.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .bounds import (
     mate_count_bounds,
     verify_proof_lemmas,
 )
-from .errors import FactorizationError
+from .arith import v_p
 from .graphs import WalkProfile, emit_graph6
 from .matesearch import MateClass
 
@@ -34,7 +34,16 @@ def analyze(prof: WalkProfile) -> dict:
 
     Only walk_profile factors; the other stages read the profile's prime
     table, and the certificate and family test read the one bound table.
+    A profile with a ``cofactor`` gets the unknown record instead: no rule
+    bounds the cofactor's primes.
     """
+    if prof.cofactor != 1:
+        nd = prof.normalized_det
+        return {"graph6": emit_graph6(prof.graph),
+                "unknown": {"stage": "factorize", "normalized_det": nd,
+                            "factored": {str(p): v_p(nd, p) for p in prof.primes
+                                         if nd % p == 0},
+                            "cofactor": prof.cofactor}}
     rec = {"graph6": emit_graph6(prof.graph), "profile": prof.as_dict()}
     if prof.controllable:
         bounds = level_bounds(prof)
@@ -43,17 +52,6 @@ def analyze(prof: WalkProfile) -> dict:
         rec["family"] = family_membership(prof, bounds).as_dict()
         rec["mate_bounds"] = mate_count_bounds(prof).as_dict()
     return rec
-
-
-def unknown_record(bare: WalkProfile, exc: FactorizationError) -> dict:
-    """The record of a graph that ``walk_profile`` could not factor, read off
-    its profile with an empty prime table (``walk_profile(g, ())``) and the
-    error: ``factored`` holds the primes found before the budget ran out,
-    and ``cofactor`` the number rho could not split."""
-    return {"graph6": emit_graph6(bare.graph),
-            "unknown": {"stage": "factorize", "normalized_det": bare.normalized_det,
-                        "factored": {str(p): e for p, e in exc.factored.items()},
-                        "cofactor": exc.cofactor}}
 
 
 def check_classes(prof: WalkProfile, classes: list[MateClass]) -> dict:

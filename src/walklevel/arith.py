@@ -128,8 +128,9 @@ def _pollard_brent(n: int, budget: int, seed: int = 1) -> int | None:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}.
 
-    Raises FactorizationError (with the partial result) if ``RHO_BUDGET``
-    runs out on some cofactor.
+    Raises FactorizationError if ``RHO_BUDGET`` runs out on some cofactor:
+    its ``factored`` holds every prime found, each with its full exponent in
+    |n|, and its ``cofactor`` what they leave of |n|.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -165,8 +166,11 @@ def factorize(n: int) -> dict[int, int]:
             if f is not None and 1 < f < m:
                 break
             f = None
-        if f is None:
-            raise FactorizationError(n, out, m)
+        if f is None:  # every prime found, the stack's too, goes out of |n| in full
+            rest = n
+            for p in dict.fromkeys([*out, *filter(is_prime, stack)]):
+                rest = _strip(rest, p, out)
+            raise FactorizationError(n, out, rest)
         stack.append(f)
         stack.append(m // f)
     return out

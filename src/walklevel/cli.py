@@ -10,7 +10,9 @@ conjecture violations are only reported), or an snf --oracle-check
 disagreement. ``main`` alone picks the code, from the exception a command
 raises; such a command writes its full report first, then raises
 InvariantError. A sweep slot or an analyze graph that cannot be factored
-is an unknown record, not an exit 2. ``mates`` searches each level on its
+is an unknown record, not an exit 2; ``mates`` writes that record, then
+raises FactorizationError, as no rule bounds the cofactor's primes.
+``mates`` searches each level on its
 own and lists a level that hits a search cap under "levels_capped"; after
 its full report it raises InvariantError on a failed check, else
 SearchCapExceeded when a level was capped. Its automatic levels are the
@@ -28,7 +30,7 @@ from functools import cache
 from itertools import combinations
 from math import gcd
 
-from .analysis import analyze, check_classes, unknown_record
+from .analysis import analyze, check_classes
 from .arith import divisors
 from .bounds import level_bounds
 from .errors import FactorizationError, InvariantError, ParseError, SearchCapExceeded
@@ -146,16 +148,9 @@ def _print_analysis(rec: dict, out) -> None:
     out.write("\n")
 
 
-def _analyze_graph(g: Graph) -> dict:
-    try:
-        return analyze(walk_profile(g))
-    except FactorizationError as exc:
-        return unknown_record(walk_profile(g, ()), exc)
-
-
 def cmd_analyze(args) -> None:
     graphs = read_graphs(_read_text(args.path))
-    records = [_analyze_graph(g) for g in graphs]
+    records = [analyze(walk_profile(g)) for g in graphs]
     if args.json:
         _emit_json({"graphs": records})
     else:
@@ -205,6 +200,14 @@ def cmd_mates(args) -> None:
     prof = walk_profile(g)
     if not prof.controllable:
         raise ParseError("graph is not controllable; the search is undefined")
+    if prof.cofactor != 1:  # no rule bounds the cofactor's primes
+        rec = analyze(prof)
+        if args.json:
+            _emit_json(rec)
+        else:
+            _print_analysis(rec, sys.stdout)
+        factored = {int(p): e for p, e in rec["unknown"]["factored"].items()}
+        raise FactorizationError(abs(prof.normalized_det), factored, prof.cofactor)
     bounds_rep = level_bounds(prof)
     notes: list[str] = []
     if args.levels == "auto":

@@ -18,7 +18,7 @@ from operator import index
 from typing import Iterable, Mapping
 
 from .arith import factorize, is_prime
-from .errors import InvariantError, ParseError
+from .errors import FactorizationError, InvariantError, ParseError
 from .intmat import IntMatrix, _int_rows, char_poly
 from .snf import _det_and_factors, _factors_over_z
 
@@ -207,6 +207,8 @@ class WalkProfile:
     non-controllable graphs. ``normalized_det`` is det W divided by
     2^floor(n/2) (that power always divides det W; a violation would be an
     internal error, not a property of the input), or None when det W = 0.
+    ``cofactor`` is the part of |normalized_det| that the rho budget left
+    unsplit, 1 when the table holds every prime of det W or was given.
     """
 
     graph: Graph
@@ -214,6 +216,7 @@ class WalkProfile:
     det_w: int
     invariant_factors: tuple[int, ...]
     primes: Mapping[int, tuple[int, int]]
+    cofactor: int = 1
 
     @property
     def n(self) -> int:
@@ -244,7 +247,8 @@ class WalkProfile:
         """{p: v_p(m)} for a nonzero divisor m of det W, read off the prime table.
 
         Raises ValueError when the table's primes leave a cofactor of |m|,
-        as a table built from an explicit prime list may.
+        as a table built from an explicit prime list, or one with a
+        ``cofactor``, may.
         """
         rest = abs(m)
         out: dict[int, int] = {}
@@ -275,12 +279,12 @@ def walk_profile(g: Graph, primes: str | Iterable[int] = "auto") -> WalkProfile:
     """Full profile: W, det, invariant factors, per-prime valuations/ranks.
 
     With primes="auto" the odd primes are found by factoring the normalized
-    determinant (trial division then rho; an exhausted rho budget raises
-    FactorizationError naming the unfactored part). This is the only
-    factoring of the per-graph analysis: every later stage reads the
-    table through ``WalkProfile.factor``. An explicit prime list is checked
-    for primality (ValueError otherwise) but not factored; ``walk_profile(g, ())``
-    factors nothing, for a caller that runs the later stages on g alone.
+    determinant (trial division then rho). When the rho budget runs out,
+    the profile is still returned: its table holds 2 and the primes found,
+    and ``cofactor`` the part left unsplit, whose primes no rule can bound.
+    This is the only factoring of the per-graph analysis: every later stage
+    reads the table through ``WalkProfile.factor``. An explicit prime list
+    is checked for primality (ValueError otherwise) but not factored.
 
     The table is read off the invariant factors d_1 | ... | d_n: U W V = S
     with U, V unimodular, so v_p(det W) = sum of v_p(d_i) and
@@ -326,15 +330,20 @@ def _controllable_profile(adj, rows, primes: str | Iterable[int] = "auto",
         )
     nd = d // (1 << half)
 
+    cofactor = 1
     if primes == "auto":
-        plist = sorted({2} | {p for p in factorize(nd) if p != 2})
+        try:
+            found = factorize(nd)
+        except FactorizationError as exc:  # the profile carries the failure
+            found, cofactor = exc.factored, exc.cofactor
+        plist = sorted({2, *found})
     else:
         plist = sorted(set(int(p) for p in primes))
         for p in plist:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
     return WalkProfile(Graph(adj) if g is None else g, IntMatrix(rows), d, factors,
-                       {p: _row(factors, p) for p in plist})
+                       {p: _row(factors, p) for p in plist}, cofactor)
 
 
 def _row(factors: tuple[int, ...], p: int) -> tuple[int, int]:

@@ -235,8 +235,6 @@ def _picks(prof: WalkProfile, level: int) -> tuple[list[tuple[int, ...]], list[t
             others.append(len(cands))
             a_others.append(av)
             cands.append(v)
-    if len(cands) < n:
-        return cands, []
     cols = [cands[i] for i in others]
     m = len(cols)
     masks, units = [0] * m, [0] * m

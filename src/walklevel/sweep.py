@@ -30,10 +30,11 @@ zero attempts.
 A slot whose accepted draw cannot be factored within ``arith.RHO_BUDGET``
 becomes an unknown record, ``{"index", "n", "attempts", "graph6",
 "unknown": {"stage": "factorize", "normalized_det", "factored",
-"cofactor"}}`` (``analysis.unknown_record`` with the slot's index, n and
-attempts), instead of ending the sweep. No analysis runs on such a slot;
-the aggregate counts it as accepted and lists it under ``unknown_slots``,
-a key present only when some slot is unknown.
+"cofactor"}}`` (what ``analysis.analyze`` gives a profile with a
+cofactor, with the slot's index, n and attempts), instead of ending the
+sweep. No search runs on such a slot; the aggregate counts it as accepted
+and lists it under ``unknown_slots``, a key present only when some slot is
+unknown.
 
 Per controllable graph the sweep computes the profile and bound report,
 then (optionally) searches all prime-power levels p^j up to one less than
@@ -53,9 +54,9 @@ from itertools import repeat
 from operator import itemgetter
 from struct import iter_unpack
 
-from .analysis import analyze, check_classes, unknown_record
+from .analysis import analyze, check_classes
 from .arith import is_prime
-from .errors import FactorizationError, SearchCapExceeded
+from .errors import SearchCapExceeded
 from .graphs import Graph, _controllable_profile, _walk_rows
 from .matesearch import distinct_mate_graphs, search_mates
 
@@ -266,20 +267,14 @@ def sweep_one(config: SweepConfig, index: int) -> dict:
     for attempt in range(max_attempts):
         adj, _ = _draw_rows(mix64(slot ^ mix64(attempt)), n, config.edge_prob_num,
                             config.edge_prob_den)
-        rows = _walk_rows(adj)
-        try:
-            prof = _controllable_profile(adj, rows)
-        except FactorizationError as exc:
-            # the draw is accepted; a partial prime table gets no analysis
-            return {"index": index, "n": n, "attempts": attempt + 1,
-                    **unknown_record(_controllable_profile(adj, rows, ()), exc)}
+        prof = _controllable_profile(adj, _walk_rows(adj))
         if prof is not None:
             break
     else:
         return {"index": index, "n": n, "attempts": max_attempts, "exhausted": True}
 
     record: dict = {"index": index, "n": n, "attempts": attempt + 1, **analyze(prof)}
-    if not config.mates:
+    if not config.mates or "unknown" in record:
         return record
 
     # search every prime-power level the older valuation-minus-one ceiling

@@ -74,6 +74,21 @@ class TestFactorize:
         assert info.value.cofactor > 1
         assert (p * q) % info.value.cofactor == 0
 
+    @pytest.mark.parametrize("small", [
+        {1000003: 1}, {9973: 2, 1000003: 2}, {1000003: 1, 1000033: 1}])
+    def test_exhausted_budget_keeps_every_prime_found(self, small, monkeypatch):
+        # rho splits the primes near 10^6 off within the budget and then fails
+        # on (10^18 + 3)(10^18 + 9); those primes, left on the work stack,
+        # still go out of n in full, so prod p^e * cofactor = n
+        hard = (10**18 + 3) * (10**18 + 9)
+        n = prod(p**e for p, e in small.items()) * hard
+        monkeypatch.setattr(arith, "RHO_BUDGET", 10**4)
+        with pytest.raises(FactorizationError) as info:
+            factorize(n)
+        assert info.value.factored == small
+        assert info.value.cofactor == hard
+        assert prod(p**e for p, e in info.value.factored.items()) * info.value.cofactor == n
+
 
 class TestTrialBoundary:
     """Trial division stops at TRIAL_DIVISION_BOUND = 10^4; rho takes the rest."""

@@ -686,7 +686,8 @@ class TestSweepCli:
 
     def test_analyze_goes_past_an_unknown_graph(self, monkeypatch, capsys):
         # sweep slot 5 above: one text line, the fixture after it keeps its
-        # record and the batch exits 0; mates needs the prime table, so exit 2
+        # record and the batch exits 0; mates writes the same line, and with
+        # no bound on the cofactor's primes it exits 2
         monkeypatch.setattr(arith, "RHO_BUDGET", 0)
         hard = "NYKVY_?ypKkEfQXZ]G?\n"
         fixture = emit_graph6(load_worked_example().graph) + "\n"
@@ -699,8 +700,22 @@ class TestSweepCli:
         assert lines[1].startswith("graph ") and "divides: 9" in out
         assert lines[-1] == "2 graph(s) analyzed"
         code, out, err = run_main(["mates", "-"], hard, monkeypatch, capsys)
-        assert (code, out) == (2, "")
+        assert (code, out) == (2, lines[0] + "\n")
         assert err.startswith("resource cap: could not fully factor ")
+
+    def test_mates_json_writes_the_unknown_record(self, monkeypatch, capsys):
+        # the record analyze gives, under "schema", then the exit 2 of before
+        monkeypatch.setattr(arith, "RHO_BUDGET", 0)
+        hard = "NYKVY_?ypKkEfQXZ]G?\n"
+        code, out, _ = run_main(["analyze", "-", "--json"], hard, monkeypatch, capsys)
+        [record] = json.loads(out)["graphs"]
+        code, out, err = run_main(["mates", "-", "--json"], hard, monkeypatch, capsys)
+        assert code == 2
+        assert json.loads(out) == {"schema": 1, **record}
+        assert set(record) == {"graph6", "unknown"}
+        info = record["unknown"]
+        assert err == (f"resource cap: could not fully factor {abs(info['normalized_det'])}: "
+                       f"unfactored cofactor {info['cofactor']}\n")
 
     def test_bare_sweep_runs_the_default_config(self, monkeypatch, capsys):
         seen = []

@@ -10,12 +10,13 @@ factors, so ``rank_mod_p`` never runs); the oracle recomputes the readers
 from sympy's factorizations of the normalized determinant and d_n.
 """
 
+import io
 from math import prod
 
 import pytest
-from sympy import factorint
+from sympy import factorint, isprime
 
-from walklevel import arith, snf
+from walklevel import arith, graphs, snf
 from walklevel.analysis import analyze
 from walklevel.bounds import (
     dgs_certificate,
@@ -112,6 +113,51 @@ class TestProfileFactor:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             walk_profile(load_worked_example().graph).factor(0)
+
+
+class TestUnknownProfile:
+    """A normalized determinant the rho budget cannot split gives a profile
+    with a cofactor, not an error: every caller reads the unknown record
+    off that one profile, with one Bareiss pass and one factorize call."""
+
+    # the slots of seed 42, n 10-16, that trial division leaves composite
+    UNKNOWN = (5, 13, 19, 25, 26, 27, 30, 33, 34)
+    CONFIG = SweepConfig(n_min=10, n_max=16, seed=42, mates=False)
+
+    def test_profile_carries_the_cofactor(self, monkeypatch):
+        monkeypatch.setattr(arith, "RHO_BUDGET", 0)
+        for i in self.UNKNOWN:
+            rec = sweep_one(self.CONFIG, i)
+            g = parse_graph6(rec["graph6"])
+            prof = walk_profile(g)
+            nd = prof.normalized_det
+            factored = {int(p): e for p, e in rec["unknown"]["factored"].items()}
+            assert prof.cofactor == rec["unknown"]["cofactor"] > 1
+            assert sorted(prof.primes) == sorted({2, *factored})
+            assert prod(p**e for p, e in factored.items()) * prof.cofactor == abs(nd)
+            assert not isprime(prof.cofactor)
+            assert analyze(prof) == {"graph6": rec["graph6"], "unknown": rec["unknown"]}
+            assert walk_profile(g, prof.primes).cofactor == 1  # a given table has none
+
+    def test_one_profile_per_graph(self, monkeypatch, count_calls, capsys):
+        monkeypatch.setattr(arith, "RHO_BUDGET", 0)
+        profiles = count_calls(graphs._controllable_profile)
+        passes = count_calls(snf._det_and_factors)
+        factorize_calls = count_calls(arith.factorize)
+        for i in self.UNKNOWN:
+            rec = sweep_one(self.CONFIG, i)
+            assert (len(profiles), len(factorize_calls)) == (rec["attempts"], 1)
+            profiles.clear()
+            factorize_calls.clear()
+        g6 = sweep_one(self.CONFIG, 5)["graph6"]
+        passes.clear()
+        factorize_calls.clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO(g6 + "\n"))
+        assert main(["analyze", "-"]) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(g6 + "\n"))
+        assert main(["mates", "-"]) == 2
+        assert (len(passes), len(factorize_calls)) == (2, 2)
+        capsys.readouterr()
 
 
 def test_readers_neither_factor_nor_read_ranks(monkeypatch):

@@ -14,7 +14,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 import walklevel
-from walklevel import arith, graphs, intmat, sweep
+from walklevel import arith, graphs, intmat, matesearch, sweep
 from walklevel.graphs import Graph, walk_matrix
 from walklevel.sweep import (
     _GAMMA,
@@ -328,6 +328,24 @@ class TestSweep:
         agg, plain_agg = rep["aggregate"], plain["aggregate"]
         assert agg["controllable_acceptance"] == plain_agg["controllable_acceptance"]
         assert sum(agg["rules_fired"].values()) < sum(plain_agg["rules_fired"].values())
+
+    def test_capped_search_is_reported_and_counted(self, monkeypatch):
+        # at a candidate cap of 16, slot 32's level-49 kernel is too large:
+        # the record names the cap and has no checks, and the aggregate
+        # counts the slot as searched with no class
+        monkeypatch.setattr(matesearch, "CANDIDATE_CAP", 16)
+        cfg = SweepConfig(n_min=6, n_max=12, seed=42, graph_count=33)
+        rec = sweep_one(cfg, 32)
+        assert rec["n"] == 10
+        assert rec["search"] == {
+            "levels": [7, 49], "levels_over_cap": [], "classes": [],
+            "cap_exceeded": "kernel of W^T mod 49 has more than 16 residue classes"}
+        assert "witnesses" not in rec and "mates_found" not in rec
+        rep = run_sweep(cfg)
+        assert rep["graphs"][32] == rec
+        searched = [r["index"] for r in rep["graphs"] if "search" in r and r["search"]["levels"]]
+        assert searched == [32]
+        assert (rep["aggregate"]["searched"], rep["aggregate"]["classes_found"]) == (1, 0)
 
     def test_mates_past_isomorphism_size_limit(self):
         # slot 15 is a 14-vertex graph with a level-3 mate; the search no

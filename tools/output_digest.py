@@ -16,6 +16,10 @@ prints one line per output group, ``<group> <items> <sha256>``:
                   with arith.RHO_BUDGET = 0 (restored afterwards): slots 5, 13,
                   19, 25, 26, 27, 30, 33 and 34 cannot be factored and become
                   unknown records
+  unknown_cli     walklevel analyze --json on each of those nine graphs, then
+                  walklevel mates --json on each, with the same budget: analyze
+                  writes the unknown record and exits 0, mates writes it under
+                  "schema" and exits 2
   analyze_fixture walklevel analyze --json on the bundled fixture
   analyze_pool    walklevel analyze --json on each line of perfbench/mates_pool.txt
   mates_fixture   walklevel mates --json on the fixture, automatic levels
@@ -492,16 +496,21 @@ def cli_surface(main, fixtures: Path) -> list[str]:
             os.environ["COLUMNS"] = saved
 
 
-def unknown_sweep(config) -> str:
-    """report_json(run_sweep(config)) with no rho budget, so slots whose
-    normalized determinant trial division leaves composite are unknown."""
+def unknown_runs(main, config) -> tuple[str, list[str]]:
+    """With no rho budget, so that slots whose normalized determinant trial
+    division leaves composite are unknown: report_json(run_sweep(config)),
+    then analyze --json on each unknown slot's graph and mates --json on
+    each in turn."""
     from walklevel import arith
     from walklevel.sweep import report_json, run_sweep
 
     saved = arith.RHO_BUDGET
     arith.RHO_BUDGET = 0
     try:
-        return report_json(run_sweep(config))
+        report = run_sweep(config)
+        hard = [rec["graph6"] + "\n" for rec in report["graphs"] if "unknown" in rec]
+        return report_json(report), [run_cli(main, [command, "-", "--json"], g6)
+                                     for command in ("analyze", "mates") for g6 in hard]
     finally:
         arith.RHO_BUDGET = saved
 
@@ -520,13 +529,15 @@ def groups(src: Path) -> dict[str, list[str]]:
     small = SweepConfig(n_min=6, n_max=12, graph_count=500, seed=42)
     factor = SweepConfig(n_min=14, n_max=16, graph_count=24, seed=42, mates=False)
     unfactored = SweepConfig(n_min=10, n_max=16, graph_count=40, seed=42, mates=False)
+    unknown_sweep, unknown_cli = unknown_runs(main, unfactored)
     sparse = [SweepConfig(n_min=5, n_max=10, graph_count=30, seed=42, edge_prob_num=num,
                           edge_prob_den=den) for num, den in ((1, 3), (2, 7))]
     return {
         "sweep_small": [report_json(run_sweep(small))],
         "sweep_factor": [report_json(run_sweep(factor))],
         "sweep_edge_prob": [report_json(run_sweep(config)) for config in sparse],
-        "sweep_unknown": [unknown_sweep(unfactored)],
+        "sweep_unknown": [unknown_sweep],
+        "unknown_cli": unknown_cli,
         "analyze_fixture": [run_cli(main, ["analyze", "-", "--json"], fixture)],
         "analyze_pool": [run_cli(main, ["analyze", "-", "--json"], g6 + "\n")
                          for g6, _ in pool],
